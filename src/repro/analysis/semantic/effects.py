@@ -5,7 +5,8 @@ layer classifies every analyzed function by the *effects* it can have
 on simulator state:
 
 - **mutates array state** — writes/deletes through the canonical
-  storage attributes (``_lines``, ``_pos``, ``_free``, ``tags``),
+  storage attributes (``_lines``, ``_pos``, ``_free``, ``tags``, and
+  the zcache's ``_homes`` home-position table),
   whether by assignment, ``del``, or an in-place mutator method call;
 - **folds a registered Counter** — ``sc["name"].value += n`` /
   ``self._c_name.value += n`` accumulations into the metrics registry;
@@ -65,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: the canonical array-storage attributes (see ``CacheArray`` and
 #: ``TurboCore``): any write through these is an array-state mutation
-STATE_ATTRS = frozenset({"_lines", "_pos", "_free", "tags"})
+STATE_ATTRS = frozenset({"_lines", "_pos", "_free", "tags", "_homes"})
 
 #: receiver methods that mutate their target in place
 _STATE_MUTATORS = frozenset(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from repro.obs import ObsContext
@@ -90,6 +90,13 @@ class Replacement:
     #: arrays). The candidate list may then be left empty; the controller
     #: asks the policy for its global victim instead of enumerating.
     exhaustive: bool = False
+    #: The incoming block's position in each way, when the walk hashed
+    #: them (zcache walks do, at level 0): carried to the commit so the
+    #: block is not hashed a second time. A memo of the hash family,
+    #: not part of the plan's identity.
+    homes: Optional[tuple[Position, ...]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def usable(self) -> list[Candidate]:
         """Candidates safe to commit (valid relocation paths)."""
@@ -182,15 +189,19 @@ class CacheArray(abc.ABC):
         """Position of ``address`` if resident, else None."""
         return self._pos.get(address)
 
-    def read_position(self, pos: Position) -> Optional[int]:
-        """Resident block address at ``pos`` (None for an empty line).
+    def still_holds(self, candidates: Iterable[Candidate]) -> bool:
+        """True when every candidate's position still holds what was recorded.
 
-        The public read used by the two-phase freshness check: a
-        prepared walk records (position, address) pairs, and a commit
-        must re-verify every one of them against current state before
-        mutating anything.
+        The two-phase freshness check: a prepared walk records
+        (position, address) pairs, and a commit must re-verify every
+        one of them against current state before mutating anything.
         """
-        return self._read(pos)
+        lines = self._lines
+        for cand in candidates:
+            way, index = cand.position
+            if lines[way][index] != cand.address:
+                return False
+        return True
 
     def __contains__(self, address: int) -> bool:
         return address in self._pos
@@ -237,12 +248,16 @@ class CacheArray(abc.ABC):
         RuntimeError
             If any node on the path went stale.
         """
-        for node in chosen.path_to_root():
-            if self._read(node.position) != node.address:
+        lines = self._lines
+        node: Optional[Candidate] = chosen
+        while node is not None:
+            way, index = node.position
+            if lines[way][index] != node.address:
                 raise RuntimeError(
                     f"stale walk path: position {node.position} no longer "
                     f"holds {node.address!r}"
                 )
+            node = node.parent
 
     def commit_replacement(self, repl: Replacement, chosen: Candidate) -> CommitResult:
         """Evict ``chosen`` and relocate its ancestors to admit the block.
@@ -266,7 +281,10 @@ class CacheArray(abc.ABC):
             parent = node.parent
             moving = parent.address
             assert moving is not None, "internal walk nodes always hold a block"
-            self.evict_address(moving)
+            # A relocated block moves, it does not leave: detach it with
+            # the base primitive so a subclass's departure bookkeeping
+            # (the zcache's home-position table) keeps its entry.
+            CacheArray.evict_address(self, moving)
             self._write(node.position, moving)
             if trace is not None:
                 trace.relocation(

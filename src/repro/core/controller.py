@@ -388,11 +388,11 @@ class Cache:
         if self._trace is not None:
             self._trace_walk(address, repl)
 
-        chosen = repl.first_empty()
+        chosen, by_address = self._scan(repl)
         evicted: Optional[int] = None
         writeback = False
         if chosen is None:
-            chosen = self._choose_victim(repl)
+            chosen = self._choose_victim(repl, by_address)
             if chosen is None:
                 # Every candidate is pinned: the block bypasses the
                 # cache (the TM-style overflow event).
@@ -428,11 +428,43 @@ class Cache:
             filled_empty=evicted is None,
         )
 
-    def _choose_victim(self, repl: Replacement) -> Optional[Candidate]:
+    def _scan(
+        self, repl: Replacement, skip: Optional[int] = None
+    ) -> tuple[Optional[Candidate], dict[int, Candidate]]:
+        """One pass over the candidates: where the fill could land.
+
+        Returns the shallowest usable free slot (filling it needs no
+        eviction, and the shallowest costs the fewest relocations) and,
+        for every evictable block — resident, not pinned, not ``skip``
+        — the cheapest (shallowest) usable tree node holding it.
+        """
+        empty: Optional[Candidate] = None
+        by_address: dict[int, Candidate] = {}
+        pinned = self._pinned
+        for cand in repl.candidates:
+            if not cand.valid:
+                continue
+            address = cand.address
+            if address is None:
+                if empty is None or cand.level < empty.level:
+                    empty = cand
+            elif address != skip and address not in pinned:
+                prev = by_address.get(address)
+                if prev is None or cand.level < prev.level:
+                    by_address[address] = cand
+        return empty, by_address
+
+    def _choose_victim(
+        self,
+        repl: Replacement,
+        by_address: Optional[dict[int, Candidate]] = None,
+    ) -> Optional[Candidate]:
         """Let the policy pick among the usable candidates' addresses and
         return the cheapest (shallowest) tree node holding that block.
 
-        Returns None when every candidate is pinned (caller bypasses).
+        ``by_address`` is :meth:`_scan`'s map when the caller already
+        made the pass. Returns None when every candidate is pinned
+        (caller bypasses).
         """
         if repl.exhaustive and not repl.candidates:
             victim = self.policy.global_victim()
@@ -449,14 +481,8 @@ class Cache:
                     f"policy chose non-resident victim {victim:#x}"
                 )
             return Candidate(position=pos, address=victim, level=0)
-        usable = repl.usable()
-        by_address: dict[int, Candidate] = {}
-        for cand in usable:
-            if cand.address is None or cand.address in self._pinned:
-                continue
-            prev = by_address.get(cand.address)
-            if prev is None or cand.level < prev.level:
-                by_address[cand.address] = cand
+        if by_address is None:
+            by_address = self._scan(repl)[1]
         if not by_address:
             if self._pinned:
                 return None

@@ -123,11 +123,7 @@ class TwoPhaseZCache(Cache):
         """
         if repl.incoming in self.array:
             return False
-        array = self.array
-        for cand in repl.candidates:
-            if array.read_position(cand.position) != cand.address:
-                return False
-        return True
+        return self.array.still_holds(repl.candidates)
 
     def commit_prepared(  # zspec: atomic
         self, address: int, repl: Replacement, is_write: bool = False
@@ -180,11 +176,11 @@ class TwoPhaseZCache(Cache):
         if self._trace is not None:
             self._trace_walk(address, repl)
 
-        empty = repl.first_empty()
+        empty, by_address = self._scan(repl)
         if empty is not None:
             return self._finish_fill(address, repl, empty, evicted=None)
 
-        node1 = self._choose_victim(repl)
+        node1 = self._choose_victim(repl, by_address)
         if node1 is None:
             sc["pin_overflows"].value += 1
             return AccessResult(address=address, hit=False, bypassed=True)
@@ -212,7 +208,7 @@ class TwoPhaseZCache(Cache):
                     raise
                 # Stale phase-2 path; fall back to plain eviction.
                 self._c_stale_retries.value += 1
-                return self._plain_eviction(address, node1, victim1)
+                return self._plain_eviction(repl, node1)
             self._c_sp_wins.value += 1
             sc["relocations"].value += commit2.relocations
             sc["tag_writes"].value += commit2.relocations + 1
@@ -236,7 +232,7 @@ class TwoPhaseZCache(Cache):
             # through the phase-1 path (re-walk if phase 2 went stale).
             return self._commit_phase1(address, repl, node1, evicted2)
 
-        return self._plain_eviction(address, node1, victim1)
+        return self._plain_eviction(repl, node1)
 
     # -- helpers ---------------------------------------------------------------
     def _phase2_choice(
@@ -248,18 +244,9 @@ class TwoPhaseZCache(Cache):
         against the best phase-2 candidate: if some phase-2 block is
         more evictable than victim1, moving victim1 there is a win.
         """
-        empty = repl2.first_empty()
+        empty, by_address = self._scan(repl2, skip=victim1)
         if empty is not None:
             return empty
-        by_address: dict[int, Candidate] = {}
-        for cand in repl2.usable():
-            if cand.address is None or cand.address == victim1:
-                continue
-            if cand.address in self._pinned:
-                continue
-            prev = by_address.get(cand.address)
-            if prev is None or cand.level < prev.level:
-                by_address[cand.address] = cand
         if not by_address:
             return None
         choice = self.policy.select_victim([victim1, *by_address])
@@ -268,9 +255,13 @@ class TwoPhaseZCache(Cache):
         return by_address[choice]
 
     def _plain_eviction(
-        self, address: int, node1: Candidate, victim1: int
+        self, repl: Replacement, node1: Candidate
     ) -> AccessResult:
+        """Evict the phase-1 victim and land the block through its path."""
         sc = self._sc
+        address = repl.incoming
+        victim1 = node1.address
+        assert victim1 is not None
         self.policy.on_evict(victim1)
         sc["evictions"].value += 1
         writeback = False
@@ -280,7 +271,6 @@ class TwoPhaseZCache(Cache):
             writeback = True
         if self._trace is not None:
             self._trace_eviction(victim1, node1.level, writeback)
-        repl = Replacement(incoming=address)
         try:
             commit = self.array.commit_replacement(repl, node1)
         except RuntimeError as exc:

@@ -23,11 +23,24 @@ Extensions implemented (Section III-D):
   which is safe — just fewer candidates).
 - *Walk strategy*: ``strategy="bfs"`` (paper default) or ``"dfs"``
   (cuckoo-style single chain, more relocations per candidate).
+
+In hardware the re-hash of a candidate's tag is a few XOR gates; here it
+is a Python call per way, and the walk is on the miss path. So the array
+keeps a *resident home-position table* — block address → its position
+in every way — and expanding a candidate is one table read plus W-1 tag
+reads. The table is a pure memo of the hash family, keyed by address
+(never by line), so an entry cannot go stale: it is written when a
+block enters the array, dropped when the block leaves, kept while the
+block is relocated, and a tag that has no entry is simply hashed. Walks
+only read it, so candidate collection stays pure (lint rule ZS105) and
+may run off-lock; ``check_invariants`` asserts it holds exactly the
+resident blocks, which bounds it at W positions per line.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.base import (
@@ -219,6 +232,12 @@ class ZCacheArray(CacheArray):
         else:
             self.hashes = make_hash_family(hash_kind, num_ways, lines_per_way, hash_seed)
         self._rng = random.Random(seed)
+        #: Resident home-position table: block address -> its position
+        #: in every way. A pure memo of the hash family, keyed by
+        #: address, so an entry is right for as long as it exists;
+        #: written when a block enters the array, dropped when it
+        #: leaves, kept across relocations, never written by a walk.
+        self._homes: dict[int, tuple[Position, ...]] = {}
         self.stats = WalkStats()
         self._bind_stat_refs()
 
@@ -250,9 +269,11 @@ class ZCacheArray(CacheArray):
         obs.metrics.scoped("array").gauge("levels").set(self.levels)
 
     # -- helpers -------------------------------------------------------------
-    def _home_positions(self, address: int) -> list[Position]:
-        """The W legal positions of a block: one per way."""
-        return [Position(w, self.hashes[w](address)) for w in range(self.num_ways)]
+    def _hash_homes(self, address: int) -> tuple[Position, ...]:
+        """The W legal positions of a block, one per way, by hashing it."""
+        return tuple(
+            [Position(way, h(address)) for way, h in enumerate(self.hashes)]
+        )
 
     def nominal_candidates(self) -> int:
         """R for this configuration, per the paper's formula."""
@@ -260,25 +281,6 @@ class ZCacheArray(CacheArray):
         if self.candidate_limit is not None:
             r = min(r, self.candidate_limit)
         return r
-
-    def _make_child(self, parent: Candidate, way: int) -> Candidate:
-        """Expand ``parent`` into ``way`` (one tag read)."""
-        assert parent.address is not None
-        pos = Position(way, self.hashes[way](parent.address))
-        resident = self._read(pos)
-        child = Candidate(
-            position=pos, address=resident, level=parent.level + 1, parent=parent
-        )
-        # A relocation path must not visit the same position twice; a
-        # repeat along the ancestor chain would corrupt the relocations.
-        # Walk depths are tiny, so an inline ancestor scan beats sets.
-        node = parent
-        while node is not None:
-            if node.position == pos:
-                child.valid = False
-                break
-            node = node.parent
-        return child
 
     def _new_repeat_tracker(self, incoming: int):
         if self.repeat_filter == "exact":
@@ -294,42 +296,7 @@ class ZCacheArray(CacheArray):
     def build_replacement(self, address: int) -> Replacement:
         if address in self._pos:
             raise RuntimeError(f"build_replacement for resident block {address:#x}")
-        repl = Replacement(incoming=address)
-        tracker = self._new_repeat_tracker(address)
-        seen_positions: set[Position] = set()
-
-        def note(cand: Candidate) -> bool:
-            """Record a candidate; return True if it was a repeat."""
-            repl.candidates.append(cand)
-            repl.tag_reads += 1
-            repeat = cand.position in seen_positions
-            if repeat:
-                self._c_repeats.value += 1
-            seen_positions.add(cand.position)
-            if tracker is not None and cand.address is not None:
-                if cand.address in tracker:
-                    repeat = True
-                    self._c_repeats.value += 1
-                else:
-                    tracker.add(cand.address)
-            return repeat
-
-        frontier: list[Candidate] = []
-        for way in range(self.num_ways):
-            pos = Position(way, self.hashes[way](address))
-            cand = Candidate(position=pos, address=self._read(pos), level=0)
-            repeat = note(cand)
-            if cand.address is not None and not (repeat and tracker is not None):
-                frontier.append(cand)
-
-        if self.strategy == "bfs":
-            self._walk_bfs(repl, frontier, note)
-        else:
-            self._walk_dfs(repl, frontier, note)
-
-        self._c_walks.value += 1
-        self._c_tag_reads.value += repl.tag_reads
-        self._c_candidates.value += len(repl.candidates)
+        repl = self._collect(address, self._hash_homes(address), None)
         if repl.truncated:
             self._c_truncated_walks.value += 1
         return repl
@@ -348,38 +315,123 @@ class ZCacheArray(CacheArray):
             raise RuntimeError(
                 f"build_reinsertion for non-resident block {address:#x}"
             )
-        repl = Replacement(incoming=address)
-        tracker = self._new_repeat_tracker(address)
-        seen_positions: set[Position] = {pos}
+        homes = self._homes.get(address)
+        if homes is None:
+            homes = self._hash_homes(address)
+        return self._collect(address, homes, pos)
 
-        def note(cand: Candidate) -> bool:
-            repl.candidates.append(cand)
-            repl.tag_reads += 1
-            repeat = cand.position in seen_positions
-            if repeat:
-                self._c_repeats.value += 1
-            seen_positions.add(cand.position)
-            if tracker is not None and cand.address is not None:
-                if cand.address in tracker:
-                    repeat = True
-                    self._c_repeats.value += 1
+    def _collect(
+        self,
+        incoming: int,
+        homes: tuple[Position, ...],
+        own: Optional[Position],
+    ) -> Replacement:
+        """Collect the candidates for ``incoming``: the one loop behind
+        every walk.
+
+        Each round expands the blocks of the current frontier into the
+        next level: a block's children are the lines at its home
+        positions in every way but the one it sits in. Level 0 is the
+        expansion of the incoming block itself (its ``homes``), which
+        sits nowhere — or, for a reinsertion, at ``own``. The breadth-
+        first walk carries every expandable child into the next round
+        and stops after ``levels`` rounds; the depth-first walk is the
+        same loop with the frontier narrowed to one random child per
+        round, stopping at a free slot or at the breadth-first walk's
+        candidate count. Reinsertions always walk breadth-first.
+
+        Home positions come from the resident table; a tag that is not
+        in it (rewritten behind the array's back) is hashed. The loop
+        only reads — array, table and all — so it may run off-lock.
+        """
+        repl = Replacement(incoming=incoming, homes=homes)
+        cands = repl.candidates
+        append = cands.append
+        lines = self._lines
+        table = self._homes
+        tracker = self._new_repeat_tracker(incoming)
+        filtered = tracker is not None
+        seen: set[Position] = set() if own is None else {own}
+        limit = self.candidate_limit
+        if limit is None:
+            limit = sys.maxsize
+        dfs = self.strategy == "dfs" and own is None
+        # DFS stops at the BFS walk's size even when no limit is set.
+        cap = self.nominal_candidates() if dfs else limit
+        repeats = 0
+        level = 0
+        frontier: list = [None]  # None stands for the incoming block
+        while True:
+            grown: list = []
+            free = capped = False
+            for parent in frontier:
+                if parent is None:
+                    expand = homes
+                    skip = -1 if own is None else own[0]
                 else:
-                    tracker.add(cand.address)
-            return repeat
-
-        frontier: list[Candidate] = []
-        for way in range(self.num_ways):
-            if way == pos.way:
-                continue
-            root = Position(way, self.hashes[way](address))
-            cand = Candidate(position=root, address=self._read(root), level=0)
-            repeat = note(cand)
-            if cand.address is not None and not (repeat and tracker is not None):
-                frontier.append(cand)
-        self._walk_bfs(repl, frontier, note)
+                    skip = parent.position[0]
+                    expand = table.get(parent.address)
+                    if expand is None:
+                        expand = self._hash_homes(parent.address)
+                for pos in expand:
+                    way = pos[0]
+                    if way == skip:
+                        continue
+                    # Never true at level 0: the limit is at least W.
+                    if len(cands) >= cap:
+                        capped = True
+                        break
+                    resident = lines[way][pos[1]]
+                    cand = Candidate(pos, resident, level, parent)
+                    append(cand)
+                    if level > 1:
+                        # A relocation path must not visit a position
+                        # twice. The parent sits in another way, so the
+                        # scan starts at the grandparent.
+                        node = parent.parent
+                        while node is not None:
+                            if node.position == pos:
+                                cand.valid = False
+                                break
+                            node = node.parent
+                    if pos in seen:
+                        repeat = True
+                        repeats += 1
+                    else:
+                        repeat = False
+                        seen.add(pos)
+                    if filtered and resident is not None:
+                        if resident in tracker:
+                            repeat = True
+                            repeats += 1
+                        else:
+                            tracker.add(resident)
+                    if cand.valid and not (filtered and repeat):
+                        if resident is None:
+                            free = True
+                        else:
+                            grown.append(cand)
+                if capped:
+                    break
+            if capped and len(cands) >= limit:
+                repl.truncated = True
+            level += 1
+            if dfs:
+                # Level 0 only seeds the chain; below it a free slot ends
+                # the walk (the chain can terminate there).
+                if (free and level > 1) or not grown:
+                    break
+                grown = [self._rng.choice(grown)]
+                if len(cands) >= cap:
+                    break
+            elif capped or level == self.levels:
+                break
+            frontier = grown
+        repl.tag_reads = len(cands)
+        self._c_repeats.value += repeats
         self._c_walks.value += 1
-        self._c_tag_reads.value += repl.tag_reads
-        self._c_candidates.value += len(repl.candidates)
+        self._c_tag_reads.value += len(cands)
+        self._c_candidates.value += len(cands)
         return repl
 
     def commit_reinsertion(
@@ -396,83 +448,20 @@ class ZCacheArray(CacheArray):
         self.evict_address(repl.incoming)
         return self.commit_replacement(repl, chosen)
 
-    def _at_limit(self, repl: Replacement) -> bool:
-        return (
-            self.candidate_limit is not None
-            and len(repl.candidates) >= self.candidate_limit
-        )
-
-    def _walk_bfs(self, repl: Replacement, frontier: list[Candidate], note) -> None:
-        """Breadth-first expansion, level by level (paper default)."""
-        for _level in range(1, self.levels):
-            next_frontier: list[Candidate] = []
-            for node in frontier:
-                if node.address is None:
-                    continue
-                for way in range(self.num_ways):
-                    if way == node.position.way:
-                        continue
-                    if self._at_limit(repl):
-                        repl.truncated = True
-                        return
-                    child = self._make_child(node, way)
-                    repeat = note(child)
-                    expandable = (
-                        child.valid
-                        and child.address is not None
-                        and not (repeat and self.repeat_filter is not None)
-                    )
-                    if expandable:
-                        next_frontier.append(child)
-            frontier = next_frontier
-            if not frontier:
-                return
-
-    def _walk_dfs(self, repl: Replacement, frontier: list[Candidate], note) -> None:
-        """Depth-first (cuckoo-style) walk.
-
-        One random level-0 candidate is displaced down a single chain.
-        The chain depth is chosen so the number of candidates examined is
-        comparable to the BFS configuration (L_dfs ~= R/W per the paper's
-        discussion), exposing DFS's higher relocation count.
-        """
-        target = replacement_candidates(self.num_ways, self.levels)
-        if self.candidate_limit is not None:
-            target = min(target, self.candidate_limit)
-        occupied = [c for c in frontier if c.address is not None and c.valid]
-        if not occupied:
-            return
-        node = self._rng.choice(occupied)
-        while len(repl.candidates) < target:
-            if node.address is None or not node.valid:
-                return
-            children: list[Candidate] = []
-            for way in range(self.num_ways):
-                if way == node.position.way:
-                    continue
-                if self._at_limit(repl) or len(repl.candidates) >= target:
-                    repl.truncated = self._at_limit(repl)
-                    break
-                child = self._make_child(node, way)
-                repeat = note(child)
-                if child.valid and not (repeat and self.repeat_filter is not None):
-                    children.append(child)
-            empties = [c for c in children if c.address is None]
-            if empties:
-                # The chain can terminate in a free slot; no point going on.
-                return
-            expandable = [c for c in children if c.address is not None]
-            if not expandable:
-                return
-            node = self._rng.choice(expandable)
-
     def commit_replacement(
         self, repl: Replacement, chosen: Candidate
     ) -> "CommitResult":
         result = super().commit_replacement(repl, chosen)
+        # The incoming block is in: its homes come with the plan when the
+        # walk hashed them (hand-built plans did not).
+        self._homes[repl.incoming] = repl.homes or self._hash_homes(repl.incoming)
         self._c_relocations.value += result.relocations
         self.stats.record_commit_level(chosen.level)
         return result
+
+    def evict_address(self, address: int) -> None:
+        super().evict_address(address)
+        self._homes.pop(address, None)
 
     def check_invariants(self) -> None:
         super().check_invariants()
@@ -483,4 +472,23 @@ class ZCacheArray(CacheArray):
                 raise AssertionError(
                     f"block {addr:#x} at index {pos.index} of way {pos.way}, "
                     f"but hashes to {expected}"
+                )
+        # The home-position table holds exactly the resident blocks (so
+        # it is bounded by the array, W positions a line) and memoises
+        # the hash family faithfully. An empty table is the one legal
+        # exception: the turbo engine writes lines itself and never
+        # walks the array, so it keeps none.
+        if self._homes and self._homes.keys() != self._pos.keys():
+            leaked = self._homes.keys() - self._pos.keys()
+            missing = self._pos.keys() - self._homes.keys()
+            raise AssertionError(
+                f"home-position table out of sync with the resident set: "
+                f"{len(leaked)} entries for absent blocks, {len(missing)} "
+                f"resident blocks without an entry"
+            )
+        for addr, homes in self._homes.items():
+            if homes != self._hash_homes(addr):
+                raise AssertionError(
+                    f"home-position table entry for block {addr:#x} is "
+                    f"{homes}, but the block hashes to {self._hash_homes(addr)}"
                 )

@@ -36,4 +36,9 @@ class MixHash(HashFunction):
     def __call__(self, address: int) -> int:
         if address < 0:
             raise ValueError(f"address must be non-negative, got {address}")
-        return splitmix64(address ^ self._tweak) & self._mask
+        # splitmix64, inlined: the walk hashes once per way per block, and
+        # the call frame cost as much as the arithmetic.
+        value = ((address ^ self._tweak) + 0x9E3779B97F4A7C15) & _MASK64
+        value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return (value ^ (value >> 31)) & self._mask

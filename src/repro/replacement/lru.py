@@ -10,7 +10,22 @@ bucketed_lru.BucketedLRU` with ``bump_every=1``).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.replacement.base import ReplacementPolicy
+
+
+def _oldest(stamp: dict[int, int], candidates: Sequence[int]) -> int:
+    """The candidate with the smallest timestamp.
+
+    What the base-class :meth:`~ReplacementPolicy.score` scan returns
+    for a negated-timestamp score — ``min`` keeps the first of equal
+    stamps, as the scan's strict ``>`` does — without a Python-level
+    call per candidate.
+    """
+    if not candidates:
+        raise ValueError("select_victim called with no candidates")
+    return min(candidates, key=stamp.__getitem__)
 
 
 class LRU(ReplacementPolicy):
@@ -54,6 +69,9 @@ class LRU(ReplacementPolicy):
         # score is the negated timestamp.
         return -self._stamp[address]
 
+    def select_victim(self, candidates: Sequence[int]) -> int:
+        return _oldest(self._stamp, candidates)
+
 
 class FIFO(ReplacementPolicy):
     """First-in first-out: timestamp at insertion only, never refreshed.
@@ -87,3 +105,6 @@ class FIFO(ReplacementPolicy):
 
     def score(self, address: int) -> int:
         return -self._stamp[address]
+
+    def select_victim(self, candidates: Sequence[int]) -> int:
+        return _oldest(self._stamp, candidates)

@@ -101,9 +101,15 @@ class EvictionLog(ReplacementPolicy):
         return self.inner.global_victim()
 
     def drain_evicted(self) -> list[int]:
-        """Evictions since the last drain (caller holds the shard lock)."""
+        """Evictions since the last drain (caller holds the shard lock).
+
+        Most puts evict nothing: an empty log is handed back as it is
+        rather than swapped for a fresh list, so consume the result
+        before the next eviction.
+        """
         out = self.evicted
-        self.evicted = []
+        if out:
+            self.evicted = []
         return out
 
 
@@ -328,9 +334,12 @@ class CacheShard:
             return
         self._recency = []
         cache = self.cache
+        # The log only forwards hits; replay them straight into the
+        # policy it wraps.
+        touch = self.policy_log.inner.on_access
         for addr in buf:
             if addr in cache:
-                self.policy_log.on_access(addr, False)
+                touch(addr, False)
 
     def _sync_entries(
         self,

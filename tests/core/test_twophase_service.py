@@ -158,6 +158,9 @@ class TestInterleavedInvalidate:
         result = cache.commit_prepared(addr, fresh_plan)
         assert not result.hit and addr in cache
         array.final_check()
+        # ... and neither the rejected plan nor the invalidate left an
+        # entry behind in the home-position table.
+        array.check_invariants()
 
     def test_invalidate_of_unwalked_block_keeps_plan_fresh(self):
         array, cache = self.make_filled()

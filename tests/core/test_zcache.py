@@ -172,6 +172,77 @@ class TestRelocation:
             arr.commit_replacement(repl, victim)
 
 
+class TestHomeTable:
+    """The resident home-position table: exactly the resident blocks,
+    always what the hash family says, never written by a walk."""
+
+    def make_full(self, **kwargs):
+        arr = ZCacheArray(4, 32, levels=3, hash_seed=9, **kwargs)
+        cache = Cache(arr, LRU())
+        rng = random.Random(4)
+        while arr.occupancy < 1.0:
+            cache.access(rng.randrange(5_000))
+        return arr, cache
+
+    def test_tracks_the_resident_set(self):
+        arr, cache = self.make_full()
+        assert arr._homes.keys() == set(arr.resident())
+        rng = random.Random(8)
+        for _ in range(2_000):
+            cache.access(rng.randrange(5_000))
+            if rng.random() < 0.1:
+                cache.invalidate(rng.choice(list(arr.resident())))
+            if rng.random() < 0.05:
+                forced = next(arr.resident())
+                arr.evict_address(forced)
+                cache.policy.on_evict(forced)  # keep the policy in step
+        assert arr._homes.keys() == set(arr.resident())
+        assert len(arr._homes) <= arr.num_blocks
+        arr.check_invariants()
+
+    def test_walk_leaves_it_alone(self):
+        arr, _ = self.make_full()
+        before = dict(arr._homes)
+        for probe in range(90_000, 90_050):
+            arr.build_replacement(probe)
+        arr.build_reinsertion(next(arr.resident()))
+        assert arr._homes == before
+
+    def test_relocated_blocks_keep_their_entry(self):
+        arr, _ = self.make_full()
+        repl = arr.build_replacement(77_777)
+        deep = next(c for c in repl.usable() if c.level == 2 and c.address is not None)
+        moved = [c.address for c in deep.path_to_root()[1:]]
+        entries = [arr._homes[a] for a in moved]
+        arr.commit_replacement(repl, deep)
+        assert [arr._homes[a] for a in moved] == entries
+        assert all(arr._homes[a] is e for a, e in zip(moved, entries))
+        assert arr._homes[77_777] is repl.homes  # carried from the walk
+        assert deep.address not in arr._homes
+        arr.check_invariants()
+
+    def test_rejected_commit_leaves_no_entry(self):
+        arr, _ = self.make_full()
+        repl = arr.build_replacement(66_666)
+        victim = next(c for c in repl.usable() if c.address is not None)
+        arr.evict_address(victim.address)
+        with pytest.raises(RuntimeError):
+            arr.commit_replacement(repl, victim)
+        assert 66_666 not in arr._homes
+        arr.check_invariants()
+
+    def test_invariant_catches_a_leak_and_a_wrong_entry(self):
+        arr, _ = self.make_full()
+        arr._homes[123_456_789] = arr._hash_homes(123_456_789)
+        with pytest.raises(AssertionError, match="home-position table"):
+            arr.check_invariants()
+        del arr._homes[123_456_789]
+        victim = next(arr.resident())
+        arr._homes[victim] = arr._homes[victim][::-1]
+        with pytest.raises(AssertionError, match="home-position table"):
+            arr.check_invariants()
+
+
 class TestExtensions:
     def run_traffic(self, arr, n=3000, seed=0, footprint=2000):
         cache = Cache(arr, LRU())

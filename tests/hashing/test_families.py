@@ -51,6 +51,12 @@ class TestMixHash:
         assert all(0 <= v < 1024 for v in vals)
         assert vals == [h(x) for x in range(2000)]
 
+    @given(address=st.integers(0, 2**80), seed=st.integers(0, 2**70))
+    def test_is_splitmix64_of_the_tweaked_address(self, address, seed):
+        # __call__ carries the mixer inline; splitmix64 is the reference.
+        h = MixHash(4096, seed=seed)
+        assert h(address) == splitmix64(address ^ h._tweak) & 4095
+
     def test_seed_independence(self):
         a, b = MixHash(1024, seed=1), MixHash(1024, seed=2)
         same = sum(1 for x in range(4096) if a(x) == b(x))

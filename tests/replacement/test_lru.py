@@ -1,8 +1,13 @@
 """Tests for LRU, FIFO and the policy base contract."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.assoc import TrackedPolicy
 from repro.replacement import FIFO, LRU, make_policy
+from repro.replacement.base import ReplacementPolicy
+from repro.serve.shard import EvictionLog
 
 
 class TestLRU:
@@ -73,6 +78,58 @@ class TestFIFO:
         p.on_insert(3)
         with pytest.raises(ValueError):
             p.on_insert(3)
+
+
+class TestSelectFastPath:
+    """LRU/FIFO pick the victim with ``min`` over their stamps; that must
+    be the base class's ``score()`` scan, bare or behind the wrappers the
+    service and the associativity measurement put around a policy."""
+
+    WRAPPERS = [lambda p: p, EvictionLog, TrackedPolicy,
+                lambda p: EvictionLog(TrackedPolicy(p))]
+
+    @given(
+        ops=st.lists(st.tuples(st.sampled_from("iae"), st.integers(0, 40)),
+                     max_size=120),
+        picks=st.lists(st.integers(0, 1000), min_size=1, max_size=60),
+        kind=st.sampled_from([LRU, FIFO]),
+        wrapper=st.sampled_from(WRAPPERS),
+        zeroed=st.lists(st.integers(0, 1000), max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_score_scan(self, ops, picks, kind, wrapper, zeroed):
+        inner = kind()
+        policy = wrapper(inner)
+        resident: list[int] = []
+        for op, address in ops:
+            if op == "i" and address not in resident:
+                policy.on_insert(address)
+                resident.append(address)
+            elif op == "a" and address in resident:
+                policy.on_access(address)
+            elif op == "e" and address in resident:
+                policy.on_evict(address)
+                resident.remove(address)
+        if not resident:
+            return
+        # Equal stamps never arise by themselves; a stamp-corrupt fault
+        # makes them (it zeroes stamps), and first-wins must still hold.
+        for z in zeroed:
+            inner._stamp[resident[z % len(resident)]] = 0
+        candidates = [resident[p % len(resident)] for p in picks]  # duplicates too
+        expected = ReplacementPolicy.select_victim(inner, candidates)
+        assert policy.select_victim(candidates) == expected
+        assert policy.select_victim(tuple(candidates)) == expected
+
+    @pytest.mark.parametrize("kind", [LRU, FIFO])
+    @pytest.mark.parametrize("wrapper", WRAPPERS)
+    def test_errors_are_unchanged(self, kind, wrapper):
+        policy = wrapper(kind())
+        policy.on_insert(1)
+        with pytest.raises(ValueError, match="no candidates"):
+            policy.select_victim([])
+        with pytest.raises(KeyError):
+            policy.select_victim([1, 99])
 
 
 class TestFactory:
