@@ -25,8 +25,8 @@ Four checks, each exercising a different layer of the serve stack:
    what makes its silence on the real shard evidence.
 
 Exit 0 when everything holds, 1 with a message otherwise. Scales are
-small on purpose — ``benchmarks/run_serve_baseline.py`` carries the
-full-size soak; this is the fast always-on gate.
+small on purpose — ZBench's ``serve_hot``/``serve_pressure`` workloads
+carry the timing; this is the fast always-on gate.
 
 Usage::
 

@@ -56,6 +56,7 @@ from repro.analysis.spec import (
     stale_path_detail,
 )
 from repro.core.base import (
+    ArrayProxy,
     CacheArray,
     Candidate,
     CommitResult,
@@ -144,14 +145,15 @@ class InvariantViolation(RuntimeError):
         return "\n".join(lines)
 
 
-class SanitizedArray:
+class SanitizedArray(ArrayProxy):
     """Invariant-checking proxy around a :class:`CacheArray`.
 
     Drop-in at the controller boundary: wrap the array before handing
     it to :class:`~repro.core.controller.Cache` and every access runs
     sanitized. Attribute reads and writes not intercepted here are
-    forwarded to the inner array, so array-specific surface
-    (``stats``, ``hashes``, ``candidate_limit`` …) keeps working.
+    forwarded to the inner array by :class:`ArrayProxy`, so
+    array-specific surface (``stats``, ``hashes``, ``candidate_limit``
+    …) keeps working.
 
     Parameters
     ----------
@@ -169,7 +171,7 @@ class SanitizedArray:
 
     _OWN = frozenset(
         {
-            "_inner", "seed", "_trace", "_trace_limit",
+            "seed", "_trace", "_trace_limit",
             "_deep_interval", "_mutations", "checks_run", "deep_scans",
         }
     )
@@ -182,54 +184,14 @@ class SanitizedArray:
         trace_limit: int = 256,
         deep_check_interval: int = 64,
     ) -> None:
-        object.__setattr__(self, "_inner", array)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "_trace", [])
-        object.__setattr__(self, "_trace_limit", max(1, trace_limit))
-        object.__setattr__(self, "_deep_interval", deep_check_interval)
-        object.__setattr__(self, "_mutations", 0)
-        object.__setattr__(self, "checks_run", 0)
-        object.__setattr__(self, "deep_scans", 0)
-
-    # -- delegation ----------------------------------------------------------
-    @property
-    def array(self) -> CacheArray:
-        """The wrapped array (for direct inspection)."""
-        return self._inner
-
-    def __getattr__(self, name: str) -> Any:
-        """Forward anything not intercepted to the inner array.
-
-        The ``__dict__`` lookup (not ``self._inner``) keeps copy/pickle
-        reconstruction safe: those protocols probe dunders on a blank
-        instance before any state is restored, and recursing into
-        ``__getattr__`` for ``_inner`` itself would never terminate.
-        """
-        inner = self.__dict__.get("_inner")
-        if inner is None:
-            raise AttributeError(name)
-        return getattr(inner, name)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        """Route attribute writes to the inner array when it owns them.
-
-        Controllers tune the array through attributes (e.g.
-        ``AdaptiveZCache`` writes ``candidate_limit``); without this,
-        such writes would land on the wrapper and silently detach the
-        guarded array from its controller.
-        """
-        if name in self._OWN or not hasattr(self._inner, name):
-            object.__setattr__(self, name, value)
-        else:
-            setattr(self._inner, name, value)
-
-    def __contains__(self, address: int) -> bool:
-        """Residency test, forwarded."""
-        return address in self._inner
-
-    def __len__(self) -> int:
-        """Resident block count, forwarded."""
-        return len(self._inner)
+        super().__init__(array)
+        self.seed = seed
+        self._trace: list = []
+        self._trace_limit = max(1, trace_limit)
+        self._deep_interval = deep_check_interval
+        self._mutations = 0
+        self.checks_run = 0
+        self.deep_scans = 0
 
     # -- trace ----------------------------------------------------------------
     def _note(self, op: str, address: int) -> None:

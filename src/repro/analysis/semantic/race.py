@@ -120,7 +120,6 @@ _MUTATING_CALLS = _STATE_MUTATORS | frozenset(
         "on_insert",
         "on_access",
         "on_evict",
-        "drain_evicted",
         "drain_score_updates",
         "move_to_end",
     }

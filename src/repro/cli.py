@@ -28,9 +28,42 @@ artifact.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
 from repro.experiments.runner import ExperimentScale
+
+
+#: Subcommands that own their argument parsing (they take paths and
+#: flags the experiment parser must not see). One table both dispatches
+#: them and renders the epilog: ``name -> ("module:function", help)``.
+SUBCOMMANDS = {
+    "lint": ("repro.analysis.cli:run_lint",
+             "ZSan static analysis; --deep whole-program rules, --fix repairs"),
+    "check": ("repro.analysis.cli:run_check",
+              "--sanitize runtime invariants, --model checker, --lockset races"),
+    "stats": ("repro.obs.cli:run_stats",
+              "ZScope metrics snapshot of an experiment"),
+    "trace": ("repro.obs.cli:run_trace",
+              "JSONL event trace of an experiment + offline summary"),
+    "timeline": ("repro.obs.cli:run_timeline",
+                 "ZTrace span timeline: Perfetto export + critical path"),
+    "sweep": ("repro.experiments.parallel:run_sweep_cli",
+              "parallel design sweep (--jobs N) with checkpoint/resume"),
+    "faults": ("repro.faults.cli:run_faults_cli",
+               "ZFault campaign: fault injection under the sanitizer"),
+    "serve": ("repro.serve.cli:run_serve_cli",
+              "boot the ZServe concurrent key-value cache over TCP"),
+    "loadgen": ("repro.serve.cli:run_loadgen_cli",
+                "replay a workload proxy against ZServe: req/s, latency"),
+}
+
+
+#: experiments whose module renders its own table: ``<module>.main()``
+_PRINT_THEIR_OWN = (
+    "fig1", "table1", "table2", "merit", "buffering", "conflict",
+    "hashquality", "pressure",
+)
 
 
 def _scale_from_args(args) -> ExperimentScale:
@@ -46,66 +79,18 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    # The analysis subcommands own their argument parsing (they take
-    # paths and flags the experiment parser must not see).
-    if argv and argv[0] == "lint":
-        from repro.analysis.cli import run_lint
-
-        return run_lint(argv[1:])
-    if argv and argv[0] == "check":
-        from repro.analysis.cli import run_check
-
-        return run_check(argv[1:])
-    if argv and argv[0] == "stats":
-        from repro.obs.cli import run_stats
-
-        return run_stats(argv[1:])
-    if argv and argv[0] == "trace":
-        from repro.obs.cli import run_trace
-
-        return run_trace(argv[1:])
-    if argv and argv[0] == "timeline":
-        from repro.obs.cli import run_timeline
-
-        return run_timeline(argv[1:])
-    if argv and argv[0] == "sweep":
-        from repro.experiments.parallel import run_sweep_cli
-
-        return run_sweep_cli(argv[1:])
-    if argv and argv[0] == "faults":
-        from repro.faults.cli import run_faults_cli
-
-        return run_faults_cli(argv[1:])
-    if argv and argv[0] == "serve":
-        from repro.serve.cli import run_serve_cli
-
-        return run_serve_cli(argv[1:])
-    if argv and argv[0] == "loadgen":
-        from repro.serve.cli import run_loadgen_cli
-
-        return run_loadgen_cli(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        module, _, function = SUBCOMMANDS[argv[0]][0].partition(":")
+        return getattr(importlib.import_module(module), function)(argv[1:])
     parser = argparse.ArgumentParser(
         prog="zcache-repro",
         description="Reproduce the tables and figures of the zcache paper "
         "(Sanchez & Kozyrakis, MICRO 2010).",
-        epilog="Additional subcommands: 'zcache-repro lint [paths...]' "
-        "(ZSan static analysis, rules ZS001-ZS006; add --deep for the "
-        "ZProve whole-program rules ZS101-ZS109 and --fix for "
-        "mechanical repairs), 'zcache-repro "
-        "check --sanitize' (runtime invariant sanitizer; --model for "
-        "the exhaustive bounded model checker), 'zcache-repro "
-        "stats <experiment>' (ZScope metrics snapshot), 'zcache-repro "
-        "trace <experiment>' (JSONL event trace + offline summary), "
-        "'zcache-repro timeline <experiment> [--jobs N]' (ZTrace span "
-        "timeline: Perfetto trace-event export + critical-path report) "
-        "and 'zcache-repro sweep --jobs N' (parallel design sweep with "
-        "checkpoint/resume); 'zcache-repro faults --campaign' runs the "
-        "ZFault resilience campaign (deterministic fault injection under "
-        "the sanitizer; --minimize for minimal-fault search); "
-        "'zcache-repro serve' boots the ZServe "
-        "concurrent key-value cache over TCP and 'zcache-repro loadgen' "
-        "replays a workload proxy against it, reporting throughput and "
-        "latency percentiles; each has its own --help.",
+        epilog="additional subcommands (each has its own --help):\n"
+        + "\n".join(
+            f"  {name:<9} {text}" for name, (_, text) in SUBCOMMANDS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "experiment",
@@ -148,11 +133,6 @@ def main(argv: list[str] | None = None) -> int:
         for spec in WORKLOADS.values():
             print(spec.describe())
         return 0
-    if args.experiment == "fig1":
-        from repro.experiments import fig1
-
-        fig1.main()
-        return 0
     if args.experiment == "fig2":
         from repro.experiments import fig2
 
@@ -165,40 +145,8 @@ def main(argv: list[str] | None = None) -> int:
             for path in fig2_svg(args.svg, result):
                 print(f"SVG written to {path}")
         return 0
-    if args.experiment == "buffering":
-        from repro.experiments import buffering
-
-        buffering.main()
-        return 0
-    if args.experiment == "conflict":
-        from repro.experiments import conflict
-
-        conflict.main()
-        return 0
-    if args.experiment == "hashquality":
-        from repro.experiments import hashquality
-
-        hashquality.main()
-        return 0
-    if args.experiment == "pressure":
-        from repro.experiments import pressure
-
-        pressure.main()
-        return 0
-    if args.experiment == "table1":
-        from repro.experiments import table1
-
-        table1.main()
-        return 0
-    if args.experiment == "table2":
-        from repro.experiments import table2
-
-        table2.main()
-        return 0
-    if args.experiment == "merit":
-        from repro.experiments import merit
-
-        merit.main()
+    if args.experiment in _PRINT_THEIR_OWN:
+        importlib.import_module(f"repro.experiments.{args.experiment}").main()
         return 0
 
     scale = _scale_from_args(args)

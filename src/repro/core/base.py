@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from repro.obs import ObsContext
@@ -312,3 +312,49 @@ class CacheArray(abc.ABC):
                 seen[addr] = Position(way, index)
         if seen != self._pos:
             raise AssertionError("position map out of sync with line storage")
+
+
+class ArrayProxy:
+    """Attribute-forwarding proxy over a :class:`CacheArray`.
+
+    The one forwarding base of the array interposers (the ZSan
+    sanitizer, the ZFault injector): a subclass intercepts the
+    operations it cares about and everything else — reads *and*
+    writes, since controllers tune arrays through attributes such as
+    ``candidate_limit`` — reaches the wrapped array, so a stack of
+    proxies still duck-types as the array at the bottom.
+    """
+
+    #: attributes that live on the proxy itself, not the wrapped array
+    _OWN: frozenset[str] = frozenset()
+
+    def __init__(self, array: Any) -> None:
+        object.__setattr__(self, "_inner", array)
+
+    @property
+    def array(self) -> Any:
+        """The wrapped array (for direct inspection)."""
+        return self._inner
+
+    def __getattr__(self, name: str) -> Any:
+        # The ``__dict__`` lookup (not ``self._inner``) keeps
+        # copy/pickle reconstruction safe: those protocols probe
+        # dunders on a blank instance before any state is restored,
+        # and recursing into ``__getattr__`` for ``_inner`` itself
+        # would never terminate.
+        inner = self.__dict__.get("_inner")
+        if inner is None:
+            raise AttributeError(name)
+        return getattr(inner, name)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name in self._OWN or not hasattr(self._inner, name):
+            object.__setattr__(self, name, value)
+        else:
+            setattr(self._inner, name, value)
+
+    def __contains__(self, address: int) -> bool:
+        return address in self._inner
+
+    def __len__(self) -> int:
+        return len(self._inner)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-from repro.core.base import CacheArray, Candidate, Replacement
+from repro.core.base import CacheArray, Candidate, CommitResult, Replacement
 from repro.obs import ObsContext
 from repro.obs.events import TraceBus
 from repro.obs.metrics import MetricsRegistry, RegistryStats
@@ -266,11 +266,13 @@ class Cache:
     def pinned_count(self) -> int:
         return len(self._pinned)
 
-    # -- tracing helpers -----------------------------------------------------
-    def _trace_walk(self, address: int, repl: Replacement) -> None:
-        """Emit a walk event (caller guarantees tracing is enabled)."""
+    def _account_walk(self, address: int, repl: Replacement) -> None:
+        """Count one walk's tag reads and, when tracing, emit its event."""
+        self._sc["walk_tag_reads"].value += repl.tag_reads
+        self._c_tag_reads.value += repl.tag_reads
         trace = self._trace
-        assert trace is not None
+        if trace is None:
+            return
         level_counts: list[int] = []
         for cand in repl.candidates:
             while len(level_counts) <= cand.level:
@@ -285,56 +287,37 @@ class Cache:
             tuple(level_counts),
         )
 
-    def _trace_eviction(self, evicted: int, level: int, dirty: bool) -> None:
-        """Emit an eviction event with the tracker's priority, if any.
-
-        Must run *after* ``policy.on_evict`` so an attached
-        :class:`~repro.assoc.measurement.TrackedPolicy` has recorded
-        the victim's normalised eviction priority.
-        """
-        trace = self._trace
-        assert trace is not None
-        priorities = getattr(self.policy, "priorities", None)
-        priority = priorities[-1] if priorities else None
-        trace.eviction(self._label, evicted, priority, level, dirty)
-
     # -- the access protocol ---------------------------------------------------
+    # One routine per protocol step, shared with TwoPhaseZCache (the
+    # ordering each preserves is in docs/architecture.md, "Controllers").
+
     def access(self, address: int, is_write: bool = False) -> AccessResult:
         """Perform one read or write access to ``address``."""
         if self._turbo is not None:
             return self._turbo.access(address, is_write)
         if address < 0:
             raise ValueError(f"address must be non-negative, got {address}")
+        if self.array.lookup(address) is None:
+            self._count_miss(address, is_write)
+            result = self._fill(address)
+            if is_write and not result.bypassed:
+                self._dirty.add(address)
+            return result
         self._c_accesses.value += 1
+        self._c_hits.value += 1
+        # Lookup: one tag read per way, one data access (the hit way).
+        self._c_tag_reads.value += self.array.num_ways
         if is_write:
             self._c_writes.value += 1
+            self._c_data_writes.value += 1
+            self._dirty.add(address)
         else:
             self._c_reads.value += 1
-
-        if self.array.lookup(address) is not None:
-            self._c_hits.value += 1
-            # Lookup: one tag read per way, one data read (the hit way).
-            self._c_tag_reads.value += self.array.num_ways
-            if is_write:
-                self._c_data_writes.value += 1
-                self._dirty.add(address)
-            else:
-                self._c_data_reads.value += 1
-            self.policy.on_access(address, is_write)
-            if self._trace is not None:
-                self._trace.access(self._label, address, is_write, True)
-            return AccessResult(address=address, hit=True)
-
-        # Miss: the failed lookup read the tags; the walk's level-0 reads
-        # are those same reads, so tag accounting comes from the walk.
-        self._c_misses.value += 1
+            self._c_data_reads.value += 1
+        self.policy.on_access(address, is_write)
         if self._trace is not None:
-            self._trace.access(self._label, address, is_write, False)
-            self._trace.miss(self._label, address, is_write)
-        result = self._fill(address)
-        if is_write and not result.bypassed:
-            self._dirty.add(address)
-        return result
+            self._trace.access(self._label, address, is_write, True)
+        return AccessResult(address=address, hit=True)
 
     def probe(self, address: int, is_write: bool = False) -> bool:
         """Perform a lookup-only access: a hit behaves exactly like
@@ -352,81 +335,120 @@ class Cache:
             )
         if address < 0:
             raise ValueError(f"address must be non-negative, got {address}")
+        if self.array.lookup(address) is not None:
+            self.access(address, is_write)
+            return True
+        self._count_miss(address, is_write)
+        # A probe has no walk to fold the failed lookup's tag reads into.
+        self._c_tag_reads.value += self.array.num_ways
+        return False
+
+    def _count_miss(self, address: int, is_write: bool) -> None:
+        """Demand prologue of a miss: count the reference and trace it.
+
+        The failed lookup read the tags; the walk's level-0 reads are
+        those same reads, so tag accounting comes from the walk.
+        """
         self._c_accesses.value += 1
         if is_write:
             self._c_writes.value += 1
         else:
             self._c_reads.value += 1
-        # Hit or miss, the lookup reads one tag per way; a probe has no
-        # walk to fold the miss-side tag reads into, so both branches
-        # account them here.
-        self._c_tag_reads.value += self.array.num_ways
-        if self.array.lookup(address) is not None:
-            self._c_hits.value += 1
-            if is_write:
-                self._c_data_writes.value += 1
-                self._dirty.add(address)
-            else:
-                self._c_data_reads.value += 1
-            self.policy.on_access(address, is_write)
-            if self._trace is not None:
-                self._trace.access(self._label, address, is_write, True)
-            return True
         self._c_misses.value += 1
         if self._trace is not None:
             self._trace.access(self._label, address, is_write, False)
             self._trace.miss(self._label, address, is_write)
-        return False
 
     def _fill(self, address: int) -> AccessResult:
         return self._fill_with(address, self.array.build_replacement(address))
 
     def _fill_with(self, address: int, repl: Replacement) -> AccessResult:
-        sc = self._sc
-        sc["walk_tag_reads"].value += repl.tag_reads
-        self._c_tag_reads.value += repl.tag_reads
-        if self._trace is not None:
-            self._trace_walk(address, repl)
-
+        self._account_walk(address, repl)
         chosen, by_address = self._scan(repl)
-        evicted: Optional[int] = None
-        writeback = False
+        if chosen is not None:
+            self._sc["fills_empty"].value += 1
+            commit = self.array.commit_replacement(repl, chosen)
+            return self._install(address, commit, filled_empty=True)
+        chosen = self._choose_victim(repl, by_address)
         if chosen is None:
-            chosen = self._choose_victim(repl, by_address)
-            if chosen is None:
-                # Every candidate is pinned: the block bypasses the
-                # cache (the TM-style overflow event).
-                sc["pin_overflows"].value += 1
-                return AccessResult(address=address, hit=False, bypassed=True)
-            evicted = chosen.address
-            assert evicted is not None
-            self.policy.on_evict(evicted)
-            sc["evictions"].value += 1
-            if evicted in self._dirty:
-                self._dirty.remove(evicted)
-                sc["writebacks"].value += 1
-                writeback = True
-            if self._trace is not None:
-                self._trace_eviction(evicted, chosen.level, writeback)
-        else:
-            sc["fills_empty"].value += 1
+            return self._bypass(address)
+        return self._replace(repl, chosen)
 
-        commit = self.array.commit_replacement(repl, chosen)
-        sc["relocations"].value += commit.relocations
-        # Each relocation reads and rewrites one block's tag and data;
-        # the final install writes the incoming block's tag and data.
-        sc["tag_writes"].value += commit.relocations + 1
-        self._c_data_reads.value += commit.relocations
-        self._c_data_writes.value += commit.relocations + 1
+    def _replace(self, repl: Replacement, node: Candidate) -> AccessResult:
+        """Evict the chosen victim and land the block through its path.
+
+        Order is part of the contract: evict-accounting, then the
+        commit, then ``on_insert`` (inside :meth:`_install`).
+        """
+        victim = node.address
+        assert victim is not None
+        writeback = self._evict(victim, node.level)
+        commit = self.array.commit_replacement(repl, node)
+        return self._install(repl.incoming, commit, victim, writeback)
+
+    def _evict(self, victim: int, level: int) -> bool:
+        """The eviction choke point: every replacement victim, on every
+        path, leaves through here. Returns True on a writeback.
+
+        The trace event goes out *after* ``policy.on_evict`` so an
+        attached :class:`~repro.assoc.measurement.TrackedPolicy` has
+        recorded the victim's normalised eviction priority.
+        """
+        self.policy.on_evict(victim)
+        self._sc["evictions"].value += 1
+        writeback = victim in self._dirty
+        if writeback:
+            self._dirty.remove(victim)
+            self._sc["writebacks"].value += 1
+        if self._trace is not None:
+            priorities = getattr(self.policy, "priorities", None)
+            self._trace.eviction(
+                self._label,
+                victim,
+                priorities[-1] if priorities else None,
+                level,
+                writeback,
+            )
+        return writeback
+
+    def _account_commit(self, commit: CommitResult) -> int:
+        """Count one committed relocation path; returns its length.
+
+        Each relocation reads and rewrites one block's tag and data;
+        the final install writes the landing block's tag and data.
+        """
+        relocations = commit.relocations
+        self._sc["relocations"].value += relocations
+        self._sc["tag_writes"].value += relocations + 1
+        self._c_data_reads.value += relocations
+        self._c_data_writes.value += relocations + 1
+        return relocations
+
+    def _install(
+        self,
+        address: int,
+        commit: CommitResult,
+        evicted: Optional[int] = None,
+        writeback: bool = False,
+        filled_empty: bool = False,
+    ) -> AccessResult:
+        """Land the incoming block: account its commit, tell the policy."""
+        relocations = self._account_commit(commit)
         self.policy.on_insert(address)
         return AccessResult(
             address=address,
             hit=False,
             evicted=evicted,
             writeback=writeback,
-            relocations=commit.relocations,
-            filled_empty=evicted is None,
+            relocations=relocations,
+            filled_empty=filled_empty,
         )
+
+    def _bypass(self, address: int) -> AccessResult:
+        """Every candidate is pinned: the block bypasses the cache (the
+        TM-style overflow event)."""
+        self._sc["pin_overflows"].value += 1
+        return AccessResult(address=address, hit=False, bypassed=True)
 
     def _scan(
         self, repl: Replacement, skip: Optional[int] = None

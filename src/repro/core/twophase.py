@@ -23,9 +23,9 @@ which the paper's controller also needs for its benign races.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
-from repro.core.base import Candidate, Replacement
+from repro.core.base import ArrayProxy, Candidate, Replacement
 from repro.core.controller import AccessResult, Cache
 from repro.core.zcache import ZCacheArray
 from repro.obs import ObsContext
@@ -59,10 +59,11 @@ class TwoPhaseZCache(Cache):
         obs: Optional[ObsContext] = None,
         engine: str = "reference",
     ) -> None:
-        # Accept the array itself or a sanitizer-style proxy exposing
-        # the wrapped array as ``.array`` (ZServe's soak harness wraps
-        # every shard in the ZSan runtime sanitizer).
-        unwrapped = getattr(array, "array", array)
+        # Accept the array itself or proxies over it (ZServe's soak
+        # harness wraps every shard in the ZSan runtime sanitizer).
+        unwrapped: Any = array
+        while isinstance(unwrapped, ArrayProxy):
+            unwrapped = unwrapped.array
         if not isinstance(unwrapped, ZCacheArray):
             raise TypeError("TwoPhaseZCache requires a ZCacheArray")
         # ``engine="turbo"`` is accepted for interface symmetry but the
@@ -152,54 +153,30 @@ class TwoPhaseZCache(Cache):
             raise StaleWalkError(
                 f"prepared walk for {address:#x} went stale; re-prepare"
             )
-        self._c_accesses.value += 1
-        if is_write:
-            self._c_writes.value += 1
-        else:
-            self._c_reads.value += 1
-        self._c_misses.value += 1
-        if self._trace is not None:
-            self._trace.access(self._label, address, is_write, False)
-            self._trace.miss(self._label, address, is_write)
+        self._count_miss(address, is_write)
         result = self._fill_with(address, repl)
         if is_write and not result.bypassed:
             self._dirty.add(address)
         return result
 
-    def _fill(self, address: int) -> AccessResult:
-        return self._fill_with(address, self.array.build_replacement(address))
+    # -- the two-phase replacement ---------------------------------------------
+    def _replace(self, repl: Replacement, node: Candidate) -> AccessResult:
+        """Phase 2: try to move the phase-1 victim instead of evicting it.
 
-    def _fill_with(self, address: int, repl: Replacement) -> AccessResult:
-        sc = self._sc
-        sc["walk_tag_reads"].value += repl.tag_reads
-        self._c_tag_reads.value += repl.tag_reads
-        if self._trace is not None:
-            self._trace_walk(address, repl)
-
-        empty, by_address = self._scan(repl)
-        if empty is not None:
-            return self._finish_fill(address, repl, empty, evicted=None)
-
-        node1 = self._choose_victim(repl, by_address)
-        if node1 is None:
-            sc["pin_overflows"].value += 1
-            return AccessResult(address=address, hit=False, bypassed=True)
-        victim1 = node1.address
+        When phase 2 wins the order is part of the contract: phase-2
+        commit, then phase-2 evict-accounting, then the phase-1 commit.
+        """
+        node1, victim1 = node, node.address
         assert victim1 is not None
-
-        # Phase 2: can victim1 move somewhere better than being evicted?
         repl2 = self.array.build_reinsertion(victim1)
         self._c_sp_walks.value += 1
-        sc["walk_tag_reads"].value += repl2.tag_reads
-        self._c_tag_reads.value += repl2.tag_reads
-        if self._trace is not None:
-            self._trace_walk(victim1, repl2)
+        self._account_walk(victim1, repl2)
 
-        phase2_choice = self._phase2_choice(repl2, victim1)
-        if phase2_choice is not None:
-            evicted2 = phase2_choice.address  # None = free slot found
+        choice2 = self._phase2_choice(repl2, victim1)
+        if choice2 is not None:
+            evicted2 = choice2.address  # None = free slot found
             try:
-                commit2 = self.array.commit_reinsertion(repl2, phase2_choice)
+                commit2 = self.array.commit_reinsertion(repl2, choice2)
             except RuntimeError as exc:
                 # Only the array's own stale-path guard (a plain
                 # RuntimeError) triggers the retry; subclasses such as
@@ -208,33 +185,21 @@ class TwoPhaseZCache(Cache):
                     raise
                 # Stale phase-2 path; fall back to plain eviction.
                 self._c_stale_retries.value += 1
-                return self._plain_eviction(repl, node1)
-            self._c_sp_wins.value += 1
-            sc["relocations"].value += commit2.relocations
-            sc["tag_writes"].value += commit2.relocations + 1
-            self._c_data_reads.value += commit2.relocations
-            self._c_data_writes.value += commit2.relocations + 1
-            if evicted2 is not None:
-                self.policy.on_evict(evicted2)
-                sc["evictions"].value += 1
-                writeback2 = False
-                if evicted2 in self._dirty:
-                    self._dirty.remove(evicted2)
-                    sc["writebacks"].value += 1
-                    writeback2 = True
-                if self._trace is not None:
-                    self._trace_eviction(
-                        evicted2, phase2_choice.level, writeback2
-                    )
             else:
-                sc["fills_empty"].value += 1
-            # victim1's old position is free; land the incoming block
-            # through the phase-1 path (re-walk if phase 2 went stale).
-            return self._commit_phase1(address, repl, node1, evicted2)
+                self._c_sp_wins.value += 1
+                self._account_commit(commit2)
+                if evicted2 is not None:
+                    self._evict(evicted2, choice2.level)
+                else:
+                    self._sc["fills_empty"].value += 1
+                # victim1 moved away: land the incoming block through
+                # the phase-1 path into its (now-empty) old position.
+                freed = Candidate(node1.position, None, node1.level, node1.parent)
+                return self._land(repl, freed, evicted2)
 
-        return self._plain_eviction(repl, node1)
+        writeback = self._evict(victim1, node1.level)
+        return self._land(repl, node1, victim1, writeback)
 
-    # -- helpers ---------------------------------------------------------------
     def _phase2_choice(
         self, repl2: Replacement, victim1: int
     ) -> Optional[Candidate]:
@@ -254,140 +219,36 @@ class TwoPhaseZCache(Cache):
             return None
         return by_address[choice]
 
-    def _plain_eviction(
-        self, repl: Replacement, node1: Candidate
+    def _land(
+        self,
+        repl: Replacement,
+        node: Candidate,
+        evicted: Optional[int],
+        writeback: bool = False,
     ) -> AccessResult:
-        """Evict the phase-1 victim and land the block through its path."""
-        sc = self._sc
+        """Install the incoming block through ``node``'s path, re-walking
+        once if a phase-2 relocation rewrote one of its ancestors."""
         address = repl.incoming
-        victim1 = node1.address
-        assert victim1 is not None
-        self.policy.on_evict(victim1)
-        sc["evictions"].value += 1
-        writeback = False
-        if victim1 in self._dirty:
-            self._dirty.remove(victim1)
-            sc["writebacks"].value += 1
-            writeback = True
-        if self._trace is not None:
-            self._trace_eviction(victim1, node1.level, writeback)
         try:
-            commit = self.array.commit_replacement(repl, node1)
+            commit = self.array.commit_replacement(repl, node)
         except RuntimeError as exc:
             if type(exc) is not RuntimeError:
                 raise  # sanitizer violations are not retryable staleness
-            # node1's path went stale (only possible after a phase-2
-            # commit attempt): re-walk and take the best fresh path.
             self._c_stale_retries.value += 1
-            if victim1 in self.array:
-                self.array.evict_address(victim1)
+            # A plain eviction's victim is already accounted as gone
+            # but still sits in the array: free its slot for the re-walk.
+            if node.address is not None and node.address in self.array:
+                self.array.evict_address(node.address)
             fresh = self.array.build_replacement(address)
             target = fresh.first_empty()
             if target is None:
-                # victim1's slot is empty now, so a free slot must exist
-                # somewhere in the walk—but the walk may not reach it.
-                # Fall back to the shallowest valid candidate's position
-                # chain after evicting nothing further: re-walk found no
-                # empty ⇒ evict the best candidate normally.
-                node = self._choose_victim(fresh)
-                if node is None:
-                    # Everything reachable is pinned: drop the fill.
-                    sc["pin_overflows"].value += 1
-                    return AccessResult(
-                        address=address, hit=False, bypassed=True
-                    )
-                extra = node.address
-                assert extra is not None
-                self.policy.on_evict(extra)
-                sc["evictions"].value += 1
-                extra_writeback = False
-                if extra in self._dirty:
-                    self._dirty.remove(extra)
-                    sc["writebacks"].value += 1
-                    extra_writeback = True
-                if self._trace is not None:
-                    self._trace_eviction(extra, node.level, extra_writeback)
-                target = node
+                # The walk may not reach the freed slot: evict the best
+                # fresh candidate too (an *extra* victim that
+                # ``AccessResult.evicted`` does not report).
+                target = self._choose_victim(fresh)
+                if target is None:
+                    return self._bypass(address)
+                assert target.address is not None
+                self._evict(target.address, target.level)
             commit = self.array.commit_replacement(fresh, target)
-        sc["relocations"].value += commit.relocations
-        sc["tag_writes"].value += commit.relocations + 1
-        self._c_data_reads.value += commit.relocations
-        self._c_data_writes.value += commit.relocations + 1
-        self.policy.on_insert(address)
-        return AccessResult(
-            address=address,
-            hit=False,
-            evicted=victim1,
-            writeback=writeback,
-            relocations=commit.relocations,
-        )
-
-    def _commit_phase1(
-        self, address: int, repl: Replacement, node1: Candidate, evicted2
-    ) -> AccessResult:
-        """Install the incoming block through the (now-empty) node1."""
-        sc = self._sc
-        freed = Candidate(
-            position=node1.position, address=None, level=node1.level,
-            parent=node1.parent,
-        )
-        try:
-            commit = self.array.commit_replacement(repl, freed)
-        except RuntimeError as exc:
-            if type(exc) is not RuntimeError:
-                raise  # sanitizer violations are not retryable staleness
-            # A phase-2 relocation rewrote a phase-1 ancestor: re-walk.
-            self._c_stale_retries.value += 1
-            fresh = self.array.build_replacement(address)
-            target = fresh.first_empty()
-            if target is None:
-                node = self._choose_victim(fresh)
-                if node is None:
-                    # Everything reachable is pinned: drop the fill.
-                    sc["pin_overflows"].value += 1
-                    return AccessResult(
-                        address=address, hit=False, bypassed=True
-                    )
-                extra = node.address
-                assert extra is not None
-                self.policy.on_evict(extra)
-                sc["evictions"].value += 1
-                extra_writeback = False
-                if extra in self._dirty:
-                    self._dirty.remove(extra)
-                    sc["writebacks"].value += 1
-                    extra_writeback = True
-                if self._trace is not None:
-                    self._trace_eviction(extra, node.level, extra_writeback)
-                target = node
-            commit = self.array.commit_replacement(fresh, target)
-        sc["relocations"].value += commit.relocations
-        sc["tag_writes"].value += commit.relocations + 1
-        self._c_data_reads.value += commit.relocations
-        self._c_data_writes.value += commit.relocations + 1
-        self.policy.on_insert(address)
-        return AccessResult(
-            address=address,
-            hit=False,
-            evicted=evicted2,
-            relocations=commit.relocations,
-        )
-
-    def _finish_fill(
-        self, address: int, repl: Replacement, chosen: Candidate, evicted
-    ) -> AccessResult:
-        sc = self._sc
-        sc["fills_empty"].value += 1
-        commit = self.array.commit_replacement(repl, chosen)
-        sc["relocations"].value += commit.relocations
-        sc["tag_writes"].value += commit.relocations + 1
-        self._c_data_reads.value += commit.relocations
-        self._c_data_writes.value += commit.relocations + 1
-        self.policy.on_insert(address)
-        return AccessResult(
-            address=address,
-            hit=False,
-            evicted=evicted,
-            relocations=commit.relocations,
-            filled_empty=True,
-        )
+        return self._install(address, commit, evicted, writeback)

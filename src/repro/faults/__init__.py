@@ -11,8 +11,8 @@ Layers (each usable alone):
 
 - :mod:`repro.faults.plan` — fault plans as serializable data;
 - :mod:`repro.faults.inject` — seeded injectors riding the existing
-  ``wrap_array``/``wrap_policy`` hooks (``faults=None`` stays
-  bit-identical);
+  ``wrap_array`` hook and the controller's eviction choke point
+  (``faults=None`` stays bit-identical);
 - :mod:`repro.faults.harness` — golden-vs-faulted replay and the
   five-way outcome classifier;
 - :mod:`repro.faults.campaign` — the parallel, checkpointed sweep and
@@ -49,8 +49,7 @@ from repro.faults.harness import (
 from repro.faults.inject import (
     FaultInjector,
     FaultyArray,
-    LogDroppingPolicy,
-    faulty_wrapper,
+    record_evictions,
 )
 from repro.faults.plan import (
     ARRAY_FAULT_KINDS,
@@ -78,13 +77,12 @@ __all__ = [
     "FaultOutcome",
     "FaultPlan",
     "FaultyArray",
-    "LogDroppingPolicy",
     "MinimalCounterexample",
     "ReplayResult",
     "build_cases",
     "classify",
-    "faulty_wrapper",
     "minimize_case",
+    "record_evictions",
     "replay_counterexample",
     "run_campaign",
     "run_case",

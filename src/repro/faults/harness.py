@@ -41,10 +41,9 @@ from typing import Optional
 from repro.analysis.sanitizer import InvariantViolation, SanitizedArray
 from repro.core import Cache, SetAssociativeArray, SkewAssociativeArray
 from repro.core.zcache import ZCacheArray
-from repro.faults.inject import FaultInjector, FaultyArray, LogDroppingPolicy
+from repro.faults.inject import FaultInjector, FaultyArray, record_evictions
 from repro.faults.plan import FaultPlan
 from repro.replacement import make_policy
-from repro.serve.shard import EvictionLog
 
 __all__ = [
     "CLASSIFICATIONS",
@@ -238,8 +237,8 @@ def run_replay(
     sanitized = SanitizedArray(
         target, seed=seed, deep_check_interval=deep_interval
     )
-    log = EvictionLog(make_policy("lru"))
-    cache = Cache(sanitized, log)
+    cache = Cache(sanitized, make_policy("lru"))
+    evictions = record_evictions(cache)
     rng = random.Random(seed)
     footprint = 2 * array.num_blocks
     completed = 0
@@ -249,7 +248,7 @@ def run_replay(
     try:
         for i in range(accesses):
             if injector is not None:
-                injector.advance(array, log.inner)
+                injector.advance(array, cache.policy)
             cache.access(rng.randrange(footprint))
             completed = i + 1
         sanitized.final_check()
@@ -267,7 +266,7 @@ def run_replay(
         completed=completed,
         misses=counters["misses"].value,
         hits=counters["hits"].value,
-        evictions=tuple(log.evicted),
+        evictions=tuple(evictions),
         detector=detector,
         detector_kind=detector_kind,
         detail=detail,
@@ -289,10 +288,10 @@ def run_serve_replay(
 
     Drives ``put``/``get`` traffic through a
     :class:`~repro.serve.shard.CacheShard` whose array is sanitized and
-    whose eviction log is wrapped by :class:`LogDroppingPolicy` when a
-    plan is given. The shard's payload/residency consistency check runs
-    every ``consistency_interval`` operations and once at the end — the
-    serve layer's deep scan.
+    whose eviction choke point :func:`record_evictions` interposes on.
+    The shard's payload/residency consistency check runs every
+    ``consistency_interval`` operations and once at the end — the serve
+    layer's deep scan.
     """
     from repro.serve.shard import MISS, CacheShard
 
@@ -300,27 +299,17 @@ def run_serve_replay(
     if spec["kind"] != "z":
         raise ValueError(f"serve replay requires a zcache design, got {design}")
     injector = FaultInjector(plan) if plan is not None else None
-    sanitizers: list[SanitizedArray] = []
-
-    def wrap_array(array):
-        wrapped = SanitizedArray(
-            array, seed=seed, deep_check_interval=deep_interval
-        )
-        sanitizers.append(wrapped)
-        return wrapped
-
-    def wrap_policy(log):
-        return LogDroppingPolicy(log, injector)
-
     shard = CacheShard(
         num_ways=spec["ways"],
         lines_per_way=lines_per_way,
         levels=spec["levels"],
         hash_seed=seed,
         policy="lru",
-        wrap_array=wrap_array,
-        wrap_policy=wrap_policy if injector is not None else None,
+        wrap_array=lambda array: SanitizedArray(
+            array, seed=seed, deep_check_interval=deep_interval
+        ),
     )
+    evictions = record_evictions(shard.cache, injector)
     rng = random.Random(seed)
     footprint = 2 * spec["ways"] * lines_per_way
     completed = 0
@@ -341,8 +330,7 @@ def run_serve_replay(
             if completed % consistency_interval == 0:
                 shard.check_consistency()
         shard.check_consistency()
-        for sanitizer in sanitizers:
-            sanitizer.final_check()
+        shard.cache.array.final_check()
     except InvariantViolation as exc:
         detector = exc.invariant or "unknown-invariant"
         detector_kind = exc.kind
@@ -359,7 +347,6 @@ def run_serve_replay(
         detail = str(exc)
         crashed = True
     counters = shard.cache.stats.counters()
-    evictions = list(getattr(shard.policy_log, "evicted", ()))
     return ReplayResult(
         accesses=accesses,
         completed=completed,

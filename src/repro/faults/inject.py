@@ -9,18 +9,20 @@ into actual damage:
   ``stamp-corrupt`` mutate state between accesses, exactly where a
   particle strike lands in hardware) or *arm* and fire inside the next
   matching operation (walk, relocating commit, eviction).
-- :class:`FaultyArray` is an attribute-forwarding proxy in the mold of
-  :class:`~repro.analysis.sanitizer.SanitizedArray`, inserted *under*
+- :class:`FaultyArray` is an attribute-forwarding proxy (it shares
+  :class:`~repro.core.base.ArrayProxy` with
+  :class:`~repro.analysis.sanitizer.SanitizedArray`), inserted *under*
   the sanitizer: ``SanitizedArray(FaultyArray(array))``. It applies
   armed walk corruption to the candidate trees it returns and armed
   relocation corruption right after the commits it forwards — so the
   sanitizer observes the faulted array exactly as it would observe a
   buggy one. With no injector armed it is a pure pass-through, and
   with ``plan=None`` the harness skips it entirely (bit-identical).
-- :class:`LogDroppingPolicy` wraps the serve layer's eviction-log
-  policy (via the shard's ``wrap_policy`` hook) and, when armed, lets
-  one eviction bypass the log: the real policy still learns, the
-  shard's payload bookkeeping does not.
+- :func:`record_evictions` interposes on one call — the controller's
+  eviction choke point (:meth:`~repro.core.controller.Cache._evict`) —
+  to record the victim stream and, when armed, to let one eviction
+  bypass the serve shard's payload drop: the real policy still
+  learns, the shard's payload bookkeeping does not.
 
 Corruption is applied only to *state between operations* or to
 *returned walk results* — never inside candidate collection itself —
@@ -30,23 +32,24 @@ holds for the faulty stack just as it does for the real one.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Optional
 
 from repro.core.base import (
+    ArrayProxy,
     CacheArray,
     Candidate,
     CommitResult,
     Position,
     Replacement,
 )
+from repro.core.controller import Cache
 from repro.faults.plan import FaultEvent, FaultPlan
 
 __all__ = [
     "TAG_BITS",
     "FaultInjector",
     "FaultyArray",
-    "LogDroppingPolicy",
-    "faulty_wrapper",
+    "record_evictions",
 ]
 
 #: width of the modelled tag, for ``tag-flip`` bit selection
@@ -192,46 +195,21 @@ class FaultInjector:
         return True
 
 
-class FaultyArray:
+class FaultyArray(ArrayProxy):
     """Fault-applying proxy around a :class:`CacheArray`.
 
     Attribute reads and writes not intercepted here forward to the
-    inner array (same delegation idiom as
-    :class:`~repro.analysis.sanitizer.SanitizedArray`, and for the same
-    reason: the stack must duck-type as the array it wraps). Stacked as
+    inner array (:class:`~repro.core.base.ArrayProxy`: the stack must
+    duck-type as the array it wraps). Stacked as
     ``SanitizedArray(FaultyArray(array))`` the sanitizer checks the
     *faulted* view — the detector sees what a buggy array would show.
     """
 
-    _OWN = frozenset({"_inner", "_injector"})
+    _OWN = frozenset({"_injector"})
 
     def __init__(self, array: CacheArray, injector: FaultInjector) -> None:
-        object.__setattr__(self, "_inner", array)
-        object.__setattr__(self, "_injector", injector)
-
-    # -- delegation ----------------------------------------------------------
-    @property
-    def array(self) -> CacheArray:
-        """The wrapped array (for direct inspection)."""
-        return self._inner
-
-    def __getattr__(self, name: str) -> Any:
-        inner = self.__dict__.get("_inner")
-        if inner is None:
-            raise AttributeError(name)
-        return getattr(inner, name)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name in self._OWN or not hasattr(self._inner, name):
-            object.__setattr__(self, name, value)
-        else:
-            setattr(self._inner, name, value)
-
-    def __contains__(self, address: int) -> bool:
-        return address in self._inner
-
-    def __len__(self) -> int:
-        return len(self._inner)
+        super().__init__(array)
+        self._injector = injector
 
     # -- intercepted operations ----------------------------------------------
     def build_replacement(self, address: int) -> Replacement:
@@ -263,62 +241,25 @@ class FaultyArray:
         return result
 
 
-def faulty_wrapper(
-    injector: FaultInjector,
-) -> Callable[[CacheArray], FaultyArray]:
-    """A ``wrap_array`` callable pre-bound to one injector."""
+def record_evictions(
+    cache: Cache, injector: Optional[FaultInjector] = None
+) -> list[int]:
+    """Interpose on ``cache``'s eviction choke point; returns the live
+    list every replacement victim is appended to.
 
-    def wrap(array: CacheArray) -> FaultyArray:
-        """Wrap one array with the captured injector."""
-        return FaultyArray(array, injector)
-
-    return wrap
-
-
-class LogDroppingPolicy:
-    """Serve-layer policy wrapper that drops armed eviction-log records.
-
-    Wraps the shard's :class:`~repro.serve.shard.EvictionLog` (via the
-    ``wrap_policy`` hook): every call forwards, except an armed
-    ``drop-eviction-log`` eviction, which skips the log and notifies
-    only the underlying policy — the shard keeps the evicted block's
-    payload, which is exactly the corruption its consistency check
-    exists to catch.
+    With an injector, an armed ``drop-eviction-log`` event sends one
+    victim through the plain controller routine instead of the cache's
+    own — for a serve shard's cache that skips the payload drop, which
+    is exactly the desync the shard's consistency check exists to catch.
     """
+    victims: list[int] = []
+    evict = cache._evict
 
-    def __init__(self, log: Any, injector: FaultInjector) -> None:
-        self.log = log
-        self.injector = injector
+    def recording(victim: int, level: int) -> bool:
+        victims.append(victim)
+        if injector is not None and injector.take_log_drop():
+            return Cache._evict(cache, victim, level)
+        return evict(victim, level)
 
-    def on_insert(self, address: int) -> None:
-        """Forward an insertion to the wrapped log."""
-        self.log.on_insert(address)
-
-    def on_access(self, address: int, is_write: bool = False) -> None:
-        """Forward an access to the wrapped log."""
-        self.log.on_access(address, is_write)
-
-    def on_evict(self, address: int) -> None:
-        """Forward an eviction — unless an armed drop consumes it."""
-        if self.injector.take_log_drop():
-            # The log never hears about this victim; the policy must
-            # (its residency view has to stay exact).
-            self.log.inner.on_evict(address)
-        else:
-            self.log.on_evict(address)
-
-    def score(self, address: int) -> object:
-        """Forward scoring to the wrapped log."""
-        return self.log.score(address)
-
-    def select_victim(self, candidates: Sequence[int]) -> int:
-        """Forward victim selection to the wrapped log."""
-        return self.log.select_victim(candidates)
-
-    def drain_score_updates(self) -> list:
-        """Forward score-update draining to the wrapped log."""
-        return self.log.drain_score_updates()
-
-    def global_victim(self) -> Optional[int]:
-        """Forward the global-victim query to the wrapped log."""
-        return self.log.global_victim()
+    cache._evict = recording  # type: ignore[method-assign]
+    return victims

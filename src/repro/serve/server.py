@@ -15,6 +15,9 @@ request                reply
 anything else          ``ERR <reason>``
 =====================  =======================================
 
+A line longer than :data:`MAX_LINE` bytes gets ``ERR line too long``
+and the connection is closed.
+
 The server is a stock :class:`socketserver.ThreadingTCPServer`: one
 thread per connection, all of them hammering the shared
 :class:`~repro.serve.service.ZServeCache` — which is the point; the
@@ -31,6 +34,11 @@ from typing import Any, Optional
 
 from repro.serve.service import ZServeCache
 
+#: longest request line the server reads, newline included. A client
+#: that never sends one must not grow a handler's buffer without bound;
+#: the loadgen's longest line (a PUT of two hex tokens) is under 100.
+MAX_LINE = 64 * 1024
+
 
 class _Handler(socketserver.StreamRequestHandler):
     """One connection: read request lines until EOF."""
@@ -39,8 +47,13 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         while True:
-            raw = self.rfile.readline()
+            raw = self.rfile.readline(MAX_LINE + 1)
             if not raw:
+                return
+            if len(raw) > MAX_LINE:
+                # Hang up rather than resynchronise: the rest of the
+                # line would otherwise be parsed as fresh requests.
+                self.wfile.write(b"ERR line too long\n")
                 return
             reply = self.server.dispatch(raw.decode("utf-8", "replace"))
             self.wfile.write(reply.encode("utf-8") + b"\n")
@@ -105,12 +118,27 @@ class ServeClient:
         self._closed = False
 
     def request(self, line: str) -> str:
-        """Send one protocol line and return the reply line."""
-        self._file.write(line.encode("utf-8") + b"\n")
-        self._file.flush()
-        reply = self._file.readline()
+        """Send one protocol line and return the reply line.
+
+        A server that hung up surfaces as one typed error however the
+        race between its FIN, an RST and our write resolves (EOF on
+        the read, ``ConnectionResetError``, ``BrokenPipeError``), and
+        leaves the client closed.
+        """
+        reply = b""
+        cause: Optional[ConnectionError] = None
+        try:
+            self._file.write(line.encode("utf-8") + b"\n")
+            self._file.flush()
+            reply = self._file.readline()
+        except ConnectionError as exc:
+            cause = exc
         if not reply:
-            raise ConnectionError("server closed the connection")
+            try:
+                self.close()
+            except OSError:
+                pass  # the unsent request fails its flush-on-close again
+            raise ConnectionError("server closed the connection") from cause
         return reply.decode("utf-8").rstrip("\n")
 
     def get(self, key: str) -> Optional[str]:

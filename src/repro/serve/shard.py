@@ -21,23 +21,24 @@ value: the standard cache-service read race (the value was live when
 the request began), never corruption.
 
 Payloads live in a plain dict keyed by block address, maintained in
-lockstep with array residency: the policy wrapper records every
-``on_evict`` so the shard can drop the evicted block's payload no
-matter which of the two-phase paths (plain eviction, phase-2 win,
-stale re-walk with an extra victim) produced it.
+lockstep with array residency: the shard's cache drops a victim's
+payload at the controller's eviction choke point
+(:meth:`~repro.core.controller.Cache._evict`), so no two-phase path
+(plain eviction, phase-2 win, stale re-walk with an extra victim) can
+evict a block and keep its payload.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Any, Callable, Optional, Sequence
+import weakref
+from typing import Any, Callable, Optional
 
 from repro.core.twophase import StaleWalkError, TwoPhaseZCache
 from repro.core.zcache import ZCacheArray
 from repro.obs import ObsContext
 from repro.replacement import make_policy
-from repro.replacement.base import ReplacementPolicy
 
 #: value returned by :meth:`CacheShard.get` on a miss — a dedicated
 #: sentinel so ``None`` remains a storable value
@@ -65,52 +66,25 @@ def payload_digest(value: object) -> Optional[bytes]:
     return None
 
 
-class EvictionLog(ReplacementPolicy):
-    """Delegating policy wrapper that records eviction victims.
+class _ShardCache(TwoPhaseZCache):
+    """The shard's zcache: an evicted block takes its payload with it.
 
     The controller reports at most one eviction per ``AccessResult``,
     but the two-phase stale-recovery path can evict *two* blocks for
-    one fill. Wrapping the policy is the one place every eviction,
-    on every path, is guaranteed to pass through.
+    one fill; the choke point is the one place every eviction, on
+    every path, passes through. The payload store is reached through
+    the shard at call time (not captured) because the lockset
+    sanitizer swaps in an instrumented dict.
     """
 
-    def __init__(self, inner: ReplacementPolicy) -> None:
-        self.inner = inner
-        self.evicted: list[int] = []
+    #: the owning shard, set by :class:`CacheShard` after construction
+    #: — a weak proxy, so that shard and cache do not form a cycle and
+    #: a dropped service is freed at once, not at the next full GC
+    shard: "CacheShard"
 
-    def on_insert(self, address: int) -> None:
-        self.inner.on_insert(address)
-
-    def on_access(self, address: int, is_write: bool = False) -> None:
-        self.inner.on_access(address, is_write)
-
-    def on_evict(self, address: int) -> None:
-        self.evicted.append(address)
-        self.inner.on_evict(address)
-
-    def score(self, address: int) -> object:
-        return self.inner.score(address)
-
-    def select_victim(self, candidates: Sequence[int]) -> int:
-        return self.inner.select_victim(candidates)
-
-    def drain_score_updates(self) -> list[int]:
-        return self.inner.drain_score_updates()
-
-    def global_victim(self) -> Optional[int]:
-        return self.inner.global_victim()
-
-    def drain_evicted(self) -> list[int]:
-        """Evictions since the last drain (caller holds the shard lock).
-
-        Most puts evict nothing: an empty log is handed back as it is
-        rather than swapped for a fresh list, so consume the result
-        before the next eviction.
-        """
-        out = self.evicted
-        if out:
-            self.evicted = []
-        return out
+    def _evict(self, victim: int, level: int) -> bool:
+        self.shard._entries.pop(victim, None)
+        return super()._evict(victim, level)
 
 
 class CacheShard:
@@ -137,12 +111,6 @@ class CacheShard:
     wrap_array:
         Optional hook applied to the array before the cache is built —
         the soak harness passes the ZSan sanitizer here.
-    wrap_policy:
-        Optional hook applied to the eviction-logging policy before the
-        cache is built — the ZFault harness injects its log-dropping
-        wrapper here. The shard keeps draining the *inner* log, so a
-        wrapper that swallows a record produces exactly the
-        payload-store desync :meth:`check_consistency` exists to catch.
     fingerprint:
         When True, byte-like payloads are stored with a
         :func:`payload_digest` and every read re-verifies it. In
@@ -162,7 +130,6 @@ class CacheShard:
         max_retries: int = 8,
         obs: Optional[ObsContext] = None,
         wrap_array: Optional[Callable[[ZCacheArray], Any]] = None,
-        wrap_policy: Optional[Callable[[ReplacementPolicy], Any]] = None,
         name: str = "shard",
         fingerprint: bool = False,
     ) -> None:
@@ -173,21 +140,14 @@ class CacheShard:
             hash_kind=hash_kind,
             hash_seed=hash_seed,
         )
-        self.policy_log = EvictionLog(make_policy(policy))
         # A wrapped array (the ZSan sanitizer proxy) ducks as a
         # ZCacheArray: it forwards every attribute, and TwoPhaseZCache
         # only isinstance-checks the unwrapped class.
         wrapped: Any = array if wrap_array is None else wrap_array(array)
-        policy_for_cache: Any = (
-            self.policy_log if wrap_policy is None
-            else wrap_policy(self.policy_log)
+        self.cache = _ShardCache(
+            wrapped, make_policy(policy), name=name, obs=obs
         )
-        self.cache = TwoPhaseZCache(
-            wrapped,
-            policy_for_cache,
-            name=name,
-            obs=obs,
-        )
+        self.cache.shard = weakref.proxy(self)
         self.lock = threading.Lock()
         self.two_phase = two_phase
         self.max_retries = max_retries
@@ -314,7 +274,6 @@ class CacheShard:
             self._drain_recency()
             resident = address in self.cache
             self.cache.invalidate(address)
-            self._drop_evicted()
             self._entries.pop(address, None)
             return resident
 
@@ -334,9 +293,7 @@ class CacheShard:
             return
         self._recency = []
         cache = self.cache
-        # The log only forwards hits; replay them straight into the
-        # policy it wraps.
-        touch = self.policy_log.inner.on_access
+        touch = cache.policy.on_access
         for addr in buf:
             if addr in cache:
                 touch(addr, False)
@@ -348,17 +305,12 @@ class CacheShard:
         value: object,
         fp: Optional[bytes] = None,
     ) -> None:
-        self._drop_evicted()
         if address in self.cache:
             self._entries[address] = (key, value, fp)
         else:
             # Pinned-overflow bypass cannot happen (the service never
             # pins), but stay correct if it ever does.
             self._entries.pop(address, None)
-
-    def _drop_evicted(self) -> None:
-        for evicted in self.policy_log.drain_evicted():
-            self._entries.pop(evicted, None)
 
     # -- introspection -------------------------------------------------------
     def __len__(self) -> int:

@@ -128,8 +128,12 @@ def test_memoization_bounds_state_count():
 # Acceptance: a planted commit-ordering bug in the two-phase controller
 # must produce a counterexample with the exact access sequence.
 
-_PHASE2_LINE = "            evicted2 = phase2_choice.address  # None = free slot found\n"
-_COMMIT_CALL = "            return self._commit_phase1(address, repl, node1, evicted2)"
+_PHASE2_LINE = "            evicted2 = choice2.address  # None = free slot found\n"
+_COMMIT_CALL = "                return self._land(repl, freed, evicted2)"
+_EARLY_COMMIT = (
+    "            first = self._land(repl, Candidate(node1.position, None, "
+    "node1.level, node1.parent), evicted2)\n"
+)
 
 
 def _load_planted_twophase(tmp_path):
@@ -140,11 +144,8 @@ def _load_planted_twophase(tmp_path):
     assert _PHASE2_LINE in source
     assert _COMMIT_CALL in source
     planted = source.replace(
-        _PHASE2_LINE,
-        _PHASE2_LINE
-        + "            first = self._commit_phase1(address, repl, node1, evicted2)\n",
-        1,
-    ).replace(_COMMIT_CALL, "            return first", 1)
+        _PHASE2_LINE, _PHASE2_LINE + _EARLY_COMMIT, 1
+    ).replace(_COMMIT_CALL, "                return first", 1)
     assert planted != source
     path = tmp_path / "twophase_planted.py"
     path.write_text(planted, encoding="utf-8")

@@ -187,10 +187,51 @@ class TestInterleavedInvalidate:
         array.final_check()
 
 
+class TestOneDemandPrologue:
+    """``access``, ``probe`` and ``commit_prepared`` count a demand
+    reference through the same routines, so the same hit or miss moves
+    the same counters by the same amounts."""
+
+    @staticmethod
+    def deltas(resident, op):
+        cache = fill_cache(
+            TwoPhaseZCache(ZCacheArray(4, 64, levels=2, hash_seed=3), LRU()),
+            n=6_000, footprint=1_000,
+        )
+        address = fresh_address(cache, footprint=1_000)
+        plan = cache.prepare_fill(address)
+        if resident:  # "became resident between the walk and the commit"
+            cache.access(address)
+        before = {k: c.value for k, c in cache.stats.counters().items()}
+        op(cache, address, plan)
+        return {k: c.value - before[k]
+                for k, c in cache.stats.counters().items()
+                if c.value != before[k]}
+
+    @pytest.mark.parametrize("is_write", [False, True])
+    @pytest.mark.parametrize("resident", [False, True])
+    def test_same_reference_moves_the_same_counters(self, resident, is_write):
+        by_access = self.deltas(
+            resident, lambda c, a, plan: c.access(a, is_write))
+        assert by_access["hits" if resident else "misses"] == 1
+        assert by_access == self.deltas(
+            resident, lambda c, a, plan: c.commit_prepared(a, plan, is_write))
+        by_probe = self.deltas(
+            resident, lambda c, a, plan: c.probe(a, is_write))
+        if resident:
+            assert by_probe == by_access
+        else:
+            # A probe stops after the prologue: the reference and the
+            # failed lookup's tag reads, nothing of the fill.
+            kind = "writes" if is_write else "reads"
+            assert by_probe == {
+                "accesses": 1, kind: 1, "misses": 1, "tag_reads": 4}
+
+
 class TestRefactorEquivalence:
     def test_fill_split_is_behaviour_preserving(self):
-        # _fill was split into _fill/_fill_with for the service
-        # surface; the sequential protocol must be bit-identical.
+        # Fills through prepare_fill/commit_prepared and fills through
+        # access share _fill_with; the protocols must be bit-identical.
         t1 = fill_cache(
             TwoPhaseZCache(ZCacheArray(4, 128, levels=2, hash_seed=1), LRU())
         )

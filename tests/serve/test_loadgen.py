@@ -104,11 +104,11 @@ class TestReplay:
 
 class TestSanitizedSoak:
     def test_concurrent_soak_zero_violations(self):
-        # The acceptance-criteria soak in miniature (the full ≥100k
-        # request version runs in benchmarks/run_serve_baseline.py and
-        # scripts/serve_smoke.py): 4 workers over sanitized shards,
-        # every walk checked, zero InvariantViolations tolerated —
-        # run_loadgen re-raises the first worker exception.
+        # The acceptance-criteria soak in miniature
+        # (scripts/serve_smoke.py runs the larger one on every push):
+        # 4 workers over sanitized shards, every walk checked, zero
+        # InvariantViolations tolerated — run_loadgen re-raises the
+        # first worker exception.
         svc = ZServeCache(
             ServeConfig(num_shards=2, num_ways=4, lines_per_way=32),
             wrap_array=make_wrapper(seed=9),

@@ -1,11 +1,12 @@
 """Tests for the TCP front end and its line protocol."""
 
 import socket
+import struct
 import threading
 
 import pytest
 
-from repro.serve.server import ServeClient, ZServeServer
+from repro.serve.server import MAX_LINE, ServeClient, ZServeServer
 from repro.serve.service import ServeConfig, ZServeCache
 
 
@@ -111,15 +112,20 @@ class TestClientLifecycle:
         # __exit__ closed an already-closed client without raising.
 
     def test_server_closing_the_connection_raises_connection_error(self):
-        # A stub that answers one request and hangs up: the client's
-        # next read sees EOF and must surface the typed error, not an
-        # empty-reply ValueError. (ZServeServer never hangs up first —
-        # its handler threads serve until client EOF — so the stub is
-        # the only deterministic way onto this path.)
+        self.check_hang_up(reset=False)
+
+    def test_server_resetting_the_connection_raises_the_same_error(self):
+        self.check_hang_up(reset=True)
+
+    @staticmethod
+    def check_hang_up(reset):
+        # A stub that answers one request and hangs up (ZServeServer
+        # never hangs up first — its handler threads serve until client
+        # EOF — so a stub is the only deterministic way onto this
+        # path); ``reset`` closes with SO_LINGER 0: an RST, not a FIN.
         lsock = socket.socket()
         lsock.bind(("127.0.0.1", 0))
         lsock.listen(1)
-        host, port = lsock.getsockname()
 
         def serve_once():
             conn, _ = lsock.accept()
@@ -127,14 +133,48 @@ class TestClientLifecycle:
             rfile.readline()
             rfile.write(b"PONG\n")
             rfile.flush()
+            if reset:
+                conn.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+            rfile.close()
             conn.close()
 
         threading.Thread(target=serve_once, daemon=True).start()
-        client = ServeClient(host, port)
+        client = ServeClient(*lsock.getsockname())
         try:
             assert client.ping() is True
+            # EOF, ECONNRESET or EPIPE — whichever wins the race — is
+            # the one typed error, not an empty-reply ValueError.
             with pytest.raises(ConnectionError, match="server closed"):
                 client.request("PING")
+            assert client._closed
         finally:
             client.close()
             lsock.close()
+
+
+class TestOversizedLine:
+    def test_newline_free_megabyte_gets_an_error_and_a_hang_up(self, server):
+        # One client that never sends a newline must cost the server
+        # MAX_LINE bytes, not whatever it cares to send.
+        with socket.create_connection(server.address, timeout=10) as sock:
+            try:
+                sock.sendall(b"A" * (1 << 20))
+            except ConnectionError:
+                pass  # the server hung up mid-send: that is the point
+            with sock.makefile("rb") as rfile:
+                assert rfile.readline() == b"ERR line too long\n"
+                try:
+                    assert rfile.readline() == b""
+                except ConnectionResetError:
+                    pass  # unread megabyte at the server's close: an RST
+        # ... and the server is still there for the next client.
+        with ServeClient(*server.address) as client:
+            assert client.ping() is True
+
+    def test_longest_legal_line_is_served(self, client):
+        value = "v" * (MAX_LINE - len("PUT k \n"))
+        client.put("k", value)
+        assert client.get("k") == value
+        assert client.request("PUT k " + value + "v") == "ERR line too long"

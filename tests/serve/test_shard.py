@@ -1,16 +1,18 @@
 """Tests for one shard: the lock + two-phase cache + payload store."""
 
+import random
 import threading
+from unittest import mock
 
 import pytest
 
 from repro.analysis.sanitizer import make_wrapper
-from repro.replacement.base import ReplacementPolicy
+from repro.core.base import ArrayProxy
+from repro.faults.inject import record_evictions
 from repro.serve.shard import (
     MISS,
     RECENCY_CAP,
     CacheShard,
-    EvictionLog,
     payload_digest,
 )
 
@@ -113,68 +115,88 @@ class TestRecencyBuffer:
         assert svc.snapshot()["recency_dropped"] == 7
 
 
-class TestEvictionLogDelegation:
-    def test_every_policy_method_is_explicitly_forwarded(self):
-        # The wrapper must intercept the *whole* policy surface: a
-        # method resolved from ReplacementPolicy's defaults would
-        # consult the wrapper's own (empty) state, not the inner
-        # policy's. Introspect the contract so a new policy method
-        # cannot silently bypass the log.
-        public = {
-            name
-            for name, member in vars(ReplacementPolicy).items()
-            if callable(member) and not name.startswith("_")
+class StaleOnce(ArrayProxy):
+    """Rejects the next ``commit_replacement`` the way the array's
+    stale-path guard does; ``narrow`` also truncates the re-walk to
+    level 0, so it cannot reach the slot the first victim freed and
+    has to evict an *extra* block."""
+
+    _OWN = frozenset({"armed", "narrow"})
+    armed = narrow = False
+
+    def commit_replacement(self, repl, chosen):
+        if self.armed:
+            self.armed = False
+            if self.narrow:
+                self._inner.candidate_limit = self._inner.num_ways
+            raise RuntimeError("stale path (forced by the test)")
+        return self._inner.commit_replacement(repl, chosen)
+
+
+class TestEvictionChokePoint:
+    """Every replacement victim, on every two-phase path, leaves
+    through ``Cache._evict`` — where the shard drops its payload."""
+
+    def test_stream_is_the_policy_stream_minus_invalidations(self):
+        shard = CacheShard(num_ways=3, lines_per_way=32, levels=3,
+                           hash_seed=1, wrap_array=StaleOnce)
+        cache, proxy = shard.cache, shard.cache.array
+        policy_saw = cache.policy.on_evict = mock.Mock(
+            wraps=cache.policy.on_evict)
+        stream = record_evictions(cache)
+        capacity = cache.array.num_blocks
+        rng = random.Random(5)
+        invalidated, paths = [], set()
+
+        def put(address):
+            before = (len(stream), cache.stale_retries,
+                      cache.second_phase_wins, cache.stats.misses)
+            shard.put(address, address, address)
+            proxy.candidate_limit = None
+            shard.check_consistency()  # (b) after every operation
+            if cache.stats.misses > before[3]:
+                paths.add((
+                    "win" if cache.second_phase_wins > before[2] else "plain",
+                    "stale" if cache.stale_retries > before[1] else "fresh",
+                    len(stream) - before[0],
+                ))
+
+        # Natural traffic: plain evictions, phase-2 wins with a victim
+        # and into a free slot, the phase-1 re-walk; invalidations
+        # reach the policy but not the choke point.
+        for i in range(12_000):
+            address = rng.randrange(3 * capacity)
+            if i % 97 == 0 and address in cache:
+                shard.invalidate(address)
+                invalidated.append(address)
+                shard.check_consistency()
+            else:
+                put(address)
+        # Forced staleness, on a full cache only (so the rejected commit
+        # is always a post-phase-2 landing, never a free-slot fill).
+        for i in range(3_000):
+            address = rng.randrange(3 * capacity)
+            if len(cache) == capacity and i % 7 == 0 and address not in cache:
+                proxy.armed, proxy.narrow = True, i % 2 == 0
+            put(address)
+            assert not proxy.armed
+
+        # (a) nothing bypasses the choke point or is counted twice
+        assert len(stream) == cache.stats.evictions
+        seen = [call.args[0] for call in policy_saw.call_args_list]
+        assert len(seen) == len(stream) + len(invalidated)
+        for address in invalidated:
+            seen.remove(address)
+        assert sorted(seen) == sorted(stream)
+        # ... and every path was driven: plain eviction, phase-2 win
+        # with a victim (1) and into a free slot (0), both re-walk
+        # branches with and without the extra victim that
+        # AccessResult.evicted never reports.
+        assert paths >= {
+            ("plain", "fresh", 1), ("win", "fresh", 1), ("win", "fresh", 0),
+            ("plain", "stale", 1), ("plain", "stale", 2),
+            ("win", "stale", 1), ("win", "stale", 2),
         }
-        assert public  # the contract is non-trivial
-        for name in public:
-            assert name in vars(EvictionLog), (
-                f"EvictionLog does not forward ReplacementPolicy.{name}"
-            )
-
-    def test_forwarded_calls_reach_the_inner_policy(self):
-        calls = []
-
-        class Recorder(ReplacementPolicy):
-            def on_insert(self, address):
-                calls.append(("on_insert", address))
-
-            def on_access(self, address, is_write=False):
-                calls.append(("on_access", address, is_write))
-
-            def on_evict(self, address):
-                calls.append(("on_evict", address))
-
-            def score(self, address):
-                calls.append(("score", address))
-                return address
-
-            def select_victim(self, candidates):
-                calls.append(("select_victim", tuple(candidates)))
-                return candidates[0]
-
-            def drain_score_updates(self):
-                calls.append(("drain_score_updates",))
-                return []
-
-            def global_victim(self):
-                calls.append(("global_victim",))
-                return None
-
-        log = EvictionLog(Recorder())
-        log.on_insert(1)
-        log.on_access(1, True)
-        log.on_evict(2)
-        assert log.score(3) == 3
-        assert log.select_victim([4, 5]) == 4
-        assert log.drain_score_updates() == []
-        assert log.global_victim() is None
-        assert [c[0] for c in calls] == [
-            "on_insert", "on_access", "on_evict", "score",
-            "select_victim", "drain_score_updates", "global_victim",
-        ]
-        # on_evict is the one method with wrapper-side behavior.
-        assert log.drain_evicted() == [2]
-        assert log.drain_evicted() == []
 
 
 class TestFingerprint:
