@@ -1,59 +1,52 @@
-"""Parallel sweep engine: process-pool replay with deterministic merge.
+"""Parallel sweep engine: one roster driver, process-pool replay,
+deterministic merge.
 
 The paper's LLC evaluation (Section VI) is a large outer product —
 72 workloads x 6 designs x multiple policies — of *independent* replay
 jobs: each replays one workload's L1-filtered stream against one L2
 design under one policy, sharing no mutable state with any other job.
-That independence (the same structural property that makes
-address-partitioned cache state safe to run concurrently) makes the
-sweep embarrassingly parallel, so this module fans it across a
-:class:`~concurrent.futures.ProcessPoolExecutor`:
+That independence makes the sweep embarrassingly parallel.
+
+:func:`run_roster` is the one loop that runs such a roster (restore,
+run in-process or in a pool, retry, degrade, checkpoint — its docstring
+is the contract). It knows nothing about what a job is; the design
+sweep here and the fault campaign (:mod:`repro.faults.campaign`) each
+supply a worker and a commit.
+
+:func:`run_parallel_sweeps` is the sweep's side of that contract, at
+every ``jobs`` value:
 
 1. **Capture once.** The parent captures each workload's stream with
    :meth:`~repro.sim.TraceDrivenRunner.capture` and ships the
-   :class:`~repro.sim.cmp.CapturedTrace` to workers — workers never
-   re-run the (expensive, design-independent) capture pass.
-2. **Fan out.** Every (workload, design, policy) job is submitted with
-   a deterministic per-job seed derived from the sweep seed and the job
-   key, so a retried or resubmitted job can never drift from its first
+   :class:`~repro.sim.cmp.CapturedTrace` to workers.
+2. **One seed per job**, derived from the sweep seed and the job key,
+   so a retried or resubmitted job can never drift from its first
    scheduling.
-3. **Merge deterministically.** Each worker runs under a *private*
-   :class:`~repro.obs.ObsContext`; on join, its metrics snapshot folds
-   into the parent registry via
-   :meth:`~repro.obs.MetricsRegistry.merge_snapshot` (additive, order
-   independent), its phase timings fold into the parent profiler, and
-   the parent heartbeat reports progress aggregated across workers.
-   Replay itself is bit-deterministic given (trace, design, policy), so
-   parallel results are identical to a serial run's.
+3. **Merge deterministically.** A worker replays under a *private*
+   :class:`~repro.obs.ObsContext`; its commit folds the metrics
+   snapshot into the parent registry
+   (:meth:`~repro.obs.MetricsRegistry.merge_snapshot`: additive, order
+   independent) and its phase timings into the parent profiler. Replay
+   is bit-deterministic given (trace, design, policy), so results are
+   identical at any worker count.
+4. **Stitch spans.** Under an enabled :class:`~repro.obs.SpanTracker`
+   the parent's ``sweep`` root gets one ``job.<scope>`` child per job
+   (its id derived from the job seed, so both sides can name it without
+   a rendezvous); a worker records its ``replay.<scope>`` tree into a
+   per-job JSONL sink named in the :class:`~repro.obs.SpanContext` it
+   was submitted with, and the commit adopts that tree under the job
+   span, re-based onto the parent clock and clamped into the job's
+   submit-to-join window. Retries and degradation show as span
+   attributes, so the ``timeline`` CLI renders the fan-out as one tree.
 
-Robustness is part of the contract:
+The checkpoint is one JSON file rewritten atomically after every
+finished job; a fingerprint of the roster, scale, seed and engine makes
+a stale one ignored rather than resurrected.
 
-- a per-job **timeout** (soft: the future stops being waited on, the
-  worker is not killed) with one retry;
-- **graceful degradation to serial**: a crashed worker pool — or a job
-  that keeps failing — is marked in the outcome and the job re-runs in
-  the parent process; the sweep always completes;
-- a JSON **checkpoint** file, updated after every finished job, so an
-  interrupted 72-workload sweep resumes without recomputing anything
-  (stale checkpoints are detected by a sweep fingerprint and ignored).
-
-When the parent context carries an enabled
-:class:`~repro.obs.SpanTracker` (ZTrace), the engine also propagates
-spans across the process boundary: the parent opens a ``sweep`` root
-span, records one ``job.<scope>`` child per job (its id derived from
-the job seed, so both sides can name it without a rendezvous), and
-serializes a :class:`~repro.obs.SpanContext` into each submission.
-Workers record their own span trees into per-job JSONL sinks (named by
-the job-seed fingerprint); on join the parent stitches each worker
-tree under its job span (:meth:`~repro.obs.SpanTracker.adopt`),
-re-based onto the parent clock and clamped into the job window.
-Timeouts, retries and degradation show up as span attributes, so the
-``timeline`` CLI renders the whole fan-out as one tree.
-
-Entry points: :func:`run_parallel_sweeps` (multi-workload),
-``run_design_sweep(jobs=N)`` (single workload, in
-:mod:`repro.experiments.runner`) and the ``zcache-repro sweep --jobs N``
-CLI path (:func:`run_sweep_cli`).
+Entry points: :func:`run_parallel_sweeps`, ``run_design_sweep`` /
+``collect_design_sweeps`` (:mod:`repro.experiments.runner`, which raise
+on a failed job instead of returning a sweep with holes) and the
+``zcache-repro sweep --jobs N`` CLI (:func:`run_sweep_cli`).
 """
 
 from __future__ import annotations
@@ -64,15 +57,15 @@ import shutil
 import tempfile
 import zlib
 from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.experiments.runner import ExperimentScale, SweepResult
 from repro.hashing.mixers import splitmix64
 from repro.obs import (
+    NULL_PHASE_TIMER,
     NULL_SPANS,
     Heartbeat,
     ObsContext,
@@ -186,13 +179,23 @@ def _execute_job(
     cfg: CMPConfig,
     captured: CapturedTrace,
     policy_wrapper,
+    scope: str,
     obs: Optional[ObsContext],
 ) -> CMPResult:
-    """Replay one job. Shared verbatim by workers and the serial path,
+    """Replay one job, as phase and span ``replay.<scope>``, its metrics
+    under ``scope``. Shared verbatim by workers and the in-process path,
     which is what makes degraded (in-parent) execution bit-identical."""
+    profiler = obs.profiler if obs is not None else NULL_PHASE_TIMER
+    spans = obs.spans if obs is not None else NULL_SPANS
     runner = TraceDrivenRunner.from_captured(cfg, captured, seed=job.seed)
     design_cfg = cfg.with_design(replace(job.design, policy=job.policy))
-    return runner.replay(design_cfg, policy_wrapper=policy_wrapper, obs=obs)
+    with profiler.phase(f"replay.{scope}"):
+        with spans.span(f"replay.{scope}", key=job.key):
+            return runner.replay(
+                design_cfg,
+                policy_wrapper=policy_wrapper,
+                obs=obs.scoped(scope) if obs is not None else None,
+            )
 
 
 def _replay_worker(
@@ -202,11 +205,11 @@ def _replay_worker(
     policy_wrapper,
     scope: str,
     span_ctx: Optional[dict] = None,
-) -> tuple[str, CMPResult, dict, dict]:
+) -> tuple[CMPResult, dict, dict]:
     """Process-pool entry point: replay under a private ObsContext.
 
-    Returns ``(key, result, metrics snapshot, phase-seconds report)``;
-    the parent merges the snapshot and timings into its own context.
+    Returns ``(result, metrics snapshot, phase-seconds report)``; the
+    parent merges the snapshot and timings into its own context.
     With a serialized :class:`SpanContext`, the worker also records its
     span tree (root ``replay.<scope>``, parented under the parent-side
     job span) into the per-job sink file named in the context; spans
@@ -219,14 +222,10 @@ def _replay_worker(
         )
     obs = ObsContext(spans=spans)
     try:
-        with obs.profiler.phase(f"replay.{scope}"):
-            with spans.span(f"replay.{scope}", key=job.key):
-                result = _execute_job(
-                    job, cfg, captured, policy_wrapper, obs.scoped(scope)
-                )
+        result = _execute_job(job, cfg, captured, policy_wrapper, scope, obs)
     finally:
         spans.close()
-    return job.key, result, obs.metrics.snapshot(), obs.profiler.report()
+    return result, obs.metrics.snapshot(), obs.profiler.report()
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +305,137 @@ class SweepCheckpoint:
 
 
 # ---------------------------------------------------------------------------
-# The engine
+# The roster driver
+# ---------------------------------------------------------------------------
+
+
+def run_roster(
+    label: str,
+    roster: Sequence,
+    outcome,
+    *,
+    jobs: Optional[int],
+    checkpoint: Optional[str],
+    fingerprint: dict,
+    heartbeat: Heartbeat,
+    decode: Callable,
+    local: Callable,
+    submit: Callable,
+    commit: Callable,
+    fail: Callable,
+    prepare: Optional[Callable] = None,
+    timeout: Optional[float] = None,
+) -> None:
+    """Run every item of ``roster`` exactly once, however it takes.
+
+    The one restore -> run -> retry -> degrade -> checkpoint loop behind
+    the design sweep and the fault campaign. Items need a stable
+    ``.key``; ``outcome`` needs ``restored`` and ``degraded``
+    attributes, which the driver maintains. ``checkpoint`` is the path
+    of a :class:`SweepCheckpoint` (None: keep none), valid for rosters
+    of the same ``fingerprint``. A *payload* is whatever a job produces;
+    the driver never looks inside one.
+
+    ``decode(entry)``
+        Payload of a finished job restored from its checkpoint entry.
+    ``prepare(todo)``
+        Runs once after restore, with the items still to run.
+    ``local(item, attempts)``
+        Run one item in this process; returns its payload.
+    ``submit(pool, item, attempt)``
+        Submit one item to the pool; returns the payload's future.
+    ``commit(item, status, attempts, payload)``
+        Fold a finished item (``status`` is ``"checkpoint"``,
+        ``"serial"`` or ``"parallel"``) into the caller's outcome;
+        returns ``(result, metrics)`` for the checkpoint record.
+    ``fail(item, attempts, error)``
+        Mark an item that failed in this process too; the roster
+        continues.
+
+    ``jobs <= 1`` (or a single item to run) stays in-process. Otherwise
+    every item is submitted up front and joined in roster order, so
+    commits arrive in roster order at any worker count. A job that
+    raises or outlives the soft ``timeout`` gets one retry with the
+    same item; one that fails again, and everything unfinished when the
+    pool dies, runs in this process with ``outcome.degraded`` set.
+    """
+    n_jobs = jobs if jobs is not None else default_jobs()
+    total = len(roster)
+    ckpt = SweepCheckpoint(checkpoint, fingerprint) if checkpoint else None
+    restored = ckpt.load() if ckpt is not None else {}
+    todo = []
+    for item in roster:
+        entry = restored.get(item.key)
+        if entry is None:
+            todo.append(item)
+            continue
+        commit(item, "checkpoint", 1, decode(entry))
+        outcome.restored += 1
+    done = outcome.restored
+    if done:
+        heartbeat.beat(
+            f"{label}: restored {done} from checkpoint", done=done, total=total
+        )
+    if prepare is not None:
+        prepare(todo)
+    finished = set()
+
+    def beat(item, note: str) -> None:
+        nonlocal done
+        done += 1
+        heartbeat.beat(f"{label}: {item.key} [{note}]", done=done, total=total)
+
+    def finish(item, status: str, attempts: int, payload, note: str) -> None:
+        result, metrics = commit(item, status, attempts, payload)
+        if ckpt is not None:
+            ckpt.record(item.key, status, result, metrics)
+        finished.add(item.key)
+        beat(item, note)
+
+    def run_local(item, attempts: int, note: str) -> None:
+        try:
+            payload = local(item, attempts)
+        except Exception as exc:  # mark and continue: the roster finishes
+            fail(item, attempts, f"{type(exc).__name__}: {exc}")
+            beat(item, "failed")
+        else:
+            finish(item, "serial", attempts, payload, note)
+
+    if n_jobs <= 1 or len(todo) <= 1:
+        for item in todo:
+            run_local(item, 1, "serial")
+        return
+
+    try:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            futures = {item.key: submit(pool, item, 1) for item in todo}
+            for item in todo:
+                for attempt in (1, 2):
+                    try:
+                        payload = futures[item.key].result(timeout=timeout)
+                    except BrokenProcessPool:
+                        raise
+                    except Exception:  # raised or timed out: retry once
+                        if attempt == 1:
+                            futures[item.key] = submit(pool, item, 2)
+                        continue
+                    finish(
+                        item, "parallel", attempt, payload,
+                        f"parallel x{attempt}",
+                    )
+                    break
+    except BrokenProcessPool:
+        outcome.degraded = True
+    # Graceful degradation: anything the pool did not finish (worker
+    # crash, exhausted retries) re-runs in this process, marked as such.
+    for item in todo:
+        if item.key not in finished:
+            outcome.degraded = True
+            run_local(item, 2, "degraded-serial")
+
+
+# ---------------------------------------------------------------------------
+# The sweep
 # ---------------------------------------------------------------------------
 
 
@@ -321,7 +450,6 @@ def run_parallel_sweeps(
     checkpoint: Optional[str] = None,
     obs: Optional[ObsContext] = None,
     policy_wrapper=None,
-    scope_workloads: bool = True,
     span_dir: Optional[str] = None,
 ) -> ParallelSweepOutcome:
     """Run a (workload x design x policy) sweep across worker processes.
@@ -341,15 +469,13 @@ def run_parallel_sweeps(
         Path of a JSON checkpoint. Finished jobs found there (from a
         matching interrupted sweep) are restored, not recomputed.
     obs:
-        Parent observability context. Worker metrics merge into its
-        registry, worker phase timings into its profiler, and its
-        heartbeat receives progress aggregated across all workers.
-        Without one, a heartbeat is still honoured via the
-        ``ZCACHE_PROGRESS_LOG`` environment variable.
-    scope_workloads:
-        Include the workload name in each job's metric scope (disabled
-        by ``run_design_sweep(jobs=N)``, whose serial naming has no
-        workload component).
+        Parent observability context. Each job's metrics land under its
+        scope — ``<design>.<policy>``, prefixed with the workload when
+        the roster has more than one — at any ``jobs``; worker phase
+        timings fold into its profiler, and its heartbeat receives
+        progress aggregated across all workers. Without one, a
+        heartbeat is still honoured via the ``ZCACHE_PROGRESS_LOG``
+        environment variable.
     span_dir:
         Directory for the per-job worker span sink files (only used
         when ``obs.spans`` is enabled and the pool path runs). Default:
@@ -360,60 +486,33 @@ def run_parallel_sweeps(
     policies = list(policies)
     names = list(workloads) if workloads is not None else scale.workload_names()
     n_jobs = jobs if jobs is not None else default_jobs()
+    profiler = obs.profiler if obs is not None else NULL_PHASE_TIMER
     heartbeat = obs.heartbeat if obs is not None else Heartbeat.from_env()
+    spans = obs.spans if obs is not None else NULL_SPANS
 
     all_jobs = [
         SweepJob(
             workload=w,
             design=d,
             policy=p,
-            seed=derive_job_seed(
-                scale.seed, f"{w}|{d.label()}|{p}"
-            ),
+            seed=derive_job_seed(scale.seed, f"{w}|{d.label()}|{p}"),
         )
         for w in names
         for d in designs
         for p in policies
     ]
+    scopes = {job.key: job.scope(len(names) > 1) for job in all_jobs}
     outcome = ParallelSweepOutcome(
         sweeps={w: SweepResult(workload=w) for w in names}
     )
+    captures: dict[str, CapturedTrace] = {}
+    submitted_at: dict[str, float] = {}
+    stitch_dir: Optional[Path] = None
 
-    # -- checkpoint restore ------------------------------------------------
-    ckpt: Optional[SweepCheckpoint] = None
-    restored: dict[str, dict] = {}
-    if checkpoint is not None:
-        ckpt = SweepCheckpoint(
-            checkpoint, _sweep_fingerprint(cfg, scale, all_jobs)
-        )
-        restored = ckpt.load()
-    todo: list[SweepJob] = []
-    for job in all_jobs:
-        entry = restored.get(job.key)
-        if entry is None:
-            todo.append(job)
-            continue
-        result = CMPResult.from_dict(entry["result"])
-        _commit(outcome, job, result, "checkpoint", obs, entry.get("metrics"))
-        outcome.restored += 1
-    total = len(all_jobs)
-    done = outcome.restored
-    if outcome.restored:
-        heartbeat.beat(
-            f"sweep: restored {outcome.restored} job(s) from checkpoint",
-            done=done,
-            total=total,
-        )
-
-    spans = obs.spans if obs is not None else NULL_SPANS
-    with spans.span(
-        "sweep", total_jobs=total, restored=outcome.restored, workers=n_jobs
-    ):
-        # -- capture phase (once per workload, in the parent) --------------
-        captures: dict[str, CapturedTrace] = {}
-        profiler = obs.profiler if obs is not None else None
+    def capture(todo: list) -> None:
+        """Once per workload still to run, in the parent."""
         for w in names:
-            if not any(j.workload == w for j in todo):
+            if not any(job.workload == w for job in todo):
                 continue
             runner = TraceDrivenRunner(
                 cfg,
@@ -421,100 +520,114 @@ def run_parallel_sweeps(
                 instructions_per_core=scale.instructions_per_core,
                 seed=scale.seed,
             )
-            if profiler is not None:
-                with profiler.phase(f"capture.{sanitize_component(w)}"):
-                    with spans.span(
-                        f"capture.{sanitize_component(w)}", workload=w
-                    ):
-                        captures[w] = runner.capture()
-            else:
-                with spans.span(
-                    f"capture.{sanitize_component(w)}", workload=w
-                ):
+            phase = f"capture.{sanitize_component(w)}"
+            with profiler.phase(phase):
+                with spans.span(phase, workload=w):
                     captures[w] = runner.capture()
             heartbeat.beat(f"sweep: {w}: captured L2 stream")
 
-        # -- serial path (jobs == 1, or single remaining job) --------------
-        def run_serial(job: SweepJob, status: str, attempts: int) -> None:
-            scope = job.scope(scope_workloads)
-            job_obs = obs.scoped(scope) if obs is not None else None
-            try:
-                with spans.span(
-                    f"job.{scope}",
-                    span_id=job.span_id,
-                    key=job.key,
-                    status=status,
-                    attempts=attempts,
-                ):
-                    if profiler is not None:
-                        with profiler.phase(f"replay.{scope}"):
-                            result = _execute_job(
-                                job, cfg, captures[job.workload],
-                                policy_wrapper, job_obs,
-                            )
-                    else:
-                        result = _execute_job(
-                            job, cfg, captures[job.workload],
-                            policy_wrapper, job_obs,
-                        )
-            except Exception as exc:  # mark and continue: the sweep finishes
-                outcome.outcomes[job.key] = JobOutcome(
-                    key=job.key, status="failed", attempts=attempts,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                return
-            _commit(outcome, job, result, status, obs=None, snapshot=None,
-                    attempts=attempts)
-            if ckpt is not None:
-                ckpt.record(job.key, status, result)
+    def local(job: SweepJob, attempts: int) -> tuple:
+        with spans.span(
+            f"job.{scopes[job.key]}",
+            span_id=job.span_id,
+            key=job.key,
+            status="serial",
+            attempts=attempts,
+        ):
+            result = _execute_job(
+                job, cfg, captures[job.workload], policy_wrapper,
+                scopes[job.key], obs,
+            )
+        return result, None, {}
 
-        if n_jobs <= 1 or len(todo) <= 1:
-            for i, job in enumerate(todo):
-                run_serial(job, "serial", attempts=1)
-                heartbeat.beat(
-                    f"sweep: {job.key} [serial]",
-                    done=done + i + 1,
-                    total=total,
-                )
-            return outcome
+    def submit(pool, job: SweepJob, attempt: int) -> Future:
+        span_ctx = None
+        sink = _span_sink_path(stitch_dir, job, attempt)
+        if sink is not None:
+            submitted_at.setdefault(job.key, spans.now())
+            span_ctx = SpanContext(
+                seed=job.seed,
+                parent_span_id=job.span_id,
+                thread=scopes[job.key],
+                sink_path=str(sink),
+            ).to_dict()
+        return pool.submit(
+            _replay_worker,
+            job,
+            cfg,
+            captures[job.workload],
+            policy_wrapper,
+            scopes[job.key],
+            span_ctx,
+        )
 
-        # -- parallel path -------------------------------------------------
-        stitch_dir: Optional[Path] = None
-        cleanup_stitch_dir = False
-        if spans.enabled:
-            if span_dir is not None:
-                stitch_dir = Path(span_dir)
-                stitch_dir.mkdir(parents=True, exist_ok=True)
-            else:
-                stitch_dir = Path(tempfile.mkdtemp(prefix="ztrace-"))
-                cleanup_stitch_dir = True
-        try:
-            try:
-                with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                    done = _drain_pool(
-                        pool, todo, captures, cfg, policy_wrapper,
-                        scope_workloads, timeout, outcome, obs, ckpt,
-                        heartbeat, done, total, spans, stitch_dir,
-                    )
-            except BrokenProcessPool:
-                outcome.degraded = True
-            # Graceful degradation: anything the pool did not finish
-            # (worker crash, exhausted retries) re-runs in the parent,
-            # marked as such.
-            for job in todo:
-                if job.key in outcome.outcomes:
-                    continue
-                outcome.degraded = True
-                run_serial(job, "serial", attempts=2)
-                done += 1
-                heartbeat.beat(
-                    f"sweep: {job.key} [degraded-serial]",
-                    done=done,
-                    total=total,
-                )
-        finally:
-            if cleanup_stitch_dir and stitch_dir is not None:
-                shutil.rmtree(stitch_dir, ignore_errors=True)
+    def commit(job: SweepJob, status: str, attempts: int, payload) -> tuple:
+        """Fold one finished job into the outcome, the registry, the
+        profiler and — for a worker's — the span tree."""
+        result, snapshot, phases = payload
+        outcome.sweeps[job.workload].results[
+            (job.design.label(), job.policy)
+        ] = result
+        outcome.outcomes[job.key] = JobOutcome(
+            key=job.key, status=status, attempts=attempts, result=result
+        )
+        if obs is not None:
+            if snapshot:
+                obs.metrics.merge_snapshot(snapshot)
+            for phase, seconds in phases.items():
+                obs.profiler.add(phase, seconds)
+        if status == "parallel" and stitch_dir is not None:
+            # The job's submit-to-join window, with the worker's span
+            # tree stitched under it and clamped into it.
+            sink = _span_sink_path(stitch_dir, job, attempts)
+            window = (submitted_at[job.key], spans.now())
+            spans.record_span(
+                f"job.{scopes[job.key]}",
+                start=window[0],
+                end=window[1],
+                span_id=job.span_id,
+                key=job.key,
+                status=status,
+                attempts=attempts,
+            )
+            if sink.exists():
+                spans.adopt(read_span_export(sink), window=window)
+        return result, snapshot
+
+    def fail(job: SweepJob, attempts: int, error: str) -> None:
+        outcome.outcomes[job.key] = JobOutcome(
+            key=job.key, status="failed", attempts=attempts, error=error
+        )
+
+    if spans.enabled and n_jobs > 1:
+        stitch_dir = Path(span_dir or tempfile.mkdtemp(prefix="ztrace-"))
+        stitch_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        with spans.span("sweep", total_jobs=len(all_jobs), workers=n_jobs):
+            run_roster(
+                "sweep",
+                all_jobs,
+                outcome,
+                jobs=n_jobs,
+                timeout=timeout,
+                checkpoint=checkpoint,
+                fingerprint=_sweep_fingerprint(cfg, scale, all_jobs),
+                heartbeat=heartbeat,
+                decode=lambda entry: (
+                    CMPResult.from_dict(entry["result"]),
+                    entry.get("metrics"),
+                    {},
+                ),
+                prepare=capture,
+                local=local,
+                submit=submit,
+                commit=commit,
+                fail=fail,
+            )
+            spans.set_attr(restored=outcome.restored)
+    finally:
+        if stitch_dir is not None and span_dir is None:
+            shutil.rmtree(stitch_dir, ignore_errors=True)
     return outcome
 
 
@@ -530,136 +643,6 @@ def _span_sink_path(
     if stitch_dir is None:
         return None
     return stitch_dir / f"{job.fingerprint}.a{attempt}.spans.jsonl"
-
-
-def _drain_pool(
-    pool: ProcessPoolExecutor,
-    todo: list[SweepJob],
-    captures: dict[str, CapturedTrace],
-    cfg: CMPConfig,
-    policy_wrapper,
-    scope_workloads: bool,
-    timeout: Optional[float],
-    outcome: ParallelSweepOutcome,
-    obs: Optional[ObsContext],
-    ckpt: Optional[SweepCheckpoint],
-    heartbeat: Heartbeat,
-    done: int,
-    total: int,
-    spans: SpanTracker = NULL_SPANS,
-    stitch_dir: Optional[Path] = None,
-) -> int:
-    """Submit every job, join in deterministic order, retry once each.
-
-    Raises :class:`BrokenProcessPool` through to the caller when the
-    pool dies; jobs already committed stay committed.
-
-    With spans enabled, each submission carries a serialized
-    :class:`SpanContext`; at join the parent records the job's
-    submit-to-join window as a ``job.<scope>`` span (deterministic
-    seed-derived id) and stitches the worker's span tree under it,
-    clamped into that window.
-    """
-
-    def submit(job: SweepJob, attempt: int) -> Future:
-        span_ctx = None
-        sink = _span_sink_path(stitch_dir, job, attempt)
-        if sink is not None:
-            span_ctx = SpanContext(
-                seed=job.seed,
-                parent_span_id=job.span_id,
-                thread=job.scope(scope_workloads),
-                sink_path=str(sink),
-            ).to_dict()
-        return pool.submit(
-            _replay_worker,
-            job,
-            cfg,
-            captures[job.workload],
-            policy_wrapper,
-            job.scope(scope_workloads),
-            span_ctx,
-        )
-
-    submitted_at = {
-        job.key: spans.now() if spans.enabled else 0.0 for job in todo
-    }
-    futures: dict[str, Future] = {
-        job.key: submit(job, attempt=1) for job in todo
-    }
-    for job in todo:
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                key, result, snapshot, phases = futures[job.key].result(
-                    timeout=timeout
-                )
-            except BrokenProcessPool:
-                raise
-            except FutureTimeout:
-                if attempts > 1:
-                    break  # degraded serial fallback picks it up
-                # one retry, same seed
-                futures[job.key] = submit(job, attempt=2)
-                continue
-            except Exception:  # worker raised: one retry, then fallback
-                if attempts > 1:
-                    break
-                futures[job.key] = submit(job, attempt=2)
-                continue
-            _commit(outcome, job, result, "parallel", obs, snapshot,
-                    attempts=attempts)
-            if obs is not None:
-                for phase, seconds in phases.items():
-                    obs.profiler.add(phase, seconds)
-            if spans.enabled:
-                joined_at = spans.now()
-                spans.record_span(
-                    f"job.{job.scope(scope_workloads)}",
-                    start=submitted_at[job.key],
-                    end=joined_at,
-                    span_id=job.span_id,
-                    key=job.key,
-                    status="parallel",
-                    attempts=attempts,
-                )
-                sink = _span_sink_path(stitch_dir, job, attempts)
-                if sink is not None and sink.exists():
-                    spans.adopt(
-                        read_span_export(sink),
-                        window=(submitted_at[job.key], joined_at),
-                    )
-            if ckpt is not None:
-                ckpt.record(job.key, "parallel", result, metrics=snapshot)
-            done += 1
-            heartbeat.beat(
-                f"sweep: {job.key} [parallel x{attempts}]",
-                done=done,
-                total=total,
-            )
-            break
-    return done
-
-
-def _commit(
-    outcome: ParallelSweepOutcome,
-    job: SweepJob,
-    result: CMPResult,
-    status: str,
-    obs: Optional[ObsContext],
-    snapshot: Optional[dict],
-    attempts: int = 1,
-) -> None:
-    """Fold one finished job into the sweep outcome (and the registry)."""
-    outcome.sweeps[job.workload].results[(job.design.label(), job.policy)] = (
-        result
-    )
-    outcome.outcomes[job.key] = JobOutcome(
-        key=job.key, status=status, attempts=attempts, result=result
-    )
-    if obs is not None and snapshot:
-        obs.metrics.merge_snapshot(snapshot)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
-from repro.obs import (
-    NULL_PHASE_TIMER,
-    NULL_SPANS,
-    Heartbeat,
-    ObsContext,
-    sanitize_component,
-)
-from repro.sim import CMPConfig, L2DesignConfig, TraceDrivenRunner
-from repro.workloads import WORKLOADS, get_workload
+from repro.obs import ObsContext
+from repro.sim import CMPConfig, L2DesignConfig
+from repro.workloads import WORKLOADS
 
 
 @dataclass(frozen=True)
@@ -66,6 +60,38 @@ class SweepResult:
     results: dict = field(default_factory=dict)
 
 
+def _run_sweeps(
+    workloads, designs, policies, scale, cfg, policy_wrapper, obs, jobs, engine
+) -> dict:
+    """Every sweep entry point: the roster through the one sweep engine.
+
+    Returns workload name -> :class:`SweepResult`, complete or not at
+    all: a job that failed even in-process raises, naming every failed
+    job key and its error.
+    """
+    from repro.experiments.parallel import run_parallel_sweeps
+
+    cfg = cfg or CMPConfig()
+    if engine is not None:
+        cfg = replace(cfg, engine=engine)
+    outcome = run_parallel_sweeps(
+        workloads=workloads,
+        designs=designs,
+        policies=policies,
+        scale=scale,
+        cfg=cfg,
+        jobs=jobs,
+        obs=obs,
+        policy_wrapper=policy_wrapper,
+    )
+    if outcome.failed:
+        raise RuntimeError(
+            "sweep failed: "
+            + "; ".join(f"{o.key}: {o.error}" for o in outcome.failed)
+        )
+    return outcome.sweeps
+
+
 def run_design_sweep(
     workload_name: str,
     designs: Iterable[L2DesignConfig],
@@ -81,78 +107,27 @@ def run_design_sweep(
 
     OPT policies are supported (the captured stream provides the future
     trace). Returns a :class:`SweepResult` keyed by (design label,
-    policy name).
+    policy name); raises ``RuntimeError`` if any replay failed.
 
     ``jobs > 1`` fans the (design, policy) replays across that many
-    worker processes via :mod:`repro.experiments.parallel`; results are
-    bit-identical to the serial path (replay is deterministic given the
-    captured trace) and worker metrics merge back into ``obs`` under
-    the same per-design scopes the serial path uses.
-
-    When an :class:`~repro.obs.ObsContext` is given, the capture and
-    each replay run under its phase timer (``capture``,
-    ``replay.<design>.<policy>``), each replay's metrics register under
-    a per-design scope, and the context's heartbeat records progress.
-    Without one, a heartbeat is still honoured if the
-    ``ZCACHE_PROGRESS_LOG`` environment variable names a log file.
+    worker processes; ``jobs == 1`` runs the same roster in-process.
+    Both go through :func:`repro.experiments.parallel.run_parallel_sweeps`,
+    so results are bit-identical (replay is deterministic given the
+    captured trace) and an :class:`~repro.obs.ObsContext` sees the same
+    names at any ``jobs``: phases ``capture.<workload>`` and
+    ``replay.<design>.<policy>``, metrics under ``<design>.<policy>``,
+    heartbeat progress per job. Without a context, a heartbeat is still
+    honoured if the ``ZCACHE_PROGRESS_LOG`` environment variable names
+    a log file.
 
     ``engine`` (``"reference"`` / ``"turbo"``) overrides ``cfg.engine``
     for every replayed bank — a convenience so callers don't have to
     rebuild the :class:`~repro.sim.CMPConfig` to switch engines.
     """
-    cfg = cfg or CMPConfig()
-    if engine is not None:
-        cfg = replace(cfg, engine=engine)
-    if jobs > 1:
-        from repro.experiments.parallel import run_parallel_sweeps
-
-        outcome = run_parallel_sweeps(
-            workloads=[workload_name],
-            designs=designs,
-            policies=policies,
-            scale=scale,
-            cfg=cfg,
-            jobs=jobs,
-            obs=obs,
-            policy_wrapper=policy_wrapper,
-            scope_workloads=False,
-        )
-        return outcome.sweeps[workload_name]
-    workload = get_workload(workload_name)
-    profiler = obs.profiler if obs is not None else NULL_PHASE_TIMER
-    heartbeat = obs.heartbeat if obs is not None else Heartbeat.from_env()
-    spans = obs.spans if obs is not None else NULL_SPANS
-    runner = TraceDrivenRunner(
-        cfg,
-        workload,
-        instructions_per_core=scale.instructions_per_core,
-        seed=scale.seed,
-    )
-    with spans.span("sweep", workload=workload_name):
-        with profiler.phase("capture"):
-            with spans.span("capture", workload=workload_name):
-                runner.capture()
-        heartbeat.beat(f"{workload_name}: captured L2 stream")
-        sweep = SweepResult(workload=workload_name)
-        jobs = [(d, p) for d in designs for p in policies]
-        for done, (design, policy) in enumerate(jobs, start=1):
-            design_cfg = cfg.with_design(replace(design, policy=policy))
-            scope = f"{sanitize_component(design.label())}.{policy}"
-            with profiler.phase(f"replay.{scope}"):
-                with spans.span(f"job.{scope}", design=design.label(),
-                                policy=policy):
-                    result = runner.replay(
-                        design_cfg,
-                        policy_wrapper=policy_wrapper,
-                        obs=obs.scoped(scope) if obs is not None else None,
-                    )
-            sweep.results[(design.label(), policy)] = result
-            heartbeat.beat(
-                f"{workload_name}: replayed {design.label()}/{policy}",
-                done=done,
-                total=len(jobs),
-            )
-    return sweep
+    return _run_sweeps(
+        [workload_name], designs, policies, scale, cfg, policy_wrapper,
+        obs, jobs, engine,
+    )[workload_name]
 
 
 def collect_design_sweeps(
@@ -167,35 +142,16 @@ def collect_design_sweeps(
 ) -> dict:
     """Sweep several workloads; returns workload name -> SweepResult.
 
-    With ``jobs > 1`` the full (workload x design x policy) product fans
-    across worker processes (:mod:`repro.experiments.parallel`), which
-    is how ``scripts_run_all.py`` and the figure sweeps parallelise;
-    with ``jobs == 1`` it is a plain loop over :func:`run_design_sweep`.
-    Both paths produce bit-identical results.
+    The full (workload x design x policy) product is one roster, fanned
+    across ``jobs`` worker processes (in-process at ``jobs == 1``); this
+    is how ``scripts_run_all.py`` and the figure sweeps parallelise.
+    With more than one workload, metric scopes carry the workload name
+    (``<workload>.<design>.<policy>``), at any ``jobs``. Raises
+    ``RuntimeError`` if any replay failed.
     """
-    workloads = list(workloads)
-    designs = list(designs)
-    if engine is not None:
-        cfg = replace(cfg or CMPConfig(), engine=engine)
-    if jobs > 1:
-        from repro.experiments.parallel import run_parallel_sweeps
-
-        outcome = run_parallel_sweeps(
-            workloads=workloads,
-            designs=designs,
-            policies=policies,
-            scale=scale,
-            cfg=cfg,
-            jobs=jobs,
-            obs=obs,
-        )
-        return outcome.sweeps
-    return {
-        w: run_design_sweep(
-            w, designs, policies=policies, scale=scale, cfg=cfg, obs=obs
-        )
-        for w in workloads
-    }
+    return _run_sweeps(
+        list(workloads), designs, policies, scale, cfg, None, obs, jobs, engine
+    )
 
 
 def improvement(base: float, value: float) -> float:

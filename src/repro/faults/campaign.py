@@ -2,20 +2,15 @@
 
 The campaign is an outer product — every fault kind, at several
 trigger points and locations, against every design — of *independent*
-:func:`~repro.faults.harness.run_case` units, so it fans out across a
-:class:`~concurrent.futures.ProcessPoolExecutor` exactly like the
-experiment sweep engine (:mod:`repro.experiments.parallel`), whose
-conventions it reuses:
-
-- per-case seeds via :func:`~repro.experiments.parallel.derive_job_seed`
-  (stable across processes and retries);
-- a fingerprint-validated JSON checkpoint
-  (:class:`~repro.experiments.parallel.SweepCheckpoint`) updated after
-  every finished case, so an interrupted campaign resumes without
-  recomputing anything;
-- deterministic join order, one retry per case, and graceful
-  degradation to in-parent execution when the pool dies — parallel
-  results are bit-identical to a serial run's.
+:func:`~repro.faults.harness.run_case` units: a roster, run by the same
+:func:`~repro.experiments.parallel.run_roster` that runs the design
+sweep. The driver owns restore from a fingerprint-validated checkpoint,
+the in-process path, the worker pool, roster-order join, one retry per
+case, degradation to in-parent execution and the checkpoint record
+after every finished case; this module supplies the roster
+(:func:`build_cases`, per-case seeds via
+:func:`~repro.experiments.parallel.derive_job_seed`), the worker and
+the commit. Parallel results are bit-identical to a serial run's.
 
 Classification counts flow into the parent
 :class:`~repro.obs.MetricsRegistry` as
@@ -27,16 +22,10 @@ MPKI-drift tables that ``BENCH_faults.json`` commits.
 from __future__ import annotations
 
 import json
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.experiments.parallel import (
-    SweepCheckpoint,
-    default_jobs,
-    derive_job_seed,
-)
+from repro.experiments.parallel import derive_job_seed, run_roster
 from repro.faults.harness import (
     CLASSIFICATIONS,
     DESIGNS,
@@ -275,7 +264,7 @@ class CampaignOutcome:
 
 
 # ---------------------------------------------------------------------------
-# The driver
+# The campaign
 # ---------------------------------------------------------------------------
 
 
@@ -309,108 +298,38 @@ def run_campaign(
         Explicit case roster (defaults to :func:`build_cases`).
     """
     roster = list(cases) if cases is not None else build_cases(config)
-    n_jobs = jobs if jobs is not None else default_jobs()
-    heartbeat = obs.heartbeat if obs is not None else Heartbeat.from_env()
     outcome = CampaignOutcome()
 
-    ckpt: Optional[SweepCheckpoint] = None
-    restored: dict[str, dict] = {}
-    if checkpoint is not None:
-        ckpt = SweepCheckpoint(checkpoint, config.fingerprint(roster))
-        restored = ckpt.load()
-    todo: list[FaultCase] = []
-    for case in roster:
-        entry = restored.get(case.key)
-        if entry is None:
-            todo.append(case)
-            continue
-        _commit(outcome, FaultOutcome.from_dict(entry["result"]), obs)
-        outcome.restored += 1
-    total = len(roster)
-    done = outcome.restored
-    if outcome.restored:
-        heartbeat.beat(
-            f"faults: restored {outcome.restored} case(s) from checkpoint",
-            done=done,
-            total=total,
-        )
-
-    def run_serial(case: FaultCase, status: str) -> None:
-        try:
-            result = _case_worker(case)
-        except Exception as exc:  # mark and continue: the campaign finishes
-            outcome.errors[case.key] = f"{type(exc).__name__}: {exc}"
-            return
-        _commit(outcome, result, obs)
-        if ckpt is not None:
-            ckpt.record(case.key, status, result)
-
-    if n_jobs <= 1 or len(todo) <= 1:
-        for i, case in enumerate(todo):
-            run_serial(case, "serial")
-            heartbeat.beat(
-                f"faults: {case.key} [serial]", done=done + i + 1, total=total
+    def commit(case, status, attempts, result: FaultOutcome) -> tuple:
+        """Fold one classified case into the outcome (and the registry)."""
+        outcome.outcomes[result.key] = result
+        outcome.report.add(result)
+        if obs is not None:
+            scope = (
+                f"faults.{sanitize_component(result.design)}."
+                f"{sanitize_component(result.kind)}"
             )
-        return outcome
+            obs.metrics.scoped(scope).counter(result.classification).inc()
+        return result, None
 
-    try:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures: dict[str, Future] = {
-                case.key: pool.submit(_case_worker, case) for case in todo
-            }
-            for case in todo:
-                attempts = 0
-                while True:
-                    attempts += 1
-                    try:
-                        result = futures[case.key].result()
-                    except BrokenProcessPool:
-                        raise
-                    except Exception:  # one retry, then parent fallback
-                        if attempts > 1:
-                            break
-                        futures[case.key] = pool.submit(_case_worker, case)
-                        continue
-                    _commit(outcome, result, obs)
-                    if ckpt is not None:
-                        ckpt.record(case.key, "parallel", result)
-                    done += 1
-                    heartbeat.beat(
-                        f"faults: {case.key} [parallel x{attempts}]",
-                        done=done,
-                        total=total,
-                    )
-                    break
-    except BrokenProcessPool:
-        outcome.degraded = True
-    # Graceful degradation: anything the pool did not finish re-runs
-    # in the parent, marked as such.
-    for case in todo:
-        if case.key in outcome.outcomes or case.key in outcome.errors:
-            continue
-        outcome.degraded = True
-        run_serial(case, "serial")
-        done += 1
-        heartbeat.beat(
-            f"faults: {case.key} [degraded-serial]", done=done, total=total
-        )
+    def fail(case: FaultCase, attempts: int, error: str) -> None:
+        outcome.errors[case.key] = error
+
+    run_roster(
+        "faults",
+        roster,
+        outcome,
+        jobs=jobs,
+        checkpoint=checkpoint,
+        fingerprint=config.fingerprint(roster),
+        heartbeat=obs.heartbeat if obs is not None else Heartbeat.from_env(),
+        decode=lambda entry: FaultOutcome.from_dict(entry["result"]),
+        local=lambda case, attempts: _case_worker(case),
+        submit=lambda pool, case, attempt: pool.submit(_case_worker, case),
+        commit=commit,
+        fail=fail,
+    )
     return outcome
-
-
-def _commit(
-    outcome: CampaignOutcome,
-    result: FaultOutcome,
-    obs: Optional[ObsContext],
-) -> None:
-    """Fold one classified case into the outcome (and the registry)."""
-    outcome.outcomes[result.key] = result
-    outcome.report.add(result)
-    if obs is not None:
-        scope = (
-            f"faults.{sanitize_component(result.design)}."
-            f"{sanitize_component(result.kind)}"
-        )
-        obs.metrics.scoped(scope).counter(result.classification).inc()
 
 
 def write_campaign_json(outcome: CampaignOutcome, path: str) -> None:

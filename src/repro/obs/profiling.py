@@ -4,7 +4,7 @@ Two small tools for answering "where did the wall-clock go?" and "is
 the sweep still alive?" during long experiment runs:
 
 - :class:`PhaseTimer` attributes wall time to named phases
-  (``capture``, ``replay.Z4_16.lru``, ...) via a context manager, and
+  (``capture.gcc``, ``replay.Z4_16-S.lru``, ...) via a context manager, and
   renders a per-component breakdown.
 - :class:`Heartbeat` appends one progress line per beat to a single
   configurable log file — replacing the ad-hoc ``results/progress*.log``

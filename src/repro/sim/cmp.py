@@ -9,16 +9,26 @@ replacement walk of a zcache happens off the critical path while the
 miss is outstanding (Section III), so it adds no stall — only tag-array
 bandwidth and energy, which the statistics capture.
 
-``CMPSimulator`` is execution-driven (inclusion victims invalidate L1
-copies and change the future L1 stream). ``TraceDrivenRunner`` captures
-the L1-filtered stream once and replays it against many L2 designs —
-required for OPT, and an order of magnitude faster for design sweeps.
+The model exists once, in two halves joined by a stream of L2-level
+events. The **front end** (cores, L1s, directory) turns the cores'
+access streams into ``(kind, core, address, is_write, work)`` events;
+the **back end** (banked L2, bank ports, memory channel) charges each
+event to its core's clock. The three ways to run a design point are the
+three ways to join them:
+
+- ``TraceDrivenRunner.capture()``: front end into a list;
+- ``TraceDrivenRunner.replay()``: that list into a back end — required
+  for OPT, and an order of magnitude faster for design sweeps;
+- ``CMPSimulator.run()``: front end into back end event by event, with
+  each L2 eviction fed back to invalidate the victim's L1 copies. That
+  inclusion feedback changes the future L1 stream and is the only
+  modelled difference between execution-driven and replayed results.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Optional
 
 from repro.core import Cache, SetAssociativeArray
 from repro.energy.cachecost import CacheCostModel
@@ -118,17 +128,13 @@ class _MemoryChannel:
         return (address >> 4) % self.cfg.num_mcs
 
     def demand(self, address: int, now: float) -> float:
-        """Queueing delay (cycles beyond zero-load latency) for a miss."""
+        """Occupy the line's controller for one transfer; returns the
+        queueing delay (cycles beyond zero-load latency). A miss stalls
+        its core for it; a writeback only consumes the bandwidth."""
         mc = self.mc_for(address)
         start = max(now, self._free[mc])
         self._free[mc] = start + self.cfg.line_transfer_cycles
         return start - now
-
-    def writeback(self, address: int, now: float) -> None:
-        """Writebacks consume bandwidth but do not stall the core."""
-        mc = self.mc_for(address)
-        start = max(now, self._free[mc])
-        self._free[mc] = start + self.cfg.line_transfer_cycles
 
 
 class _BankPorts:
@@ -166,15 +172,6 @@ class _BankPorts:
         self._free[bank] = start + duration
 
 
-def _build_l1(cfg: CMPConfig, obs: Optional[ObsContext] = None) -> Cache:
-    return Cache(
-        SetAssociativeArray(cfg.l1_ways, cfg.l1_blocks // cfg.l1_ways),
-        LRU(),
-        name="L1",
-        obs=obs,
-    )
-
-
 def _bank_latency(cfg: CMPConfig) -> int:
     """L2 bank hit latency from the analytical array model."""
     design = cfg.l2_design
@@ -192,164 +189,7 @@ def _bank_latency(cfg: CMPConfig) -> int:
     return cost.hit_latency_cycles()
 
 
-class CMPSimulator:
-    """Execution-driven whole-system simulation."""
-
-    def __init__(
-        self,
-        cfg: CMPConfig,
-        workload,
-        instructions_per_core: int = 100_000,
-        seed: int = 0,
-        policy_wrapper=None,
-        obs: Optional[ObsContext] = None,
-    ) -> None:
-        if cfg.l2_design.policy == "opt":
-            raise ValueError(
-                "OPT needs a captured future trace; use TraceDrivenRunner"
-            )
-        self.cfg = cfg
-        self.workload = workload
-        self.instructions_per_core = instructions_per_core
-        self.seed = seed
-        self.policy_wrapper = policy_wrapper
-        self.obs = obs
-
-    def run(self) -> CMPResult:
-        """Simulate until every core retires its instruction budget."""
-        cfg = self.cfg
-        obs = self.obs
-        l1s = [
-            _build_l1(
-                cfg,
-                obs.scoped(f"core{c}.l1") if obs is not None else None,
-            )
-            for c in range(cfg.num_cores)
-        ]
-        l2 = BankedL2(
-            cfg,
-            policy_wrapper=self.policy_wrapper,
-            obs=obs.scoped("l2") if obs is not None else None,
-        )
-        directory = Directory(
-            cfg.num_cores,
-            obs=obs.scoped("directory") if obs is not None else None,
-        )
-        channel = _MemoryChannel(cfg)
-        ports = _BankPorts(cfg)
-        bank_latency = _bank_latency(cfg)
-        streams = [
-            self.workload.core_stream(
-                c, cfg.l2_blocks, seed=self.seed, num_cores=cfg.num_cores
-            )
-            for c in range(cfg.num_cores)
-        ]
-        instructions = [0] * cfg.num_cores
-        cycles = [0] * cfg.num_cores
-        active = set(range(cfg.num_cores))
-
-        def l1_invalidate(core: int, address: int) -> None:
-            dirty = l1s[core].invalidate(address)
-            directory.l1_eviction(address, core)
-            if dirty:
-                l2.writeback(address)
-
-        while active:
-            for core in sorted(active):
-                acc = next(streams[core])
-                instructions[core] += acc.gap + 1
-                cycles[core] += acc.gap + 1
-                stall = 0
-                l1 = l1s[core]
-                was_hit = l1.array.lookup(acc.address) is not None
-                if was_hit and acc.is_write and directory.is_shared(acc.address):
-                    # Write hit to a shared line: upgrade via the L2 bank.
-                    for victim_core in directory.upgrade(acc.address, core):
-                        l1_invalidate(victim_core, acc.address)
-                    bank = l2.bank_for(acc.address)
-                    stall += cfg.l1_to_bank_latency(core, bank) + bank_latency
-                result = l1.access(acc.address, acc.is_write)
-                if result.evicted is not None:
-                    directory.l1_eviction(result.evicted, core)
-                    if result.writeback:
-                        l2.writeback(result.evicted)
-                if not result.hit:
-                    bank = l2.bank_for(acc.address)
-                    stall += cfg.l1_to_bank_latency(core, bank) + bank_latency
-                    stall += ports.demand(bank, cycles[core] + stall)
-                    walk_reads_before = l2.walk_tag_reads
-                    outcome = l2.access(acc.address, acc.is_write)
-                    if not outcome.hit:
-                        ports.walk(
-                            bank,
-                            cycles[core] + stall,
-                            l2.walk_tag_reads - walk_reads_before,
-                        )
-                        stall += cfg.mem_latency
-                        # The miss reaches the controller after the L2
-                        # round-trip and zero-load latency already in
-                        # `stall` — the same post-latency timestamp
-                        # TraceDrivenRunner.replay uses. Passing the
-                        # pre-stall `cycles[core]` here overstated
-                        # queueing relative to trace-driven runs.
-                        stall += int(
-                            channel.demand(acc.address, cycles[core] + stall)
-                        )
-                        if outcome.evicted is not None:
-                            # Inclusion: kill the victims' L1 copies.
-                            for victim_core in directory.inclusion_invalidate(
-                                outcome.evicted
-                            ):
-                                l1_invalidate(victim_core, outcome.evicted)
-                        if outcome.writeback:
-                            channel.writeback(
-                                outcome.evicted, cycles[core] + stall
-                            )
-                    for victim_core in directory.fill(
-                        acc.address, core, acc.is_write
-                    ):
-                        l1_invalidate(victim_core, acc.address)
-                cycles[core] += stall
-                if instructions[core] >= self.instructions_per_core:
-                    active.discard(core)
-
-        return self._result(cfg, l1s, l2, directory, instructions, cycles,
-                            bank_latency, ports.queueing_cycles)
-
-    @staticmethod
-    def _result(cfg, l1s, l2, directory, instructions, cycles, bank_latency,
-                bank_queueing_cycles=0):
-        priorities: list[float] = []
-        for bank in l2.banks:
-            if hasattr(bank.policy, "priorities"):
-                priorities.extend(bank.policy.priorities)
-        return CMPResult(
-            label=cfg.l2_design.label(),
-            num_cores=cfg.num_cores,
-            instructions=instructions,
-            cycles=cycles,
-            l1_accesses=sum(c.stats.accesses for c in l1s),
-            l1_misses=sum(c.stats.misses for c in l1s),
-            l2_hits=l2.hits,
-            l2_misses=l2.misses,
-            l2_accesses=l2.accesses + l2.writeback_hits + l2.writeback_misses,
-            l2_writebacks=l2.writebacks_to_memory,
-            walk_tag_reads=l2.walk_tag_reads,
-            relocations=l2.relocations,
-            bank_accesses=list(l2.bank_accesses),
-            coherence_invalidations=directory.stats.invalidations_sent,
-            upgrades=directory.stats.upgrades,
-            l2_bank_latency=bank_latency,
-            eviction_priorities=priorities,
-            bank_queueing_cycles=bank_queueing_cycles,
-        )
-
-
-# ---------------------------------------------------------------------------
-# Trace-driven mode
-# ---------------------------------------------------------------------------
-
-#: event kinds in a captured trace
+#: event kinds of the L2-level stream
 MISS, WRITEBACK, UPGRADE = 0, 1, 2
 
 
@@ -378,13 +218,238 @@ class CapturedTrace:
         return traces
 
 
+class _FrontEnd:
+    """Cores -> L1s -> directory: everything above the L2, written once.
+
+    Pulls the cores' access streams round-robin, filters each access
+    through its core's L1 and the directory, and hands every L2-level
+    event — ``(kind, core, address, is_write, work)``, ``work`` being
+    the core's compute cycles since its previous event — to ``emit``
+    (by default: appended to :attr:`events`). Nothing here depends on
+    the L2 design; the L2 reaches back only through
+    :meth:`l1_invalidate`, for inclusion victims.
+    """
+
+    def __init__(
+        self,
+        cfg: CMPConfig,
+        emit: Optional[Callable[[tuple], object]] = None,
+        obs: Optional[ObsContext] = None,
+    ) -> None:
+        self.cfg = cfg
+        self.events: list = []
+        self.emit = emit if emit is not None else self.events.append
+        self.l1s = [
+            Cache(
+                SetAssociativeArray(cfg.l1_ways, cfg.l1_blocks // cfg.l1_ways),
+                LRU(),
+                name="L1",
+                obs=obs.scoped(f"core{c}.l1") if obs is not None else None,
+            )
+            for c in range(cfg.num_cores)
+        ]
+        self.directory = Directory(
+            cfg.num_cores,
+            obs=obs.scoped("directory") if obs is not None else None,
+        )
+
+    def l1_invalidate(self, core: int, address: int) -> None:
+        """Kill ``core``'s L1 copy; a dirty one writes back to the L2."""
+        dirty = self.l1s[core].invalidate(address)
+        self.directory.l1_eviction(address, core)
+        if dirty:
+            self.emit((WRITEBACK, core, address, True, 0))
+
+    def run(
+        self, workload, instructions_per_core: int, seed: int
+    ) -> CapturedTrace:
+        """Run every core to its instruction budget; returns the totals
+        (and whatever :attr:`events` recorded)."""
+        cfg = self.cfg
+        emit = self.emit
+        l1s = self.l1s
+        directory = self.directory
+        l1_invalidate = self.l1_invalidate
+        streams = [
+            workload.core_stream(
+                c, cfg.l2_blocks, seed=seed, num_cores=cfg.num_cores
+            )
+            for c in range(cfg.num_cores)
+        ]
+        instructions = [0] * cfg.num_cores
+        pending_work = [0] * cfg.num_cores  # cycles since last event
+        active = set(range(cfg.num_cores))
+        while active:
+            for core in sorted(active):
+                acc = next(streams[core])
+                instructions[core] += acc.gap + 1
+                pending_work[core] += acc.gap + 1
+                l1 = l1s[core]
+                was_hit = l1.array.lookup(acc.address) is not None
+                if was_hit and acc.is_write and directory.is_shared(acc.address):
+                    # Write hit to a shared line: upgrade via the L2 bank.
+                    for victim_core in directory.upgrade(acc.address, core):
+                        l1_invalidate(victim_core, acc.address)
+                    emit((UPGRADE, core, acc.address, True, pending_work[core]))
+                    pending_work[core] = 0
+                result = l1.access(acc.address, acc.is_write)
+                if result.evicted is not None:
+                    directory.l1_eviction(result.evicted, core)
+                    if result.writeback:
+                        emit((WRITEBACK, core, result.evicted, True, 0))
+                if not result.hit:
+                    emit(
+                        (MISS, core, acc.address, acc.is_write, pending_work[core])
+                    )
+                    pending_work[core] = 0
+                    for victim_core in directory.fill(
+                        acc.address, core, acc.is_write
+                    ):
+                        l1_invalidate(victim_core, acc.address)
+                if instructions[core] >= instructions_per_core:
+                    active.discard(core)
+        return CapturedTrace(
+            events=self.events,
+            instructions=instructions,
+            l1_accesses=sum(c.stats.accesses for c in l1s),
+            l1_misses=sum(c.stats.misses for c in l1s),
+            upgrades=directory.stats.upgrades,
+            coherence_invalidations=directory.stats.invalidations_sent,
+        )
+
+
+def _back_end(cfg: CMPConfig, l2: BankedL2):
+    """The L2 timing model, written once: ``(step, result)``.
+
+    ``step(event)`` charges one L2-level event to its core's clock —
+    compute since the last event, L1-to-bank plus bank latency, bank
+    port queueing, and on an L2 miss the walk's port occupancy, memory
+    latency and channel queueing — and returns the block a miss evicted
+    from the L2 (else None). ``result(trace)`` closes the clocks with
+    each core's compute after its last event and assembles the
+    :class:`CMPResult` from the L2's counters and the front end's
+    totals. Closures rather than methods: ``step`` runs once per event
+    of every replay, and cell reads cost less than attribute reads.
+    """
+    channel = _MemoryChannel(cfg)
+    ports = _BankPorts(cfg)
+    bank_latency = _bank_latency(cfg)
+    cycles = [0] * cfg.num_cores
+    accounted = [0] * cfg.num_cores
+
+    def step(event: tuple) -> Optional[int]:
+        kind, core, address, is_write, work = event
+        cycles[core] += work
+        accounted[core] += work
+        if kind == WRITEBACK:
+            l2.writeback(address)
+            return None
+        bank = l2.bank_for(address)
+        cycles[core] += cfg.l1_to_bank_latency(core, bank) + bank_latency
+        cycles[core] += ports.demand(bank, cycles[core])
+        if kind == UPGRADE:
+            l2.record_bank_access(bank)
+            return None
+        walk_reads_before = l2.walk_tag_reads
+        outcome = l2.access(address, is_write)
+        if outcome.hit:
+            return None
+        ports.walk(bank, cycles[core], l2.walk_tag_reads - walk_reads_before)
+        # The miss reaches its controller after the L2 round trip and
+        # the zero-load latency, so that is the time it queues from.
+        cycles[core] += cfg.mem_latency
+        cycles[core] += int(channel.demand(address, cycles[core]))
+        if outcome.writeback:  # takes bandwidth, stalls nobody
+            channel.demand(outcome.evicted, cycles[core])
+        return outcome.evicted
+
+    def result(trace: CapturedTrace) -> CMPResult:
+        for core, retired in enumerate(trace.instructions):
+            cycles[core] += retired - accounted[core]
+        priorities: list[float] = []
+        for bank in l2.banks:
+            if hasattr(bank.policy, "priorities"):
+                priorities.extend(bank.policy.priorities)
+        return CMPResult(
+            label=cfg.l2_design.label(),
+            num_cores=cfg.num_cores,
+            instructions=list(trace.instructions),
+            cycles=cycles,
+            l1_accesses=trace.l1_accesses,
+            l1_misses=trace.l1_misses,
+            l2_hits=l2.hits,
+            l2_misses=l2.misses,
+            l2_accesses=l2.accesses + l2.writeback_hits + l2.writeback_misses,
+            l2_writebacks=l2.writebacks_to_memory,
+            walk_tag_reads=l2.walk_tag_reads,
+            relocations=l2.relocations,
+            bank_accesses=list(l2.bank_accesses),
+            coherence_invalidations=trace.coherence_invalidations,
+            upgrades=trace.upgrades,
+            l2_bank_latency=bank_latency,
+            eviction_priorities=priorities,
+            bank_queueing_cycles=ports.queueing_cycles,
+        )
+
+    return step, result
+
+
+class CMPSimulator:
+    """Execution-driven whole-system simulation: the front end feeding
+    the back end event by event, with L2 evictions fed back into the
+    L1s (inclusion) — the one path a captured trace cannot model."""
+
+    def __init__(
+        self,
+        cfg: CMPConfig,
+        workload,
+        instructions_per_core: int = 100_000,
+        seed: int = 0,
+        policy_wrapper=None,
+        obs: Optional[ObsContext] = None,
+    ) -> None:
+        if cfg.l2_design.policy == "opt":
+            raise ValueError(
+                "OPT needs a captured future trace; use TraceDrivenRunner"
+            )
+        self.cfg = cfg
+        self.workload = workload
+        self.instructions_per_core = instructions_per_core
+        self.seed = seed
+        self.policy_wrapper = policy_wrapper
+        self.obs = obs
+
+    def run(self) -> CMPResult:
+        """Simulate until every core retires its instruction budget."""
+        obs = self.obs
+        l2 = BankedL2(
+            self.cfg,
+            policy_wrapper=self.policy_wrapper,
+            obs=obs.scoped("l2") if obs is not None else None,
+        )
+        step, result = _back_end(self.cfg, l2)
+
+        def feed(event: tuple) -> None:
+            evicted = step(event)
+            if evicted is not None:
+                # Inclusion: kill the victim's L1 copies.
+                for core in front.directory.inclusion_invalidate(evicted):
+                    front.l1_invalidate(core, evicted)
+
+        front = _FrontEnd(self.cfg, emit=feed, obs=obs)
+        return result(
+            front.run(self.workload, self.instructions_per_core, self.seed)
+        )
+
+
 class TraceDrivenRunner:
     """Capture the L2-level stream once; replay it per design.
 
-    The capture pass runs cores + L1s + directory with *no* L2, so the
-    captured stream is independent of the L2 design. Replays therefore
-    miss one feedback path — inclusion victims cannot re-dirty the L1
-    stream — which the paper's own trace-driven OPT runs share.
+    The capture pass is the front end alone, so the captured stream is
+    independent of the L2 design; a replay is the back end alone.
+    Replays therefore miss one feedback path — inclusion victims cannot
+    re-dirty the L1 stream — which the paper's own trace-driven OPT
+    runs share.
     """
 
     def __init__(
@@ -426,69 +491,10 @@ class TraceDrivenRunner:
 
     def capture(self) -> CapturedTrace:
         """Phase 1: L1 filtering and coherence, recording L2 events."""
-        if self._captured is not None:
-            return self._captured
-        cfg = self.cfg
-        l1s = [_build_l1(cfg) for _ in range(cfg.num_cores)]
-        directory = Directory(cfg.num_cores)
-        streams = [
-            self.workload.core_stream(
-                c, cfg.l2_blocks, seed=self.seed, num_cores=cfg.num_cores
+        if self._captured is None:
+            self._captured = _FrontEnd(self.cfg).run(
+                self.workload, self.instructions_per_core, self.seed
             )
-            for c in range(cfg.num_cores)
-        ]
-        instructions = [0] * cfg.num_cores
-        pending_work = [0] * cfg.num_cores  # cycles since last event
-        events: list = []
-        active = set(range(cfg.num_cores))
-
-        def l1_invalidate(core: int, address: int) -> None:
-            dirty = l1s[core].invalidate(address)
-            directory.l1_eviction(address, core)
-            if dirty:
-                events.append((WRITEBACK, core, address, True, 0))
-
-        while active:
-            for core in sorted(active):
-                acc = next(streams[core])
-                instructions[core] += acc.gap + 1
-                pending_work[core] += acc.gap + 1
-                l1 = l1s[core]
-                was_hit = l1.array.lookup(acc.address) is not None
-                if was_hit and acc.is_write and directory.is_shared(acc.address):
-                    for victim_core in directory.upgrade(acc.address, core):
-                        l1_invalidate(victim_core, acc.address)
-                    events.append(
-                        (UPGRADE, core, acc.address, True, pending_work[core])
-                    )
-                    pending_work[core] = 0
-                result = l1.access(acc.address, acc.is_write)
-                if result.evicted is not None:
-                    directory.l1_eviction(result.evicted, core)
-                    if result.writeback:
-                        events.append(
-                            (WRITEBACK, core, result.evicted, True, 0)
-                        )
-                if not result.hit:
-                    events.append(
-                        (MISS, core, acc.address, acc.is_write, pending_work[core])
-                    )
-                    pending_work[core] = 0
-                    for victim_core in directory.fill(
-                        acc.address, core, acc.is_write
-                    ):
-                        l1_invalidate(victim_core, acc.address)
-                if instructions[core] >= self.instructions_per_core:
-                    active.discard(core)
-
-        self._captured = CapturedTrace(
-            events=events,
-            instructions=instructions,
-            l1_accesses=sum(c.stats.accesses for c in l1s),
-            l1_misses=sum(c.stats.misses for c in l1s),
-            upgrades=directory.stats.upgrades,
-            coherence_invalidations=directory.stats.invalidations_sent,
-        )
         return self._captured
 
     def replay(
@@ -519,66 +525,8 @@ class TraceDrivenRunner:
 
             with spans.span("replay.prime"):
                 prime_trace_hashes(l2, captured)
-        channel = _MemoryChannel(cfg)
-        ports = _BankPorts(cfg)
-        bank_latency = _bank_latency(cfg)
-        cycles = [0] * cfg.num_cores
-        accounted = [0] * cfg.num_cores
+        step, result = _back_end(cfg, l2)
         with spans.span("replay.stream", events=len(captured.events)):
-            for kind, core, address, is_write, work in captured.events:
-                cycles[core] += work
-                accounted[core] += work
-                if kind == WRITEBACK:
-                    l2.writeback(address)
-                    continue
-                bank = l2.bank_for(address)
-                if kind == UPGRADE:
-                    cycles[core] += (
-                        cfg.l1_to_bank_latency(core, bank) + bank_latency
-                    )
-                    cycles[core] += ports.demand(bank, cycles[core])
-                    l2.record_bank_access(bank)
-                    continue
-                cycles[core] += cfg.l1_to_bank_latency(core, bank) + bank_latency
-                cycles[core] += ports.demand(bank, cycles[core])
-                walk_reads_before = l2.walk_tag_reads
-                outcome = l2.access(address, is_write)
-                if not outcome.hit:
-                    ports.walk(
-                        bank, cycles[core],
-                        l2.walk_tag_reads - walk_reads_before,
-                    )
-                    cycles[core] += cfg.mem_latency
-                    cycles[core] += int(channel.demand(address, cycles[core]))
-                    if outcome.writeback:
-                        channel.writeback(outcome.evicted, cycles[core])
-        # Cores spend their residual instructions after the last event.
-        instructions = list(captured.instructions)
-        for core in range(cfg.num_cores):
-            residual = instructions[core] - min(accounted[core], instructions[core])
-            cycles[core] += residual
-
-        priorities: list[float] = []
-        for bank in l2.banks:
-            if hasattr(bank.policy, "priorities"):
-                priorities.extend(bank.policy.priorities)
-        return CMPResult(
-            label=cfg.l2_design.label(),
-            num_cores=cfg.num_cores,
-            instructions=instructions,
-            cycles=cycles,
-            l1_accesses=captured.l1_accesses,
-            l1_misses=captured.l1_misses,
-            l2_hits=l2.hits,
-            l2_misses=l2.misses,
-            l2_accesses=l2.accesses + l2.writeback_hits + l2.writeback_misses,
-            l2_writebacks=l2.writebacks_to_memory,
-            walk_tag_reads=l2.walk_tag_reads,
-            relocations=l2.relocations,
-            bank_accesses=list(l2.bank_accesses),
-            coherence_invalidations=captured.coherence_invalidations,
-            upgrades=captured.upgrades,
-            l2_bank_latency=bank_latency,
-            eviction_priorities=priorities,
-            bank_queueing_cycles=ports.queueing_cycles,
-        )
+            for event in captured.events:
+                step(event)
+        return result(captured)

@@ -79,6 +79,18 @@ class TestDeterministicMerge:
         for w in WORKLOADS:
             assert serial[w].results == parallel[w].results
 
+    def test_collect_design_sweeps_names_metrics_alike_at_any_jobs(self):
+        names = []
+        for jobs in (1, 2):
+            obs = ObsContext()
+            collect_design_sweeps(
+                WORKLOADS, DESIGNS, scale=SCALE, jobs=jobs, obs=obs
+            )
+            names.append(set(obs.metrics.snapshot()))
+        assert names[0] == names[1]
+        # one subtree per job, never two workloads summed into one
+        assert {n.split(".")[0] for n in names[0]} == set(WORKLOADS)
+
     def test_worker_metrics_merge_into_parent_registry(self):
         obs_serial, obs_parallel = ObsContext(), ObsContext()
         mini_sweep(jobs=1, obs=obs_serial)
@@ -342,3 +354,19 @@ class TestSweepCli:
 def test_timeout_option_accepted(jobs):
     outcome = mini_sweep(jobs=jobs, timeout=300.0)
     assert not outcome.failed
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_design_sweeps_fail_loud_at_any_jobs(jobs):
+    # A sweep with holes is never returned: every failed job is named.
+    kw = dict(policies=("lru", "no-such-policy"), scale=SCALE, jobs=jobs)
+    for sweep, names in (
+        (lambda: run_design_sweep("gcc", DESIGNS, **kw), ("gcc",)),
+        (lambda: collect_design_sweeps(WORKLOADS, DESIGNS, **kw), WORKLOADS),
+    ):
+        with pytest.raises(RuntimeError) as failure:
+            sweep()
+        message = str(failure.value)
+        for key in (f"{w}|{d.label()}" for w in names for d in DESIGNS):
+            assert f"{key}|no-such-policy: ValueError" in message
+            assert f"{key}|lru" not in message

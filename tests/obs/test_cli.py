@@ -88,7 +88,7 @@ class TestTrace:
             "--format", "json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "capture" in payload["phases"]
+        assert "capture.canneal" in payload["phases"]
         text = log.read_text()
         assert "captured L2 stream" in text
         assert "(2/2)" in text

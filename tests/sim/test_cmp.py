@@ -194,20 +194,24 @@ class TestMemoryQueueingParity:
     delays and different final cycle counts.
     """
 
-    def make_probe(self):
+    def make_probe(self, sharing=False):
         from dataclasses import replace
 
         from repro.workloads.spec import WorkloadSpec
 
+        # The private probe isolates the memory channel; the sharing
+        # one (threads writing lines other L1s hold) adds upgrades,
+        # which occupy a bank port like any other L2 access.
         spec = WorkloadSpec(
-            name="parity-probe", suite="mix", multithreaded=False,
+            name="parity-probe", suite="mix", multithreaded=sharing,
+            sharing_frac=0.5 if sharing else 0.0,
             mem_ratio=0.8, write_frac=0.3,
             patterns=(((1.0, {"kind": "uniform", "footprint_abs": 48}),)),
         )
-        # SA-32 so the private 48-line footprints never evict (no
-        # inclusion feedback, the one modelled divergence between
-        # modes); 8 B/cycle memory so the channel genuinely queues;
-        # NUCA hops so per-miss latency varies by bank.
+        # SA-32 so the 48-line footprints never evict (no inclusion
+        # feedback, the one modelled divergence between modes);
+        # 8 B/cycle memory so the channel genuinely queues; NUCA hops
+        # so per-miss latency varies by bank.
         cfg = replace(
             CMPConfig().with_design(
                 L2DesignConfig(kind="sa", ways=32, hash_kind="h3")
@@ -217,14 +221,25 @@ class TestMemoryQueueingParity:
         )
         return cfg, spec
 
-    def test_execution_and_replay_agree_cycle_for_cycle(self):
-        cfg, spec = self.make_probe()
-        full = CMPSimulator(cfg, spec, instructions_per_core=2000, seed=7).run()
-        rep = TraceDrivenRunner(
-            cfg, spec, instructions_per_core=2000, seed=7
-        ).replay(cfg)
-        assert full.l2_misses == rep.l2_misses
-        assert full.cycles == rep.cycles
+    @pytest.mark.parametrize("sharing", [False, True])
+    def test_execution_and_replay_agree_cycle_for_cycle(self, sharing):
+        from dataclasses import replace
+
+        cfg, spec = self.make_probe(sharing)
+        for queueing in (False, True):
+            cfg = replace(cfg, bank_queueing=queueing)
+            full = CMPSimulator(
+                cfg, spec, instructions_per_core=2000, seed=7
+            ).run()
+            rep = TraceDrivenRunner(
+                cfg, spec, instructions_per_core=2000, seed=7
+            ).replay(cfg)
+            assert (full.upgrades > 0) == sharing
+            assert full.l2_misses == rep.l2_misses
+            assert full.bank_accesses == rep.bank_accesses
+            assert full.cycles == rep.cycles
+            assert full.bank_queueing_cycles == rep.bank_queueing_cycles
+            assert (full.bank_queueing_cycles > 0) == queueing
 
     def test_contention_actually_exercised(self):
         # Guard against the probe silently losing its memory-channel
