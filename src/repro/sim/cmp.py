@@ -30,10 +30,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
-from repro.core import Cache, SetAssociativeArray
 from repro.energy.cachecost import CacheCostModel
 from repro.obs import NULL_SPANS, ObsContext
-from repro.replacement import LRU
 from repro.sim.config import CMPConfig
 from repro.sim.directory import Directory
 from repro.sim.l2 import BankedL2, bank_index
@@ -228,6 +226,14 @@ class _FrontEnd:
     (by default: appended to :attr:`events`). Nothing here depends on
     the L2 design; the L2 reaches back only through
     :meth:`l1_invalidate`, for inclusion victims.
+
+    The L1s are fixed-geometry, bit-selected, least-recently-used and
+    never walk, relocate or pin, so they are not :class:`~repro.core.
+    Cache` objects: :attr:`l1` is, per core and per set, one dict
+    ``address -> dirty`` that :meth:`run` works on inline.
+    ``tests/sim/test_flat_l1.py`` holds it to a real ``Cache`` step by
+    step; the ``capture_digests`` and ``cmp_run_pins`` goldens pin
+    every event and counter.
     """
 
     def __init__(
@@ -237,17 +243,18 @@ class _FrontEnd:
         obs: Optional[ObsContext] = None,
     ) -> None:
         self.cfg = cfg
+        self.obs = obs
         self.events: list = []
         self.emit = emit if emit is not None else self.events.append
-        self.l1s = [
-            Cache(
-                SetAssociativeArray(cfg.l1_ways, cfg.l1_blocks // cfg.l1_ways),
-                LRU(),
-                name="L1",
-                obs=obs.scoped(f"core{c}.l1") if obs is not None else None,
-            )
-            for c in range(cfg.num_cores)
+        # Dict order is recency order (a hit re-inserts its key): the
+        # first key is the victim, len() < l1_ways is a free slot.
+        # Only run() and l1_invalidate() mutate these.
+        self.l1: list[list[dict[int, bool]]] = [
+            [{} for _ in range(cfg.l1_blocks // cfg.l1_ways)]
+            for _ in range(cfg.num_cores)
         ]
+        self.l1_accesses = [0] * cfg.num_cores
+        self.l1_misses = [0] * cfg.num_cores
         self.directory = Directory(
             cfg.num_cores,
             obs=obs.scoped("directory") if obs is not None else None,
@@ -255,7 +262,8 @@ class _FrontEnd:
 
     def l1_invalidate(self, core: int, address: int) -> None:
         """Kill ``core``'s L1 copy; a dirty one writes back to the L2."""
-        dirty = self.l1s[core].invalidate(address)
+        sets = self.l1[core]
+        dirty = sets[address & (len(sets) - 1)].pop(address, False)
         self.directory.l1_eviction(address, core)
         if dirty:
             self.emit((WRITEBACK, core, address, True, 0))
@@ -264,55 +272,75 @@ class _FrontEnd:
         self, workload, instructions_per_core: int, seed: int
     ) -> CapturedTrace:
         """Run every core to its instruction budget; returns the totals
-        (and whatever :attr:`events` recorded)."""
+        (and whatever :attr:`events` recorded).
+
+        Step order within one access is contract: ``emit`` may re-enter
+        :meth:`l1_invalidate` (execution-driven inclusion victims), so a
+        block is installed before its MISS goes out.
+        """
         cfg = self.cfg
         emit = self.emit
-        l1s = self.l1s
         directory = self.directory
         l1_invalidate = self.l1_invalidate
-        streams = [
+        l1, l1_accesses, l1_misses = self.l1, self.l1_accesses, self.l1_misses
+        ways = cfg.l1_ways
+        set_mask = cfg.l1_blocks // ways - 1
+        next_access = [
             workload.core_stream(
                 c, cfg.l2_blocks, seed=seed, num_cores=cfg.num_cores
-            )
+            ).__next__
             for c in range(cfg.num_cores)
         ]
         instructions = [0] * cfg.num_cores
         pending_work = [0] * cfg.num_cores  # cycles since last event
-        active = set(range(cfg.num_cores))
+        active = list(range(cfg.num_cores))
         while active:
-            for core in sorted(active):
-                acc = next(streams[core])
-                instructions[core] += acc.gap + 1
-                pending_work[core] += acc.gap + 1
-                l1 = l1s[core]
-                was_hit = l1.array.lookup(acc.address) is not None
-                if was_hit and acc.is_write and directory.is_shared(acc.address):
-                    # Write hit to a shared line: upgrade via the L2 bank.
-                    for victim_core in directory.upgrade(acc.address, core):
-                        l1_invalidate(victim_core, acc.address)
-                    emit((UPGRADE, core, acc.address, True, pending_work[core]))
+            retired = False
+            for core in active:
+                gap, address, is_write = next_access[core]()
+                instructions[core] += gap + 1
+                pending_work[core] += gap + 1
+                l1_accesses[core] += 1
+                lines = l1[core][address & set_mask]
+                if address in lines:
+                    if is_write and directory.is_shared(address):
+                        # Write hit to a shared line: upgrade via the L2 bank.
+                        for victim_core in directory.upgrade(address, core):
+                            l1_invalidate(victim_core, address)
+                        emit((UPGRADE, core, address, True, pending_work[core]))
+                        pending_work[core] = 0
+                    lines[address] = lines.pop(address) or is_write
+                else:
+                    l1_misses[core] += 1
+                    if len(lines) < ways:
+                        lines[address] = is_write
+                    else:
+                        evicted = next(iter(lines))
+                        writeback = lines.pop(evicted)
+                        lines[address] = is_write
+                        directory.l1_eviction(evicted, core)
+                        if writeback:
+                            emit((WRITEBACK, core, evicted, True, 0))
+                    emit((MISS, core, address, is_write, pending_work[core]))
                     pending_work[core] = 0
-                result = l1.access(acc.address, acc.is_write)
-                if result.evicted is not None:
-                    directory.l1_eviction(result.evicted, core)
-                    if result.writeback:
-                        emit((WRITEBACK, core, result.evicted, True, 0))
-                if not result.hit:
-                    emit(
-                        (MISS, core, acc.address, acc.is_write, pending_work[core])
-                    )
-                    pending_work[core] = 0
-                    for victim_core in directory.fill(
-                        acc.address, core, acc.is_write
-                    ):
-                        l1_invalidate(victim_core, acc.address)
+                    for victim_core in directory.fill(address, core, is_write):
+                        l1_invalidate(victim_core, address)
                 if instructions[core] >= instructions_per_core:
-                    active.discard(core)
+                    retired = True
+            if retired:
+                active = [
+                    c for c in active if instructions[c] < instructions_per_core
+                ]
+        if self.obs is not None:
+            for c in range(cfg.num_cores):
+                metrics = self.obs.metrics.scoped(f"core{c}.l1")
+                metrics.counter("accesses").value = l1_accesses[c]
+                metrics.counter("misses").value = l1_misses[c]
         return CapturedTrace(
             events=self.events,
             instructions=instructions,
-            l1_accesses=sum(c.stats.accesses for c in l1s),
-            l1_misses=sum(c.stats.misses for c in l1s),
+            l1_accesses=sum(l1_accesses),
+            l1_misses=sum(l1_misses),
             upgrades=directory.stats.upgrades,
             coherence_invalidations=directory.stats.invalidations_sent,
         )

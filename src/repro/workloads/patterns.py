@@ -5,6 +5,14 @@ Each primitive is an infinite iterator of block addresses within
 address-space offsets, instruction gaps, and read/write labels.
 
 All randomness is seeded — the same spec always produces the same trace.
+
+**Draw-order contract.** Recorded experiment outputs depend on every
+address of every stream, so each seeded generator below may be made
+faster but never made to draw differently: same ``Random``, same draws,
+same order — pinned by ``tests/goldens/stream_digests.json``. Where a
+loop spells ``rng.randrange(n)`` as ``getrandbits(n.bit_length())``
+redrawn while ``>= n``, that is ``Random._randbelow_with_getrandbits``
+written out, so it consumes exactly the bits ``randrange`` would.
 """
 
 from __future__ import annotations
@@ -12,6 +20,16 @@ from __future__ import annotations
 import math
 import random
 from typing import Iterator, Sequence
+
+
+def _shuffle(x: list, getrandbits) -> None:
+    """``Random.shuffle`` with its ``randrange(i + 1)`` written out."""
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 def sequential_scan(footprint: int, start: int = 0) -> Iterator[int]:
@@ -50,9 +68,13 @@ def uniform_random(footprint: int, seed: int = 0) -> Iterator[int]:
     """Uniform random addresses — the no-locality stress case."""
     if footprint < 1:
         raise ValueError(f"footprint must be >= 1, got {footprint}")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    k = footprint.bit_length()
     while True:
-        yield rng.randrange(footprint)
+        r = getrandbits(k)  # randrange(footprint): the draw-order contract
+        while r >= footprint:
+            r = getrandbits(k)
+        yield r
 
 
 def zipf(footprint: int, skew: float = 1.1, seed: int = 0) -> Iterator[int]:
@@ -72,13 +94,13 @@ def zipf(footprint: int, skew: float = 1.1, seed: int = 0) -> Iterator[int]:
     # A fixed random permutation decouples popularity rank from address
     # value, so hot blocks do not cluster in one cache region.
     perm = list(range(footprint))
-    rng.shuffle(perm)
+    _shuffle(perm, rng.getrandbits)
     exponent = 1.0 - skew
     span = footprint**exponent - 1.0
+    inverse = 1.0 / exponent
+    rand = rng.random
     while True:
-        u = rng.random()
-        rank = int((span * u + 1.0) ** (1.0 / exponent))
-        yield perm[rank % footprint]
+        yield perm[int((span * rand() + 1.0) ** inverse) % footprint]
 
 
 def working_set_phases(
@@ -95,6 +117,8 @@ def working_set_phases(
     probability ``locality`` (uniform within the window) and stray
     anywhere otherwise; each phase the window moves.
     """
+    if footprint < 1:
+        raise ValueError(f"footprint must be >= 1, got {footprint}")
     if not 0.0 < ws_fraction <= 1.0:
         raise ValueError(f"ws_fraction must be in (0,1], got {ws_fraction}")
     if not 0.0 <= locality <= 1.0:
@@ -102,14 +126,27 @@ def working_set_phases(
     if phase_length < 1:
         raise ValueError(f"phase_length must be >= 1, got {phase_length}")
     rng = random.Random(seed)
+    rand = rng.random
+    getrandbits = rng.getrandbits
     ws_size = max(1, int(footprint * ws_fraction))
+    fp_bits = footprint.bit_length()
+    ws_bits = ws_size.bit_length()
+    # randrange(footprint) / randrange(ws_size): the draw-order contract
     while True:
-        base = rng.randrange(footprint)
+        base = getrandbits(fp_bits)
+        while base >= footprint:
+            base = getrandbits(fp_bits)
         for _ in range(phase_length):
-            if rng.random() < locality:
-                yield (base + rng.randrange(ws_size)) % footprint
+            if rand() < locality:
+                r = getrandbits(ws_bits)
+                while r >= ws_size:
+                    r = getrandbits(ws_bits)
+                yield (base + r) % footprint
             else:
-                yield rng.randrange(footprint)
+                r = getrandbits(fp_bits)
+                while r >= footprint:
+                    r = getrandbits(fp_bits)
+                yield r
 
 
 def pointer_chase(footprint: int, seed: int = 0, jump_every: int = 0) -> Iterator[int]:
@@ -124,15 +161,21 @@ def pointer_chase(footprint: int, seed: int = 0, jump_every: int = 0) -> Iterato
         raise ValueError(f"footprint must be >= 1, got {footprint}")
     rng = random.Random(seed)
     nxt = list(range(1, footprint)) + [0]
-    rng.shuffle(nxt)
-    node = rng.randrange(footprint)
+    getrandbits = rng.getrandbits
+    _shuffle(nxt, getrandbits)
+    k = footprint.bit_length()
+    node = getrandbits(k)  # randrange(footprint), twice: the draw-order contract
+    while node >= footprint:
+        node = getrandbits(k)
     count = 0
     while True:
         yield node
         node = nxt[node]
         count += 1
         if jump_every and count % jump_every == 0:
-            node = rng.randrange(footprint)
+            node = getrandbits(k)
+            while node >= footprint:
+                node = getrandbits(k)
 
 
 def mixed(
@@ -148,19 +191,22 @@ def mixed(
     weights = [w for w, _ in parts]
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
-    iters = [it for _, it in parts]
-    rng = random.Random(seed)
+    rand = random.Random(seed).random
     total = sum(weights)
     cum = []
     acc = 0.0
     for w in weights:
         acc += w / total
         cum.append(acc)
+    # A ``u`` above cum[-1] (rounding can leave it a hair under 1.0)
+    # matches no part, yields nothing and costs one more draw: that
+    # fall-through is part of the draw-order contract.
+    pairs = [(c, it.__next__) for c, (_, it) in zip(cum, parts)]
     while True:
-        u = rng.random()
-        for i, c in enumerate(cum):
+        u = rand()
+        for c, part_next in pairs:
             if u <= c:
-                yield next(iters[i])
+                yield part_next()
                 break
 
 

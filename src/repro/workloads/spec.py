@@ -159,17 +159,23 @@ class WorkloadSpec:
         # Geometric gaps: each instruction is a memory access with
         # probability mem_ratio, so E[gap] = 1/mem_ratio - 1 exactly.
         log_q = math.log(1.0 - self.mem_ratio) if self.mem_ratio < 1.0 else None
+        # Draw-order contract (repro.workloads.patterns): per access one
+        # draw for the gap (none at mem_ratio 1), one for is_write, one
+        # for shared-vs-private iff there is a shared region. The locals
+        # strip attribute lookups; tuple.__new__ is CoreAccess._make
+        # minus its length check.
+        log, rand, new_access = math.log, rng.random, tuple.__new__
+        write_frac, sharing_frac = self.write_frac, self.sharing_frac
+        next_private = private.__next__
+        next_shared = shared.__next__ if shared is not None else None
         while True:
-            if log_q is None:
-                gap = 0
+            gap = 0 if log_q is None else int(log(1.0 - rand()) / log_q)
+            is_write = rand() < write_frac
+            if next_shared is not None and rand() < sharing_frac:
+                address = SHARED_ADDRESS_BASE + next_shared()
             else:
-                gap = int(math.log(1.0 - rng.random()) / log_q)
-            is_write = rng.random() < self.write_frac
-            if shared is not None and rng.random() < self.sharing_frac:
-                address = SHARED_ADDRESS_BASE + next(shared)
-            else:
-                address = private_base + next(private)
-            yield CoreAccess(gap, address, is_write)
+                address = private_base + next_private()
+            yield new_access(CoreAccess, (gap, address, is_write))
 
     def describe(self) -> str:
         """One-line report string."""

@@ -1,18 +1,25 @@
 """Tests for the conflict-metric critique experiment."""
 
+import pytest
+
 from repro.experiments import conflict
 
 
 class TestConflictExperiment:
-    def test_negative_conflicts_demonstrated(self):
-        rows, _report = conflict.run()
+    @pytest.fixture(scope="class")
+    def outcome(self):
+        """``conflict.run()`` once (~12 s) for the three assertions."""
+        return conflict.run()
+
+    def test_negative_conflicts_demonstrated(self, outcome):
+        rows, _report = outcome
         negative = [r for r in rows if r.conflict < 0]
         # Section IV's objection: the metric can go negative.
         assert negative
         assert all(r.trace == "anti-lru" for r in negative)
 
-    def test_metric_is_policy_dependent(self):
-        rows, _report = conflict.run()
+    def test_metric_is_policy_dependent(self, outcome):
+        rows, _report = outcome
         by_key = {}
         for r in rows:
             by_key[(r.design, r.policy, r.trace)] = r.conflict
@@ -22,8 +29,8 @@ class TestConflictExperiment:
         lfu = by_key[("SA-4", "lfu", "conflict")]
         assert lru != lfu
 
-    def test_framework_ranks_by_candidates(self):
-        _rows, report_lines = conflict.run()
+    def test_framework_ranks_by_candidates(self, outcome):
+        _rows, report_lines = outcome
         text = "\n".join(report_lines)
         # The associativity ranking puts Z4/52 first and plain SA-4 last.
         body = [line for line in report_lines if "n=" in line]
