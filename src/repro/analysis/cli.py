@@ -89,15 +89,6 @@ def run_lint(argv: list[str]) -> int:
         help="apply automatic fixes (ZS004 slots, ZS001 import rewrite) "
         "before linting",
     )
-    parser.add_argument(
-        "--cache", type=str, default=".zsan-cache.json", metavar="PATH",
-        help="incremental deep-analysis cache file "
-        "(default: .zsan-cache.json)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the deep-analysis cache for this run",
-    )
     args = parser.parse_args(argv)
 
     deep_rules = default_deep_rules()
@@ -157,7 +148,6 @@ def run_lint(argv: list[str]) -> int:
             args.paths,
             select=select_deep or None,
             ignore=ignore_deep or None,
-            cache_path=None if args.no_cache else args.cache,
         )
         print(stats.render(), file=sys.stderr)
         seen = {(f.code, f.path, f.line, f.column, f.message) for f in findings}

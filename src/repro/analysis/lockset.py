@@ -51,6 +51,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.sanitizer import InvariantViolation
 from repro.analysis.spec import SCOPE_THREAD, ThreadCheck, invariants_for
+from repro.core.base import ArrayProxy
 
 #: per-field access policies (the dynamic sanctioned-atomic table)
 POLICY_WRITE_LOCKED = "write-locked"
@@ -210,31 +211,34 @@ class _InstrumentedList(list):
         super().__init__(data)
 
 
-class _ZCacheProxy:
-    """Forwarding proxy reporting mutating zcache calls as writes."""
+class _ZCacheProxy(ArrayProxy):
+    """The shard's two-phase cache with its mutating calls
+    (:data:`_ZC_WRITES`) reported as writes; the rest forwards."""
+
+    _OWN = frozenset({"_san"})
 
     def __init__(self, inner: Any, san: "LocksetSanitizer") -> None:
-        self._inner = inner
+        super().__init__(inner)
         self._san = san
 
-    def __getattr__(self, name: str) -> Any:
-        attr = getattr(self._inner, name)
-        if name in _ZC_WRITES:
-            san = self._san
+    @property
+    def array(self) -> Any:
+        """The wrapped cache's array, not (as in the base) the cache."""
+        return self._inner.array
 
-            def traced(*args: Any, **kwargs: Any) -> Any:
-                san._field_access("zcache", is_write=True, op=name)
-                return attr(*args, **kwargs)
 
-            return traced
-        return attr
+def _zcache_write(name: str):
+    def method(self: _ZCacheProxy, *args: Any, **kwargs: Any) -> Any:
+        inner = getattr(self._inner, name)
+        self._san._field_access("zcache", is_write=True, op=name)
+        return inner(*args, **kwargs)
 
-    # Special methods bypass __getattr__; the shard uses both.
-    def __contains__(self, address: int) -> bool:
-        return address in self._inner
+    method.__name__ = name
+    return method
 
-    def __len__(self) -> int:
-        return len(self._inner)
+
+for _name in sorted(_ZC_WRITES):
+    setattr(_ZCacheProxy, _name, _zcache_write(_name))
 
 
 class LocksetSanitizer:

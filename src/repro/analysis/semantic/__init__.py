@@ -3,15 +3,13 @@
 Layers (each its own module):
 
 - :mod:`repro.analysis.semantic.modulegraph` — module discovery,
-  import resolution, closures, fingerprints, cycle detection;
+  import resolution, cycle detection;
 - :mod:`repro.analysis.semantic.symbols` — per-module symbol tables
   (functions, classes, module-level bindings with mutability);
 - :mod:`repro.analysis.semantic.dataflow` — def-use origin tracking
   with interprocedural function summaries;
 - :mod:`repro.analysis.semantic.callgraph` — static call edges and
   reachability;
-- :mod:`repro.analysis.semantic.cache` — fingerprint-keyed incremental
-  analysis cache;
 - :mod:`repro.analysis.semantic.deeprules` — the rule registry and the
   ZS101–ZS104 rules;
 - :mod:`repro.analysis.semantic.effects` — interprocedural effect
@@ -26,7 +24,6 @@ Layers (each its own module):
   ``zcache-repro lint --deep``.
 """
 
-from repro.analysis.semantic.cache import AnalysisCache, CACHE_VERSION
 from repro.analysis.semantic.callgraph import CallGraph, func_key
 from repro.analysis.semantic.dataflow import OriginEvaluator, ScopeWalker
 from repro.analysis.semantic.deeprules import (
@@ -34,7 +31,6 @@ from repro.analysis.semantic.deeprules import (
     DeepRule,
     default_deep_rules,
     register_deep_rule,
-    rules_signature,
 )
 from repro.analysis.semantic.effects import (
     EffectAnalysis,
@@ -66,8 +62,6 @@ from repro.analysis.semantic.symbols import (
 )
 
 __all__ = [
-    "AnalysisCache",
-    "CACHE_VERSION",
     "CallGraph",
     "ClassInfo",
     "DEEP_RULE_REGISTRY",
@@ -93,6 +87,5 @@ __all__ = [
     "func_key",
     "module_name_for",
     "register_deep_rule",
-    "rules_signature",
     "run_deep",
 ]

@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import abc
 import ast
-import hashlib
-import inspect
 import re
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar, Dict, Iterator, List, Optional, Set, Tuple
@@ -126,23 +124,6 @@ def default_deep_rules() -> List[DeepRule]:
     from repro.analysis.semantic import effects, race  # noqa: F401
 
     return [DEEP_RULE_REGISTRY[c]() for c in sorted(DEEP_RULE_REGISTRY)]
-
-
-def rules_signature(rules: Optional[List[DeepRule]] = None) -> str:
-    """A short content hash over the active rules' source code.
-
-    Folded into the analysis cache so editing a rule's *logic* — not
-    just the analyzed modules — invalidates cached findings. Without
-    this, a rule fix would silently keep serving stale results for
-    every module whose closure fingerprint did not change.
-    """
-    pool = rules if rules is not None else default_deep_rules()
-    digest = hashlib.sha256()
-    for chunk in sorted(
-        rule.code + inspect.getsource(type(rule)) for rule in pool
-    ):
-        digest.update(chunk.encode("utf-8"))
-    return digest.hexdigest()[:16]
 
 
 def _sort_key(f: Finding) -> tuple:
@@ -490,12 +471,8 @@ class ParallelSafetyRule(DeepRule):
 # ZS103: merge completeness
 # ---------------------------------------------------------------------------
 
-_FACTORIES = frozenset(
-    {"counter", "gauge", "histogram", "int_histogram", "reservoir"}
-)
-_METRIC_CLASSES = frozenset(
-    {"Counter", "Gauge", "Histogram", "IntHistogram", "ReservoirHistogram"}
-)
+_FACTORIES = frozenset({"counter", "gauge", "histogram", "int_histogram"})
+_METRIC_CLASSES = frozenset({"Counter", "Gauge", "Histogram", "IntHistogram"})
 
 
 def _referenced_names(node: ast.AST) -> Set[str]:

@@ -10,7 +10,9 @@ tree).
 a set of paths, run every registered deep rule module by module,
 filter suppressions against the *flagged* file (a deep finding may be
 anchored in a different module than the one whose analysis produced
-it), and consult the incremental cache so unchanged modules are free.
+it). Every run analyzes every module: a finding can depend on a
+module's *callers* (ZS110 entry locksets), so no per-module result
+outlives the tree it was computed on.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from repro.analysis.lint.engine import (
     LintReport,
     LintSource,
 )
-from repro.analysis.semantic.cache import AnalysisCache
 from repro.analysis.semantic.callgraph import CallGraph
 from repro.analysis.semantic.dataflow import OriginEvaluator
 from repro.analysis.semantic.modulegraph import ModuleGraph
@@ -162,17 +163,11 @@ class DeepRunStats:
     """Bookkeeping from one ``run_deep`` invocation."""
 
     modules_total: int = 0
-    modules_analyzed: int = 0
-    cache_hits: int = 0
     parse_errors: int = 0
 
     def render(self) -> str:
         """One-line summary for stderr/CI logs."""
-        return (
-            f"zprove: {self.modules_total} module(s), "
-            f"{self.modules_analyzed} analyzed, "
-            f"{self.cache_hits} from cache"
-        )
+        return f"zprove: {self.modules_total} module(s) analyzed"
 
 
 def _sort_key(f: Finding) -> tuple:
@@ -211,16 +206,12 @@ def run_deep(
     *,
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    cache_path: Optional[Union[str, Path]] = None,
-    use_cache: bool = True,
     rules: Optional[Sequence[object]] = None,
 ) -> Tuple[LintReport, DeepRunStats]:
     """Run the deep (whole-program) rules over ``paths``.
 
-    ``select``/``ignore`` filter by rule code at report time; the
-    cache always stores the full rule output, so one cache file serves
-    any selection. Passing explicit ``rules`` (tests) disables the
-    cache to keep its contents canonical.
+    ``select``/``ignore`` filter by rule code at report time;
+    explicit ``rules`` (tests) replace the default rule set.
     """
     from repro.analysis.semantic.deeprules import default_deep_rules
 
@@ -242,14 +233,6 @@ def run_deep(
         modules_total=len(graph), parse_errors=len(graph.parse_errors)
     )
 
-    cache: Optional[AnalysisCache] = None
-    if cache_path is not None and use_cache and rules is None:
-        from repro.analysis.semantic.deeprules import rules_signature
-
-        # rules is None here, so the default rule set is the active one.
-        cache = AnalysisCache(cache_path, rules_hash=rules_signature())
-        cache.load()
-
     sources: Dict[str, LintSource] = {}
     collected: List[Finding] = []
     for path_str in sorted(graph.parse_errors):
@@ -263,35 +246,17 @@ def run_deep(
         )
 
     for module in sorted(graph.modules):
-        fingerprint = graph.fingerprint(module)
-        module_findings = (
-            cache.get(module, fingerprint) if cache is not None else None
-        )
-        if module_findings is None:
-            info = graph.modules[module]
-            module_findings = []
-            for rule in pool:
-                if not rule.applies_to_module(  # type: ignore[attr-defined]
-                    module, info.path
-                ):
-                    continue
-                module_findings.extend(
-                    rule.check_module(model, module)  # type: ignore[attr-defined]
-                )
-            module_findings = _filter_suppressed(
-                graph, module_findings, sources
+        path = graph.modules[module].path
+        module_findings: List[Finding] = []
+        for rule in pool:
+            if not rule.applies_to_module(  # type: ignore[attr-defined]
+                module, path
+            ):
+                continue
+            module_findings.extend(
+                rule.check_module(model, module)  # type: ignore[attr-defined]
             )
-            module_findings.sort(key=_sort_key)
-            stats.modules_analyzed += 1
-            if cache is not None:
-                cache.put(module, fingerprint, module_findings)
-        else:
-            stats.cache_hits += 1
-        collected.extend(module_findings)
-
-    if cache is not None:
-        cache.prune(sorted(graph.modules))
-        cache.save()
+        collected.extend(_filter_suppressed(graph, module_findings, sources))
 
     # Report-time filtering and cross-module dedup.
     seen: Set[Tuple[str, str, int, int, str]] = set()

@@ -1,12 +1,11 @@
 """Module graph: discovery and import resolution over a source tree.
 
 The first layer of the ZProve whole-program model. Every ``*.py`` file
-under the analyzed roots becomes a :class:`ModuleInfo` (parsed AST plus
-a content hash); import statements are resolved to *internal* modules
+under the analyzed roots becomes a :class:`ModuleInfo` (source text plus
+parsed AST); import statements are resolved to *internal* modules
 where the target lives inside the analyzed tree, giving a directed
-module graph with forward edges (``imports``), reverse edges
-(``dependents``), closures for cache fingerprinting, and cycle
-detection (strongly connected components).
+module graph with forward edges (``imports``) and cycle detection
+(strongly connected components).
 
 Resolution handles the shapes this repository uses — absolute
 ``import x`` / ``import x as y`` / ``from pkg.mod import name as
@@ -19,7 +18,6 @@ symbol of ``pkg``.
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Union
@@ -61,14 +59,13 @@ def module_name_for(path: Path) -> str:
 
 
 class ModuleInfo:
-    """One parsed module: source text, AST, and a content hash."""
+    """One parsed module: source text and AST."""
 
     def __init__(self, name: str, path: Union[str, Path], text: str) -> None:
         self.name = name
         self.path = Path(path)
         self.text = text
         self.tree: ast.Module = ast.parse(text, filename=str(path))
-        self.content_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def __repr__(self) -> str:
         return f"ModuleInfo({self.name!r})"
@@ -102,8 +99,6 @@ class ModuleGraph:
         self.import_table: Dict[str, Dict[str, ImportedName]] = {}
         #: forward edges: module -> internal modules it imports
         self.imports: Dict[str, Set[str]] = {name: set() for name in modules}
-        #: reverse edges: module -> internal modules importing it
-        self.dependents: Dict[str, Set[str]] = {name: set() for name in modules}
         #: modules whose source failed to parse (path -> error message)
         self.parse_errors: Dict[str, str] = {}
         for name, info in modules.items():
@@ -112,7 +107,6 @@ class ModuleGraph:
             for imported in table.values():
                 if imported.internal and imported.module != name:
                     self.imports[name].add(imported.module)
-                    self.dependents[imported.module].add(name)
 
     @classmethod
     def build(cls, paths: Iterable[Union[str, Path]]) -> "ModuleGraph":
@@ -196,44 +190,6 @@ class ModuleGraph:
     def imported(self, module: str, local_name: str) -> Optional[ImportedName]:
         """What ``local_name`` is bound to in ``module`` by imports."""
         return self.import_table.get(module, {}).get(local_name)
-
-    # -- closures ----------------------------------------------------------
-    def _closure(
-        self, roots: Iterable[str], edges: Dict[str, Set[str]]
-    ) -> Set[str]:
-        seen: Set[str] = set()
-        stack = [r for r in roots if r in edges]
-        while stack:
-            mod = stack.pop()
-            if mod in seen:
-                continue
-            seen.add(mod)
-            stack.extend(edges.get(mod, ()))
-        return seen
-
-    def import_closure(self, module: str) -> Set[str]:
-        """``module`` plus everything it transitively imports."""
-        return self._closure([module], self.imports)
-
-    def dependent_closure(self, module: str) -> Set[str]:
-        """``module`` plus everything transitively importing it."""
-        return self._closure([module], self.dependents)
-
-    def fingerprint(self, module: str) -> str:
-        """Content hash over ``module``'s import closure.
-
-        Stable iff neither the module nor anything it (transitively)
-        imports changed — the incremental-cache key: a module whose
-        fingerprint matches needs no re-analysis, and a changed
-        dependency invalidates every dependent's fingerprint.
-        """
-        digest = hashlib.sha256()
-        for name in sorted(self.import_closure(module)):
-            digest.update(name.encode("utf-8"))
-            digest.update(b"\0")
-            digest.update(self.modules[name].content_hash.encode("ascii"))
-            digest.update(b"\n")
-        return digest.hexdigest()
 
     # -- cycles ------------------------------------------------------------
     def cycles(self) -> List[List[str]]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.assoc import TrackedPolicy, uniformity_cdf
 from repro.core import Cache, RandomCandidatesArray
-from repro.obs import NULL_PHASE_TIMER, NULL_SPANS, ObsContext
+from repro.obs import NULL_SPANS, ObsContext
 from repro.replacement import LRU
 
 CANDIDATE_COUNTS = (4, 8, 16, 64)
@@ -77,7 +77,6 @@ def run(
     xs = np.linspace(0.0, 1.0, 101)
     analytic = {}
     simulated = {}
-    profiler = obs.profiler if obs is not None else NULL_PHASE_TIMER
     spans = obs.spans if obs is not None else NULL_SPANS
     with spans.span("fig2", accesses=accesses, engine=engine):
         for n in CANDIDATE_COUNTS:
@@ -116,9 +115,8 @@ def run(
                     f"fig2.n{n}",
                     every=max(1, accesses // 8),
                 ):
-                    with profiler.phase(f"fig2.n{n}"):
-                        for address in stream:
-                            cache.access(address)
+                    for address in stream:
+                        cache.access(address)
                 dist = tracked.distribution()
                 simulated[n] = (dist.cdf(xs), dist.ks_to_uniformity(n))
     return Fig2Result(xs=xs, analytic=analytic, simulated=simulated)

@@ -26,9 +26,8 @@ every ``jobs`` value:
    :class:`~repro.obs.ObsContext`; its commit folds the metrics
    snapshot into the parent registry
    (:meth:`~repro.obs.MetricsRegistry.merge_snapshot`: additive, order
-   independent) and its phase timings into the parent profiler. Replay
-   is bit-deterministic given (trace, design, policy), so results are
-   identical at any worker count.
+   independent). Replay is bit-deterministic given (trace, design,
+   policy), so results are identical at any worker count.
 4. **Stitch spans.** Under an enabled :class:`~repro.obs.SpanTracker`
    the parent's ``sweep`` root gets one ``job.<scope>`` child per job
    (its id derived from the job seed, so both sides can name it without
@@ -65,7 +64,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from repro.experiments.runner import ExperimentScale, SweepResult
 from repro.hashing.mixers import splitmix64
 from repro.obs import (
-    NULL_PHASE_TIMER,
     NULL_SPANS,
     Heartbeat,
     ObsContext,
@@ -182,20 +180,18 @@ def _execute_job(
     scope: str,
     obs: Optional[ObsContext],
 ) -> CMPResult:
-    """Replay one job, as phase and span ``replay.<scope>``, its metrics
-    under ``scope``. Shared verbatim by workers and the in-process path,
+    """Replay one job, as span ``replay.<scope>``, its metrics under
+    ``scope``. Shared verbatim by workers and the in-process path,
     which is what makes degraded (in-parent) execution bit-identical."""
-    profiler = obs.profiler if obs is not None else NULL_PHASE_TIMER
     spans = obs.spans if obs is not None else NULL_SPANS
     runner = TraceDrivenRunner.from_captured(cfg, captured, seed=job.seed)
     design_cfg = cfg.with_design(replace(job.design, policy=job.policy))
-    with profiler.phase(f"replay.{scope}"):
-        with spans.span(f"replay.{scope}", key=job.key):
-            return runner.replay(
-                design_cfg,
-                policy_wrapper=policy_wrapper,
-                obs=obs.scoped(scope) if obs is not None else None,
-            )
+    with spans.span(f"replay.{scope}", key=job.key):
+        return runner.replay(
+            design_cfg,
+            policy_wrapper=policy_wrapper,
+            obs=obs.scoped(scope) if obs is not None else None,
+        )
 
 
 def _replay_worker(
@@ -205,11 +201,11 @@ def _replay_worker(
     policy_wrapper,
     scope: str,
     span_ctx: Optional[dict] = None,
-) -> tuple[CMPResult, dict, dict]:
+) -> tuple[CMPResult, dict]:
     """Process-pool entry point: replay under a private ObsContext.
 
-    Returns ``(result, metrics snapshot, phase-seconds report)``; the
-    parent merges the snapshot and timings into its own context.
+    Returns ``(result, metrics snapshot)``; the parent merges the
+    snapshot into its own registry.
     With a serialized :class:`SpanContext`, the worker also records its
     span tree (root ``replay.<scope>``, parented under the parent-side
     job span) into the per-job sink file named in the context; spans
@@ -225,7 +221,7 @@ def _replay_worker(
         result = _execute_job(job, cfg, captured, policy_wrapper, scope, obs)
     finally:
         spans.close()
-    return result, obs.metrics.snapshot(), obs.profiler.report()
+    return result, obs.metrics.snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +467,10 @@ def run_parallel_sweeps(
     obs:
         Parent observability context. Each job's metrics land under its
         scope — ``<design>.<policy>``, prefixed with the workload when
-        the roster has more than one — at any ``jobs``; worker phase
-        timings fold into its profiler, and its heartbeat receives
-        progress aggregated across all workers. Without one, a
+        the roster has more than one — at any ``jobs``; with an enabled
+        span tracker, worker spans are stitched under its ``sweep``
+        root, and its heartbeat receives progress aggregated across
+        all workers. Without one, a
         heartbeat is still honoured via the ``ZCACHE_PROGRESS_LOG``
         environment variable.
     span_dir:
@@ -486,7 +483,6 @@ def run_parallel_sweeps(
     policies = list(policies)
     names = list(workloads) if workloads is not None else scale.workload_names()
     n_jobs = jobs if jobs is not None else default_jobs()
-    profiler = obs.profiler if obs is not None else NULL_PHASE_TIMER
     heartbeat = obs.heartbeat if obs is not None else Heartbeat.from_env()
     spans = obs.spans if obs is not None else NULL_SPANS
 
@@ -520,10 +516,10 @@ def run_parallel_sweeps(
                 instructions_per_core=scale.instructions_per_core,
                 seed=scale.seed,
             )
-            phase = f"capture.{sanitize_component(w)}"
-            with profiler.phase(phase):
-                with spans.span(phase, workload=w):
-                    captures[w] = runner.capture()
+            with spans.span(
+                f"capture.{sanitize_component(w)}", workload=w
+            ):
+                captures[w] = runner.capture()
             heartbeat.beat(f"sweep: {w}: captured L2 stream")
 
     def local(job: SweepJob, attempts: int) -> tuple:
@@ -538,7 +534,7 @@ def run_parallel_sweeps(
                 job, cfg, captures[job.workload], policy_wrapper,
                 scopes[job.key], obs,
             )
-        return result, None, {}
+        return result, None
 
     def submit(pool, job: SweepJob, attempt: int) -> Future:
         span_ctx = None
@@ -562,20 +558,17 @@ def run_parallel_sweeps(
         )
 
     def commit(job: SweepJob, status: str, attempts: int, payload) -> tuple:
-        """Fold one finished job into the outcome, the registry, the
-        profiler and — for a worker's — the span tree."""
-        result, snapshot, phases = payload
+        """Fold one finished job into the outcome, the registry and —
+        for a worker's — the span tree."""
+        result, snapshot = payload
         outcome.sweeps[job.workload].results[
             (job.design.label(), job.policy)
         ] = result
         outcome.outcomes[job.key] = JobOutcome(
             key=job.key, status=status, attempts=attempts, result=result
         )
-        if obs is not None:
-            if snapshot:
-                obs.metrics.merge_snapshot(snapshot)
-            for phase, seconds in phases.items():
-                obs.profiler.add(phase, seconds)
+        if obs is not None and snapshot:
+            obs.metrics.merge_snapshot(snapshot)
         if status == "parallel" and stitch_dir is not None:
             # The job's submit-to-join window, with the worker's span
             # tree stitched under it and clamped into it.
@@ -616,7 +609,6 @@ def run_parallel_sweeps(
                 decode=lambda entry: (
                     CMPResult.from_dict(entry["result"]),
                     entry.get("metrics"),
-                    {},
                 ),
                 prepare=capture,
                 local=local,

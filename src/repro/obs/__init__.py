@@ -14,16 +14,17 @@ low-overhead facilities:
   walk / relocation / eviction records to pluggable sinks (null, ring
   buffer, JSONL file), so figures like the Fig. 2 CDF can be rebuilt
   offline from a trace.
-- **Profiling** (:mod:`repro.obs.profiling`): phase timers with
-  wall-time attribution and a single-file heartbeat for long sweeps.
+- **Profiling** (:mod:`repro.obs.profiling`): a single-file heartbeat
+  for long sweeps.
 - **Span tracing** (:mod:`repro.obs.spans` + :mod:`repro.obs.timeline`,
   ZTrace): hierarchical spans with deterministic seed-derived ids,
   cross-process propagation through the parallel sweep engine, Chrome
-  trace-event/Perfetto export and critical-path attribution. Off by
-  default (``NULL_SPANS``); enabled per run by the ``timeline`` CLI or
-  by handing the context an enabled :class:`SpanTracker`.
+  trace-event/Perfetto export, per-name wall-time totals and
+  critical-path attribution — the one wall clock. Off by default
+  (``NULL_SPANS``); enabled per run by the ``stats`` and ``timeline``
+  CLIs or by handing the context an enabled :class:`SpanTracker`.
 
-:class:`ObsContext` bundles the three and is what components accept:
+:class:`ObsContext` bundles them and is what components accept:
 everything takes an optional ``obs`` argument and, when given one,
 registers its metrics under the context's scope and emits trace events
 through its bus. With no context (the default) components fall back to
@@ -62,15 +63,12 @@ from repro.obs.metrics import (
     IntHistogram,
     MetricsRegistry,
     RegistryStats,
-    ReservoirHistogram,
     sanitize_component,
 )
 from repro.obs.profiling import (
     NULL_HEARTBEAT,
-    NULL_PHASE_TIMER,
     PROGRESS_LOG_ENV,
     Heartbeat,
-    PhaseTimer,
 )
 from repro.obs.spans import (
     NULL_SPANS,
@@ -89,7 +87,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "IntHistogram",
-    "ReservoirHistogram",
     "sanitize_component",
     "TraceBus",
     "TraceSink",
@@ -107,9 +104,7 @@ __all__ = [
     "event_from_dict",
     "collect_eviction_priorities",
     "count_by_kind",
-    "PhaseTimer",
     "Heartbeat",
-    "NULL_PHASE_TIMER",
     "NULL_HEARTBEAT",
     "PROGRESS_LOG_ENV",
     "Span",
@@ -122,34 +117,32 @@ __all__ = [
 
 
 class ObsContext:
-    """The bundle instrumented components accept: metrics + trace + profiling.
+    """The bundle instrumented components accept: metrics + trace + spans.
 
     A context carries a :class:`MetricsRegistry` view, a
-    :class:`TraceBus`, a :class:`PhaseTimer`, a :class:`Heartbeat` and
-    a :class:`SpanTracker`. :meth:`scoped` derives a child context
-    whose registry is prefixed (``obs.scoped("l2").scoped("bank3")``)
-    while the trace bus, timer, heartbeat and spans stay shared —
-    scoping is a naming concern, event ordering is global.
+    :class:`TraceBus`, a :class:`Heartbeat` and a :class:`SpanTracker`.
+    :meth:`scoped` derives a child context whose registry is prefixed
+    (``obs.scoped("l2").scoped("bank3")``) while the trace bus,
+    heartbeat and spans stay shared — scoping is a naming concern,
+    event ordering is global.
 
     Spans default to the disabled :data:`NULL_SPANS` tracker: unlike
-    metrics/trace/profiler, span tracing reads the host clock per
-    span, so it is opt-in per run (the ``timeline`` CLI, or any caller
-    passing an enabled tracker).
+    metrics and trace, span tracing reads the host clock per span, so
+    it is opt-in per run (the ``stats`` and ``timeline`` CLIs, or any
+    caller passing an enabled tracker).
     """
 
-    __slots__ = ("metrics", "trace", "profiler", "heartbeat", "spans")
+    __slots__ = ("metrics", "trace", "heartbeat", "spans")
 
     def __init__(
         self,
         metrics: Optional[MetricsRegistry] = None,
         trace: Optional[TraceBus] = None,
-        profiler: Optional[PhaseTimer] = None,
         heartbeat: Optional[Heartbeat] = None,
         spans: Optional[SpanTracker] = None,
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.trace = trace if trace is not None else TraceBus()
-        self.profiler = profiler if profiler is not None else PhaseTimer()
         self.heartbeat = heartbeat if heartbeat is not None else NULL_HEARTBEAT
         self.spans = spans if spans is not None else NULL_SPANS
 
@@ -159,11 +152,10 @@ class ObsContext:
         return self.metrics.prefix
 
     def scoped(self, prefix: str) -> "ObsContext":
-        """A child context under ``prefix`` (shared bus/timer/heartbeat)."""
+        """A child context under ``prefix`` (shared bus/heartbeat/spans)."""
         return ObsContext(
             metrics=self.metrics.scoped(prefix),
             trace=self.trace,
-            profiler=self.profiler,
             heartbeat=self.heartbeat,
             spans=self.spans,
         )

@@ -7,7 +7,7 @@ scope covering simulation code.
 
 - ``stats`` runs an experiment under an :class:`~repro.obs.ObsContext`
   and prints the metrics-registry snapshot (text or JSON) plus the
-  phase timer's wall-time attribution.
+  wall time its spans attribute to each phase name.
 - ``trace`` runs an experiment with a JSONL sink, then *re-reads the
   file* and summarizes it — for ``fig2`` it additionally rebuilds the
   eviction-priority CDF offline and checks it against the in-process
@@ -33,11 +33,13 @@ from repro.obs import (
     Heartbeat,
     JsonlSink,
     ObsContext,
+    SpanTracker,
     TraceBus,
     collect_eviction_priorities,
     count_by_kind,
     read_jsonl,
 )
+from repro.obs import timeline as tl
 
 #: experiments the obs subcommands can drive
 EXPERIMENTS = ("fig2", "sweep")
@@ -123,23 +125,33 @@ def run_stats(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    obs = ObsContext(heartbeat=Heartbeat(path=args.progress_log))
-    with obs.profiler.phase(args.experiment):
+    spans = SpanTracker(seed=args.seed, process="main")
+    obs = ObsContext(
+        spans=spans, heartbeat=Heartbeat(path=args.progress_log)
+    )
+    try:
         _run_experiment(args, obs)
-    obs.close()
+    finally:
+        obs.close()
+    phases = {
+        name: stats["total"]
+        for name, stats in tl.phase_stats(spans.spans()).items()
+    }
 
     if args.format == "json":
         payload = {
             "experiment": args.experiment,
             "metrics": obs.metrics.snapshot(),
-            "phases": obs.profiler.report(),
+            "phases": phases,
         }
         print(json.dumps(payload, indent=1, sort_keys=True))
         return 0
     print(obs.metrics.render_text())
     print()
     print("wall-time attribution:")
-    print(obs.profiler.render())
+    width = max(len(name) for name in phases)
+    for name, seconds in sorted(phases.items(), key=lambda kv: -kv[1]):
+        print(f"{name:<{width}}  {seconds:>9.3f}")
     return 0
 
 
@@ -237,9 +249,6 @@ def run_timeline(argv: list[str]) -> int:
     schema and requires span coverage of at least 90% of measured wall
     time, returning a non-zero exit code on violation.
     """
-    from repro.obs import timeline as tl
-    from repro.obs.spans import SpanTracker
-
     parser = argparse.ArgumentParser(
         prog="zcache-repro timeline",
         description="Run an experiment with ZTrace span tracing, export "

@@ -205,83 +205,27 @@ def _open_text(path: Path, mode: str) -> IO[str]:
     return open(path, mode, encoding="utf-8")
 
 
-def segment_path(path: Union[str, Path], index: int) -> Path:
-    """The ``index``-th rotation segment of a JSONL path.
-
-    Segment 0 is the path itself; later segments insert the index
-    before the extension chain so the ``.gz`` suffix (and therefore
-    transparent compression on read) is preserved::
-
-        trace.jsonl     -> trace.1.jsonl
-        trace.jsonl.gz  -> trace.1.jsonl.gz
-    """
-    path = Path(path)
-    if index == 0:
-        return path
-    name = path.name
-    gz = ""
-    if name.endswith(".gz"):
-        name, gz = name[: -len(".gz")], ".gz"
-    stem, dot, ext = name.rpartition(".")
-    if dot:
-        return path.with_name(f"{stem}.{index}.{ext}{gz}")
-    return path.with_name(f"{name}.{index}{gz}")
-
-
 class JsonlWriter:
-    """Line-oriented JSON writer: gzip by suffix, size-based rotation.
+    """Line-oriented JSON writer, gzip-compressed by ``.gz`` suffix.
 
     The shared back-end of :class:`JsonlSink` (trace events) and the
-    span sinks. A ``.gz`` path writes through :mod:`gzip`; full-scale
-    turbo sweeps emit multi-GB traces, and JSON lines compress ~10x.
-    With ``max_bytes`` set, the writer rolls to numbered segment files
-    (:func:`segment_path`) once a segment's *uncompressed* payload
-    would exceed the limit — the threshold is pre-compression so
-    rotation points are deterministic across gzip levels.
+    span sinks; JSON lines compress ~10x.
     """
 
-    def __init__(
-        self, path: Union[str, Path], max_bytes: Optional[int] = None
-    ) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.max_bytes = max_bytes
         self.written = 0
-        self._segment = 0
-        self._segment_bytes = 0
-        self.paths: list[Path] = [self.path]
         self._file: IO[str] = _open_text(self.path, "w")
-
-    def _rotate(self) -> None:
-        self._file.close()
-        self._segment += 1
-        self._segment_bytes = 0
-        nxt = segment_path(self.path, self._segment)
-        self.paths.append(nxt)
-        self._file = _open_text(nxt, "w")
-
-    def write_line(self, line: str) -> None:
-        """Append one pre-serialized JSON line (no trailing newline)."""
-        size = len(line) + 1
-        if (
-            self.max_bytes is not None
-            and self._segment_bytes > 0
-            and self._segment_bytes + size > self.max_bytes
-        ):
-            self._rotate()
-        self._file.write(line)
-        self._file.write("\n")
-        self._segment_bytes += size
-        self.written += 1
 
     def write_obj(self, obj: dict[str, Any]) -> None:
         """Serialize and append one JSON object line."""
-        self.write_line(json.dumps(obj, sort_keys=True))
+        self._file.write(json.dumps(obj, sort_keys=True))
+        self._file.write("\n")
+        self.written += 1
 
     def close(self) -> None:
-        """Flush and close the current segment (idempotent)."""
+        """Flush and close the file (idempotent)."""
         if not self._file.closed:
             self._file.close()
 
@@ -289,26 +233,18 @@ class JsonlWriter:
 class JsonlSink(TraceSink):
     """Write one JSON object per event to a file (JSON Lines).
 
-    A ``.gz`` path is gzip-compressed; ``max_bytes`` enables size-based
-    rotation into numbered segments (see :class:`JsonlWriter`).
-    :func:`read_jsonl` reads both transparently.
+    A ``.gz`` path is gzip-compressed (see :class:`JsonlWriter`);
+    :func:`read_jsonl` reads either transparently.
     """
 
-    def __init__(
-        self, path: Union[str, Path], max_bytes: Optional[int] = None
-    ) -> None:
-        self._writer = JsonlWriter(path, max_bytes=max_bytes)
+    def __init__(self, path: Union[str, Path]) -> None:
+        self._writer = JsonlWriter(path)
         self.path = self._writer.path
 
     @property
     def written(self) -> int:
-        """Number of events written across all segments."""
+        """Number of events written."""
         return self._writer.written
-
-    @property
-    def paths(self) -> list[Path]:
-        """Segment files written so far, in order."""
-        return list(self._writer.paths)
 
     def write(self, event: TraceEvent) -> None:
         """Serialize and append one event line."""
@@ -330,24 +266,12 @@ def iter_jsonl_objects(path: Union[str, Path]) -> Iterator[dict[str, Any]]:
                 yield obj
 
 
-def iter_jsonl_series(path: Union[str, Path]) -> Iterator[dict[str, Any]]:
-    """Yield objects from a JSONL file plus its rotation segments, in order."""
-    index = 0
-    while True:
-        seg = segment_path(path, index)
-        if index > 0 and not seg.exists():
-            return
-        yield from iter_jsonl_objects(seg)
-        index += 1
-
-
 def read_jsonl(path: Union[str, Path]) -> Iterator[TraceEvent]:
     """Parse a :class:`JsonlSink` output back into typed events.
 
-    Transparently handles gzip-compressed files (``.gz`` suffix) and
-    size-rotated segment series.
+    Transparently handles gzip-compressed files (``.gz`` suffix).
     """
-    for obj in iter_jsonl_series(path):
+    for obj in iter_jsonl_objects(path):
         yield event_from_dict(obj)
 
 

@@ -27,7 +27,6 @@ by a registered :class:`Counter`.
 from __future__ import annotations
 
 import json
-import random
 from bisect import bisect_left
 from typing import Any, ClassVar, Iterator, Optional, Sequence, Union
 
@@ -207,148 +206,8 @@ class IntHistogram:
         return f"IntHistogram({self.name!r}, counts={self.counts})"
 
 
-class ReservoirHistogram:
-    """Uniform reservoir sample of a stream (algorithm R, seeded).
-
-    Keeps at most ``capacity`` samples, each stream element equally
-    likely to be retained, so quantiles of long runs stay estimable at
-    bounded memory. The RNG is seeded — ZScope must never perturb the
-    repo's determinism contract.
-
-    Reservoirs also *merge*: :meth:`merge_samples` queues another
-    reservoir's retained samples (with the stream count they stand
-    for), and the queue resolves lazily into a weighted subsample of
-    the union — so a parallel sweep's parent reports true quantiles of
-    the combined stream, not just the combined count. Resolution is
-    deterministic and independent of merge arrival order: pending
-    contributions are canonically sorted before the seeded
-    Efraimidis–Spirakis draw.
-    """
-
-    kind = "reservoir"
-    __slots__ = ("name", "capacity", "_count", "_samples", "_rng", "_pending")
-
-    def __init__(self, name: str, capacity: int = 1024, seed: int = 0) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.name = name
-        self.capacity = capacity
-        self._count = 0
-        self._samples: list[float] = []
-        self._rng = random.Random(seed)
-        self._pending: list[tuple[int, list[float]]] = []
-
-    @property
-    def count(self) -> int:
-        """Stream length (resolves any pending merges first)."""
-        if self._pending:
-            self._resolve()
-        return self._count
-
-    @count.setter
-    def count(self, value: int) -> None:
-        self._count = value
-
-    @property
-    def samples(self) -> list[float]:
-        """Retained samples (resolves any pending merges first)."""
-        if self._pending:
-            self._resolve()
-        return self._samples
-
-    def observe(self, x: float) -> None:
-        """Record one sample (retained with probability capacity/count)."""
-        if self._pending:
-            self._resolve()
-        self._count += 1
-        if len(self._samples) < self.capacity:
-            self._samples.append(x)
-            return
-        slot = self._rng.randrange(self._count)
-        if slot < self.capacity:
-            self._samples[slot] = x
-
-    def merge_samples(self, count: int, samples: Sequence[float]) -> None:
-        """Queue another reservoir's snapshot for a weighted merge.
-
-        ``samples`` must be a uniform sample of a stream of ``count``
-        elements (a peer's retained reservoir). The merge is lazy: the
-        contribution sits in a pending queue until the next read or
-        observation, so merging A-then-B and B-then-A resolve over the
-        same canonically-ordered union and yield identical reservoirs.
-        """
-        if count < 0:
-            raise ValueError(f"stream count must be >= 0, got {count}")
-        if not samples:
-            self._count += count
-            return
-        self._pending.append((int(count), [float(x) for x in samples]))
-
-    def _resolve(self) -> None:
-        """Fold pending contributions into a weighted subsample."""
-        contributions = self._pending
-        self._pending = []
-        if self._samples:
-            contributions.append((self._count, self._samples))
-        # Canonical order: the result must not depend on merge order.
-        contributions.sort(key=lambda c: (c[0], c[1]))
-        total = sum(c for c, _ in contributions)
-        pool: list[tuple[float, float]] = []  # (weight, value)
-        for count, retained in contributions:
-            weight = count / len(retained) if count else 1.0
-            pool.extend((weight, x) for x in retained)
-        if len(pool) <= self.capacity:
-            self._samples = [x for _, x in pool]
-        else:
-            # Efraimidis–Spirakis: key u^(1/w) makes each stream
-            # element (not each retained sample) equally likely to
-            # survive. Seeded by the merged total so the draw is
-            # deterministic yet independent of arrival order.
-            rng = random.Random((total * 0x9E3779B1) ^ self.capacity)
-            keyed = [
-                (rng.random() ** (1.0 / weight), i)
-                for i, (weight, _) in enumerate(pool)
-            ]
-            keyed.sort(reverse=True)
-            keep = sorted(i for _, i in keyed[: self.capacity])
-            self._samples = [pool[i][1] for i in keep]
-        self._count = total
-
-    def quantile(self, q: float) -> float:
-        """Estimated ``q``-quantile of the stream (0.0 when empty)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self._pending:
-            self._resolve()
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        idx = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[idx]
-
-    def snapshot_value(self) -> dict[str, Any]:
-        """Summary dict: count, quantile estimates, retained samples.
-
-        The ``samples`` list is what makes worker snapshots mergeable
-        into true parent-side quantiles (see :meth:`merge_samples`).
-        """
-        if self._pending:
-            self._resolve()
-        return {
-            "count": self.count,
-            "retained": len(self.samples),
-            "p50": self.quantile(0.50),
-            "p90": self.quantile(0.90),
-            "p99": self.quantile(0.99),
-            "samples": list(self.samples),
-        }
-
-    def __repr__(self) -> str:
-        return f"ReservoirHistogram({self.name!r}, count={self.count})"
-
-
 #: every metric type the registry can hold
-Metric = Union[Counter, Gauge, Histogram, IntHistogram, ReservoirHistogram]
+Metric = Union[Counter, Gauge, Histogram, IntHistogram]
 
 
 class MetricsRegistry:
@@ -425,16 +284,6 @@ class MetricsRegistry:
         assert isinstance(metric, IntHistogram)
         return metric
 
-    def reservoir(
-        self, name: str, capacity: int = 1024, seed: int = 0
-    ) -> ReservoirHistogram:
-        """Get or create a seeded reservoir sampler ``<prefix>.<name>``."""
-        metric = self._register(
-            name, ReservoirHistogram(self._full(name), capacity, seed)
-        )
-        assert isinstance(metric, ReservoirHistogram)
-        return metric
-
     # -- queries -----------------------------------------------------------
     def _in_scope(self, full_name: str) -> bool:
         if not self._prefix:
@@ -484,18 +333,11 @@ class MetricsRegistry:
           gauge is a point-in-time reading, not a total);
         - fixed-bucket histogram summaries add bucket counts, count and
           sum, and fold min/max (bucket bounds must match);
-        - dense int-histogram summaries add their counts lists;
-        - reservoir summaries fold their retained ``samples`` (a
-          uniform sample of the worker's stream) into the parent
-          reservoir via a deterministic seeded weighted subsample
-          (:meth:`ReservoirHistogram.merge_samples`), so parent
-          quantiles estimate the *combined* stream; a legacy snapshot
-          without ``samples`` degrades to a count-only merge.
+        - dense int-histogram summaries add their counts lists.
 
-        Merging is order-independent: counters and histograms add,
-        and pending reservoir contributions are canonically sorted
-        before resolution — which is what makes the parallel sweep's
-        metrics reproducible regardless of worker scheduling.
+        Merging is order-independent (counters and histograms add),
+        which is what makes the parallel sweep's metrics reproducible
+        regardless of worker scheduling.
         """
         for name, value in snapshot.items():
             existing = self._store.get(self._full(name))
@@ -532,13 +374,6 @@ class MetricsRegistry:
                     )
             elif isinstance(value, dict) and "counts" in value:
                 self.int_histogram(name).add_counts(value["counts"])
-            elif isinstance(value, dict) and "retained" in value:
-                res = self.reservoir(name)
-                samples = value.get("samples")
-                if samples is None:
-                    res.count += value["count"]
-                else:
-                    res.merge_samples(value["count"], samples)
             else:
                 raise ValueError(
                     f"unmergeable snapshot entry {name!r}: {value!r}"
@@ -567,7 +402,7 @@ class MetricsRegistry:
                 body = "  ".join(
                     f"{k}={v}"
                     for k, v in value.items()
-                    if k not in ("buckets", "counts", "samples")
+                    if k not in ("buckets", "counts")
                 )
                 extra = value.get("counts")
                 if extra is not None:

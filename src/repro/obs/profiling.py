@@ -1,18 +1,15 @@
-"""ZScope profiling: phase timers and sweep heartbeats.
+"""ZScope profiling: the sweep heartbeat.
 
-Two small tools for answering "where did the wall-clock go?" and "is
-the sweep still alive?" during long experiment runs:
+"Is the sweep still alive?" during long experiment runs:
+:class:`Heartbeat` appends one progress line per beat to a single
+configurable log file — replacing the ad-hoc ``results/progress*.log``
+sprawl. It is disabled unless constructed with a path (or the
+``ZCACHE_PROGRESS_LOG`` environment variable names one), so tests
+and library use never write files implicitly. ("Where did the
+wall-clock go?" is answered by spans: :mod:`repro.obs.spans` records
+them, :func:`repro.obs.timeline.phase_stats` totals them per name.)
 
-- :class:`PhaseTimer` attributes wall time to named phases
-  (``capture.gcc``, ``replay.Z4_16-S.lru``, ...) via a context manager, and
-  renders a per-component breakdown.
-- :class:`Heartbeat` appends one progress line per beat to a single
-  configurable log file — replacing the ad-hoc ``results/progress*.log``
-  sprawl. It is disabled unless constructed with a path (or the
-  ``ZCACHE_PROGRESS_LOG`` environment variable names one), so tests
-  and library use never write files implicitly.
-
-Host-clock reads are deliberate and legitimate here: these measure the
+Host-clock reads are deliberate and legitimate here: they measure the
 *simulator process*, never simulated time. The obs package is exempt
 from the ZS005 no-host-clock rule for exactly this reason, mirroring
 the analysis package's exemption.
@@ -22,84 +19,11 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator, Optional, Union
+from typing import IO, Optional, Union
 
 #: environment variable naming the default heartbeat log path
 PROGRESS_LOG_ENV = "ZCACHE_PROGRESS_LOG"
-
-
-class PhaseTimer:
-    """Accumulate wall time per named phase.
-
-    Usage::
-
-        timer = PhaseTimer()
-        with timer.phase("capture"):
-            runner.capture()
-        print(timer.render())
-
-    Phases can repeat (times accumulate) and nest (each phase records
-    its own wall span; nested spans are counted in both). A disabled
-    timer (``enabled=False``) makes :meth:`phase` a no-op so call sites
-    need no conditionals.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self._seconds: dict[str, float] = {}
-        self._counts: dict[str, int] = {}
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time the enclosed block under ``name``."""
-        if not self.enabled:
-            yield
-            return
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - t0
-            self._seconds[name] = self._seconds.get(name, 0.0) + elapsed
-            self._counts[name] = self._counts.get(name, 0) + 1
-
-    def add(self, name: str, seconds: float) -> None:
-        """Attribute an externally measured span to ``name``."""
-        self._seconds[name] = self._seconds.get(name, 0.0) + seconds
-        self._counts[name] = self._counts.get(name, 0) + 1
-
-    def seconds(self, name: str) -> float:
-        """Accumulated wall time for ``name`` (0.0 if never entered)."""
-        return self._seconds.get(name, 0.0)
-
-    def report(self) -> dict[str, float]:
-        """phase name -> accumulated seconds (sorted descending)."""
-        return dict(
-            sorted(self._seconds.items(), key=lambda kv: -kv[1])
-        )
-
-    def render(self) -> str:
-        """Aligned per-phase breakdown with percentage attribution."""
-        report = self.report()
-        if not report:
-            return "(no phases recorded)"
-        total = sum(report.values())
-        width = max(len(n) for n in report)
-        lines = [f"{'phase':<{width}}  {'seconds':>9}  {'share':>6}  calls"]
-        for name, seconds in report.items():
-            share = seconds / total if total > 0 else 0.0
-            lines.append(
-                f"{name:<{width}}  {seconds:>9.3f}  {share:>5.1%}  "
-                f"{self._counts.get(name, 0)}"
-            )
-        lines.append(f"{'total':<{width}}  {total:>9.3f}")
-        return "\n".join(lines)
-
-
-#: shared no-op timer for call sites running without an ObsContext
-NULL_PHASE_TIMER = PhaseTimer(enabled=False)
 
 
 class Heartbeat:

@@ -1,9 +1,10 @@
 """ZTrace spans: hierarchical, cross-process span tracing.
 
-The flat :class:`~repro.obs.profiling.PhaseTimer` answers "how much
-wall time did phase X accumulate"; it cannot answer "which chain of
-work determined the sweep's end-to-end latency" or "which worker was
-the straggler". Spans add the missing structure:
+A flat per-name total answers "how much wall time did phase X
+accumulate"; it cannot answer "which chain of work determined the
+sweep's end-to-end latency" or "which worker was the straggler". Spans
+carry the structure for both (:mod:`repro.obs.timeline` derives the
+flat totals, the critical path and worker utilization from them):
 
 - a :class:`Span` is one timed interval with a name, attributes, a
   deterministic 64-bit id, and a parent — so spans form trees;

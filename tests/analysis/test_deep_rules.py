@@ -26,7 +26,7 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def deep_findings(path, code):
-    report, _ = run_deep([path], select=[code], use_cache=False)
+    report, _ = run_deep([path], select=[code])
     return [f for f in report.findings if f.code == code]
 
 

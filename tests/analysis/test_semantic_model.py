@@ -1,24 +1,17 @@
 """Tests for the ZProve semantic model layers.
 
-Covers the module graph (import resolution, closures, fingerprints,
-cycle detection, parse errors), name resolution through aliased imports
-and re-export chains, the call graph, intra-procedural def-use through
-the origin evaluator, and the incremental cache — including the
-soundness case: editing a dependency must re-analyze its *untouched*
-dependents.
+Covers the module graph (import resolution, cycle detection, parse
+errors), name resolution through aliased imports and re-export chains,
+the call graph, and intra-procedural def-use through the origin
+evaluator.
 """
 
-import json
-
 from repro.analysis.semantic import (
-    CACHE_VERSION,
-    AnalysisCache,
     ModuleGraph,
     SemanticModel,
     func_key,
     module_name_for,
     run_deep,
-    rules_signature,
 )
 from repro.analysis.semantic.dataflow import (
     CONST,
@@ -65,12 +58,7 @@ class TestModuleGraph:
         )
         graph = ModuleGraph.build([tmp_path])
         assert "pkg.util" in graph.imports["pkg.main"]
-        assert "pkg.main" in graph.dependents["pkg.util"]
-        assert graph.import_closure("pkg.main") >= {"pkg.main", "pkg.util"}
-        assert graph.dependent_closure("pkg.util") >= {
-            "pkg.util",
-            "pkg.main",
-        }
+        assert graph.imports["pkg.util"] == set()
 
     def test_from_pkg_import_submodule_binds_the_module(self, tmp_path):
         write_pkg(
@@ -114,32 +102,6 @@ class TestModuleGraph:
         )
         assert ModuleGraph.build([tmp_path]).cycles() == []
 
-    def test_fingerprint_changes_only_with_the_import_closure(
-        self, tmp_path
-    ):
-        files = {
-            "pkg/dep.py": "def base(x):\n    return x\n",
-            "pkg/user.py": "from pkg.dep import base\n",
-            "pkg/loner.py": "Y = 2\n",
-        }
-        write_pkg(tmp_path, files)
-        before = ModuleGraph.build([tmp_path])
-        fp_user = before.fingerprint("pkg.user")
-        fp_loner = before.fingerprint("pkg.loner")
-
-        # Rebuilding over identical text is stable.
-        again = ModuleGraph.build([tmp_path])
-        assert again.fingerprint("pkg.user") == fp_user
-
-        # Editing the dependency invalidates the dependent...
-        (tmp_path / "pkg" / "dep.py").write_text(
-            "def base(x):\n    return 42\n", encoding="utf-8"
-        )
-        after = ModuleGraph.build([tmp_path])
-        assert after.fingerprint("pkg.user") != fp_user
-        # ...but not an unrelated module.
-        assert after.fingerprint("pkg.loner") == fp_loner
-
     def test_parse_errors_are_recorded_not_fatal(self, tmp_path):
         write_pkg(
             tmp_path,
@@ -152,7 +114,7 @@ class TestModuleGraph:
         assert "pkg.bad" not in graph.modules
         assert any("bad.py" in p for p in graph.parse_errors)
 
-        report, stats = run_deep([tmp_path], use_cache=False)
+        report, stats = run_deep([tmp_path])
         zs000 = [f for f in report.findings if f.code == "ZS000"]
         assert len(zs000) == 1
         assert "bad.py" in zs000[0].path
@@ -313,136 +275,3 @@ class TestOrigins:
             "loop",
         )
         assert "unknown" in origins or CONST in origins
-
-
-# ---------------------------------------------------------------------------
-# Incremental cache
-
-
-CACHED_PKG = {
-    "pkg/helper.py": "def base(seed):\n    return seed\n",
-    "pkg/main.py": (
-        "import random\n"
-        "from pkg.helper import base\n"
-        "def make(seed):\n"
-        "    return random.Random(base(seed))\n"
-    ),
-    "pkg/loner.py": "Y = 2\n",
-}
-
-
-class TestCache:
-    def test_warm_run_is_all_hits(self, tmp_path):
-        write_pkg(tmp_path, CACHED_PKG)
-        cache = tmp_path / "cache.json"
-        report, cold = run_deep([tmp_path], cache_path=cache)
-        assert not report.findings
-        assert cold.modules_analyzed == cold.modules_total
-        assert cold.cache_hits == 0
-
-        report, warm = run_deep([tmp_path], cache_path=cache)
-        assert not report.findings
-        assert warm.modules_analyzed == 0
-        assert warm.cache_hits == warm.modules_total
-
-    def test_dependency_edit_reanalyzes_untouched_dependent(
-        self, tmp_path
-    ):
-        """The soundness case for interprocedural caching.
-
-        main.py never changes, but helper.base's summary flips from
-        param-passthrough to constant — the warm run must re-analyze
-        main.py (its closure fingerprint changed) and surface the new
-        ZS101 finding there.
-        """
-        write_pkg(tmp_path, CACHED_PKG)
-        cache = tmp_path / "cache.json"
-        report, _ = run_deep([tmp_path], cache_path=cache)
-        assert not report.findings
-
-        (tmp_path / "pkg" / "helper.py").write_text(
-            "def base(seed):\n    return 42\n", encoding="utf-8"
-        )
-        report, stats = run_deep([tmp_path], cache_path=cache)
-        zs101 = [f for f in report.findings if f.code == "ZS101"]
-        assert len(zs101) == 1
-        assert zs101[0].path.endswith("main.py")
-        # helper + main re-analyzed; the unrelated module stays cached.
-        assert stats.modules_analyzed >= 2
-        assert stats.cache_hits >= 1
-
-    def test_corrupt_cache_file_is_tolerated_and_replaced(self, tmp_path):
-        write_pkg(tmp_path, CACHED_PKG)
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json", encoding="utf-8")
-        report, stats = run_deep([tmp_path], cache_path=cache)
-        assert not report.findings
-        assert stats.cache_hits == 0
-        # The run rewrites a valid cache.
-        payload = json.loads(cache.read_text(encoding="utf-8"))
-        assert payload["version"] == CACHE_VERSION
-        assert payload["entries"]
-
-    def test_version_mismatch_invalidates_everything(self, tmp_path):
-        write_pkg(tmp_path, CACHED_PKG)
-        cache = tmp_path / "cache.json"
-        run_deep([tmp_path], cache_path=cache)
-        payload = json.loads(cache.read_text(encoding="utf-8"))
-        payload["version"] = CACHE_VERSION - 1
-        cache.write_text(json.dumps(payload), encoding="utf-8")
-
-        loaded = AnalysisCache(cache)
-        loaded.load()
-        assert len(loaded) == 0
-
-    def test_rules_hash_mismatch_invalidates_everything(self, tmp_path):
-        """Changing the rule set must cold-start the cache.
-
-        Cached findings are per-module *outputs of the rules*; a cache
-        written by an older rule set would silently miss everything a
-        newly added rule (or a widened one) should flag.
-        """
-        write_pkg(tmp_path, CACHED_PKG)
-        cache = tmp_path / "cache.json"
-        run_deep([tmp_path], cache_path=cache)
-        payload = json.loads(cache.read_text(encoding="utf-8"))
-        assert payload["rules_hash"] == rules_signature()
-
-        stale = AnalysisCache(cache, rules_hash="0" * 16)
-        stale.load()
-        assert len(stale) == 0
-
-        # And a fresh run against the doctored hash re-analyzes all.
-        payload["rules_hash"] = "0" * 16
-        cache.write_text(json.dumps(payload), encoding="utf-8")
-        report, stats = run_deep([tmp_path], cache_path=cache)
-        assert stats.cache_hits == 0
-        assert stats.modules_analyzed == stats.modules_total
-
-    def test_rules_signature_tracks_rule_source(self):
-        from repro.analysis.semantic import DeepRule, default_deep_rules
-
-        full = rules_signature()
-        assert full == rules_signature(list(default_deep_rules()))
-        assert len(full) == 16
-
-        class Variant(DeepRule):
-            code = "ZS199"
-            name = "variant"
-            summary = "variant"
-
-            def check_module(self, model, module):
-                return []
-
-        subset = rules_signature(list(default_deep_rules())[:2])
-        variant = rules_signature([Variant()])
-        assert len({full, subset, variant}) == 3
-
-    def test_prune_drops_departed_modules(self, tmp_path):
-        cache = AnalysisCache(tmp_path / "cache.json")
-        cache.put("keep", "fp1", [])
-        cache.put("gone", "fp2", [])
-        cache.prune(["keep"])
-        assert len(cache) == 1
-        assert cache.get("keep", "fp1") == []
-        assert cache.get("gone", "fp2") is None

@@ -89,6 +89,7 @@ class TestTrace:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "capture.canneal" in payload["phases"]
+        assert any(k.startswith("replay.") for k in payload["phases"])
         text = log.read_text()
         assert "captured L2 stream" in text
         assert "(2/2)" in text

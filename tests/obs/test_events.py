@@ -15,7 +15,6 @@ from repro.obs import (
     event_to_dict,
     read_jsonl,
 )
-from repro.obs.events import JsonlWriter, segment_path
 
 
 def _emit_sample(bus):
@@ -89,8 +88,6 @@ class TestJsonl:
         sink.close()
         sink.close()
 
-
-class TestCompressionAndRotation:
     def test_gz_suffix_compresses_transparently(self, tmp_path):
         import gzip
 
@@ -106,46 +103,6 @@ class TestCompressionAndRotation:
         assert count_by_kind(events) == {
             "access": 1, "miss": 1, "walk": 1, "relocation": 1, "eviction": 1,
         }
-
-    def test_segment_path_inserts_index_before_extensions(self):
-        assert str(segment_path("a/trace.jsonl", 0)).endswith("a/trace.jsonl")
-        assert segment_path("trace.jsonl", 2).name == "trace.2.jsonl"
-        assert segment_path("trace.jsonl.gz", 1).name == "trace.1.jsonl.gz"
-        assert segment_path("trace", 3).name == "trace.3"
-
-    def test_rotation_splits_and_reads_back_in_order(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        sink = JsonlSink(path, max_bytes=200)
-        bus = TraceBus(sink)
-        for addr in range(50):
-            bus.miss("l1", addr, write=False)
-        bus.close()
-        assert len(sink.paths) > 1
-        assert all(p.exists() for p in sink.paths)
-        assert sink.paths[1].name == "t.1.jsonl"
-        events = list(read_jsonl(path))
-        assert [e.address for e in events] == list(range(50))
-        assert sink.written == 50
-
-    def test_rotated_gz_series_round_trips(self, tmp_path):
-        path = tmp_path / "t.jsonl.gz"
-        sink = JsonlSink(path, max_bytes=200)
-        bus = TraceBus(sink)
-        for addr in range(40):
-            bus.miss("l1", addr, write=False)
-        bus.close()
-        assert len(sink.paths) > 1
-        assert sink.paths[1].name == "t.1.jsonl.gz"
-        assert [e.address for e in read_jsonl(path)] == list(range(40))
-
-    def test_rotation_threshold_is_per_line_safe(self, tmp_path):
-        with pytest.raises(ValueError):
-            JsonlWriter(tmp_path / "t.jsonl", max_bytes=0)
-        # a single oversized line still lands in one segment
-        writer = JsonlWriter(tmp_path / "big.jsonl", max_bytes=4)
-        writer.write_line('{"k": "0123456789"}')
-        writer.close()
-        assert len(writer.paths) == 1
 
 
 class TestReconstructionHelpers:

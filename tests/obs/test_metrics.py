@@ -56,17 +56,6 @@ class TestHistograms:
         with pytest.raises(ValueError):
             MetricsRegistry().int_histogram("levels").observe(-1)
 
-    def test_reservoir_is_bounded_and_deterministic(self):
-        r1 = MetricsRegistry().reservoir("e", capacity=16, seed=7)
-        r2 = MetricsRegistry().reservoir("e", capacity=16, seed=7)
-        for i in range(1000):
-            r1.observe(i / 1000)
-            r2.observe(i / 1000)
-        assert len(r1.samples) == 16
-        assert r1.count == 1000
-        assert r1.samples == r2.samples  # seeded: no determinism leak
-        assert 0.0 <= r1.quantile(0.5) <= 1.0
-
 
 class TestRegistry:
     def test_scoped_views_share_one_store(self):
@@ -215,64 +204,6 @@ class TestMergeSnapshot:
         parent.merge_snapshot(worker.snapshot())
         assert parent.int_histogram("walks").counts[1] == 1
         assert parent.int_histogram("walks").counts[2] == 2
-
-    def test_reservoir_merge_adopts_worker_samples(self):
-        worker = MetricsRegistry()
-        worker.reservoir("lat").observe(5.0)
-        parent = MetricsRegistry()
-        parent.reservoir("lat").observe(1.0)
-        parent.merge_snapshot(worker.snapshot())
-        res = parent.reservoir("lat")
-        assert res.count == 2
-        assert res.quantile(1.0) == 5.0
-        assert sorted(res.samples) == [1.0, 5.0]
-
-    def test_reservoir_merge_without_samples_degrades_to_count(self):
-        parent = MetricsRegistry()
-        parent.reservoir("lat").observe(1.0)
-        # a legacy snapshot (count-only, no retained samples)
-        parent.merge_snapshot(
-            {"lat": {"count": 9, "retained": 0, "p50": 0, "p90": 0, "p99": 0}}
-        )
-        res = parent.reservoir("lat")
-        assert res.count == 10
-        assert res.samples == [1.0]
-
-    def test_reservoir_two_worker_merge_tracks_serial_quantiles(self):
-        serial = MetricsRegistry().reservoir("lat", capacity=256, seed=3)
-        workers = [
-            MetricsRegistry().reservoir("lat", capacity=256, seed=3)
-            for _ in range(2)
-        ]
-        values = [((i * 37) % 1000) / 1000 for i in range(2000)]
-        for i, x in enumerate(values):
-            serial.observe(x)
-            workers[i % 2].observe(x)
-        parent = MetricsRegistry()
-        parent.reservoir("lat", capacity=256, seed=3)
-        for w in workers:
-            parent.merge_snapshot({"lat": w.snapshot_value()})
-        merged = parent.reservoir("lat")
-        assert merged.count == serial.count == 2000
-        assert len(merged.samples) == merged.capacity
-        # both reservoirs estimate the same (uniform-ish) stream
-        for q in (0.25, 0.5, 0.9):
-            assert abs(merged.quantile(q) - serial.quantile(q)) < 0.1
-
-    def test_reservoir_merge_is_order_independent(self):
-        snaps = []
-        for base in (0, 1):
-            reg = MetricsRegistry()
-            res = reg.reservoir("lat", capacity=32)
-            for i in range(500):
-                res.observe(float(2 * i + base))
-            snaps.append(reg.snapshot())
-        a, b = MetricsRegistry(), MetricsRegistry()
-        for s in snaps:
-            a.merge_snapshot(s)
-        for s in reversed(snaps):
-            b.merge_snapshot(s)
-        assert a.snapshot() == b.snapshot()
 
     def test_merge_is_order_independent(self):
         snaps = []

@@ -1,51 +1,8 @@
-"""Unit tests for the ZScope phase timer and heartbeat."""
+"""Unit tests for the ZScope heartbeat."""
 
 import io
 
-from repro.obs import (
-    NULL_HEARTBEAT,
-    NULL_PHASE_TIMER,
-    PROGRESS_LOG_ENV,
-    Heartbeat,
-    PhaseTimer,
-)
-
-
-class TestPhaseTimer:
-    def test_phases_accumulate_and_count(self):
-        timer = PhaseTimer()
-        with timer.phase("replay"):
-            pass
-        with timer.phase("replay"):
-            pass
-        timer.add("capture", 1.5)
-        assert timer.seconds("replay") >= 0.0
-        assert timer.seconds("capture") == 1.5
-        assert set(timer.report()) == {"replay", "capture"}
-
-    def test_report_sorted_by_time_descending(self):
-        timer = PhaseTimer()
-        timer.add("small", 0.1)
-        timer.add("big", 9.0)
-        assert list(timer.report()) == ["big", "small"]
-
-    def test_render_includes_shares_and_total(self):
-        timer = PhaseTimer()
-        timer.add("capture", 3.0)
-        timer.add("replay", 1.0)
-        text = timer.render()
-        assert "capture" in text and "75.0%" in text and "total" in text
-
-    def test_render_empty(self):
-        assert PhaseTimer().render() == "(no phases recorded)"
-
-    def test_disabled_timer_records_nothing(self):
-        with NULL_PHASE_TIMER.phase("x"):
-            pass
-        assert NULL_PHASE_TIMER.report() == {}
-
-    def test_unknown_phase_reads_zero(self):
-        assert PhaseTimer().seconds("never") == 0.0
+from repro.obs import NULL_HEARTBEAT, PROGRESS_LOG_ENV, Heartbeat
 
 
 class TestHeartbeat:
