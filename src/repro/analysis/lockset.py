@@ -37,10 +37,10 @@ thread-scope invariants of :mod:`repro.analysis.spec`
 (``lockset-discipline``, ``lock-order-acyclic``), so the registry
 stays the single vocabulary for every checker in the repo.
 
-Run it via ``zcache-repro check --lockset`` or the serve smoke
-(``scripts/serve_smoke.py``), both of which drive threaded traffic
-through an instrumented shard and assert zero reports — then plant an
-unlocked shard and assert the race *is* reported.
+Run it via ``zcache-repro check --lockset``, which drives threaded
+traffic through an instrumented shard and asserts zero reports — then
+plants an unlocked shard and asserts the race *is* reported
+(``tests/analysis/test_lockset.py`` holds both halves in tier-1).
 """
 
 from __future__ import annotations
@@ -442,7 +442,7 @@ class LocksetSanitizer:
 
 # ---------------------------------------------------------------------------
 # Replay drivers: threaded serve traffic through an instrumented shard.
-# Shared by ``zcache-repro check --lockset`` and scripts/serve_smoke.py.
+# Shared by ``zcache-repro check --lockset`` and tests/analysis/test_lockset.py.
 # The serve imports are local so the analysis package keeps zero
 # import-time dependency on the serve layer.
 # ---------------------------------------------------------------------------

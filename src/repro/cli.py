@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import sys
+from dataclasses import replace
 
-from repro.experiments.runner import ExperimentScale
+from repro.experiments import ARTIFACTS
 
 
 #: Subcommands that own their argument parsing (they take paths and
@@ -58,21 +60,16 @@ SUBCOMMANDS = {
                 "replay a workload proxy against ZServe: req/s, latency"),
 }
 
-
-#: experiments whose module renders its own table: ``<module>.main()``
-_PRINT_THEIR_OWN = (
-    "fig1", "table1", "table2", "merit", "buffering", "conflict",
-    "hashquality", "pressure",
-)
-
-
-def _scale_from_args(args) -> ExperimentScale:
-    workloads = tuple(args.workloads.split(",")) if args.workloads else None
-    return ExperimentScale(
-        instructions_per_core=args.instructions,
-        workloads=workloads,
-        seed=args.seed,
-    )
+#: flag -> the ``Artifact.inputs`` / ``Artifact.hooks`` entry an artifact
+#: must declare to accept it
+_FLAGS = {
+    "instructions": "scale",
+    "workloads": "scale",
+    "seed": "scale",
+    "engine": "engine",
+    "json": "payload",
+    "svg": "svg",
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -85,7 +82,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="zcache-repro",
         description="Reproduce the tables and figures of the zcache paper "
-        "(Sanchez & Kozyrakis, MICRO 2010).",
+        "(Sanchez & Kozyrakis, MICRO 2010). With no flags an artifact "
+        "prints exactly results/<name>.txt.",
         epilog="additional subcommands (each has its own --help):\n"
         + "\n".join(
             f"  {name:<9} {text}" for name, (_, text) in SUBCOMMANDS.items()
@@ -93,33 +91,29 @@ def main(argv: list[str] | None = None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
-        "experiment",
-        choices=[
-            "fig1", "fig2", "fig3", "fig4", "fig5",
-            "table1", "table2", "bandwidth", "merit", "buffering",
-            "conflict", "hashquality", "pressure", "roster",
-        ],
+        "experiment", choices=[*ARTIFACTS, "roster"],
         help="which artifact to regenerate",
     )
     parser.add_argument(
-        "--instructions", type=int, default=6_000,
-        help="instructions per core per workload (default 6000)",
+        "--instructions", type=int, default=None,
+        help="instructions per core per workload (default: the "
+        "artifact's recorded scale)",
     )
     parser.add_argument(
         "--workloads", type=str, default=None,
-        help="comma-separated workload subset (default: all 72)",
+        help="comma-separated workload subset (default: the artifact's "
+        "recorded roster)",
     )
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
-        "--engine", choices=("reference", "turbo"), default="reference",
+        "--engine", choices=("reference", "turbo"), default=None,
         help="cache access engine: 'turbo' runs the ZTurbo vectorized "
-        "kernels where supported (bit-identical results; currently "
-        "honoured by fig2)",
+        "kernels (bit-identical results; fig2 only)",
     )
     parser.add_argument(
         "--json", type=str, default=None, metavar="PATH",
-        help="also write structured results as JSON (simulation "
-        "experiments: fig3/fig4/fig5/bandwidth)",
+        help="also write structured results as JSON "
+        "(fig3/fig4/fig5/bandwidth)",
     )
     parser.add_argument(
         "--svg", type=str, default=None, metavar="DIR",
@@ -127,100 +121,46 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.experiment == "roster":
+    artifact = ARTIFACTS.get(args.experiment)
+    declared = artifact.inputs + artifact.hooks if artifact else ()
+    for flag, needs in _FLAGS.items():
+        if getattr(args, flag) is not None and needs not in declared:
+            takes = [f"--{f}" for f, n in _FLAGS.items() if n in declared]
+            parser.error(
+                f"{args.experiment} does not take --{flag}; it takes "
+                + (", ".join(takes) if takes else "no flags")
+            )
+    if artifact is None:  # roster
         from repro.workloads import WORKLOADS
 
         for spec in WORKLOADS.values():
             print(spec.describe())
         return 0
-    if args.experiment == "fig2":
-        from repro.experiments import fig2
 
-        result = fig2.run(engine=args.engine)
-        for line in result.rows():
-            print(line)
-        if args.svg:
-            from repro.viz import fig2_svg
-
-            for path in fig2_svg(args.svg, result):
-                print(f"SVG written to {path}")
-        return 0
-    if args.experiment in _PRINT_THEIR_OWN:
-        importlib.import_module(f"repro.experiments.{args.experiment}").main()
-        return 0
-
-    scale = _scale_from_args(args)
-    payload = None
-    if args.experiment == "fig3":
-        from repro.experiments import fig3
-
-        cells = fig3.run(scale=scale)
-        for cell in cells:
-            print(cell.row())
-        if args.svg:
-            from repro.viz import fig3_svg
-
-            for path in fig3_svg(args.svg, cells):
-                print(f"SVG written to {path}")
-        payload = [
-            {
-                "panel": c.panel,
-                "design": c.design,
-                "workload": c.workload,
-                "candidates": c.candidates,
-                **c.distribution.summary(),
-            }
-            for c in cells
-        ]
-    elif args.experiment == "fig4":
-        from repro.experiments import fig4
-
-        result = fig4.run(scale=scale)
-        for s in sorted(
-            result.series, key=lambda s: (s.metric, s.policy, s.design)
-        ):
-            print(s.row())
-        if args.svg:
-            from repro.viz import fig4_svg
-
-            for policy in {s.policy for s in result.series}:
-                for path in fig4_svg(args.svg, result, policy=policy):
-                    print(f"SVG written to {path}")
-        payload = [
-            {
-                "metric": s.metric,
-                "policy": s.policy,
-                "design": s.design,
-                "points": s.points,
-                "geomean": s.geomean(),
-            }
-            for s in result.series
-        ]
-    elif args.experiment == "fig5":
-        from repro.experiments import fig5
-
-        cells = fig5.run(scale=scale)
-        for cell in cells:
-            print(cell.row())
-        if args.svg:
-            from repro.viz import fig5_svg
-
-            for policy in {c.policy for c in cells}:
-                for path in fig5_svg(args.svg, cells, policy=policy):
-                    print(f"SVG written to {path}")
-        payload = [vars(c) for c in cells]
-    elif args.experiment == "bandwidth":
-        from repro.experiments import bandwidth
-
-        points = bandwidth.run(scale=scale)
-        for p in sorted(points, key=lambda p: p.misses_per_cycle_per_bank):
-            print(p.row())
-        payload = [vars(p) for p in points]
-    if args.json and payload is not None:
+    module = artifact.load()
+    inputs = {}
+    if "scale" in artifact.inputs:
+        given = {
+            "instructions_per_core": args.instructions,
+            "workloads": tuple(args.workloads.split(",")) if args.workloads else None,
+            "seed": args.seed,
+        }
+        recorded = inspect.signature(module.run).parameters["scale"].default
+        inputs["scale"] = replace(
+            recorded, **{k: v for k, v in given.items() if v is not None}
+        )
+    if args.engine is not None:
+        inputs["engine"] = args.engine
+    result = module.run(**inputs)
+    print("\n".join(module.render(result)))
+    if args.svg:
+        for path in module.svg(args.svg, result):
+            print(f"SVG written to {path}")
+    if args.json:
         import json
 
         with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=1)
+            json.dump(module.payload(result), f, indent=1)
         print(f"JSON written to {args.json}")
     return 0
 

@@ -23,7 +23,7 @@ access / miss / walk / eviction trace events through its bus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.core.base import CacheArray, Candidate, CommitResult, Replacement
 from repro.obs import ObsContext
@@ -153,12 +153,22 @@ class Cache:
         self.policy = policy
         self.name = name
         self.obs = obs
-        # Listeners must exist before the first ``stats`` assignment:
-        # the property setter (re)binds the hot-path counter refs and
-        # notifies everything that caches them (BankedL2 memos, the
-        # turbo core).
-        self._stats_listeners: list[Callable[[], None]] = []
+        #: cumulative statistics, bound once: the hot-path counter refs
+        #: below (and BankedL2's memo, and the turbo core's) point into it
         self.stats = CacheStats(obs.metrics if obs is not None else None)
+        # The access loop increments these directly (counter.value += 1
+        # costs what a dataclass attribute bump costs); the registry
+        # facade is for readers.
+        counters = self.stats.counters()
+        self._sc = counters
+        self._c_accesses = counters["accesses"]
+        self._c_reads = counters["reads"]
+        self._c_writes = counters["writes"]
+        self._c_hits = counters["hits"]
+        self._c_misses = counters["misses"]
+        self._c_tag_reads = counters["tag_reads"]
+        self._c_data_reads = counters["data_reads"]
+        self._c_data_writes = counters["data_writes"]
         self._trace: Optional[TraceBus] = (
             obs.trace if obs is not None and obs.trace.enabled else None
         )
@@ -186,40 +196,6 @@ class Cache:
             if self._turbo is None:
                 warn_turbo_fallback(fallback_reason)
         self.engine = "turbo" if self._turbo is not None else "reference"
-
-    # -- statistics rebinding ------------------------------------------------
-    @property
-    def stats(self) -> CacheStats:
-        """Cumulative statistics; assigning a new instance re-homes them."""
-        return self._stats
-
-    @stats.setter
-    def stats(self, value: CacheStats) -> None:
-        self._stats = value
-        # Hot-path counter bindings: the access loop increments these
-        # directly (counter.value += 1 costs what the old dataclass
-        # attribute bump cost); the registry facade is for readers.
-        counters = value.counters()
-        self._sc = counters
-        self._c_accesses = counters["accesses"]
-        self._c_reads = counters["reads"]
-        self._c_writes = counters["writes"]
-        self._c_hits = counters["hits"]
-        self._c_misses = counters["misses"]
-        self._c_tag_reads = counters["tag_reads"]
-        self._c_data_reads = counters["data_reads"]
-        self._c_data_writes = counters["data_writes"]
-        for listener in self._stats_listeners:
-            listener()
-
-    def add_stats_listener(self, callback: Callable[[], None]) -> None:
-        """Call ``callback`` whenever :attr:`stats` is replaced.
-
-        Anything that caches references derived from the stats object
-        (counter lists, hot-path counter refs) must register here, or a
-        mid-run registry swap leaves it reading the orphaned counters.
-        """
-        self._stats_listeners.append(callback)
 
     # -- queries -------------------------------------------------------------
     def __contains__(self, address: int) -> bool:

@@ -72,15 +72,24 @@ def self_throttling_correlation(points: list[BandwidthPoint]) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def main() -> None:
-    """Print the Section VI-D bandwidth report."""
-    points = run()
-    print("Section VI-D: L2 bank bandwidth under Z4/52 (LRU)")
-    for p in sorted(points, key=lambda p: p.misses_per_cycle_per_bank):
-        print("  " + p.row())
-    print(f"max demand load/bank = {max(p.demand_load_per_bank for p in points):.4f}")
-    print(f"max tag load/bank    = {max(p.tag_load_per_bank for p in points):.4f}")
+def render(points: list[BandwidthPoint]) -> list[str]:
+    """Points by rising miss intensity, the maxima, the correlation."""
+    out = [
+        "  " + p.row()
+        for p in sorted(points, key=lambda p: p.misses_per_cycle_per_bank)
+    ]
+    out += [
+        f"max demand load/bank = {max(p.demand_load_per_bank for p in points):.4f}",
+        f"max tag load/bank    = {max(p.tag_load_per_bank for p in points):.4f}",
+    ]
+    if len(points) >= 3:  # a correlation needs three points
+        out.append(
+            "self-throttling correlation = "
+            f"{self_throttling_correlation(points):.3f}"
+        )
+    return out
 
 
-if __name__ == "__main__":
-    main()
+def payload(points: list[BandwidthPoint]) -> list[dict]:
+    """Every point as a plain mapping."""
+    return [vars(p) for p in points]

@@ -96,12 +96,9 @@ def run(blocks: int = 1024, trials: int = 5) -> list[BufferingPoint]:
     return points
 
 
-def main() -> None:
-    """Print the buffering-capacity report."""
-    print("Section I: blocks pinnable before overflow (buffering capacity)")
-    for point in run():
-        print("  " + point.row())
-
-
-if __name__ == "__main__":
-    main()
+def render(points: list[BufferingPoint]) -> list[str]:
+    """The buffering-capacity report, one design per line."""
+    return [
+        "Section I: blocks pinnable before overflow (buffering capacity)",
+        *("  " + point.row() for point in points),
+    ]

@@ -104,28 +104,20 @@ def run() -> tuple[list[ConflictRow], list[str]]:
     return rows, report.rows()
 
 
-def main() -> None:
-    """Print the conflict-metric critique report."""
-    rows, report = run()
-    print("Conflict-miss decomposition (policy- and trace-dependent):")
-    for row in rows:
-        print("  " + row.row())
+def render(result: tuple[list[ConflictRow], list[str]]) -> list[str]:
+    """The conflict-metric critique, then the associativity ranking."""
+    rows, report = result
     negative = [r for r in rows if r.conflict < 0]
-    print(
+    return [
+        "Conflict-miss decomposition (policy- and trace-dependent):",
+        *("  " + row.row() for row in rows),
         f"-> {len(negative)} design/policy/trace combinations show NEGATIVE "
-        "conflict misses (the paper's objection)."
-    )
-    print()
-    print("The associativity framework ranks the same designs cleanly:")
-    for line in report:
-        print("  " + line)
-    print(
+        "conflict misses (the paper's objection).",
+        "",
+        "The associativity framework ranks the same designs cleanly:",
+        *("  " + line for line in report),
         "-> note the Z4/52's miss rate can EXCEED a worse array's here: "
         "the trace is partially anti-LRU, so faithfully evicting the "
         "global LRU block is the wrong call — exactly the paper's point "
-        "that the framework separates array quality from policy quality."
-    )
-
-
-if __name__ == "__main__":
-    main()
+        "that the framework separates array quality from policy quality.",
+    ]

@@ -34,25 +34,6 @@ class Fig1Result:
     walk_cycles: int
     timeline: ReplacementTimeline
 
-    def rows(self) -> list[str]:
-        """Formatted report lines, timeline included."""
-        out = [
-            f"Fig.1: replacement in a {WAYS}-way, {LINES}-lines/way zcache "
-            f"({LEVELS}-level walk)",
-            f"candidates per level: {self.candidates_per_level} "
-            f"(paper: {{0: 3, 1: 6, 2: 12}})",
-            f"total candidates: {self.total_candidates} (paper: 21)",
-            f"victim at level {self.victim_level} -> "
-            f"{self.relocations} relocation(s)",
-            f"walk latency: {self.walk_cycles} cycles (paper: 12, T_tag=4)",
-            f"process done at {self.timeline.process_done} cycles; miss "
-            f"served at {self.timeline.miss_served} "
-            f"({'hidden' if self.timeline.hidden else 'EXPOSED'})",
-            "",
-        ]
-        out += self.timeline.render()
-        return out
-
 
 def run(seed: int = 4) -> Fig1Result:
     """Fill the example cache, trigger one miss, dissect the process."""
@@ -85,11 +66,20 @@ def run(seed: int = 4) -> Fig1Result:
     )
 
 
-def main() -> None:
-    """Print the Fig. 1 walkthrough."""
-    for line in run().rows():
-        print(line)
-
-
-if __name__ == "__main__":
-    main()
+def render(result: Fig1Result) -> list[str]:
+    """The Fig. 1 walkthrough, timeline included."""
+    return [
+        f"Fig.1: replacement in a {WAYS}-way, {LINES}-lines/way zcache "
+        f"({LEVELS}-level walk)",
+        f"candidates per level: {result.candidates_per_level} "
+        f"(paper: {{0: 3, 1: 6, 2: 12}})",
+        f"total candidates: {result.total_candidates} (paper: 21)",
+        f"victim at level {result.victim_level} -> "
+        f"{result.relocations} relocation(s)",
+        f"walk latency: {result.walk_cycles} cycles (paper: 12, T_tag=4)",
+        f"process done at {result.timeline.process_done} cycles; miss "
+        f"served at {result.timeline.miss_served} "
+        f"({'hidden' if result.timeline.hidden else 'EXPOSED'})",
+        "",
+        *result.timeline.render(),
+    ]

@@ -30,26 +30,6 @@ class Fig2Result:
     #: n -> (empirical CDF values on xs, KS distance to analytic)
     simulated: dict
 
-    def rows(self) -> list[str]:
-        """Formatted report lines: CDF table plus KS distances."""
-        out = ["Fig.2: associativity CDFs F_A(x) = x^n (analytic vs simulated)"]
-        header = "x      " + "".join(
-            f"  n={n}:ana/sim " for n in sorted(self.analytic)
-        )
-        out.append(header)
-        for i, x in enumerate(self.xs):
-            if i % max(1, len(self.xs) // 12):
-                continue
-            cells = []
-            for n in sorted(self.analytic):
-                cells.append(
-                    f"  {self.analytic[n][i]:.4f}/{self.simulated[n][0][i]:.4f}"
-                )
-            out.append(f"{x:5.2f} " + "".join(cells))
-        for n in sorted(self.simulated):
-            out.append(f"KS(n={n}) = {self.simulated[n][1]:.4f}")
-        return out
-
 
 def run(
     cache_blocks: int = 2048,
@@ -122,11 +102,29 @@ def run(
     return Fig2Result(xs=xs, analytic=analytic, simulated=simulated)
 
 
-def main() -> None:
-    """Print the Fig. 2 curves and validation."""
-    for line in run().rows():
-        print(line)
+def render(result: Fig2Result) -> list[str]:
+    """The CDF table (every ~12th grid point) plus the KS distances."""
+    out = ["Fig.2: associativity CDFs F_A(x) = x^n (analytic vs simulated)"]
+    header = "x      " + "".join(
+        f"  n={n}:ana/sim " for n in sorted(result.analytic)
+    )
+    out.append(header)
+    for i, x in enumerate(result.xs):
+        if i % max(1, len(result.xs) // 12):
+            continue
+        cells = []
+        for n in sorted(result.analytic):
+            cells.append(
+                f"  {result.analytic[n][i]:.4f}/{result.simulated[n][0][i]:.4f}"
+            )
+        out.append(f"{x:5.2f} " + "".join(cells))
+    for n in sorted(result.simulated):
+        out.append(f"KS(n={n}) = {result.simulated[n][1]:.4f}")
+    return out
 
 
-if __name__ == "__main__":
-    main()
+def svg(out_dir, result: Fig2Result) -> list:
+    """Render the linear and semi-log panels; returns the paths."""
+    from repro.viz import fig2_svg
+
+    return fig2_svg(out_dir, result)

@@ -80,7 +80,7 @@ def _design_candidates(design: L2DesignConfig) -> int:
 
 
 def run(
-    scale: ExperimentScale = ExperimentScale(instructions_per_core=6_000),
+    scale: ExperimentScale = ExperimentScale(instructions_per_core=8_000),
     workloads=None,
 ) -> list[Fig3Cell]:
     """Measure all four panels; returns one cell per (design, workload).
@@ -118,12 +118,27 @@ def run(
     return cells
 
 
-def main() -> None:
-    """Print the Fig. 3 distribution summaries."""
-    print("Fig.3: associativity distributions (eviction-priority summary)")
-    for cell in run():
-        print(cell.row())
+def render(cells: list[Fig3Cell]) -> list[str]:
+    """One eviction-priority summary line per (workload, design)."""
+    return [cell.row() for cell in cells]
 
 
-if __name__ == "__main__":
-    main()
+def payload(cells: list[Fig3Cell]) -> list[dict]:
+    """Each cell's identity plus its distribution summary."""
+    return [
+        {
+            "panel": c.panel,
+            "design": c.design,
+            "workload": c.workload,
+            "candidates": c.candidates,
+            **c.distribution.summary(),
+        }
+        for c in cells
+    ]
+
+
+def svg(out_dir, cells: list[Fig3Cell]) -> list:
+    """Render one CDF panel per design family; returns the paths."""
+    from repro.viz import fig3_svg
+
+    return fig3_svg(out_dir, cells)

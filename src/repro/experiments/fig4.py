@@ -125,20 +125,53 @@ def run(
     return Fig4Result(series=series, raw=raw)
 
 
-def main() -> None:
-    """Print the Fig. 4 series summaries."""
-    result = run()
-    print("Fig.4: improvements over serial SA-4 (H3-hashed) baseline")
-    for metric in ("mpki", "ipc"):
-        for policy in ("opt", "lru"):
-            print(f"-- {metric.upper()} under {policy.upper()}:")
-            for s in sorted(
-                (s for s in result.series
-                 if s.metric == metric and s.policy == policy),
-                key=lambda s: s.design,
-            ):
-                print("   " + s.row())
+def render(result: Fig4Result) -> list[str]:
+    """The series summaries, then each workload's LRU improvements."""
+    base, *others = (d.label() for d in DESIGNS_FIG4)
+    out = [
+        s.row()
+        for s in sorted(
+            result.series, key=lambda s: (s.metric, s.policy, s.design)
+        )
+    ]
+    out += ["", f"Per-workload detail (LRU, improvements vs {base}):"]
+    for (workload, policy), designs in sorted(result.raw.items()):
+        if policy != "lru":
+            continue
+        b_mpki, b_ipc = designs[base]
+        cells = []
+        for design in others:
+            mpki, ipc = designs[design]
+            cells.append(
+                f"{design}: mpki x{(b_mpki / mpki if mpki else 1):.3f} "
+                f"ipc x{(ipc / b_ipc if b_ipc else 1):.3f}"
+            )
+        out.append(
+            f"  {workload:16s} baseMPKI={b_mpki:7.2f} | " + " | ".join(cells)
+        )
+    return out
 
 
-if __name__ == "__main__":
-    main()
+def payload(result: Fig4Result) -> list[dict]:
+    """Every series with its sorted points and geomean."""
+    return [
+        {
+            "metric": s.metric,
+            "policy": s.policy,
+            "design": s.design,
+            "points": s.points,
+            "geomean": s.geomean(),
+        }
+        for s in result.series
+    ]
+
+
+def svg(out_dir, result: Fig4Result) -> list:
+    """Render MPKI and IPC panels per policy; returns the paths."""
+    from repro.viz import fig4_svg
+
+    return [
+        path
+        for policy in sorted({s.policy for s in result.series})
+        for path in fig4_svg(out_dir, result, policy=policy)
+    ]

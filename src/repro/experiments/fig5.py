@@ -92,7 +92,7 @@ class Fig5Cell:
 
 def run(
     scale: ExperimentScale = ExperimentScale(),
-    policies: tuple = ("lru",),
+    policies: tuple = ("lru", "opt"),
     cfg: CMPConfig | None = None,
     jobs: int = 1,
     obs: Optional[ObsContext] = None,
@@ -175,12 +175,22 @@ def run(
     return cells
 
 
-def main() -> None:
-    """Print the Fig. 5 improvement cells."""
-    print("Fig.5: IPC and BIPS/W vs serial SA-4h baseline")
-    for cell in run():
-        print(cell.row())
+def render(cells: list[Fig5Cell]) -> list[str]:
+    """One IPC / BIPS/W improvement line per design, policy and group."""
+    return [cell.row() for cell in cells]
 
 
-if __name__ == "__main__":
-    main()
+def payload(cells: list[Fig5Cell]) -> list[dict]:
+    """Every cell as a plain mapping."""
+    return [vars(c) for c in cells]
+
+
+def svg(out_dir, cells: list[Fig5Cell]) -> list:
+    """Render IPC and BIPS/W bar charts per policy; returns the paths."""
+    from repro.viz import fig5_svg
+
+    return [
+        path
+        for policy in sorted({c.policy for c in cells})
+        for path in fig5_svg(out_dir, cells, policy=policy)
+    ]

@@ -82,17 +82,12 @@ def run(
     return points
 
 
-def main() -> None:
-    """Print the hash-quality sweep."""
-    print("Section IV-C: distance from uniformity vs hash quality and ways")
-    print("(skew-associative caches; bitsel degenerates to set-associative)")
-    for p in run():
-        print("  " + p.row())
-    print(
+def render(points: list[HashQualityPoint]) -> list[str]:
+    """The hash-quality sweep, one configuration per line."""
+    return [
+        "Section IV-C: distance from uniformity vs hash quality and ways",
+        "(skew-associative caches; bitsel degenerates to set-associative)",
+        *("  " + p.row() for p in points),
         "-> better hashes and more ways both pull the distribution toward "
-        "x^n, as the paper reports."
-    )
-
-
-if __name__ == "__main__":
-    main()
+        "x^n, as the paper reports.",
+    ]

@@ -89,16 +89,11 @@ def run(
     return rows
 
 
-def main() -> None:
-    """Print the figures-of-merit comparison."""
-    print("Section III-B figures of merit (formula vs simulated walks)")
-    for row in run():
-        print("  " + row.row())
-    print(
+def render(rows: list[MeritRow]) -> list[str]:
+    """The figures-of-merit comparison, then the paper's worked example."""
+    return [
+        "Section III-B figures of merit (formula vs simulated walks)",
+        *("  " + row.row() for row in rows),
         "Paper example: W=3, L=3, T_tag=4 -> 21 candidates in "
-        f"{walk_latency_cycles(3, 3)} cycles (paper: 12)"
-    )
-
-
-if __name__ == "__main__":
-    main()
+        f"{walk_latency_cycles(3, 3)} cycles (paper: 12)",
+    ]

@@ -76,17 +76,12 @@ def run(
     return points
 
 
-def main() -> None:
-    """Print the bandwidth-pressure sweep."""
-    print("Bandwidth pressure: Z4/52 early-stop sweep with bank-port")
-    print("contention enabled (canneal, miss-intensive):")
-    for p in run():
-        print("  " + p.row())
-    print(
+def render(points: list[PressurePoint]) -> list[str]:
+    """The early-stop sweep, one candidate limit per line."""
+    return [
+        "Bandwidth pressure: Z4/52 early-stop sweep with bank-port",
+        "contention enabled (canneal, miss-intensive):",
+        *("  " + p.row() for p in points),
         "-> shrinking the walk trades misses (MPKI up) for queueing "
-        "(down); at the paper's load levels the full walk wins."
-    )
-
-
-if __name__ == "__main__":
-    main()
+        "(down); at the paper's load levels the full walk wins.",
+    ]

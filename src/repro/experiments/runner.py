@@ -144,7 +144,8 @@ def collect_design_sweeps(
 
     The full (workload x design x policy) product is one roster, fanned
     across ``jobs`` worker processes (in-process at ``jobs == 1``); this
-    is how ``scripts_run_all.py`` and the figure sweeps parallelise.
+    is how the figure sweeps (and ``REPRO_JOBS=N scripts_run_all.py``
+    through them) parallelise.
     With more than one workload, metric scopes carry the workload name
     (``<workload>.<design>.<policy>``), at any ``jobs``. Raises
     ``RuntimeError`` if any replay failed.

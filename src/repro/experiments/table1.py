@@ -25,15 +25,17 @@ def rows(cfg: CMPConfig | None = None) -> list[str]:
     ]
 
 
-def main() -> None:
-    """Print Table I at paper scale and the scaled default."""
-    for line in rows():
-        print(line)
-    print()
-    print("Scaled configuration used by default experiments:")
-    for line in rows(CMPConfig()):
-        print("  " + line)
+def run() -> tuple[CMPConfig, CMPConfig]:
+    """The two configurations Table I reports: paper scale, scaled default."""
+    return CMPConfig.paper_scale(), CMPConfig()
 
 
-if __name__ == "__main__":
-    main()
+def render(result: tuple[CMPConfig, CMPConfig]) -> list[str]:
+    """Table I at paper scale, then the scaled default, indented."""
+    paper, scaled = result
+    return [
+        *rows(paper),
+        "",
+        "Scaled configuration used by default experiments:",
+        *("  " + line for line in rows(scaled)),
+    ]

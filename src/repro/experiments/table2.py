@@ -52,20 +52,33 @@ def checks(capacity_bytes: int = 1 << 20, mean_relocations: float = 1.0) -> Tabl
     )
 
 
-def main(capacity_bytes: int = 1 << 20, mean_relocations: float = 1.0) -> None:
-    """Print Table II and its headline-ratio checks."""
-    print(f"Table II: cache designs at {capacity_bytes / (1 << 20):.0f} MB per bank")
-    for row in table2_rows(capacity_bytes, mean_relocations):
-        print("  " + row.format())
-    c = checks(capacity_bytes, mean_relocations)
-    print("Headline ratios (paper values in parentheses):")
-    print(f"  serial hit energy 32w/4w   = {c.serial_hit_ratio_32_vs_4:.2f}x (2.0x)")
-    print(f"  parallel hit energy 32w/4w = {c.parallel_hit_ratio_32_vs_4:.2f}x (3.3x)")
-    print(f"  serial latency 32w/4w      = {c.serial_latency_ratio_32_vs_4:.2f}x (1.23x)")
-    print(f"  parallel latency 32w/4w    = {c.parallel_latency_ratio_32_vs_4:.2f}x (1.32x)")
-    print(f"  area 32w/4w                = {c.area_ratio_32_vs_4:.2f}x (1.22x)")
-    print(f"  Z4/52 vs SA-32 miss energy = {c.z52_vs_sa32_miss_energy:.2f}x (~1.3x)")
+@dataclass
+class Table2Result:
+    capacity_bytes: int
+    rows: list
+    checks: Table2Checks
 
 
-if __name__ == "__main__":
-    main()
+def run(capacity_bytes: int = 1 << 20, mean_relocations: float = 1.0) -> Table2Result:
+    """Table II's rows and its headline-ratio checks."""
+    return Table2Result(
+        capacity_bytes,
+        table2_rows(capacity_bytes, mean_relocations),
+        checks(capacity_bytes, mean_relocations),
+    )
+
+
+def render(result: Table2Result) -> list[str]:
+    """Table II, then the headline ratios beside the paper's values."""
+    c = result.checks
+    return [
+        f"Table II: cache designs at {result.capacity_bytes / (1 << 20):.0f} MB per bank",
+        *("  " + row.format() for row in result.rows),
+        "Headline ratios (paper values in parentheses):",
+        f"  serial hit energy 32w/4w   = {c.serial_hit_ratio_32_vs_4:.2f}x (2.0x)",
+        f"  parallel hit energy 32w/4w = {c.parallel_hit_ratio_32_vs_4:.2f}x (3.3x)",
+        f"  serial latency 32w/4w      = {c.serial_latency_ratio_32_vs_4:.2f}x (1.23x)",
+        f"  parallel latency 32w/4w    = {c.parallel_latency_ratio_32_vs_4:.2f}x (1.32x)",
+        f"  area 32w/4w                = {c.area_ratio_32_vs_4:.2f}x (1.22x)",
+        f"  Z4/52 vs SA-32 miss energy = {c.z52_vs_sa32_miss_energy:.2f}x (~1.3x)",
+    ]

@@ -211,8 +211,16 @@ class TurboCore:
         self._batch_hook: Optional[Callable[[int], None]] = None
         self._batch_every = 0
         self._batch_count = 0
-        self._bind_counters()
-        cache.add_stats_listener(self._bind_counters)
+        # The controller binds its stats once, so these refs stay live.
+        self._sc = cache._sc
+        self._c_accesses = cache._c_accesses
+        self._c_reads = cache._c_reads
+        self._c_writes = cache._c_writes
+        self._c_hits = cache._c_hits
+        self._c_misses = cache._c_misses
+        self._c_tag_reads = cache._c_tag_reads
+        self._c_data_reads = cache._c_data_reads
+        self._c_data_writes = cache._c_data_writes
 
     def set_batch_hook(
         self, hook: Optional[Callable[[int], None]], every: int
@@ -231,19 +239,6 @@ class TurboCore:
         self._batch_hook = hook
         self._batch_every = every if hook is not None else 0
         self._batch_count = 0
-
-    def _bind_counters(self) -> None:
-        """(Re)cache counter refs; fired when the controller's stats swap."""
-        cache = self.cache
-        self._sc = cache._sc
-        self._c_accesses = cache._c_accesses
-        self._c_reads = cache._c_reads
-        self._c_writes = cache._c_writes
-        self._c_hits = cache._c_hits
-        self._c_misses = cache._c_misses
-        self._c_tag_reads = cache._c_tag_reads
-        self._c_data_reads = cache._c_data_reads
-        self._c_data_writes = cache._c_data_writes
 
     # -- slot/array mirroring ------------------------------------------------
     def _install(self, slot: int, address: int) -> None:

@@ -308,28 +308,10 @@ def run_timeline(argv: list[str]) -> int:
     )
     root = report.root
     print(f"timeline: {len(records)} spans -> {out}")
-    print(
-        f"root span '{root.name}': {root.duration * 1e3:.3f} ms of "
-        f"{wall * 1e3:.3f} ms measured wall, child coverage "
-        f"{report.coverage * 100:.1f}%"
-    )
-    if args.critical_path:
-        for line in tl.render_critical_path(report.steps):
-            print(line)
-    print("per-phase durations (p50/p95/max ms):")
-    for name, stats in report.phases.items():
-        print(
-            f"  {name:32s} n={int(stats['count']):4d}  "
-            f"{stats['p50'] * 1e3:9.3f} {stats['p95'] * 1e3:9.3f} "
-            f"{stats['max'] * 1e3:9.3f}"
-        )
-    if report.utilization:
-        print("worker utilization:")
-        for process, stats in report.utilization.items():
-            print(
-                f"  {process:24s} busy {stats['busy'] * 1e3:9.3f} ms  "
-                f"({stats['utilization'] * 100:5.1f}%)"
-            )
+    for line in tl.render_report(
+        report, wall=wall, critical_path=args.critical_path
+    ):
+        print(line)
 
     if not args.check:
         return 0

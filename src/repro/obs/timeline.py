@@ -414,14 +414,23 @@ def analyze(spans: Sequence[Span], root: Optional[Span] = None) -> TimelineRepor
     )
 
 
-def render_report(report: TimelineReport) -> list[str]:
-    """Human-readable timeline summary lines."""
+def render_report(
+    report: TimelineReport, wall: float, critical_path: bool
+) -> list[str]:
+    """Human-readable timeline summary lines.
+
+    ``wall`` is the caller's own measurement of the run in seconds (the
+    root span is reported against it); ``critical_path`` adds the
+    longest dependency chain.
+    """
     root = report.root
     lines = [
-        f"root span '{root.name}': {root.duration * 1e3:.3f} ms wall, "
-        f"child coverage {report.coverage * 100:.1f}%",
+        f"root span '{root.name}': {root.duration * 1e3:.3f} ms of "
+        f"{wall * 1e3:.3f} ms measured wall, child coverage "
+        f"{report.coverage * 100:.1f}%",
     ]
-    lines.extend(render_critical_path(report.steps))
+    if critical_path:
+        lines.extend(render_critical_path(report.steps))
     lines.append("per-phase durations (p50/p95/max ms):")
     for name, stats in report.phases.items():
         lines.append(

@@ -152,13 +152,9 @@ class BankedL2:
         self._c_writeback_misses = self.metrics.counter("writeback_misses")
         # attr -> the banks' Counter objects, lazily built: the timing
         # model polls aggregates like `walk_tag_reads` per access, so
-        # `total()` must not re-resolve counters every call. A bank whose
-        # stats object is swapped mid-run (registry re-scoping) would
-        # strand the memoized refs on the orphaned counters, so every
-        # bank invalidates the memo when that happens.
+        # `total()` must not re-resolve counters every call (a bank's
+        # stats object is bound once, so the refs stay live).
         self._total_cache: dict[str, list] = {}
-        for bank in self.banks:
-            bank.add_stats_listener(self._total_cache.clear)
 
     @property
     def bank_accesses(self) -> list[int]:

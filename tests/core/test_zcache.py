@@ -257,6 +257,14 @@ class TestExtensions:
         self.run_traffic(arr, footprint=100)
         # In a tiny cache with a deep walk, repeats must be detected.
         assert arr.stats.repeats > 0
+        # The filter prunes expansion: fewer candidates examined per
+        # walk than the unfiltered array on the same traffic.
+        unfiltered = ZCacheArray(2, 8, levels=4)
+        self.run_traffic(unfiltered, footprint=100)
+        assert (
+            arr.stats.mean_candidates_per_walk
+            <= unfiltered.stats.mean_candidates_per_walk
+        )
 
     def test_bloom_repeat_filter(self):
         arr = ZCacheArray(2, 8, levels=4, repeat_filter="bloom")

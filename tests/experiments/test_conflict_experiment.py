@@ -38,6 +38,19 @@ class TestConflictExperiment:
         assert "SA-4 " in body[-1] or body[-1].strip().startswith("SA-4")
         assert "effn" in text
 
+    def test_cli_prints_the_recorded_text(self, outcome, capsys, monkeypatch):
+        # The one full-scale run above stands in for the CLI's own.
+        from pathlib import Path
+
+        from repro.cli import main
+
+        monkeypatch.setattr(conflict, "run", lambda: outcome)
+        assert main(["conflict"]) == 0
+        out = capsys.readouterr().out
+        assert out == "\n".join(conflict.render(outcome)) + "\n"
+        recorded = Path(__file__).resolve().parents[2] / "results/conflict.txt"
+        assert out == recorded.read_text(encoding="utf-8")
+
 
 class TestHashQualityExperiment:
     def test_quality_ordering(self):

@@ -20,7 +20,7 @@ class TestFig1:
         assert a.victim_level == b.victim_level
 
     def test_rows_render(self):
-        rows = fig1.run().rows()
+        rows = fig1.render(fig1.run())
         assert any("21" in r for r in rows)
         assert any("walk level" in r for r in rows)
 

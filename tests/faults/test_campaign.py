@@ -113,14 +113,18 @@ class TestReport:
         assert total == len(outcome.outcomes)
 
     def test_campaign_finds_detections_and_the_planted_miss(self):
-        outcome = run_campaign(CONFIG, jobs=1)
+        # Through the worker pool; the structure below is the same at
+        # any jobs (TestDeterministicMerge).
+        outcome = run_campaign(CONFIG, jobs=2)
+        assert not outcome.errors and not outcome.degraded
         report = outcome.report
-        # The relocation detectors work where relocation exists...
-        assert report.detection_rate("Z4/16", "drop-relocation") == 1.0
-        assert report.detection_rate("Z4/52", "misdirect-relocation") == 1.0
-        # ...and cannot fire where it does not.
-        cell = report.cells[("SA-4", "drop-relocation")]
-        assert cell["benign"] == cell_total(cell)
+        for kind in ("drop-relocation", "misdirect-relocation"):
+            # The relocation detectors work where relocation exists...
+            assert report.detection_rate("Z4/16", kind) == 1.0
+            assert report.detection_rate("Z4/52", kind) == 1.0
+            # ...and cannot fire where it does not.
+            cell = report.cells[("SA-4", kind)]
+            assert cell["benign"] == cell_total(cell)
         # The planted miss: stamp corruption is never detected anywhere.
         for (design, kind), cell in report.cells.items():
             if kind == "stamp-corrupt":

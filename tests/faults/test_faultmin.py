@@ -42,6 +42,9 @@ class TestMinimize:
         (event,) = ce.plan
         assert event.at <= case.at
         assert ce.probes >= 1
+        # ...and what it emits replays to the same verdict from its
+        # JSON payload alone (detected or silent alike).
+        assert replay_counterexample(ce.to_dict())["match"] is True
 
     def test_ddmin_strips_irrelevant_events(self):
         # A two-event plan where only the stale-walk matters: ddmin

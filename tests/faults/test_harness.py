@@ -55,6 +55,11 @@ class TestGoldenPath:
         assert classify(empty, golden) == "benign"
         assert empty.evictions == golden.evictions
         assert (empty.misses, empty.hits) == (golden.misses, golden.hits)
+        # The no-fault control: a detector that fires on clean traffic
+        # would poison every campaign verdict — not even with the deep
+        # scan on every access.
+        for clean in (golden, replay(design, deep_interval=1)):
+            assert clean.detector is None and not clean.crashed
 
     def test_serve_empty_plan_is_bit_identical(self):
         golden = run_serve_replay(
@@ -68,6 +73,7 @@ class TestGoldenPath:
             plan=FaultPlan(),
         )
         assert classify(empty, golden) == "benign"
+        assert golden.detector is None and not golden.crashed
 
     def test_serve_rejects_non_z_designs(self):
         with pytest.raises(ValueError, match="zcache design"):
@@ -91,6 +97,7 @@ class TestDetection:
         )
         assert classify(faulted, golden) == "detected"
         assert faulted.detector == "commit-conservation"
+        assert faulted.detector_kind == "conservation"
 
     def test_misdirect_relocation_detected_as_map_desync(self):
         golden = replay("Z4/52")

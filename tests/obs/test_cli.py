@@ -112,6 +112,27 @@ class TestTimeline:
             ev.get("name") == "fig2.n4" for ev in payload["traceEvents"]
         )
 
+    def test_timeline_prints_the_one_report_renderer(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.obs import timeline as tl
+
+        seen = {}
+
+        def render_report(report, wall, critical_path):
+            seen.update(wall=wall, critical_path=critical_path)
+            return ["<<the report>>"]
+
+        monkeypatch.setattr(tl, "render_report", render_report)
+        assert main([
+            "timeline", "fig2", "--blocks", "64", "--instructions", "200",
+            "--out", str(tmp_path / "timeline.json"),
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("timeline: ")
+        assert lines[1:] == ["<<the report>>"]  # no second printer
+        assert seen["wall"] > 0 and seen["critical_path"] is False
+
     def test_parallel_sweep_timeline_stitches_workers(self, tmp_path, capsys):
         # No --check here: the >=90% coverage bar is timing-sensitive
         # when worker spawn competes with the rest of the suite for the

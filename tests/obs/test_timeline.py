@@ -176,8 +176,14 @@ class TestAnalyze:
         assert 0.0 <= report.coverage <= 1.0
         total = sum(s.attributed for s in report.steps)
         assert total == pytest.approx(report.root.duration, rel=1e-6)
-        lines = tl.render_report(report)
+        lines = tl.render_report(
+            report, wall=2 * report.root.duration, critical_path=True
+        )
         assert any("root span 'sweep'" in line for line in lines)
+        assert any("critical path" in line for line in lines)
+        quiet = tl.render_report(report, wall=1.0, critical_path=False)
+        assert not any("critical path" in line for line in quiet)
+        assert "of 1000.000 ms measured wall" in quiet[0]
 
     def test_analyze_requires_spans(self):
         with pytest.raises(ValueError):

@@ -89,11 +89,11 @@ class TestServiceApi:
         svc.check_consistency()
 
     def test_locked_mode_serves_identically(self):
-        two = self.make()
-        locked = self.make(mode="locked")
+        two = self.make(num_shards=2)
+        locked = self.make(num_shards=2, mode="locked")
         for svc in (two, locked):
-            for i in range(300):
-                svc.put(i, i * 2)
+            for i in range(600):
+                svc.put(i, i * 3)
         # Same geometry, same hash seeds: identical sequential
         # behaviour regardless of the locking discipline.
         assert {a for s in two.shards for a in s.cache.resident()} == {
