@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI gate: the turbo engine is bit-identical to the reference engine.
 
-Two checks, both exact (no tolerances — the ZTurbo contract is IEEE
+Three checks, all exact (no tolerances — the ZTurbo contract is IEEE
 bit-identity, not statistical agreement):
 
 1. **Fig. 2** at a reduced scale, run once per engine with a fresh
@@ -15,6 +15,13 @@ bit-identity, not statistical agreement):
    both serially and under two worker processes. Compared: the complete
    ``CMPResult.to_dict()`` payloads — miss rates, cycles, per-bank
    counters, eviction priorities, walk statistics.
+
+3. **The free-slot view** of a random-candidates cache under
+   interleaved accesses and invalidations. The turbo core writes the
+   array's ``FreeSlots`` through (``lowest`` / ``add`` / ``discard``)
+   and snapshots its ``random.Random`` at construction, so both engines
+   must report the same outcome per operation and leave the same lines
+   and the same free slots behind.
 
 Exit 0 on identity, 1 with a diff summary otherwise. Scales are small
 on purpose: the point is equality, and ``tests/kernels`` fuzzes the
@@ -145,6 +152,43 @@ def diff_sweep(instructions: int) -> list[str]:
     return problems
 
 
+def diff_free_slots(operations: int = 4000, cache_blocks: int = 64) -> list[str]:
+    """Mismatch descriptions for the free-slot write-through comparison."""
+    import random
+
+    from repro.assoc import TrackedPolicy
+    from repro.core import Cache, RandomCandidatesArray
+    from repro.replacement import LRU
+
+    def run(engine: str) -> dict:
+        rng = random.Random(11)
+        array = RandomCandidatesArray(cache_blocks, 4, seed=5)
+        tracked = TrackedPolicy(LRU())
+        cache = Cache(array, tracked, engine=engine)
+        assert cache.engine == engine
+        outcomes = []
+        for _ in range(operations):
+            address = rng.randrange(4 * cache_blocks)
+            if rng.random() < 0.3:
+                outcomes.append(cache.invalidate(address))
+            else:
+                result = cache.access(address, is_write=rng.random() < 0.2)
+                outcomes.append((result.hit, result.evicted, result.writeback))
+        return {
+            "outcomes": outcomes,
+            "lines": list(array._lines[0]),
+            "free": sorted(array._free),
+            "priorities": tuple(tracked.priorities),
+        }
+
+    reference, turbo = run("reference"), run("turbo")
+    return [
+        f"free slots: {key} differ"
+        for key in reference
+        if reference[key] != turbo[key]
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -158,6 +202,9 @@ def main(argv: list[str] | None = None) -> int:
     sweep_problems = diff_sweep(args.instructions)
     print(f"sweep: {'identical' if not sweep_problems else 'MISMATCH'}")
     problems += sweep_problems
+    free_problems = diff_free_slots()
+    print(f"free slots: {'identical' if not free_problems else 'MISMATCH'}")
+    problems += free_problems
 
     if problems:
         for p in problems:

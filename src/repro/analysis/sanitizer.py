@@ -31,9 +31,11 @@ be replayed deterministically.
 
 Cost model: per-operation checks are O(walk) — proportional to work the
 array already did — while the O(cache) deep scan runs every
-``deep_check_interval`` commits (default 64) and on :meth:`final_check`.
-This keeps the sanitized Fig. 2 validation within the < 3x slowdown
-budget while still bounding how long a corruption can stay latent.
+``deep_check_interval`` commits (default 64) and on :meth:`final_check`,
+which bounds how long a corruption can stay latent. The sanitized
+Fig. 2 validation runs 5–6x slower than the plain one (``zcache-repro
+check --sanitize`` prints the ratio): the per-candidate walk
+invariants, not the deep scans, are the cost.
 """
 
 from __future__ import annotations

@@ -419,9 +419,15 @@ def _walk_acyclic(ctx: WalkCheck) -> Optional[str]:
 
 @register_invariant(
     "walk-level-monotone", "walk-level", SCOPE_WALK,
-    "roots sit at level 0 and levels increase by exactly one per link",
+    "roots sit at level 0, levels increase by exactly one per link, and "
+    "a plan marked flat holds only roots",
 )
 def _walk_level_monotone(ctx: WalkCheck) -> Optional[str]:
+    if ctx.repl.flat and ctx.cand.parent is not None:
+        return (
+            f"plan is marked flat but the candidate at {ctx.cand.position} "
+            f"has a parent at {ctx.cand.parent.position}"
+        )
     for node in ctx.path:
         parent = node.parent
         if parent is None:

@@ -26,22 +26,19 @@ class TrackedPolicy(ReplacementPolicy):
     def __init__(self, inner: ReplacementPolicy) -> None:
         self.inner = inner
         self._scores = SortedMultiset()
+        #: address -> its (score, address) entry in ``_scores``; the
+        #: tuples are unique even when scores tie
         self._mirror: dict[int, Tuple[Any, int]] = {}
         #: eviction priorities, one per eviction, in eviction order
         self.priorities: list[float] = []
 
     # -- mirror maintenance ----------------------------------------------------
-    def _entry(self, address: int) -> Tuple[Any, int]:
-        # (score, address) tuples are unique even when scores tie.
-        return (self.inner.score(address), address)
-
     def _sync(self, address: int) -> None:
-        """Re-read a block's score after the inner policy changed it."""
-        old = self._mirror.get(address)
-        if old is not None:
-            self._scores.remove(old)
-        new = self._entry(address)
-        self._mirror[address] = new
+        """Re-read a tracked block's score after the inner policy changed it."""
+        mirror = self._mirror
+        new = (self.inner.score(address), address)
+        self._scores.pop_rank(mirror[address])
+        mirror[address] = new
         self._scores.add(new)
 
     # -- forwarded policy interface ---------------------------------------------
@@ -49,7 +46,7 @@ class TrackedPolicy(ReplacementPolicy):
         self.inner.on_insert(address)
         if address in self._mirror:
             raise ValueError(f"block {address:#x} inserted twice")
-        entry = self._entry(address)
+        entry = (self.inner.score(address), address)
         self._mirror[address] = entry
         self._scores.add(entry)
 
@@ -62,10 +59,8 @@ class TrackedPolicy(ReplacementPolicy):
         if entry is None:
             raise KeyError(f"evicting untracked block {address:#x}")
         resident = len(self._scores)
-        rank = self._scores.rank(entry)
-        priority = rank / (resident - 1) if resident > 1 else 1.0
-        self.priorities.append(priority)
-        self._scores.remove(entry)
+        rank = self._scores.pop_rank(entry)
+        self.priorities.append(rank / (resident - 1) if resident > 1 else 1.0)
         del self._mirror[address]
         self.inner.on_evict(address)
 

@@ -97,6 +97,12 @@ class Replacement:
     homes: Optional[tuple[Position, ...]] = field(
         default=None, repr=False, compare=False
     )
+    #: True when the array vouches that every candidate is a level-0
+    #: node without a parent (no relocation can follow: set-associative,
+    #: skew, random-candidates). The controller then picks the landing
+    #: node without comparing levels. Like ``homes``, a fact about how
+    #: the plan was built, not part of its identity.
+    flat: bool = field(default=False, repr=False, compare=False)
 
     def usable(self) -> list[Candidate]:
         """Candidates safe to commit (valid relocation paths)."""

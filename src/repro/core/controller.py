@@ -340,15 +340,54 @@ class Cache:
 
     def _fill_with(self, address: int, repl: Replacement) -> AccessResult:
         self._account_walk(address, repl)
-        chosen, by_address = self._scan(repl)
-        if chosen is not None:
+        if repl.flat:
+            empty, chosen = self._pick_flat(repl)
+        else:
+            empty, by_address = self._scan(repl)
+            chosen = None
+            if empty is None:
+                chosen = self._choose_victim(repl, by_address)
+        if empty is not None:
             self._sc["fills_empty"].value += 1
-            commit = self.array.commit_replacement(repl, chosen)
+            commit = self.array.commit_replacement(repl, empty)
             return self._install(address, commit, filled_empty=True)
-        chosen = self._choose_victim(repl, by_address)
         if chosen is None:
             return self._bypass(address)
         return self._replace(repl, chosen)
+
+    def _pick_flat(
+        self, repl: Replacement
+    ) -> tuple[Optional[Candidate], Optional[Candidate]]:
+        """:meth:`_scan` and :meth:`_choose_victim` for a flat replacement.
+
+        With every candidate at level 0 there is no depth to minimise:
+        the first usable free slot wins, else the policy picks among
+        the usable blocks in candidate order and the first node holding
+        its choice is the victim — what the general pair computes, with
+        no per-candidate level bookkeeping and no address map. Returns
+        ``(free slot, None)``, ``(None, victim node)``, or ``(None,
+        None)`` when every candidate is pinned (caller bypasses).
+        """
+        nodes = [cand for cand in repl.candidates if cand.valid]
+        addresses = [cand.address for cand in nodes]
+        if None in addresses:
+            return nodes[addresses.index(None)], None
+        evictable = addresses
+        if len(set(addresses)) != len(addresses):
+            # Only a corrupted array shows one block in two slots; the
+            # policy still sees each block once, first node first.
+            evictable = list(dict.fromkeys(addresses))
+        pinned = self._pinned
+        if pinned:
+            evictable = [a for a in evictable if a not in pinned]
+        if not evictable:
+            if pinned:
+                return None, None
+            raise RuntimeError(
+                f"no usable replacement candidates for {repl.incoming:#x}"
+            )
+        victim = self.policy.select_victim(evictable)
+        return None, nodes[addresses.index(victim)]
 
     def _replace(self, repl: Replacement, node: Candidate) -> AccessResult:
         """Evict the chosen victim and land the block through its path.

@@ -10,6 +10,7 @@ framework's ideal.
 from __future__ import annotations
 
 from repro.core.base import CacheArray, Candidate, Position, Replacement
+from repro.util.freeslots import FreeSlots
 
 
 class FullyAssociativeArray(CacheArray):
@@ -19,19 +20,15 @@ class FullyAssociativeArray(CacheArray):
         if num_blocks < 1:
             raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
         super().__init__(num_ways=1, lines_per_way=num_blocks)
-        self._free: set[int] = set(range(num_blocks))
+        self._free = FreeSlots(num_blocks)
 
     def build_replacement(self, address: int) -> Replacement:
         if address in self._pos:
             raise RuntimeError(f"build_replacement for resident block {address:#x}")
-        repl = Replacement(incoming=address)
         if self._free:
-            slot = min(self._free)
-            repl.candidates.append(
-                Candidate(position=Position(0, slot), address=None, level=0)
-            )
-            repl.tag_reads = 1
-            return repl
+            free = Candidate(Position(0, self._free.lowest()), None)
+            return Replacement(address, [free], 1, flat=True)
+        repl = Replacement(incoming=address)
         # Every resident block is a candidate. Rather than enumerating B
         # Candidate objects per miss, mark the replacement exhaustive —
         # the controller resolves the victim through the policy's global

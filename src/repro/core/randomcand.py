@@ -21,10 +21,24 @@ from repro.core.base import (
     Position,
     Replacement,
 )
+from repro.util.freeslots import FreeSlots
 
 
 class RandomCandidatesArray(CacheArray):
-    """Fully-associative placement, n uniformly random candidates."""
+    """Fully-associative placement, n uniformly random candidates.
+
+    **Draw-order contract.** An evicting fill consumes the array's
+    ``random.Random(seed)`` exactly as ``n`` consecutive
+    ``rng.randrange(num_blocks)`` calls would, in candidate order, and
+    nothing else draws from it: the loop in :meth:`build_replacement`
+    is ``Random._randbelow_with_getrandbits`` written out
+    (``getrandbits(num_blocks.bit_length())``, redrawn while
+    ``>= num_blocks``). Every victim, eviction priority and KS value
+    downstream depends on it, and the turbo engine's bit-synced stream
+    reproduces the same draws; ``tests/core/test_randomcand.py`` pins
+    it against a ``randrange`` oracle. A fill of a free slot draws
+    nothing and lands in the lowest-numbered free slot.
+    """
 
     def __init__(self, num_blocks: int, num_candidates: int, seed: int = 0) -> None:
         if num_blocks < 1:
@@ -34,32 +48,38 @@ class RandomCandidatesArray(CacheArray):
         super().__init__(num_ways=1, lines_per_way=num_blocks)
         self.num_candidates = num_candidates
         self._rng = random.Random(seed)
-        self._free: set[int] = set(range(num_blocks))
+        #: one shared Position per slot: a fill builds none
+        self._positions = [Position(0, slot) for slot in range(num_blocks)]
+        self._free = FreeSlots(num_blocks)
 
     def build_replacement(self, address: int) -> Replacement:
         if address in self._pos:
             raise RuntimeError(f"build_replacement for resident block {address:#x}")
-        repl = Replacement(incoming=address)
+        positions = self._positions
         if self._free:
-            slot = min(self._free)
-            repl.candidates.append(
-                Candidate(position=Position(0, slot), address=None, level=0)
-            )
-            repl.tag_reads = 1
-            return repl
-        seen_positions: set[int] = set()
-        for _ in range(self.num_candidates):
-            slot = self._rng.randrange(self.lines_per_way)
-            pos = Position(0, slot)
-            cand = Candidate(position=pos, address=self._read(pos), level=0)
-            # Sampling is with repetition (paper); repeated draws stay in
-            # the candidate list but only one copy can be committed.
-            if slot in seen_positions:
-                cand.valid = False
-            seen_positions.add(slot)
-            repl.candidates.append(cand)
-            repl.tag_reads += 1
-        return repl
+            free = Candidate(positions[self._free.lowest()], None)
+            return Replacement(address, [free], 1, flat=True)
+        n = self.num_candidates
+        bound = self.lines_per_way
+        bits = bound.bit_length()
+        getrandbits = self._rng.getrandbits
+        slots = []
+        for _ in range(n):
+            slot = getrandbits(bits)  # the draw-order contract: see the class
+            while slot >= bound:
+                slot = getrandbits(bits)
+            slots.append(slot)
+        row = self._lines[0]
+        candidates = [Candidate(positions[slot], row[slot]) for slot in slots]
+        # Sampling is with repetition (paper); repeated draws stay in
+        # the candidate list but only one copy can be committed.
+        if len(set(slots)) != n:
+            seen: set[int] = set()
+            for cand, slot in zip(candidates, slots):
+                if slot in seen:
+                    cand.valid = False
+                seen.add(slot)
+        return Replacement(address, candidates, n, flat=True)
 
     def commit_replacement(
         self, repl: Replacement, chosen: Candidate

@@ -71,15 +71,12 @@ class SetAssociativeArray(CacheArray):
         if address in self._pos:
             raise RuntimeError(f"build_replacement for resident block {address:#x}")
         index = self.set_index(address)
-        repl = Replacement(incoming=address)
-        for way in range(self.num_ways):
-            pos = Position(way, index)
-            repl.candidates.append(
-                Candidate(position=pos, address=self._read(pos), level=0)
-            )
+        candidates = [
+            Candidate(Position(way, index), row[index])
+            for way, row in enumerate(self._lines)
+        ]
         # One set read resolves all W tags in a set-associative lookup.
-        repl.tag_reads = self.num_ways
-        return repl
+        return Replacement(address, candidates, self.num_ways, flat=True)
 
     def check_invariants(self) -> None:
         super().check_invariants()

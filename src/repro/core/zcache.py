@@ -428,6 +428,7 @@ class ZCacheArray(CacheArray):
                 break
             frontier = grown
         repl.tag_reads = len(cands)
+        repl.flat = level == 1  # one round: every candidate is a level-0 root
         self._c_repeats.value += repeats
         self._c_walks.value += 1
         self._c_tag_reads.value += len(cands)

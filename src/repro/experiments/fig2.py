@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
 
-from repro.assoc import TrackedPolicy, uniformity_cdf
+from repro.assoc import TrackedPolicy
 from repro.core import Cache, RandomCandidatesArray
 from repro.obs import NULL_SPANS, ObsContext
 from repro.replacement import LRU
+from repro.workloads.patterns import uniform_random
 
 CANDIDATE_COUNTS = (4, 8, 16, 64)
 
@@ -64,8 +66,7 @@ def run(
             # path pre-draws its access stream in bulk, and that setup
             # cost belongs to the n it serves.
             with spans.span(f"fig2.n{n}", candidates=n):
-                cdf = uniformity_cdf(n)
-                analytic[n] = np.array([cdf(x) for x in xs])
+                analytic[n] = xs**n
                 tracked = TrackedPolicy(LRU())
                 array = RandomCandidatesArray(cache_blocks, n, seed=seed + n)
                 if wrap_array is not None:
@@ -77,16 +78,17 @@ def run(
                     obs=obs.scoped(f"n{n}") if obs is not None else None,
                     engine=engine,
                 )
-                rng = random.Random(seed + n)
+                # Both branches are Random(seed + n).randrange(footprint),
+                # draw for draw (tests/kernels/test_rng.py).
                 footprint = cache_blocks * footprint_mult
                 if cache.engine == "turbo":
                     from repro.kernels.replay import fig2_addresses
 
-                    stream = iter(fig2_addresses(rng, footprint, accesses))
-                else:
-                    stream = iter(
-                        rng.randrange(footprint) for _ in range(accesses)
+                    stream = fig2_addresses(
+                        random.Random(seed + n), footprint, accesses
                     )
+                else:
+                    stream = islice(uniform_random(footprint, seed + n), accesses)
                 # Turbo path: roll one child span per access batch via
                 # the TurboCore hook (no-op on the reference engine or
                 # with spans disabled).

@@ -22,9 +22,13 @@ stores the hot state densely:
   reference ``random.Random`` draws bit for bit.
 
 The array's authoritative structures (``_lines``, ``_pos``, and the
-random-candidates free list) are written through on every mutation, so
-queries, invariant checks and post-run inspection see exactly the state
-the reference engine would have left. What is *not* maintained while the
+random-candidates array's :class:`~repro.util.freeslots.FreeSlots`,
+through its ``lowest`` / ``add`` / ``discard``) are written through on
+every mutation, so queries, invariant checks and post-run inspection
+see exactly the state the reference engine would have left. The
+array's ``random.Random`` is read once, at construction: the reference
+fill consumes it in ``randrange`` order, which the synced stream
+reproduces. What is *not* maintained while the
 core runs is the replacement policy's own per-address dicts and a
 :class:`~repro.assoc.measurement.TrackedPolicy`'s sorted mirror — their
 information lives in the policy kernel instead (the tracked
@@ -231,8 +235,8 @@ class TurboCore:
         index after every ``every``-th access, letting
         :meth:`~repro.obs.SpanTracker.turbo_batches` roll one span per
         batch without touching the hot path when no hook is set (one
-        ``is None`` test per access). Never installed by default —
-        engine bit-identity and the kernel_guard floor are unaffected.
+        ``is None`` test per access). Never installed by default, so
+        engine bit-identity is unaffected.
         """
         if hook is not None and every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
@@ -393,7 +397,7 @@ class TurboCore:
         sc = self._sc
         free = array._free
         if free:
-            slot = min(free)
+            slot = free.lowest()
             sc["walk_tag_reads"].value += 1
             self._c_tag_reads.value += 1
             sc["fills_empty"].value += 1

@@ -32,14 +32,23 @@ class SortedMultiset:
         KeyError
             If ``item`` is not present.
         """
-        i = bisect.bisect_left(self._items, item)
-        if i >= len(self._items) or self._items[i] != item:
-            raise KeyError(item)
-        del self._items[i]
+        self.pop_rank(item)
 
     def rank(self, item: Any) -> int:
         """Number of items strictly less than ``item``."""
         return bisect.bisect_left(self._items, item)
+
+    def pop_rank(self, item: Any) -> int:
+        """Remove one occurrence of ``item`` and return its :meth:`rank`.
+
+        ``rank`` then ``remove`` in one bisect. Raises ``KeyError`` if
+        ``item`` is not present.
+        """
+        i = bisect.bisect_left(self._items, item)
+        if i >= len(self._items) or self._items[i] != item:
+            raise KeyError(item)
+        del self._items[i]
+        return i
 
     def __len__(self) -> int:
         return len(self._items)

@@ -268,6 +268,16 @@ class TestWalkTreeMutations:
         with expect("walk-level"):
             self.array.check_walk(self.repl_with(root))
 
+    def test_flat_plan_with_a_non_root_candidate(self):
+        root = Candidate(position=Position(0, 0), address=0x1, level=0)
+        child = Candidate(
+            position=Position(1, 0), address=None, level=1, parent=root
+        )
+        repl = self.repl_with(child)
+        repl.flat = True  # promises level-0 roots only
+        with expect("walk-level"):
+            self.array.check_walk(repl)
+
     def test_walk_parent_empty_slot_expanded(self):
         root = Candidate(position=Position(0, 0), address=None, level=0)
         child = Candidate(

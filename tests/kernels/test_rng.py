@@ -1,10 +1,13 @@
 """MTStream must reproduce CPython's random.Random draw-for-draw."""
 
 import random
+from itertools import islice
 
 import pytest
 
+from repro.kernels.replay import fig2_addresses
 from repro.kernels.rng import MTStream, RandrangePool
+from repro.workloads.patterns import uniform_random
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
@@ -14,6 +17,16 @@ def test_randrange_parity(seed, n):
     stream = MTStream(random.Random(seed))
     got = stream.randrange(n, 3000)
     assert got.tolist() == [ref.randrange(n) for _ in range(3000)]
+
+
+@pytest.mark.parametrize("seed", [4, 64])
+@pytest.mark.parametrize("footprint", [1, 1000, 16384])
+def test_fig2_streams_agree_across_engines(seed, footprint):
+    """fig2 feeds both engines the same addresses: ``randrange``'s."""
+    ref = random.Random(seed)
+    expected = [ref.randrange(footprint) for _ in range(5000)]
+    assert list(islice(uniform_random(footprint, seed), 5000)) == expected
+    assert fig2_addresses(random.Random(seed), footprint, 5000) == expected
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util import BloomFilter, SortedMultiset, empirical_cdf, geometric_mean
+from repro.util.freeslots import FreeSlots
 from repro.util.statistics import ks_distance
 
 
@@ -93,6 +94,53 @@ class TestSortedMultiset:
         assert list(ms) == ref
         for probe in (-51, 0, 51):
             assert ms.rank(probe) == sum(1 for v in ref if v < probe)
+
+
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=40), st.data())
+    def test_pop_rank_is_rank_then_remove(self, xs, data):
+        popped, reference = SortedMultiset(xs), SortedMultiset(xs)
+        for x in data.draw(st.permutations(xs)):
+            rank = reference.rank(x)
+            reference.remove(x)
+            assert popped.pop_rank(x) == rank
+            assert list(popped) == list(reference)
+        with pytest.raises(KeyError):
+            popped.pop_rank(0)
+        with pytest.raises(KeyError):
+            SortedMultiset([1, 3]).pop_rank(2)
+
+
+class TestFreeSlots:
+    def test_starts_full_and_hands_out_lowest_first(self):
+        free = FreeSlots(4)
+        taken = []
+        while free:
+            taken.append(free.lowest())
+            free.discard(taken[-1])
+        assert taken == [0, 1, 2, 3]
+        with pytest.raises(ValueError):
+            free.lowest()
+
+    def test_discard_of_a_taken_slot_is_a_no_op(self):
+        free = FreeSlots(3)
+        free.discard(1)
+        free.discard(1)
+        free.discard(7)
+        assert sorted(free) == [0, 2]
+
+    @given(st.lists(st.integers(0, 15), max_size=80))
+    def test_matches_a_set_and_min(self, toggles):
+        free, ref = FreeSlots(16), set(range(16))
+        for slot in toggles:
+            if slot in ref:
+                ref.discard(slot)
+                free.discard(slot)
+            else:
+                ref.add(slot)
+                free.add(slot)
+            assert len(free) == len(ref) and sorted(free) == sorted(ref)
+            if ref:
+                assert free.lowest() == min(ref)
 
 
 class TestStatistics:
