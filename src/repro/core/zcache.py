@@ -25,11 +25,12 @@ Extensions implemented (Section III-D):
   (cuckoo-style single chain, more relocations per candidate).
 
 In hardware the re-hash of a candidate's tag is a few XOR gates; here it
-is a Python call per way, and the walk is on the miss path. So the array
-keeps a *resident home-position table* — block address → its position
-in every way — and expanding a candidate is one table read plus W-1 tag
-reads. The table is a pure memo of the hash family, keyed by address
-(never by line), so an entry cannot go stale: it is written when a
+is a pass over the hash family's tables (``hashes.indices``) plus W
+``Position`` s, and the walk is on the miss path. So the array keeps a
+*resident home-position table* — block address → its position in every
+way — and expanding a candidate is one table read plus W-1 tag reads.
+The table is a pure memo of the hash family, keyed by address (never
+by line), so an entry cannot go stale: it is written when a
 block enters the array, dropped when the block leaves, kept while the
 block is relocated, and a tag that has no entry is simply hashed. Walks
 only read it, so candidate collection stays pure (lint rule ZS105) and
@@ -50,7 +51,7 @@ from repro.core.base import (
     Position,
     Replacement,
 )
-from repro.hashing.base import HashFunction, make_hash_family
+from repro.hashing.base import HashFamily, HashFunction, make_hash_family
 from repro.obs.metrics import IntHistogram, MetricsRegistry, RegistryStats
 from repro.util.bloom import BloomFilter
 
@@ -228,7 +229,11 @@ class ZCacheArray(CacheArray):
         if hashes is not None:
             if len(hashes) != num_ways:
                 raise ValueError("need exactly one hash function per way")
-            self.hashes = list(hashes)
+            self.hashes = (
+                hashes if isinstance(hashes, HashFamily) else HashFamily(hashes)
+            )
+            if self.hashes.num_lines != lines_per_way:
+                raise ValueError("hashes sized for a different lines_per_way")
         else:
             self.hashes = make_hash_family(hash_kind, num_ways, lines_per_way, hash_seed)
         self._rng = random.Random(seed)
@@ -272,7 +277,10 @@ class ZCacheArray(CacheArray):
     def _hash_homes(self, address: int) -> tuple[Position, ...]:
         """The W legal positions of a block, one per way, by hashing it."""
         return tuple(
-            [Position(way, h(address)) for way, h in enumerate(self.hashes)]
+            [
+                Position(way, index)
+                for way, index in enumerate(self.hashes.indices(address))
+            ]
         )
 
     def nominal_candidates(self) -> int:

@@ -9,6 +9,7 @@ block's only valid position in a way is the hash of its address.
 from __future__ import annotations
 
 import abc
+from typing import Iterable
 
 
 class HashFunction(abc.ABC):
@@ -37,9 +38,41 @@ class HashFunction(abc.ABC):
         return f"{type(self).__name__}(num_lines={self.num_lines})"
 
 
+class HashFamily(tuple):
+    """One hash function per way: an immutable sequence of
+    :class:`HashFunction` s over one index space.
+
+    ``family[w](address)`` is way ``w``'s index; :meth:`indices` is all
+    of them at once, which is what an array asks for when it places a
+    block. Every member must be sized for the same ``num_lines`` — a
+    function built for another geometry would index outside its way,
+    or inside only part of it.
+    """
+
+    def __new__(cls, members: Iterable[HashFunction]) -> "HashFamily":
+        self = super().__new__(cls, members)
+        if not self:
+            raise ValueError("a hash family needs at least one function")
+        sizes = {h.num_lines for h in self}
+        if len(sizes) != 1:
+            raise ValueError(
+                f"hash family members disagree on num_lines: {sorted(sizes)}"
+            )
+        return self
+
+    @property
+    def num_lines(self) -> int:
+        """The index space every member maps into."""
+        return self[0].num_lines
+
+    def indices(self, address: int) -> tuple[int, ...]:
+        """``address``'s line index in every way, in way order."""
+        return tuple([h(address) for h in self])
+
+
 def make_hash_family(
     kind: str, num_ways: int, num_lines: int, seed: int = 0
-) -> list[HashFunction]:
+) -> HashFamily:
     """Build one independent hash function per way.
 
     Parameters
@@ -57,20 +90,16 @@ def make_hash_family(
         Base seed; way ``w`` uses ``seed * 1000003 + w``.
     """
     from repro.hashing.bitsel import BitSelectHash
-    from repro.hashing.h3 import H3Hash
+    from repro.hashing.h3 import H3Family, H3Hash
     from repro.hashing.mixers import MixHash
 
     if num_ways < 1:
         raise ValueError(f"num_ways must be >= 1, got {num_ways}")
-    funcs: list[HashFunction] = []
-    for way in range(num_ways):
-        way_seed = seed * 1000003 + way
-        if kind == "h3":
-            funcs.append(H3Hash(num_lines, seed=way_seed))
-        elif kind == "bitsel":
-            funcs.append(BitSelectHash(num_lines))
-        elif kind == "mix":
-            funcs.append(MixHash(num_lines, seed=way_seed))
-        else:
-            raise ValueError(f"unknown hash kind: {kind!r}")
-    return funcs
+    way_seeds = [seed * 1000003 + way for way in range(num_ways)]
+    if kind == "h3":
+        return H3Family(H3Hash(num_lines, seed=s) for s in way_seeds)
+    if kind == "bitsel":
+        return HashFamily(BitSelectHash(num_lines) for _ in way_seeds)
+    if kind == "mix":
+        return HashFamily(MixHash(num_lines, seed=s) for s in way_seeds)
+    raise ValueError(f"unknown hash kind: {kind!r}")

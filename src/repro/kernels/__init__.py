@@ -30,8 +30,7 @@ Modules
     a :class:`~repro.core.controller.Cache` constructed with
     ``engine="turbo"`` delegates to.
 ``replay``
-    Batched drivers: bulk address generation for the Fig. 2 loop and
-    chunked hash pre-priming for ``CapturedTrace`` replays.
+    Batched driver: bulk address generation for the Fig. 2 loop.
 
 Engine selection is deliberately conservative: ``try_build_turbo``
 returns ``None`` (and the cache stays on the reference path, recorded in

@@ -7,8 +7,8 @@ the whole batch instead of ``N * index_bits`` Python-int operations.
 
 :func:`vector_hashes` wraps each member of a scalar hash family in a
 vector adapter. H3 and bit-selection get true array paths; anything else
-falls back to calling the scalar hash per element (still correct, still
-memoized by the underlying instance). The determinism contract is that a
+falls back to calling the scalar hash per element. The determinism
+contract is that a
 vector adapter equals its scalar hash on every address — asserted by
 ``tests/kernels``.
 """
@@ -40,8 +40,7 @@ class VectorHash:
     """Base vector adapter: scalar hash applied per element.
 
     Subclasses override :meth:`indices` with a real array path; this
-    default keeps unsupported hash kinds correct (the scalar instances
-    memoize, so repeated addresses stay cheap).
+    default keeps unsupported hash kinds correct.
     """
 
     def __init__(self, scalar: HashFunction) -> None:
@@ -93,17 +92,3 @@ def vector_hash(scalar: HashFunction) -> VectorHash:
 def vector_hashes(family: Sequence[HashFunction]) -> list[VectorHash]:
     """Vector adapters for a whole per-way hash family."""
     return [vector_hash(h) for h in family]
-
-
-def prime_h3(scalar: H3Hash, addresses: np.ndarray) -> None:
-    """Batch-fill an H3 instance's memo for ``addresses``.
-
-    The scalar hash computes parity bit by bit on first sight of an
-    address; replay drivers know the full address roster up front, so
-    one vectorized pass saves the per-address Python loop for both the
-    priming engine *and* every later scalar call.
-    """
-    idx = VectorH3(scalar).indices(addresses)
-    scalar.prime(
-        (int(a) for a in addresses), (int(i) for i in idx)
-    )

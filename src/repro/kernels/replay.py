@@ -1,36 +1,17 @@
-"""Batched trace-replay helpers for the turbo engine.
+"""Batched driver for the turbo engine's Fig. 2 loop.
 
-Two pre-passes that pay for themselves before the first access:
-
-- :func:`fig2_addresses` draws a whole synthetic access stream in one
-  vectorized pass from an :class:`~repro.kernels.rng.MTStream` that is
-  bit-synced to the experiment's ``random.Random``, replacing the
-  per-access ``rng.randrange(footprint)`` calls with a list walk.
-- :func:`prime_trace_hashes` hashes a captured trace's entire per-bank
-  address roster through the vectorized H3 path and deposits the results
-  in the scalar hashes' memos, so the replay loop (reference *or* turbo)
-  only ever takes dict hits on its index computations.
-
-Both are exact: the drawn stream equals the reference draw-for-draw, and
-primed memo entries equal what the scalar hash would have computed.
+:func:`fig2_addresses` draws a whole synthetic access stream in one
+vectorized pass from an :class:`~repro.kernels.rng.MTStream` that is
+bit-synced to the experiment's ``random.Random``, replacing the
+per-access ``rng.randrange(footprint)`` calls with a list walk. It is
+exact: the drawn stream equals the reference draw-for-draw.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
-from repro.core.setassoc import SetAssociativeArray
-from repro.core.zcache import ZCacheArray
-from repro.hashing.h3 import H3Hash
-from repro.kernels.h3 import prime_h3
 from repro.kernels.rng import MTStream
-
-if TYPE_CHECKING:
-    from repro.sim.cmp import CapturedTrace
-    from repro.sim.l2 import BankedL2
 
 
 def fig2_addresses(source: random.Random, footprint: int, count: int) -> list[int]:
@@ -41,55 +22,3 @@ def fig2_addresses(source: random.Random, footprint: int, count: int) -> list[in
     """
     stream = MTStream(source)
     return [int(a) for a in stream.randrange(footprint, count)]
-
-
-def trace_addresses(captured: "CapturedTrace") -> np.ndarray:
-    """Distinct L2-visible block addresses of a captured trace, sorted."""
-    if not captured.events:
-        return np.empty(0, dtype=np.int64)
-    addrs = np.fromiter(
-        (event[2] for event in captured.events),
-        dtype=np.int64,
-        count=len(captured.events),
-    )
-    return np.unique(addrs)
-
-
-def _prime_array_hashes(array: object, addresses: np.ndarray) -> int:
-    """Prime every H3 hash of one cache array; returns hashes primed."""
-    primed = 0
-    hashes: Iterable[object]
-    if isinstance(array, ZCacheArray):
-        hashes = array.hashes
-    elif isinstance(array, SetAssociativeArray):
-        hashes = (array.index_hash,)
-    else:
-        return 0
-    for h in hashes:
-        if isinstance(h, H3Hash):
-            prime_h3(h, addresses)
-            primed += 1
-    return primed
-
-
-def prime_trace_hashes(l2: "BankedL2", captured: "CapturedTrace") -> int:
-    """Batch-hash a captured trace's addresses into ``l2``'s bank memos.
-
-    Every event address is routed to its bank (the same modulo mapping
-    ``BankedL2`` uses) and pushed through each H3 hash of that bank's
-    array in one vectorized pass. Returns the number of hash functions
-    primed (0 when no bank uses H3 — e.g. bit-selected set-associative
-    designs — making the call a cheap no-op there).
-    """
-    addresses = trace_addresses(captured)
-    if len(addresses) == 0:
-        return 0
-    num_banks = len(l2.banks)
-    bank_of = addresses % num_banks
-    primed = 0
-    for bank_id, bank in enumerate(l2.banks):
-        bank_addrs = addresses[bank_of == bank_id]
-        if len(bank_addrs) == 0:
-            continue
-        primed += _prime_array_hashes(bank.array, bank_addrs)
-    return primed

@@ -108,68 +108,6 @@ class CMPResult:
         return cls(**data)
 
 
-class _MemoryChannel:
-    """Bandwidth queueing at the memory controllers.
-
-    Each controller serialises 64 B line transfers; a miss arriving at
-    (core-local) time t starts service at max(t, controller-free time).
-    Core clocks drift apart, so this is an approximation of global time
-    — adequate because queueing only matters under sustained load, when
-    clocks advance together.
-    """
-
-    def __init__(self, cfg: CMPConfig) -> None:
-        self.cfg = cfg
-        self._free = [0.0] * cfg.num_mcs
-
-    def mc_for(self, address: int) -> int:
-        return (address >> 4) % self.cfg.num_mcs
-
-    def demand(self, address: int, now: float) -> float:
-        """Occupy the line's controller for one transfer; returns the
-        queueing delay (cycles beyond zero-load latency). A miss stalls
-        its core for it; a writeback only consumes the bandwidth."""
-        mc = self.mc_for(address)
-        start = max(now, self._free[mc])
-        self._free[mc] = start + self.cfg.line_transfer_cycles
-        return start - now
-
-
-class _BankPorts:
-    """Optional L2 bank-port contention (cfg.bank_queueing).
-
-    Each bank serves one request per cycle; a zcache miss additionally
-    occupies its bank's tag port for the walk's duration
-    (ceil(reads/ways) cycles, since each way's tag array is a separate
-    port). Demand accesses queue behind that. This is the pressure the
-    paper's early-stop knob (`candidate_limit`) exists to relieve.
-    """
-
-    def __init__(self, cfg: CMPConfig) -> None:
-        self.enabled = cfg.bank_queueing
-        self.ways = cfg.l2_design.ways
-        self._free = [0.0] * cfg.l2_banks
-        self.queueing_cycles = 0
-
-    def demand(self, bank: int, now: float) -> int:
-        """Delay (cycles) before the bank can serve this access."""
-        if not self.enabled:
-            return 0
-        start = max(now, self._free[bank])
-        self._free[bank] = start + 1.0
-        delay = int(start - now)
-        self.queueing_cycles += delay
-        return delay
-
-    def walk(self, bank: int, now: float, tag_reads: int) -> None:
-        """A replacement walk occupies the bank's tag port (no stall)."""
-        if not self.enabled or tag_reads <= 0:
-            return
-        duration = -(-tag_reads // self.ways)  # ceil
-        start = max(now, self._free[bank])
-        self._free[bank] = start + duration
-
-
 def _bank_latency(cfg: CMPConfig) -> int:
     """L2 bank hit latency from the analytical array model."""
     design = cfg.l2_design
@@ -356,40 +294,100 @@ def _back_end(cfg: CMPConfig, l2: BankedL2):
     from the L2 (else None). ``result(trace)`` closes the clocks with
     each core's compute after its last event and assembles the
     :class:`CMPResult` from the L2's counters and the front end's
-    totals. Closures rather than methods: ``step`` runs once per event
-    of every replay, and cell reads cost less than attribute reads.
+    totals.
+
+    ``step`` runs once per event of every replay, so it is one straight
+    function over names bound here, once: each bank's ``access`` and
+    ``absorb_writeback`` and its port counter sit in lists indexed by
+    ``address % banks`` (:func:`~repro.sim.l2.bank_index`, inline), the
+    request latency of every (core, bank) pair is a table, and the
+    core's clock is read and written once per event.
+
+    *Memory channel.* Each controller serialises 64 B line transfers; a
+    miss arriving at (core-local) time t starts service at max(t,
+    controller-free time) and stalls its core for the difference; the
+    writeback of a dirty victim occupies its own controller the same
+    way and stalls nobody. Core clocks drift apart, so this is an
+    approximation of global time — adequate because queueing only
+    matters under sustained load, when clocks advance together.
+
+    *Bank ports* (``cfg.bank_queueing``, off by default). Each bank
+    serves one request per cycle; a zcache miss additionally occupies
+    its bank's tag port for the walk's duration (ceil(reads/ways)
+    cycles, since each way's tag array is a separate port), and demand
+    accesses queue behind that. This is the pressure the paper's
+    early-stop knob (``candidate_limit``) exists to relieve.
     """
-    channel = _MemoryChannel(cfg)
-    ports = _BankPorts(cfg)
+    banks = cfg.l2_banks
     bank_latency = _bank_latency(cfg)
+    request = [
+        [cfg.l1_to_bank_latency(core, bank) + bank_latency for bank in range(banks)]
+        for core in range(cfg.num_cores)
+    ]
+    access = [bank.access for bank in l2.banks]
+    absorb_writeback = [bank.absorb_writeback for bank in l2.banks]
+    port_counters = l2.port_counters
+    writeback_hits = l2.writeback_hit_counter
+    writeback_misses = l2.writeback_miss_counter
+    queueing = cfg.bank_queueing
+    ways = cfg.l2_design.ways
+    walk_reads = [bank.stats.counters()["walk_tag_reads"] for bank in l2.banks]
+    port_free = [0.0] * banks
+    queueing_cycles = 0  # total demand delay at the bank ports
+    mem_latency = cfg.mem_latency
+    controllers = cfg.num_mcs
+    transfer = cfg.line_transfer_cycles
+    channel_free = [0.0] * controllers
     cycles = [0] * cfg.num_cores
     accounted = [0] * cfg.num_cores
 
     def step(event: tuple) -> Optional[int]:
+        nonlocal queueing_cycles
         kind, core, address, is_write, work = event
-        cycles[core] += work
         accounted[core] += work
+        bank = address % banks
+        port_counters[bank].value += 1
         if kind == WRITEBACK:
-            l2.writeback(address)
+            cycles[core] += work
+            if absorb_writeback[bank](address):
+                writeback_hits.value += 1
+            else:
+                writeback_misses.value += 1
             return None
-        bank = l2.bank_for(address)
-        cycles[core] += cfg.l1_to_bank_latency(core, bank) + bank_latency
-        cycles[core] += ports.demand(bank, cycles[core])
+        now = cycles[core] + work + request[core][bank]
+        if queueing:
+            start = max(now, port_free[bank])
+            port_free[bank] = start + 1.0
+            delay = int(start - now)
+            queueing_cycles += delay
+            now += delay
+            reads_before = walk_reads[bank].value
         if kind == UPGRADE:
-            l2.record_bank_access(bank)
+            cycles[core] = now
             return None
-        walk_reads_before = l2.walk_tag_reads
-        outcome = l2.access(address, is_write)
-        if outcome.hit:
+        result = access[bank](address, is_write)
+        if result.hit:
+            cycles[core] = now
             return None
-        ports.walk(bank, cycles[core], l2.walk_tag_reads - walk_reads_before)
+        if queueing:
+            # The walk occupies the bank's tag port; it stalls nobody.
+            reads = walk_reads[bank].value - reads_before
+            if reads > 0:
+                duration = -(-reads // ways)  # ceil
+                port_free[bank] = max(now, port_free[bank]) + duration
         # The miss reaches its controller after the L2 round trip and
         # the zero-load latency, so that is the time it queues from.
-        cycles[core] += cfg.mem_latency
-        cycles[core] += int(channel.demand(address, cycles[core]))
-        if outcome.writeback:  # takes bandwidth, stalls nobody
-            channel.demand(outcome.evicted, cycles[core])
-        return outcome.evicted
+        now += mem_latency
+        controller = (address >> 4) % controllers
+        start = max(now, channel_free[controller])
+        channel_free[controller] = start + transfer
+        now += int(start - now)
+        evicted = result.evicted
+        if result.writeback:  # takes bandwidth, stalls nobody
+            controller = (evicted >> 4) % controllers
+            channel_free[controller] = max(now, channel_free[controller]) + transfer
+        cycles[core] = now
+        return evicted
 
     def result(trace: CapturedTrace) -> CMPResult:
         for core, retired in enumerate(trace.instructions):
@@ -416,7 +414,7 @@ def _back_end(cfg: CMPConfig, l2: BankedL2):
             upgrades=trace.upgrades,
             l2_bank_latency=bank_latency,
             eviction_priorities=priorities,
-            bank_queueing_cycles=ports.queueing_cycles,
+            bank_queueing_cycles=queueing_cycles,
         )
 
     return step, result
@@ -545,14 +543,6 @@ class TraceDrivenRunner:
                 policy_wrapper=policy_wrapper,
                 obs=obs.scoped("l2") if obs is not None else None,
             )
-        if cfg.engine == "turbo":
-            # The captured stream's whole address roster is known up
-            # front: hash it through the vectorized H3 path once so the
-            # replay loop only takes memo hits on index computations.
-            from repro.kernels.replay import prime_trace_hashes
-
-            with spans.span("replay.prime"):
-                prime_trace_hashes(l2, captured)
         step, result = _back_end(cfg, l2)
         with spans.span("replay.stream", events=len(captured.events)):
             for event in captured.events:

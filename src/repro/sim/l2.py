@@ -13,10 +13,10 @@ and the old attribute surfaces — ``bank_accesses``, ``writeback_hits``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core import (
+    AccessResult,
     Cache,
     SetAssociativeArray,
     SkewAssociativeArray,
@@ -31,22 +31,14 @@ from repro.sim.config import CMPConfig
 def bank_index(address: int, num_banks: int) -> int:
     """Address-interleaved bank mapping, shared by every site that needs it.
 
-    This is *the* interleaving function: :meth:`BankedL2.bank_for` and
-    the trace-capture path (``CapturedTrace.bank_demand_traces``, which
-    builds OPT's per-bank future traces) both call it, so a change to
-    the interleaving can never silently desynchronise them.
+    This is *the* interleaving: :class:`BankedL2` and the trace-capture
+    path (``CapturedTrace.bank_demand_traces``, which builds OPT's
+    per-bank future traces) both call it. The back end's per-event step
+    (``repro.sim.cmp``) writes the same ``address % num_banks`` inline,
+    and ``tests/sim/test_l2.py`` holds the port counters to this
+    function.
     """
     return address % num_banks
-
-
-@dataclass
-class L2AccessOutcome:
-    """Result of one L2 demand access."""
-
-    hit: bool
-    evicted: Optional[int]
-    writeback: bool  # dirty L2 victim went to memory
-    bank: int
 
 
 def _build_bank_array(cfg: CMPConfig, bank: int):
@@ -142,54 +134,39 @@ class BankedL2:
                     engine=cfg.engine,
                 )
             )
-        # Port-level counters (demand + writeback traffic per bank); the
-        # name avoids colliding with each bank controller's `accesses`.
-        self._bank_access = [
+        #: Port-level counters, one per bank (demand, upgrade and
+        #: writeback traffic); the name avoids colliding with each bank
+        #: controller's ``accesses``. The back end's step bumps these
+        #: itself, so they are live during a run.
+        self.port_counters = [
             self.metrics.counter(f"bank{b}.port_accesses")
             for b in range(cfg.l2_banks)
         ]
-        self._c_writeback_hits = self.metrics.counter("writeback_hits")
-        self._c_writeback_misses = self.metrics.counter("writeback_misses")
-        # attr -> the banks' Counter objects, lazily built: the timing
-        # model polls aggregates like `walk_tag_reads` per access, so
-        # `total()` must not re-resolve counters every call (a bank's
-        # stats object is bound once, so the refs stay live).
-        self._total_cache: dict[str, list] = {}
+        #: L1 writebacks the L2 absorbed / forwarded to memory.
+        self.writeback_hit_counter = self.metrics.counter("writeback_hits")
+        self.writeback_miss_counter = self.metrics.counter("writeback_misses")
 
     @property
     def bank_accesses(self) -> list[int]:
         """Per-bank port access counts (a snapshot, not a live list)."""
-        return [c.value for c in self._bank_access]
+        return [c.value for c in self.port_counters]
 
     @property
     def writeback_hits(self) -> int:
         """L1 writebacks the L2 absorbed."""
-        return self._c_writeback_hits.value
+        return self.writeback_hit_counter.value
 
     @property
     def writeback_misses(self) -> int:
         """L1 writebacks that missed the L2 and went to memory."""
-        return self._c_writeback_misses.value
+        return self.writeback_miss_counter.value
 
-    def record_bank_access(self, bank: int) -> None:
-        """Count one port access to ``bank`` (demand or writeback)."""
-        self._bank_access[bank].value += 1
-
-    def bank_for(self, address: int) -> int:
-        """Address-interleaved bank selection (see :func:`bank_index`)."""
-        return bank_index(address, self.cfg.l2_banks)
-
-    def access(self, address: int, is_write: bool) -> L2AccessOutcome:
-        """One demand access (an L1 miss reaching the L2)."""
-        bank = self.bank_for(address)
-        self._bank_access[bank].value += 1
-        result = self.banks[bank].access(address, is_write)
-        return L2AccessOutcome(
-            hit=result.hit,
-            evicted=result.evicted,
-            writeback=result.writeback,
-            bank=bank,
-        )
+    def access(self, address: int, is_write: bool) -> AccessResult:
+        """One demand access (an L1 miss reaching the L2): the home
+        bank's own :class:`~repro.core.AccessResult`."""
+        bank = bank_index(address, self.cfg.l2_banks)
+        self.port_counters[bank].value += 1
+        return self.banks[bank].access(address, is_write)
 
     def writeback(self, address: int) -> bool:
         """An L1 dirty eviction writes its data down.
@@ -200,29 +177,22 @@ class BankedL2:
         inclusion is not enforced on the L1 stream) forwards the line to
         memory.
         """
-        bank = self.bank_for(address)
-        self._bank_access[bank].value += 1
+        bank = bank_index(address, self.cfg.l2_banks)
+        self.port_counters[bank].value += 1
         if self.banks[bank].absorb_writeback(address):
-            self._c_writeback_hits.value += 1
+            self.writeback_hit_counter.value += 1
             return True
-        self._c_writeback_misses.value += 1
+        self.writeback_miss_counter.value += 1
         return False
 
-    def invalidate(self, address: int) -> bool:
-        """Back-invalidate (unused externally today; symmetry helper)."""
-        return self.banks[self.bank_for(address)].invalidate(address)
-
     def __contains__(self, address: int) -> bool:
-        return address in self.banks[self.bank_for(address)]
+        return address in self.banks[bank_index(address, self.cfg.l2_banks)]
 
     # -- aggregate statistics ---------------------------------------------------
     def total(self, attr: str) -> int:
-        """Sum a CacheStats counter across banks."""
-        counters = self._total_cache.get(attr)
-        if counters is None:
-            counters = [b.stats.counters()[attr] for b in self.banks]
-            self._total_cache[attr] = counters
-        return sum(c.value for c in counters)
+        """Sum a CacheStats counter across banks (an end-of-run read:
+        nothing polls an aggregate per access)."""
+        return sum(b.stats.counters()[attr].value for b in self.banks)
 
     @property
     def hits(self) -> int:

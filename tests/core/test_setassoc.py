@@ -71,6 +71,13 @@ class TestPlacement:
         with pytest.raises(RuntimeError):
             arr.build_replacement(1)
 
+    def test_supplied_index_hash_must_fit_the_geometry(self):
+        from repro.hashing import H3Hash
+
+        with pytest.raises(ValueError, match="different set count"):
+            SetAssociativeArray(4, 64, index_hash=H3Hash(128))
+        assert SetAssociativeArray(4, 64, index_hash=H3Hash(64)).num_sets == 64
+
     def test_tag_reads_per_replacement_equals_ways(self):
         arr = SetAssociativeArray(4, 8)
         repl = arr.build_replacement(3)

@@ -112,6 +112,23 @@ class TestWalk:
         with pytest.raises(ValueError):
             ZCacheArray(4, 64, candidate_limit=2)
 
+    @pytest.mark.parametrize("array", [ZCacheArray, SkewAssociativeArray])
+    def test_supplied_hashes_must_fit_the_geometry(self, array):
+        # Sized for 128 lines, a function indexes past a 64-line way.
+        from repro.hashing import make_hash_family
+
+        with pytest.raises(ValueError, match="lines_per_way"):
+            array(4, 64, hashes=make_hash_family("h3", 4, 128))
+        with pytest.raises(ValueError, match="lines_per_way"):
+            array(4, 64, hashes=list(make_hash_family("mix", 4, 32)))
+        with pytest.raises(ValueError, match="num_lines"):
+            array(2, 64, hashes=[*make_hash_family("h3", 1, 64),
+                                 *make_hash_family("h3", 1, 128)])
+        with pytest.raises(ValueError, match="one hash function per way"):
+            array(4, 64, hashes=make_hash_family("h3", 3, 64))
+        arr = array(4, 64, hashes=list(make_hash_family("h3", 4, 64)))
+        assert arr.hashes.num_lines == 64
+
     def test_walk_on_empty_cache_stops_at_level0(self):
         arr = ZCacheArray(4, 64, levels=3)
         repl = arr.build_replacement(5)

@@ -13,7 +13,6 @@ from repro.kernels.h3 import (
     VectorBitSelect,
     VectorH3,
     VectorHash,
-    prime_h3,
     vector_hash,
     vector_hashes,
 )
@@ -59,11 +58,3 @@ def test_vector_hash_dispatch():
     assert len(adapters) == 4
     assert all(type(a) is VectorH3 for a in adapters)
     assert all(a.scalar is h for a, h in zip(adapters, family))
-
-
-def test_prime_h3_fills_memo_consistently():
-    primed = H3Hash(512, seed=11)
-    fresh = H3Hash(512, seed=11)
-    addrs = _addresses(11, count=1000)
-    prime_h3(primed, addrs)
-    assert [primed(int(a)) for a in addrs] == [fresh(int(a)) for a in addrs]

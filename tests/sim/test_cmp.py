@@ -129,6 +129,41 @@ class TestTraceMode:
         for c, i in zip(res.cycles, res.instructions):
             assert c >= i
 
+    def test_replay_polls_no_aggregate_per_event(self, monkeypatch):
+        # A count, not a clock: BankedL2.total sums a counter over all
+        # banks, so the per-event step must never call it — only
+        # result() does, a fixed number of times however long the
+        # stream is. Port counters follow bank_index event by event.
+        from dataclasses import replace
+
+        from repro.sim.l2 import BankedL2, bank_index
+
+        calls = []
+        total = BankedL2.total
+        monkeypatch.setattr(
+            BankedL2, "total", lambda l2, attr: calls.append(attr) or total(l2, attr)
+        )
+        captured = self.make_runner(workload="canneal").capture()
+        events = captured.events
+        cfg = replace(
+            CFG.with_design(L2DesignConfig(kind="z", ways=4, levels=2)),
+            bank_queueing=True,
+        )
+        per_replay = []
+        for length in (300, len(events)):
+            del calls[:]
+            res = TraceDrivenRunner.from_captured(
+                cfg, replace(captured, events=events[:length])
+            ).replay(cfg)
+            per_replay.append(len(calls))
+            expected = [0] * 8
+            for event in events[:length]:
+                expected[bank_index(event[2], 8)] += 1
+            assert res.bank_accesses == expected
+            assert res.walk_tag_reads > 0
+        assert len(events) > 1000
+        assert per_replay[0] == per_replay[1] <= 8
+
 
 class TestLatencySensitivity:
     def test_parallel_lookup_improves_hit_latency_bound_workload(self):
