@@ -18,7 +18,6 @@ from repro.analysis.lint import (
     LintEngine,
     LintReport,
     default_rules,
-    fix_paths,
 )
 from repro.analysis.sanitizer import InvariantViolation, SanitizedArray
 
@@ -45,18 +44,16 @@ def _split_codes(
 def run_lint(argv: list[str]) -> int:
     """``zcache-repro lint [paths...]`` — run ZSan; exit 1 on findings.
 
-    ``--deep`` adds the ZProve whole-program rules (ZS101–ZS113) on
+    ``--deep`` adds the ZProve whole-program rules (ZS101–ZS109) on
     top of the per-file rules; selecting a deep code enables the deep
-    pass implicitly. ``--fix`` applies the mechanical repairs first
-    (ZS004 ``slots=True`` insertion, ZS001 ``from random import``
-    rewrite) and then reports what remains.
+    pass implicitly.
     """
     from repro.analysis.semantic import default_deep_rules, run_deep
 
     parser = argparse.ArgumentParser(
         prog="zcache-repro lint",
         description="Run the ZSan AST lint rules (ZS001-ZS006) and, "
-        "with --deep, the ZProve whole-program rules (ZS101-ZS113) "
+        "with --deep, the ZProve whole-program rules (ZS101-ZS109) "
         "over Python sources. Exits non-zero when any finding is "
         "reported.",
     )
@@ -82,12 +79,7 @@ def run_lint(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--deep", action="store_true",
-        help="also run the whole-program semantic rules (ZS101-ZS113)",
-    )
-    parser.add_argument(
-        "--fix", action="store_true",
-        help="apply automatic fixes (ZS004 slots, ZS001 import rewrite) "
-        "before linting",
+        help="also run the whole-program semantic rules (ZS101-ZS109)",
     )
     args = parser.parse_args(argv)
 
@@ -120,15 +112,6 @@ def run_lint(argv: list[str]) -> int:
         for p in missing:
             print(f"zsan: error: no such file or directory: {p}", file=sys.stderr)
         return 2
-
-    if args.fix:
-        for result in fix_paths(args.paths):
-            codes = ",".join(sorted(result.codes))
-            print(
-                f"zsan: fixed {result.fixes} issue(s) [{codes}] in "
-                f"{result.path}",
-                file=sys.stderr,
-            )
 
     # --deep runs the whole-program pass (unless --select names only
     # per-file codes); naming a deep code in --select implies --deep.

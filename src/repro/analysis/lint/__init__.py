@@ -7,12 +7,6 @@ for their registration side effect). See ``docs/lint_rules.md`` for the
 rule catalogue and ``zcache-repro lint --rules`` for a live listing.
 """
 
-from repro.analysis.lint.autofix import (
-    FIXABLE_CODES,
-    FixResult,
-    fix_paths,
-    fix_text,
-)
 from repro.analysis.lint.engine import (
     ALL_CODES,
     PARSE_ERROR_CODE,
@@ -35,10 +29,6 @@ from repro.analysis.lint.rules import (
 
 __all__ = [
     "ALL_CODES",
-    "FIXABLE_CODES",
-    "FixResult",
-    "fix_paths",
-    "fix_text",
     "PARSE_ERROR_CODE",
     "RULE_REGISTRY",
     "Finding",

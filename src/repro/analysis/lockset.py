@@ -1,9 +1,10 @@
-"""ZRace's dynamic backend: an Eraser-style lockset sanitizer.
+"""The serve layer's race checker: an Eraser-style lockset sanitizer.
 
-The static rules (ZS110–ZS113) prove the serve layer's locking
-discipline from source; this module *watches* it. A
-:class:`LocksetSanitizer` instruments a live
-:class:`~repro.serve.shard.CacheShard` — its lock, its payload dict,
+This module *watches* the serve layer's locking discipline at run
+time (the static side is narrower: ZS105 keeps ``prepare_fill`` — the
+off-lock walk — free of mutations, ZS104 keeps ``serve/`` free of
+module-level mutable state). A :class:`LocksetSanitizer` instruments
+a live :class:`~repro.serve.shard.CacheShard` — its lock, its payload dict,
 its recency buffer, and its two-phase zcache — and replays Eraser's
 per-field state machine over every observed access::
 
@@ -17,7 +18,7 @@ first-owner ``exclusive`` state. A field that reaches
 race: two threads mutate it and no common lock protects them.
 
 The shard's sanctioned lock-free idioms are encoded as per-field
-*policies*, mirroring the static rules' sanctioned-atomic table:
+*policies*:
 
 ``write-locked`` (``_entries``, ``zcache``)
     Lock-free reads are the design (``dict.get`` is GIL-atomic;
@@ -38,9 +39,11 @@ thread-scope invariants of :mod:`repro.analysis.spec`
 stays the single vocabulary for every checker in the repo.
 
 Run it via ``zcache-repro check --lockset``, which drives threaded
-traffic through an instrumented shard and asserts zero reports — then
-plants an unlocked shard and asserts the race *is* reported
-(``tests/analysis/test_lockset.py`` holds both halves in tier-1).
+get/put/invalidate traffic through an instrumented shard and asserts
+zero reports — then plants an unlocked shard and asserts the race
+*is* reported. ``tests/analysis/test_lockset.py`` runs both halves in
+tier-1, plus the same replay over copies of ``serve/shard.py`` with a
+lock dropped from ``invalidate`` or taken twice on the fallback fill.
 """
 
 from __future__ import annotations
@@ -53,12 +56,11 @@ from repro.analysis.sanitizer import InvariantViolation
 from repro.analysis.spec import SCOPE_THREAD, ThreadCheck, invariants_for
 from repro.core.base import ArrayProxy
 
-#: per-field access policies (the dynamic sanctioned-atomic table)
+#: per-field access policies (the sanctioned lock-free idioms)
 POLICY_WRITE_LOCKED = "write-locked"
 POLICY_ATOMIC_APPEND = "atomic-append"
 
-#: zcache methods that mutate array/policy state — the dynamic twin of
-#: the static pass's ``_MUTATING_CALLS`` table
+#: zcache methods that mutate array/policy state
 _ZC_WRITES = frozenset({
     "access",
     "invalidate",
@@ -298,7 +300,7 @@ class LocksetSanitizer:
 
     # -- instrumentation plumbing -------------------------------------------
     def _tracked_property(self, name: str) -> property:
-        shadow = "_zrace_" + name
+        shadow = "_tracked_" + name
         san = self
 
         def fget(obj: Any) -> Any:
@@ -448,35 +450,35 @@ class LocksetSanitizer:
 # ---------------------------------------------------------------------------
 
 
-def instrumented_replay(
-    ops: int = 3000,
-    threads: int = 4,
-    seed: int = 0,
-    fingerprint: bool = False,
-) -> LocksetSanitizer:
-    """Mixed get/put traffic from ``threads`` workers on a tracked shard.
+def _replay(shard: Any, ops: int, threads: int, seed: int) -> LocksetSanitizer:
+    """Instrument ``shard`` and run ``threads`` workers of mixed traffic.
 
-    The production discipline must come back clean: every field ends
-    either thread-exclusive or with a non-empty candidate lockset, and
-    the acquisition graph stays acyclic.
+    Each worker issues ``ops`` operations over 512 addresses: 50% put,
+    10% invalidate, 40% get. A worker's exception is re-raised after
+    the join only when the sanitizer reported nothing: once the
+    discipline is broken, the real races it prevents (policy desync,
+    torn walks, a re-acquired lock) can genuinely fire, and the reports
+    are the verdict.
     """
     import random
 
-    from repro.serve.shard import CacheShard
-
-    shard = CacheShard(
-        num_ways=2, lines_per_way=64, levels=2, fingerprint=fingerprint
-    )
     san = LocksetSanitizer(shard)
+    errors: List[Exception] = []
 
     def worker(wid: int) -> None:
         rng = random.Random(seed * 1000 + wid)
         for _ in range(ops):
             addr = rng.randrange(512)
-            if rng.random() < 0.5:
-                shard.put(addr, addr, b"%d" % addr)
-            else:
-                shard.get(addr)
+            draw = rng.random()
+            try:
+                if draw < 0.5:
+                    shard.put(addr, addr, b"%d" % addr)
+                elif draw < 0.6:
+                    shard.invalidate(addr)
+                else:
+                    shard.get(addr)
+            except Exception as exc:
+                errors.append(exc)
 
     pool = [
         threading.Thread(target=worker, args=(wid,), name=f"replay-{wid}")
@@ -486,7 +488,29 @@ def instrumented_replay(
         t.start()
     for t in pool:
         t.join()
+    if errors and not san.reports:
+        raise errors[0]
     return san
+
+
+def instrumented_replay(
+    ops: int = 3000,
+    threads: int = 4,
+    seed: int = 0,
+    fingerprint: bool = False,
+) -> LocksetSanitizer:
+    """Mixed traffic from ``threads`` workers on a tracked shard.
+
+    The production discipline must come back clean: every field ends
+    either thread-exclusive or with a non-empty candidate lockset, and
+    the acquisition graph stays acyclic.
+    """
+    from repro.serve.shard import CacheShard
+
+    shard = CacheShard(
+        num_ways=2, lines_per_way=64, levels=2, fingerprint=fingerprint
+    )
+    return _replay(shard, ops, threads, seed)
 
 
 def planted_unlocked_replay(
@@ -494,15 +518,10 @@ def planted_unlocked_replay(
 ) -> LocksetSanitizer:
     """The acceptance negative: a shard whose ``put`` skips the lock.
 
-    Two writer threads mutating the payload store and the zcache with
-    no lock held drive both fields to ``shared-modified`` with an
-    empty candidate lockset — the checker must report them. The
-    workers swallow exceptions: with the lock gone, the *real* races
-    the discipline prevents (policy desync, torn walks) can genuinely
-    fire, and this replay only cares what the lockset detector saw.
+    Writer threads mutating the payload store and the zcache with no
+    lock held drive both fields to ``shared-modified`` with an empty
+    candidate lockset — the checker must report them.
     """
-    import random
-
     from repro.serve.shard import CacheShard
 
     class UnlockedShard(CacheShard):
@@ -511,22 +530,4 @@ def planted_unlocked_replay(
             self._sync_entries(address, key, value, None)
 
     shard = UnlockedShard(num_ways=2, lines_per_way=64, levels=2)
-    san = LocksetSanitizer(shard)
-
-    def worker(wid: int) -> None:
-        rng = random.Random(seed * 1000 + wid)
-        for _ in range(ops):
-            try:
-                shard.put(rng.randrange(512), wid, wid)
-            except Exception:
-                pass
-
-    pool = [
-        threading.Thread(target=worker, args=(wid,), name=f"planted-{wid}")
-        for wid in range(threads)
-    ]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join()
-    return san
+    return _replay(shard, ops, threads, seed)

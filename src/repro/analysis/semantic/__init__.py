@@ -11,13 +11,10 @@ Layers (each its own module):
 - :mod:`repro.analysis.semantic.callgraph` — static call edges and
   reachability;
 - :mod:`repro.analysis.semantic.deeprules` — the rule registry and the
-  ZS101–ZS104 rules;
+  ZS101–ZS104 and ZS109 rules;
 - :mod:`repro.analysis.semantic.effects` — interprocedural effect
   inference (array-state mutation, counter folds, RNG draws, raises)
   and the ZS105–ZS108 effect/typestate rules;
-- :mod:`repro.analysis.semantic.race` — thread roots, per-call-path
-  locksets, the lock-acquisition graph, and the ZS110–ZS113 race
-  rules (ZRace);
 - :mod:`repro.analysis.semantic.model` — the
   :class:`~repro.analysis.semantic.model.SemanticModel` facade and the
   :func:`~repro.analysis.semantic.model.run_deep` driver behind
@@ -35,13 +32,6 @@ from repro.analysis.semantic.deeprules import (
 from repro.analysis.semantic.effects import (
     EffectAnalysis,
     FunctionEffects,
-)
-from repro.analysis.semantic.race import (
-    LockDisciplineRule,
-    LockOrderRule,
-    OffLockPurityRule,
-    RaceAnalysis,
-    ThreadEscapeRule,
 )
 from repro.analysis.semantic.model import (
     DeepRunStats,
@@ -71,17 +61,12 @@ __all__ = [
     "FunctionEffects",
     "FunctionInfo",
     "ImportedName",
-    "LockDisciplineRule",
-    "LockOrderRule",
     "ModuleGraph",
     "ModuleInfo",
     "ModuleSymbols",
-    "OffLockPurityRule",
     "OriginEvaluator",
-    "RaceAnalysis",
     "ScopeWalker",
     "SemanticModel",
-    "ThreadEscapeRule",
     "default_deep_rules",
     "extract_symbols",
     "func_key",

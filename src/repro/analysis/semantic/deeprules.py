@@ -19,8 +19,9 @@ call graph:
   must fold *every* metric they register in their merge paths, so the
   parallel sweep's deterministic merge cannot silently drop a counter.
 - **ZS104 hidden-module-state** — simulator packages (``core``,
-  ``sim``, ``replacement``) must not keep module-level mutable
-  globals; state belongs in objects threaded through calls.
+  ``sim``, ``replacement``) and the threaded ``serve`` package must
+  not keep module-level mutable globals; state belongs in objects
+  threaded through calls.
 - **ZS109 span-discipline** — ``core``/``kernels``/``experiments``
   code opens ZTrace spans only as ``with`` items (or through
   ``record_span``), so a raising body can never leak an open span.
@@ -119,9 +120,9 @@ def register_deep_rule(cls: type) -> type:
 
 def default_deep_rules() -> List[DeepRule]:
     """One instance of every registered deep rule, code order."""
-    # The effect and race rules register on import; imported lazily
-    # here because both modules import DeepRule from this one.
-    from repro.analysis.semantic import effects, race  # noqa: F401
+    # The effect rules register on import; imported lazily here
+    # because that module imports DeepRule from this one.
+    from repro.analysis.semantic import effects  # noqa: F401
 
     return [DEEP_RULE_REGISTRY[c]() for c in sorted(DEEP_RULE_REGISTRY)]
 
@@ -648,18 +649,20 @@ class MergeCompletenessRule(DeepRule):
 # ZS104: hidden module state
 # ---------------------------------------------------------------------------
 
-_SIM_PACKAGES = frozenset({"core", "sim", "replacement"})
+#: ``serve`` is in scope because its code runs on many threads at once:
+#: a module-level mutable there is state no shard lock guards
+_SIM_PACKAGES = frozenset({"core", "sim", "replacement", "serve"})
 
 
 @register_deep_rule
 class HiddenModuleStateRule(DeepRule):
-    """ZS104: simulator packages keep no module-level mutable globals."""
+    """ZS104: simulator and serve packages keep no module-level mutables."""
 
     code = "ZS104"
     name = "hidden-module-state"
     summary = (
-        "core/, sim/, and replacement/ modules must not hold mutable "
-        "module-level globals; simulator state lives in objects"
+        "core/, sim/, replacement/ and serve/ modules must not hold "
+        "mutable module-level globals; state lives in objects"
     )
 
     @classmethod
@@ -678,7 +681,7 @@ class HiddenModuleStateRule(DeepRule):
                 code=self.code,
                 message=(
                     f"module-level mutable global '{binding.name}'; "
-                    f"simulator state must live in objects threaded "
+                    f"state must live in objects threaded "
                     f"through calls (freeze constants with tuple/"
                     f"frozenset/MappingProxyType)"
                 ),

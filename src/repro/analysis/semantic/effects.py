@@ -20,10 +20,10 @@ Direct effects are extracted per function; reachable effects close
 over the static call graph. Four deep rules consume the analysis:
 
 - **ZS105 two-phase purity** — candidate collection (every
-  ``build_replacement`` / ``build_reinsertion`` and the turbo walk
-  kernels' ``collect``) must not reach an array-state mutation: the
-  walk phase of the two-phase protocol is read-only by contract
-  (paper Section III-D; the off-lock walk discipline in "Limited
+  ``build_replacement`` / ``build_reinsertion`` / ``prepare_fill`` and
+  the turbo walk kernels' ``collect``) must not reach an array-state
+  mutation: the walk phase of the two-phase protocol is read-only by
+  contract (paper Section III-D; the off-lock walk discipline in "Limited
   Associativity Makes Concurrent Software Caches a Breeze").
 - **ZS106 exception-state safety** — a function that both mutates
   array state and raises *after* its first mutation can strand a
@@ -317,8 +317,11 @@ def _classes_named(
 _SIM_PACKAGES = frozenset({"core", "kernels"})
 
 #: candidate-collection entry points: the read-only phase of the
-#: two-phase protocol, in both engines
-_WALK_METHODS = frozenset({"build_replacement", "build_reinsertion"})
+#: two-phase protocol, in both engines, and the serve shard's off-lock
+#: walk (``TwoPhaseZCache.prepare_fill`` runs with no lock held)
+_WALK_METHODS = frozenset(
+    {"build_replacement", "build_reinsertion", "prepare_fill"}
+)
 _WALK_KERNEL_METHOD = "collect"
 
 
@@ -334,8 +337,8 @@ class TwoPhasePurityRule(DeepRule):
     code = "ZS105"
     name = "two-phase-purity"
     summary = (
-        "build_replacement/build_reinsertion walks and turbo walk "
-        "kernels are read-only: no array-state mutation may be "
+        "build_replacement/build_reinsertion/prepare_fill walks and "
+        "turbo walk kernels are read-only: no array-state mutation may be "
         "reachable from candidate collection"
     )
 

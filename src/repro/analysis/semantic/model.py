@@ -11,8 +11,9 @@ a set of paths, run every registered deep rule module by module,
 filter suppressions against the *flagged* file (a deep finding may be
 anchored in a different module than the one whose analysis produced
 it). Every run analyzes every module: a finding can depend on a
-module's *callers* (ZS110 entry locksets), so no per-module result
-outlives the tree it was computed on.
+module's *callers* (ZS102 and ZS105 report a mutation reachable from a
+root defined in another module), so no per-module result outlives the
+tree it was computed on.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ constrain:
     state (paper Section III-D's benign-race restart discipline).
 ``thread``
     One observed shared-field access or lock acquisition in the serve
-    layer, evaluated by ZRace's dynamic lockset backend
+    layer, evaluated by the lockset sanitizer
     (:mod:`repro.analysis.lockset`): shared-modified fields must keep
     a non-empty candidate lockset, and observed acquisitions must
     form no cycle.
@@ -64,8 +64,8 @@ from repro.core.base import (
 #: predate the registry (SanitizedArray's original taxonomy);
 #: ``phase-stale``/``commit-order`` cover the two-phase protocol's
 #: staleness and atomicity contract; ``lockset-race``/``lock-order``
-#: cover the serve layer's threading discipline (ZRace's dynamic
-#: lockset backend).
+#: cover the serve layer's threading discipline (the lockset
+#: sanitizer).
 VIOLATION_KINDS = (
     "walk-cycle",
     "walk-level",
@@ -709,7 +709,7 @@ def _twophase_commit_atomic(ctx: PhaseCheck) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Thread-scope invariants (ZRace's dynamic lockset backend).
+# Thread-scope invariants (the lockset sanitizer).
 # ---------------------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ Examples::
     zcache-repro fig4 --workloads canneal,cactusADM --instructions 5000
     zcache-repro roster
     zcache-repro lint src/repro
-    zcache-repro lint --deep --fix src/repro
+    zcache-repro lint --deep src/repro
     zcache-repro check --sanitize
     zcache-repro stats fig2 --format json
     zcache-repro trace fig2 --instructions 2000
@@ -41,7 +41,7 @@ from repro.experiments import ARTIFACTS
 #: them and renders the epilog: ``name -> ("module:function", help)``.
 SUBCOMMANDS = {
     "lint": ("repro.analysis.cli:run_lint",
-             "ZSan static analysis; --deep whole-program rules, --fix repairs"),
+             "ZSan static analysis; --deep whole-program rules"),
     "check": ("repro.analysis.cli:run_check",
               "--sanitize runtime invariants, --model checker, --lockset races"),
     "stats": ("repro.obs.cli:run_stats",

@@ -187,7 +187,7 @@ class CacheShard:
                 return MISS
             self._c_read_hits.value += 1
             if len(self._recency) < RECENCY_CAP:
-                self._recency.append(address)  # zrace: atomic
+                self._recency.append(address)
             else:
                 self._c_recency_dropped.value += 1
             self._verify(address, entry)
@@ -198,7 +198,7 @@ class CacheShard:
                 # Naive mode verifies under the lock on purpose: the
                 # whole read inside one critical section is the
                 # baseline two-phase mode exists to beat.
-                self._verify(address, entry)  # zsan: ignore[ZS111]
+                self._verify(address, entry)
                 self._c_read_hits.value += 1
                 return entry[1]
             self._c_read_misses.value += 1
@@ -224,11 +224,7 @@ class CacheShard:
         if not self.two_phase:
             with self.lock:
                 # Digest under the lock: that IS the naive baseline.
-                fp = (
-                    payload_digest(value)  # zsan: ignore[ZS111]
-                    if self.fingerprint
-                    else None
-                )
+                fp = payload_digest(value) if self.fingerprint else None
                 self.cache.access(address, is_write=True)
                 self._sync_entries(address, key, value, fp)
             return

@@ -5,8 +5,9 @@ Each rule has a flagged fixture and a clean twin under
 rule that drifts (new false positive, lost true positive) fails loudly.
 The acceptance tests plant real regressions into scratch copies of
 production modules — a nondeterministic seed in the sweep engine, a
-dropped counter fold in the metrics registry — and require the rules to
-catch them.
+dropped counter fold in the metrics registry, a mutation on the serve
+shard's off-lock ``prepare_fill`` — and require the rules to catch
+them.
 """
 
 from pathlib import Path
@@ -34,12 +35,11 @@ def deep_findings(path, code):
 # Registry
 
 
-def test_default_rules_cover_all_thirteen_codes():
+def test_default_rules_cover_all_nine_codes():
     codes = [r.code for r in default_deep_rules()]
     assert codes == [
         "ZS101", "ZS102", "ZS103", "ZS104",
         "ZS105", "ZS106", "ZS107", "ZS108", "ZS109",
-        "ZS110", "ZS111", "ZS112", "ZS113",
     ]
 
 
@@ -89,6 +89,7 @@ FLAGGED = [
     ("zs107_fold_parity.py", "ZS107", [27]),
     ("core/zs108_raw_rng.py", "ZS108", [10, 14, 18]),
     ("core/zs109_span_discipline.py", "ZS109", [5, 6, 11, 18, 23]),
+    ("serve/zs104_thread_results.py", "ZS104", [5]),
 ]
 
 CLEAN = [
@@ -96,6 +97,7 @@ CLEAN = [
     ("zs102_clean.py", "ZS102"),
     ("zs103_clean.py", "ZS103"),
     ("core/zs104_clean.py", "ZS104"),
+    ("serve/zs104_clean.py", "ZS104"),
     ("zs105_clean.py", "ZS105"),
     ("core/zs106_clean.py", "ZS106"),
     ("zs107_clean.py", "ZS107"),
@@ -394,3 +396,35 @@ def test_zs105_catches_mutation_planted_in_zcache_walk(tmp_path):
     findings = [f for f in report.findings if f.code == "ZS105"]
     assert findings, "planted walk-phase mutation was not caught"
     assert any("build_replacement" in f.message for f in findings)
+
+
+def test_zs105_catches_mutation_planted_in_prepare_fill(tmp_path):
+    # The serve shard runs prepare_fill with no lock held, so a
+    # mutation on that path is a data race as well as a purity breach.
+    from repro.analysis.semantic.effects import TwoPhasePurityRule
+
+    scratch = _scratch_tree(tmp_path)
+    twophase = scratch / "core" / "twophase.py"
+    text = twophase.read_text(encoding="utf-8")
+    anchor = "    def prepare_fill(self, address: int) -> Replacement:\n"
+    assert anchor in text
+    planted = text.replace(
+        anchor, anchor + "        self.array._pos.pop(address, None)\n", 1
+    )
+    twophase.write_text(planted, encoding="utf-8")
+
+    report, _ = run_deep([scratch], rules=[TwoPhasePurityRule()])
+    findings = [f for f in report.findings if f.code == "ZS105"]
+    assert any(
+        "'TwoPhaseZCache.prepare_fill' mutates array state "
+        "(.pop() on '_pos')" in f.message
+        for f in findings
+    ), "off-lock mutation in prepare_fill was not caught"
+    assert all(f.path.endswith("twophase.py") for f in findings)
+
+
+def test_zs105_passes_unmodified_tree():
+    from repro.analysis.semantic.effects import TwoPhasePurityRule
+
+    report, _ = run_deep([SRC], rules=[TwoPhasePurityRule()])
+    assert not [f for f in report.findings if f.code == "ZS105"]

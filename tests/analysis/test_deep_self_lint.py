@@ -1,6 +1,6 @@
 """Deep self-lint: src/repro must stay clean under the ZProve rules.
 
-Same deal as the per-file self-lint — ZS101-ZS108 only have teeth if
+Same deal as the per-file self-lint — ZS101-ZS109 only have teeth if
 the tree is pinned at zero deep findings. Also covers the CLI surface
 of ``lint --deep``: the stats line, rule listing, select interaction,
 the unknown-code exit, and the caller-edit case a per-module result
@@ -31,71 +31,65 @@ def test_cli_deep_exits_zero_on_source_tree(capsys):
     assert "module(s) analyzed" in captured.err
 
 
-SHARD_MODULE = (
-    "import threading\n"
-    "\n"
-    "\n"
-    "class Shard:\n"
-    "    def __init__(self):\n"
-    "        self.lock = threading.Lock()\n"
-    "        self.items = {}\n"
-    "\n"
-    "    def _bump(self, k):\n"
-    "        self.items[k] = 1\n"
+HELPER_MODULE = (
+    "def forget(array, address):\n"
+    "    array._pos.pop(address, None)\n"
 )
-LOCKED_CALLER = (
-    "from pkg.serve.a import Shard\n"
+COMMIT_CALLER = (
+    "from pkg.a import forget\n"
     "\n"
     "\n"
-    "def use(shard: Shard, k):\n"
-    "    with shard.lock:\n"
-    "        shard._bump(k)\n"
+    "class Fill:\n"
+    "    def prepare_fill(self, address):\n"
+    "        return address\n"
+    "\n"
+    "    def commit(self, address):\n"
+    "        forget(self.array, address)\n"
 )
-UNLOCKED_CALLER = LOCKED_CALLER.replace(
-    "    with shard.lock:\n        shard._bump(k)\n", "    shard._bump(k)\n"
+WALK_CALLER = COMMIT_CALLER.replace(
+    "        return address\n",
+    "        forget(self.array, address)\n        return address\n",
 )
 
 
 def test_caller_edit_changes_the_verdict_on_an_untouched_module(
     tmp_path, monkeypatch, capsys
 ):
-    """ZS110 entry locksets depend on a helper's *callers*.
+    """ZS105 reachability depends on a helper's *callers*.
 
-    ``a.py`` never changes; dropping the ``with shard.lock:`` in
-    ``b.py`` makes ``Shard._bump``'s write a race. A result kept per
-    module under an import-closure key served the first run's "clean"
-    for ``a.py`` here, so every run analyzes every module and leaves
-    nothing behind on disk.
+    ``a.py`` never changes; calling its ``forget`` from ``b.py``'s
+    ``prepare_fill`` makes its mutation reachable from a walk. A result
+    kept per module under an import-closure key would serve the first
+    run's "clean" for ``a.py`` here, so every run analyzes every module
+    and leaves nothing behind on disk.
     """
-    serve = tmp_path / "pkg" / "serve"
-    serve.mkdir(parents=True)
-    (tmp_path / "pkg" / "__init__.py").write_text("", encoding="utf-8")
-    (serve / "__init__.py").write_text("", encoding="utf-8")
-    (serve / "a.py").write_text(SHARD_MODULE, encoding="utf-8")
-    (serve / "b.py").write_text(LOCKED_CALLER, encoding="utf-8")
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("", encoding="utf-8")
+    (pkg / "a.py").write_text(HELPER_MODULE, encoding="utf-8")
+    (pkg / "b.py").write_text(COMMIT_CALLER, encoding="utf-8")
     sources = sorted(p for p in tmp_path.rglob("*") if p.is_file())
     monkeypatch.chdir(tmp_path)
-    command = ["lint", "--deep", "--select", "ZS110", "pkg"]
+    command = ["lint", "--deep", "--select", "ZS105", "pkg"]
 
     assert cli_main(command) == 0
     capsys.readouterr()
 
-    (serve / "b.py").write_text(UNLOCKED_CALLER, encoding="utf-8")
+    (pkg / "b.py").write_text(WALK_CALLER, encoding="utf-8")
     assert cli_main(command) == 1
     out = capsys.readouterr().out
-    assert "pkg/serve/a.py:10:9: ZS110 'Shard._bump'" in out
+    assert "pkg/a.py:2:1: ZS105 'forget' mutates array state" in out
     assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sources
 
 
 def test_cli_rules_listing_includes_deep_codes(capsys):
     assert cli_main(["lint", "--rules"]) == 0
-    out = capsys.readouterr().out
-    for code in (
-        "ZS101", "ZS102", "ZS103", "ZS104",
-        "ZS105", "ZS106", "ZS107", "ZS108",
-    ):
-        assert code in out
-    assert "[deep]" in out
+    deep = [
+        line.split()[0]
+        for line in capsys.readouterr().out.splitlines()
+        if "[deep]" in line
+    ]
+    assert deep == [f"ZS10{i}" for i in range(1, 10)]
 
 
 def test_cli_unknown_code_is_a_usage_error(tmp_path, capsys):

@@ -1,9 +1,13 @@
-"""Tests for the dynamic lockset sanitizer (ZRace's runtime backend)."""
+"""Tests for the dynamic lockset sanitizer, the serve layer's race checker."""
 
+import functools
+import importlib.util
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro.serve.shard
 from repro.analysis.lockset import (
     LocksetSanitizer,
     instrumented_replay,
@@ -220,3 +224,72 @@ def test_planted_unlocked_replay_is_flagged():
     flagged = {r.field for r in san.reports if r.kind == "lockset-race"}
     assert "_entries" in flagged or "zcache" in flagged
     assert "lockset-race" in san.summary() or san.reports
+
+
+# ---------------------------------------------------------------------------
+# Regressions planted into a copy of the production serve/shard.py, each
+# replayed through instrumented_replay next to its unedited twin.
+
+#: name -> (anchor, planted text, shard keywords, report kind, fields)
+PLANTS = {
+    # CacheShard.invalidate's critical section without its lock
+    "unlocked-invalidate": (
+        "        with self.lock:\n"
+        "            self._drain_recency()\n"
+        "            resident = address in self.cache\n",
+        "        if True:\n"
+        "            self._drain_recency()\n"
+        "            resident = address in self.cache\n",
+        {},
+        "lockset-race",
+        {"_entries", "zcache", "_recency"},
+    ),
+    # The first match is the retry-exhausted fallback fill, which
+    # max_retries=0 sends every put through.
+    "double-acquire": (
+        "        with self.lock:\n"
+        "            self._drain_recency()\n",
+        "        with self.lock:\n"
+        "            with self.lock:\n"
+        "                self._drain_recency()\n",
+        {"max_retries": 0},
+        "lock-order",
+        {"CacheShard.lock"},
+    ),
+}
+
+
+def _replay_shard_copy(tmp_path, monkeypatch, plant, planted):
+    anchor, replacement, kwargs, _, _ = PLANTS[plant]
+    text = Path(repro.serve.shard.__file__).read_text(encoding="utf-8")
+    assert anchor in text
+    if planted:
+        text = text.replace(anchor, replacement, 1)
+    path = tmp_path / "shard_copy.py"
+    path.write_text(text, encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("shard_copy", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(
+        repro.serve.shard, "CacheShard",
+        functools.partial(module.CacheShard, **kwargs),
+    )
+    return instrumented_replay(ops=400, threads=3, seed=7)
+
+
+@pytest.mark.parametrize("plant", sorted(PLANTS))
+def test_replay_flags_a_regression_planted_in_the_shard(
+    tmp_path, monkeypatch, plant
+):
+    san = _replay_shard_copy(tmp_path, monkeypatch, plant, planted=True)
+    _, _, _, kind, fields = PLANTS[plant]
+    assert {r.field for r in san.reports if r.kind == kind} >= fields
+
+
+@pytest.mark.parametrize("plant", sorted(PLANTS))
+def test_replay_of_the_unplanted_shard_copy_is_clean(
+    tmp_path, monkeypatch, plant
+):
+    san = _replay_shard_copy(tmp_path, monkeypatch, plant, planted=False)
+    assert san.reports == []
+    san.shard.check_consistency()
