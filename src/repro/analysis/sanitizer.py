@@ -8,8 +8,9 @@ driver that builds the scope-appropriate check context around every
 intercepted operation and raises on the first violated invariant:
 
 - **walk** scope after every ``build_replacement`` /
-  ``build_reinsertion``: ancestor paths are acyclic, levels increase by
-  exactly one along parent links, a valid candidate's path never
+  ``build_reinsertion``, node by node of the walk record: every parent
+  link points to an earlier node (so paths are acyclic), levels
+  increase by exactly one along parent links, a valid candidate's path never
   revisits a position, recorded addresses match the array, and for
   hashed arrays every candidate sits at the hash of the relevant
   address.
@@ -222,7 +223,7 @@ class SanitizedArray(ArrayProxy):
 
     # -- intercepted operations ----------------------------------------------
     def build_replacement(self, address: int) -> Replacement:
-        """Run the walk, then verify the candidate tree (see module doc)."""
+        """Run the walk, then verify its record (see module doc)."""
         self._note("build", address)
         repl = self._inner.build_replacement(address)
         self.check_walk(repl)
@@ -286,19 +287,18 @@ class SanitizedArray(ArrayProxy):
             self.deep_check()
 
     def check_walk(self, repl: Replacement) -> None:
-        """Verify a candidate tree is well-formed against current state.
+        """Verify a walk record is well-formed against current state.
 
-        Public so tests can feed hand-corrupted trees directly.
+        Public so tests can feed hand-corrupted records directly.
         """
         self.checks_run += 1
         inner = self._inner
-        # Hoist the per-walk constants out of the per-candidate loop:
-        # this runs for every candidate of every miss.
-        cap = len(repl.candidates) + inner.num_ways + 1
+        # Hoist the per-walk constant out of the per-node loop: this
+        # runs for every node of every miss.
         hashes = getattr(inner, "hashes", None)
         fail = self._fail
-        for cand in repl.candidates:
-            ctx = WalkCheck(inner, repl, cand, cap, hashes)
+        for node in range(len(repl.addresses)):
+            ctx = WalkCheck(inner, repl, node, hashes)
             # _run inlined: one call frame per candidate adds up here.
             for check, kind, name in _WALK:
                 detail = check(ctx)

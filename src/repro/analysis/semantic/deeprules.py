@@ -378,12 +378,12 @@ class ParallelSafetyRule(DeepRule):
         reached = model.callgraph.reachable(func_key(w) for w in workers)
         for key in sorted(reached):
             worker_fn = model.callgraph.functions[key]
-            findings.extend(self._scan_reachable(model, worker_fn))
+            findings.extend(self._check_reachable(model, worker_fn))
 
         findings.sort(key=_sort_key)
         yield from findings
 
-    def _scan_reachable(
+    def _check_reachable(
         self, model: "SemanticModel", fn: FunctionInfo
     ) -> List[Finding]:
         """Structural violations inside one worker-reachable function."""

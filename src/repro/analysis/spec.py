@@ -22,7 +22,7 @@ Invariants are grouped by *scope* — the operation whose aftermath they
 constrain:
 
 ``walk``
-    One candidate of a freshly built replacement/reinsertion walk.
+    One node of a freshly built replacement/reinsertion walk record.
 ``commit``
     The state right after a successful ``commit_replacement``.
 ``evict``
@@ -50,7 +50,7 @@ that plant a single corruption rely on that precedence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Iterator, Optional, Set, Tuple
 
 from repro.core.base import (
     CacheArray,
@@ -126,64 +126,35 @@ _UNSET = object()
 
 
 class WalkCheck:
-    """Context for ``walk``-scope invariants: one candidate of one walk.
+    """Context for ``walk``-scope invariants: one node of one walk record.
 
-    The sanitizer builds one per candidate on the hot path, so the
-    constructor accepts the per-*walk* constants (``cap``, ``hashes``)
-    pre-hoisted and builds the ancestor chain eagerly in a single
-    traversal — several invariants read :attr:`path`, and a lazy
-    property here costs a measurable fraction of the whole sanitized
-    run.
+    The sanitizer builds one per node on the hot path, so the
+    constructor accepts the per-*walk* constant ``hashes`` pre-hoisted
+    and reads the node's fields out of the record once.
     """
 
-    __slots__ = ("array", "repl", "cand", "cap", "hashes", "path",
-                 "cycle_detail")
+    __slots__ = ("array", "repl", "node", "position", "address", "parent",
+                 "level", "hashes")
 
     def __init__(
         self,
         array: CacheArray,
         repl: Replacement,
-        cand: Candidate,
-        cap: Optional[int] = None,
+        node: int,
         hashes: Any = _UNSET,
     ) -> None:
         self.array = array
         self.repl = repl
-        self.cand = cand
-        #: ancestor-chain length cap; anything longer is a cycle
-        self.cap = (
-            len(repl.candidates) + array.num_ways + 1 if cap is None else cap
-        )
+        #: the node's index in the record
+        self.node = node
+        self.position = Position(repl.ways[node], repl.indices[node])
+        self.address = repl.addresses[node]
+        #: the parent's index, -1 for a root
+        self.parent = -1 if repl.parents is None else repl.parents[node]
+        self.level = repl.level(node)
         self.hashes = (
             getattr(array, "hashes", None) if hashes is _UNSET else hashes
         )
-        #: set while building :attr:`path` when the chain is cyclic
-        self.cycle_detail: Optional[str] = None
-        # Inline parent-chase (not :func:`iter_path`): chains are 1-3
-        # nodes long, so generator setup would dominate the walk.
-        seen: Set[int] = set()
-        path: List[Candidate] = []
-        node: Optional[Candidate] = cand
-        for _ in range(self.cap):
-            if node is None:
-                break
-            if id(node) in seen:
-                self.cycle_detail = (
-                    f"ancestor chain of candidate at {cand.position} "
-                    f"revisits a node (level {node.level})"
-                )
-                break
-            seen.add(id(node))
-            path.append(node)
-            node = node.parent
-        else:
-            if path[-1].parent is not None:
-                self.cycle_detail = (
-                    f"ancestor chain of candidate at {cand.position} "
-                    f"exceeds {self.cap} nodes without reaching a root"
-                )
-        #: candidate-to-root chain (truncated at :attr:`cap` on cycles)
-        self.path = path
 
 
 class CommitCheck:
@@ -206,7 +177,7 @@ class CommitCheck:
         self.was_resident = was_resident
         root = chosen
         for root in iter_path(
-            chosen, len(repl.candidates) + array.num_ways + 1
+            chosen, len(repl.addresses) + array.num_ways + 1
         ):
             pass
         #: the relocation path's level-0 end, where the incoming lands
@@ -400,7 +371,7 @@ def invariants_for(scope: str) -> Tuple[Invariant, ...]:
     "every candidate position lies inside the array geometry",
 )
 def _walk_in_bounds(ctx: WalkCheck) -> Optional[str]:
-    pos = ctx.cand.position
+    pos = ctx.position
     if not (
         0 <= pos.way < ctx.array.num_ways
         and 0 <= pos.index < ctx.array.lines_per_way
@@ -411,36 +382,43 @@ def _walk_in_bounds(ctx: WalkCheck) -> Optional[str]:
 
 @register_invariant(
     "walk-acyclic", "walk-cycle", SCOPE_WALK,
-    "ancestor chains are acyclic and terminate at a parentless root",
+    "every parent link points to an earlier node, so ancestor chains are "
+    "acyclic and terminate at a root",
 )
 def _walk_acyclic(ctx: WalkCheck) -> Optional[str]:
-    return ctx.cycle_detail
+    if ctx.parent >= ctx.node:
+        return (
+            f"candidate {ctx.node} at {ctx.position} names node "
+            f"{ctx.parent} as its parent, which does not precede it "
+            "(the ancestor chain can cycle)"
+        )
+    return None
 
 
 @register_invariant(
     "walk-level-monotone", "walk-level", SCOPE_WALK,
     "roots sit at level 0, levels increase by exactly one per link, and "
-    "a plan marked flat holds only roots",
+    "a plan without parent links holds only roots",
 )
 def _walk_level_monotone(ctx: WalkCheck) -> Optional[str]:
-    if ctx.repl.flat and ctx.cand.parent is not None:
-        return (
-            f"plan is marked flat but the candidate at {ctx.cand.position} "
-            f"has a parent at {ctx.cand.parent.position}"
-        )
-    for node in ctx.path:
-        parent = node.parent
-        if parent is None:
-            if node.level != 0:
+    if ctx.parent < 0:
+        if ctx.level != 0:
+            if ctx.repl.parents is None:
                 return (
-                    f"root candidate at {node.position} has level "
-                    f"{node.level}, expected 0"
+                    f"plan has no parent links (every node a root) but the "
+                    f"candidate at {ctx.position} sits at level {ctx.level}"
                 )
-        elif node.level != parent.level + 1:
             return (
-                f"candidate at {node.position} has level {node.level} "
-                f"but its parent has level {parent.level}"
+                f"root candidate at {ctx.position} has level "
+                f"{ctx.level}, expected 0"
             )
+        return None
+    parent_level = ctx.repl.level(ctx.parent)
+    if ctx.level != parent_level + 1:
+        return (
+            f"candidate at {ctx.position} has level {ctx.level} "
+            f"but its parent has level {parent_level}"
+        )
     return None
 
 
@@ -449,13 +427,12 @@ def _walk_level_monotone(ctx: WalkCheck) -> Optional[str]:
     "only occupied slots are expanded into deeper candidates",
 )
 def _walk_parent_occupied(ctx: WalkCheck) -> Optional[str]:
-    for node in ctx.path:
-        parent = node.parent
-        if parent is not None and parent.address is None:
-            return (
-                f"candidate at {node.position} expands an empty slot "
-                f"at {parent.position}"
-            )
+    repl = ctx.repl
+    if ctx.parent >= 0 and repl.addresses[ctx.parent] is None:
+        return (
+            f"candidate at {ctx.position} expands an empty slot at "
+            f"({repl.ways[ctx.parent]}, {repl.indices[ctx.parent]})"
+        )
     return None
 
 
@@ -464,11 +441,18 @@ def _walk_parent_occupied(ctx: WalkCheck) -> Optional[str]:
     "a valid candidate's relocation path never revisits a position",
 )
 def _walk_path_distinct(ctx: WalkCheck) -> Optional[str]:
-    if ctx.cand.valid:
-        positions = [node.position for node in ctx.path]
-        if len(set(positions)) != len(positions):
+    repl = ctx.repl
+    if repl.invalid is None or ctx.node not in repl.invalid:
+        lines = [ctx.position]
+        parents = repl.parents or ()
+        node, parent = ctx.node, ctx.parent
+        # Only links to earlier nodes: ends even where walk-acyclic fails.
+        while 0 <= parent < node:
+            lines.append(Position(repl.ways[parent], repl.indices[parent]))
+            node, parent = parent, parents[parent]
+        if len(set(lines)) != len(lines):
             return (
-                f"valid candidate at {ctx.cand.position} has a relocation "
+                f"valid candidate at {ctx.position} has a relocation "
                 "path that revisits a position (must be flagged invalid)"
             )
     return None
@@ -479,11 +463,11 @@ def _walk_path_distinct(ctx: WalkCheck) -> Optional[str]:
     "recorded candidate contents match the array (walks do not mutate)",
 )
 def _walk_records_current(ctx: WalkCheck) -> Optional[str]:
-    pos = ctx.cand.position
+    pos = ctx.position
     actual = ctx.array._read(pos)
-    if actual != ctx.cand.address:
+    if actual != ctx.address:
         return (
-            f"candidate records {ctx.cand.address!r} at {pos} but the "
+            f"candidate records {ctx.address!r} at {pos} but the "
             f"array holds {actual!r}"
         )
     return None
@@ -496,9 +480,11 @@ def _walk_records_current(ctx: WalkCheck) -> Optional[str]:
 def _walk_hash_discipline(ctx: WalkCheck) -> Optional[str]:
     if ctx.hashes is None:
         return None
-    cand = ctx.cand
-    pos = cand.position
-    source = cand.parent.address if cand.parent else ctx.repl.incoming
+    pos = ctx.position
+    source = (
+        ctx.repl.addresses[ctx.parent] if ctx.parent >= 0
+        else ctx.repl.incoming
+    )
     if source is not None:
         expected = ctx.hashes[pos.way](source)
         if pos.index != expected:

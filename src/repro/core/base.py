@@ -6,7 +6,8 @@ candidates on a miss; the *replacement policy* owns the global eviction
 ordering. The array API is a two-phase replacement:
 
 1. :meth:`CacheArray.build_replacement` — collect candidates (for a
-   zcache this is the walk; for a set-associative cache, the set).
+   zcache this is the walk; for a set-associative cache, the set) into
+   a flat :class:`Replacement` record.
 2. :meth:`CacheArray.commit_replacement` — evict the chosen candidate,
    perform any relocations, and install the incoming block.
 
@@ -17,8 +18,9 @@ array plus an address → position map kept exactly in sync.
 from __future__ import annotations
 
 import abc
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     from repro.obs import ObsContext
@@ -26,11 +28,7 @@ if TYPE_CHECKING:
 
 
 class Position(NamedTuple):
-    """A physical line location: way number and line index within it.
-
-    A NamedTuple rather than a dataclass: the zcache walk creates one
-    per tag read, and tuple construction/compare is measurably faster.
-    """
+    """A physical line location: way number and line index within it."""
 
     way: int
     index: int
@@ -38,7 +36,12 @@ class Position(NamedTuple):
 
 @dataclass(slots=True)
 class Candidate:
-    """One replacement candidate produced by the array.
+    """One node of a walk record as an object, linked to its ancestors.
+
+    Arrays record candidates flat (:class:`Replacement`); a
+    ``Candidate`` is built only for the node a commit takes
+    (:meth:`Replacement.node`) or for a reader of the whole tree
+    (:attr:`Replacement.candidates`).
 
     Attributes
     ----------
@@ -78,31 +81,98 @@ class Candidate:
 
 @dataclass(slots=True)
 class Replacement:
-    """The outcome of a candidate-collection phase for one miss."""
+    """The outcome of a candidate-collection phase for one miss: a flat
+    walk record, the paper's walk table of (position, parent) entries.
+
+    Node ``i`` is the line ``(ways[i], indices[i])``, which held
+    ``addresses[i]`` when the array read it (``None``: an empty slot).
+    ``parents[i]`` is the index of the node whose block moves into node
+    ``i``'s line when ``i`` is committed, ``-1`` for a root; ``parents``
+    is None when every node is a root (set-associative, skew,
+    random-candidates: no relocation can follow). A parent always
+    precedes its children, and nodes are appended in non-decreasing
+    level order: ``level_starts[l]`` is the first node of level ``l``.
+    ``invalid`` holds the nodes whose relocation path revisits a line
+    (they must not be committed), or is None when there are none.
+
+    No object is built per node. :meth:`node` builds the one path a
+    commit takes; :attr:`candidates`, :meth:`usable` and
+    :meth:`first_empty` are a read-only view for checkers, figures and
+    tests, rebuilt on every call.
+    """
 
     incoming: int
-    candidates: list[Candidate] = field(default_factory=list)
+    ways: list[int] = field(default_factory=list)
+    indices: list[int] = field(default_factory=list)
+    addresses: list[Optional[int]] = field(default_factory=list)
+    parents: Optional[list[int]] = None
+    level_starts: Sequence[int] = (0,)
+    invalid: Optional[set[int]] = None
     tag_reads: int = 0
     #: True when the walk stopped before reaching its configured depth
     #: (candidate cap hit — the paper's bandwidth-pressure early stop).
     truncated: bool = False
     #: True when *every* resident block is a candidate (fully-associative
-    #: arrays). The candidate list may then be left empty; the controller
-    #: asks the policy for its global victim instead of enumerating.
+    #: arrays). The record may then be left empty; the controller asks
+    #: the policy for its global victim instead of enumerating.
     exhaustive: bool = False
-    #: The incoming block's position in each way, when the walk hashed
+    #: The incoming block's line index in each way, when the walk hashed
     #: them (zcache walks do, at level 0): carried to the commit so the
     #: block is not hashed a second time. A memo of the hash family,
     #: not part of the plan's identity.
-    homes: Optional[tuple[Position, ...]] = field(
+    homes: Optional[tuple[int, ...]] = field(
         default=None, repr=False, compare=False
     )
-    #: True when the array vouches that every candidate is a level-0
-    #: node without a parent (no relocation can follow: set-associative,
-    #: skew, random-candidates). The controller then picks the landing
-    #: node without comparing levels. Like ``homes``, a fact about how
-    #: the plan was built, not part of its identity.
-    flat: bool = field(default=False, repr=False, compare=False)
+
+    def level(self, i: int) -> int:
+        """Walk depth of node ``i``."""
+        return bisect_right(self.level_starts, i) - 1
+
+    def level_counts(self) -> tuple[int, ...]:
+        """Nodes per level, from level 0 down (none for an empty record)."""
+        bounds = [*self.level_starts, len(self.addresses)]
+        return tuple(
+            end - start for start, end in zip(bounds, bounds[1:]) if end > start
+        )
+
+    def node(self, i: int) -> Candidate:
+        """Node ``i`` as a :class:`Candidate` linked to its ancestors: the
+        at most L objects committing it needs."""
+        chain = [i]
+        parents = self.parents
+        if parents is not None:
+            parent = parents[i]
+            while parent >= 0:
+                chain.append(parent)
+                parent = parents[parent]
+        invalid = self.invalid or ()
+        ways, indices, addresses = self.ways, self.indices, self.addresses
+        cand: Optional[Candidate] = None
+        for level, j in enumerate(reversed(chain)):
+            cand = Candidate(
+                Position(ways[j], indices[j]), addresses[j], level, cand,
+                j not in invalid,
+            )
+        assert cand is not None
+        return cand
+
+    @property
+    def candidates(self) -> list[Candidate]:
+        """Every node as a :class:`Candidate`, in record order, parents
+        shared. A fresh view per call: edits to it reach nothing."""
+        view: list[Candidate] = []
+        parents = self.parents
+        invalid = self.invalid or ()
+        for i, address in enumerate(self.addresses):
+            parent = -1 if parents is None else parents[i]
+            view.append(
+                Candidate(
+                    Position(self.ways[i], self.indices[i]), address,
+                    self.level(i), view[parent] if parent >= 0 else None,
+                    i not in invalid,
+                )
+            )
+        return view
 
     def usable(self) -> list[Candidate]:
         """Candidates safe to commit (valid relocation paths)."""
@@ -112,14 +182,14 @@ class Replacement:
         """Shallowest empty-slot candidate, or None.
 
         Filling an empty slot needs no eviction; preferring the
-        shallowest one minimises relocations.
+        shallowest one minimises relocations. Levels never decrease
+        along the record, so that is the first usable one.
         """
-        best: Optional[Candidate] = None
-        for cand in self.candidates:
-            if cand.address is None and cand.valid:
-                if best is None or cand.level < best.level:
-                    best = cand
-        return best
+        invalid = self.invalid or ()
+        for i, address in enumerate(self.addresses):
+            if address is None and i not in invalid:
+                return self.node(i)
+        return None
 
 
 @dataclass(slots=True)
@@ -195,17 +265,16 @@ class CacheArray(abc.ABC):
         """Position of ``address`` if resident, else None."""
         return self._pos.get(address)
 
-    def still_holds(self, candidates: Iterable[Candidate]) -> bool:
-        """True when every candidate's position still holds what was recorded.
+    def still_holds(self, repl: Replacement) -> bool:
+        """True when every node's line still holds what was recorded.
 
         The two-phase freshness check: a prepared walk records
-        (position, address) pairs, and a commit must re-verify every
+        (way, index, address) triples, and a commit must re-verify every
         one of them against current state before mutating anything.
         """
         lines = self._lines
-        for cand in candidates:
-            way, index = cand.position
-            if lines[way][index] != cand.address:
+        for way, index, address in zip(repl.ways, repl.indices, repl.addresses):
+            if lines[way][index] != address:
                 return False
         return True
 

@@ -23,7 +23,7 @@ access / miss / walk / eviction trace events through its bus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.core.base import CacheArray, Candidate, CommitResult, Replacement
 from repro.obs import ObsContext
@@ -36,6 +36,9 @@ if TYPE_CHECKING:
 
 #: valid values for the ``engine`` constructor argument
 ENGINES = ("reference", "turbo")
+
+#: an invalid node's address in :meth:`Cache._pick`; no block has it
+_MASKED = -1
 
 
 @dataclass(slots=True)
@@ -249,18 +252,13 @@ class Cache:
         trace = self._trace
         if trace is None:
             return
-        level_counts: list[int] = []
-        for cand in repl.candidates:
-            while len(level_counts) <= cand.level:
-                level_counts.append(0)
-            level_counts[cand.level] += 1
         trace.walk(
             self._label,
             address,
             repl.tag_reads,
-            len(repl.candidates),
+            len(repl.addresses),
             repl.truncated,
-            tuple(level_counts),
+            repl.level_counts(),
         )
 
     # -- the access protocol ---------------------------------------------------
@@ -340,13 +338,7 @@ class Cache:
 
     def _fill_with(self, address: int, repl: Replacement) -> AccessResult:
         self._account_walk(address, repl)
-        if repl.flat:
-            empty, chosen = self._pick_flat(repl)
-        else:
-            empty, by_address = self._scan(repl)
-            chosen = None
-            if empty is None:
-                chosen = self._choose_victim(repl, by_address)
+        empty, chosen = self._pick(repl)
         if empty is not None:
             self._sc["fills_empty"].value += 1
             commit = self.array.commit_replacement(repl, empty)
@@ -355,39 +347,77 @@ class Cache:
             return self._bypass(address)
         return self._replace(repl, chosen)
 
-    def _pick_flat(
-        self, repl: Replacement
+    def _pick(
+        self, repl: Replacement, skip: Optional[int] = None
     ) -> tuple[Optional[Candidate], Optional[Candidate]]:
-        """:meth:`_scan` and :meth:`_choose_victim` for a flat replacement.
+        """Where a fill lands: one pass over the walk record.
 
-        With every candidate at level 0 there is no depth to minimise:
-        the first usable free slot wins, else the policy picks among
-        the usable blocks in candidate order and the first node holding
-        its choice is the victim — what the general pair computes, with
-        no per-candidate level bookkeeping and no address map. Returns
-        ``(free slot, None)``, ``(None, victim node)``, or ``(None,
-        None)`` when every candidate is pinned (caller bypasses).
+        Levels never decrease along the record, so the first usable node
+        holding an address is its cheapest (shallowest) one. The first
+        usable free slot wins outright: no eviction, fewest relocations.
+        Otherwise the policy picks among the evictable blocks — held by
+        a usable node, not pinned, not ``skip`` — in candidate order,
+        and the first usable node holding its choice is the victim.
+
+        ``skip`` is the phase-2 question of
+        :class:`~repro.core.twophase.TwoPhaseZCache`: should the
+        phase-1 victim ``skip`` move into this walk instead? The policy
+        then picks among ``skip`` and the evictable blocks, and ``skip``
+        staying the choice (or nothing else being evictable) means no.
+
+        Returns ``(free slot, None)``, ``(None, victim)``, or ``(None,
+        None)`` when every candidate is pinned (the caller bypasses) or
+        ``skip`` stays the victim. Only the returned node and its
+        ancestors are built as :class:`Candidate` objects.
         """
-        nodes = [cand for cand in repl.candidates if cand.valid]
-        addresses = [cand.address for cand in nodes]
+        if repl.exhaustive and not repl.addresses:
+            return None, self._global_victim()
+        addresses = repl.addresses
+        invalid = repl.invalid
+        if invalid:
+            addresses = [
+                _MASKED if i in invalid else a for i, a in enumerate(addresses)
+            ]
         if None in addresses:
-            return nodes[addresses.index(None)], None
-        evictable = addresses
-        if len(set(addresses)) != len(addresses):
-            # Only a corrupted array shows one block in two slots; the
-            # policy still sees each block once, first node first.
-            evictable = list(dict.fromkeys(addresses))
+            return repl.node(addresses.index(None)), None
+        # Keyed in candidate order; one block in two nodes is seen once.
+        evictable: dict[Any, None] = dict.fromkeys(addresses)
+        evictable.pop(_MASKED, None)
+        if skip is not None:
+            evictable.pop(skip, None)
         pinned = self._pinned
         if pinned:
-            evictable = [a for a in evictable if a not in pinned]
-        if not evictable:
-            if pinned:
+            choices = [a for a in evictable if a not in pinned]
+        else:
+            choices = list(evictable)
+        if not choices:
+            if pinned or skip is not None:
                 return None, None
             raise RuntimeError(
                 f"no usable replacement candidates for {repl.incoming:#x}"
             )
-        victim = self.policy.select_victim(evictable)
-        return None, nodes[addresses.index(victim)]
+        if skip is None:
+            victim = self.policy.select_victim(choices)
+        else:
+            victim = self.policy.select_victim([skip, *choices])
+            if victim == skip:
+                return None, None
+        return None, repl.node(addresses.index(victim))
+
+    def _global_victim(self) -> Optional[Candidate]:
+        """The victim when every resident block is a candidate: the
+        policy's global choice, or its pick among the unpinned blocks
+        (None when every block is pinned)."""
+        victim = self.policy.global_victim()
+        if victim is None or victim in self._pinned:
+            unpinned = [a for a in self.array.resident() if a not in self._pinned]
+            if not unpinned:
+                return None
+            victim = self.policy.select_victim(unpinned)
+        pos = self.array.lookup(victim)
+        if pos is None:
+            raise RuntimeError(f"policy chose non-resident victim {victim:#x}")
+        return Candidate(position=pos, address=victim, level=0)
 
     def _replace(self, repl: Replacement, node: Candidate) -> AccessResult:
         """Evict the chosen victim and land the block through its path.
@@ -464,70 +494,6 @@ class Cache:
         TM-style overflow event)."""
         self._sc["pin_overflows"].value += 1
         return AccessResult(address=address, hit=False, bypassed=True)
-
-    def _scan(
-        self, repl: Replacement, skip: Optional[int] = None
-    ) -> tuple[Optional[Candidate], dict[int, Candidate]]:
-        """One pass over the candidates: where the fill could land.
-
-        Returns the shallowest usable free slot (filling it needs no
-        eviction, and the shallowest costs the fewest relocations) and,
-        for every evictable block — resident, not pinned, not ``skip``
-        — the cheapest (shallowest) usable tree node holding it.
-        """
-        empty: Optional[Candidate] = None
-        by_address: dict[int, Candidate] = {}
-        pinned = self._pinned
-        for cand in repl.candidates:
-            if not cand.valid:
-                continue
-            address = cand.address
-            if address is None:
-                if empty is None or cand.level < empty.level:
-                    empty = cand
-            elif address != skip and address not in pinned:
-                prev = by_address.get(address)
-                if prev is None or cand.level < prev.level:
-                    by_address[address] = cand
-        return empty, by_address
-
-    def _choose_victim(
-        self,
-        repl: Replacement,
-        by_address: Optional[dict[int, Candidate]] = None,
-    ) -> Optional[Candidate]:
-        """Let the policy pick among the usable candidates' addresses and
-        return the cheapest (shallowest) tree node holding that block.
-
-        ``by_address`` is :meth:`_scan`'s map when the caller already
-        made the pass. Returns None when every candidate is pinned
-        (caller bypasses).
-        """
-        if repl.exhaustive and not repl.candidates:
-            victim = self.policy.global_victim()
-            if victim is None or victim in self._pinned:
-                unpinned = [
-                    a for a in self.array.resident() if a not in self._pinned
-                ]
-                if not unpinned:
-                    return None
-                victim = self.policy.select_victim(unpinned)
-            pos = self.array.lookup(victim)
-            if pos is None:
-                raise RuntimeError(
-                    f"policy chose non-resident victim {victim:#x}"
-                )
-            return Candidate(position=pos, address=victim, level=0)
-        if by_address is None:
-            by_address = self._scan(repl)[1]
-        if not by_address:
-            if self._pinned:
-                return None
-            raise RuntimeError(
-                f"no usable replacement candidates for {repl.incoming:#x}"
-            )
-        victim = self.policy.select_victim(list(by_address))
-        return by_address[victim]
 
     # -- writeback absorption ----------------------------------------------------
     def absorb_writeback(self, address: int) -> bool:

@@ -9,7 +9,7 @@ framework's ideal.
 
 from __future__ import annotations
 
-from repro.core.base import CacheArray, Candidate, Position, Replacement
+from repro.core.base import CacheArray, Candidate, CommitResult, Replacement
 from repro.util.freeslots import FreeSlots
 
 
@@ -26,18 +26,16 @@ class FullyAssociativeArray(CacheArray):
         if address in self._pos:
             raise RuntimeError(f"build_replacement for resident block {address:#x}")
         if self._free:
-            free = Candidate(Position(0, self._free.lowest()), None)
-            return Replacement(address, [free], 1, flat=True)
-        repl = Replacement(incoming=address)
-        # Every resident block is a candidate. Rather than enumerating B
-        # Candidate objects per miss, mark the replacement exhaustive —
-        # the controller resolves the victim through the policy's global
+            return Replacement(address, [0], [self._free.lowest()], [None], tag_reads=1)
+        # Every resident block is a candidate. Rather than recording B
+        # nodes per miss, mark the replacement exhaustive — the
+        # controller resolves the victim through the policy's global
         # order. The single tag read models an idealised CAM lookup.
-        repl.exhaustive = True
-        repl.tag_reads = 1
-        return repl
+        return Replacement(address, exhaustive=True, tag_reads=1)
 
-    def commit_replacement(self, repl, chosen):
+    def commit_replacement(
+        self, repl: Replacement, chosen: Candidate
+    ) -> CommitResult:
         result = super().commit_replacement(repl, chosen)
         # The chosen slot now holds the incoming block, whatever it held
         # before; eviction bookkeeping may have marked it free meanwhile.

@@ -13,14 +13,9 @@ assumption made flesh. The repo uses it to validate the framework
 from __future__ import annotations
 
 import random
+from typing import Optional
 
-from repro.core.base import (
-    CacheArray,
-    Candidate,
-    CommitResult,
-    Position,
-    Replacement,
-)
+from repro.core.base import CacheArray, Candidate, CommitResult, Replacement
 from repro.util.freeslots import FreeSlots
 
 
@@ -48,17 +43,13 @@ class RandomCandidatesArray(CacheArray):
         super().__init__(num_ways=1, lines_per_way=num_blocks)
         self.num_candidates = num_candidates
         self._rng = random.Random(seed)
-        #: one shared Position per slot: a fill builds none
-        self._positions = [Position(0, slot) for slot in range(num_blocks)]
         self._free = FreeSlots(num_blocks)
 
     def build_replacement(self, address: int) -> Replacement:
         if address in self._pos:
             raise RuntimeError(f"build_replacement for resident block {address:#x}")
-        positions = self._positions
         if self._free:
-            free = Candidate(positions[self._free.lowest()], None)
-            return Replacement(address, [free], 1, flat=True)
+            return Replacement(address, [0], [self._free.lowest()], [None], tag_reads=1)
         n = self.num_candidates
         bound = self.lines_per_way
         bits = bound.bit_length()
@@ -70,16 +61,20 @@ class RandomCandidatesArray(CacheArray):
                 slot = getrandbits(bits)
             slots.append(slot)
         row = self._lines[0]
-        candidates = [Candidate(positions[slot], row[slot]) for slot in slots]
         # Sampling is with repetition (paper); repeated draws stay in
-        # the candidate list but only one copy can be committed.
+        # the record but only one copy can be committed.
+        invalid: Optional[set[int]] = None
         if len(set(slots)) != n:
             seen: set[int] = set()
-            for cand, slot in zip(candidates, slots):
+            invalid = set()
+            for i, slot in enumerate(slots):
                 if slot in seen:
-                    cand.valid = False
+                    invalid.add(i)
                 seen.add(slot)
-        return Replacement(address, candidates, n, flat=True)
+        return Replacement(
+            address, [0] * n, slots, [row[slot] for slot in slots],
+            invalid=invalid, tag_reads=n,
+        )
 
     def commit_replacement(
         self, repl: Replacement, chosen: Candidate

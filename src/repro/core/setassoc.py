@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.base import CacheArray, Candidate, Position, Replacement
+from repro.core.base import CacheArray, Replacement
 from repro.hashing.base import HashFunction, make_hash_family
 
 if TYPE_CHECKING:
@@ -71,12 +71,12 @@ class SetAssociativeArray(CacheArray):
         if address in self._pos:
             raise RuntimeError(f"build_replacement for resident block {address:#x}")
         index = self.set_index(address)
-        candidates = [
-            Candidate(Position(way, index), row[index])
-            for way, row in enumerate(self._lines)
-        ]
+        ways = self.num_ways
         # One set read resolves all W tags in a set-associative lookup.
-        return Replacement(address, candidates, self.num_ways, flat=True)
+        return Replacement(
+            address, list(range(ways)), [index] * ways,
+            [row[index] for row in self._lines], tag_reads=ways,
+        )
 
     def check_invariants(self) -> None:
         super().check_invariants()

@@ -124,7 +124,7 @@ class TwoPhaseZCache(Cache):
         """
         if repl.incoming in self.array:
             return False
-        return self.array.still_holds(repl.candidates)
+        return self.array.still_holds(repl)
 
     def commit_prepared(  # zspec: atomic
         self, address: int, repl: Replacement, is_write: bool = False
@@ -209,15 +209,8 @@ class TwoPhaseZCache(Cache):
         against the best phase-2 candidate: if some phase-2 block is
         more evictable than victim1, moving victim1 there is a win.
         """
-        empty, by_address = self._scan(repl2, skip=victim1)
-        if empty is not None:
-            return empty
-        if not by_address:
-            return None
-        choice = self.policy.select_victim([victim1, *by_address])
-        if choice == victim1:
-            return None
-        return by_address[choice]
+        empty, choice = self._pick(repl2, skip=victim1)
+        return choice if empty is None else empty
 
     def _land(
         self,
@@ -240,15 +233,15 @@ class TwoPhaseZCache(Cache):
             if node.address is not None and node.address in self.array:
                 self.array.evict_address(node.address)
             fresh = self.array.build_replacement(address)
-            target = fresh.first_empty()
+            target, extra = self._pick(fresh)
             if target is None:
                 # The walk may not reach the freed slot: evict the best
                 # fresh candidate too (an *extra* victim that
                 # ``AccessResult.evicted`` does not report).
-                target = self._choose_victim(fresh)
-                if target is None:
+                if extra is None:
                     return self._bypass(address)
-                assert target.address is not None
-                self._evict(target.address, target.level)
+                assert extra.address is not None
+                self._evict(extra.address, extra.level)
+                target = extra
             commit = self.array.commit_replacement(fresh, target)
         return self._install(address, commit, evicted, writeback)

@@ -25,17 +25,21 @@ Extensions implemented (Section III-D):
   (cuckoo-style single chain, more relocations per candidate).
 
 In hardware the re-hash of a candidate's tag is a few XOR gates; here it
-is a pass over the hash family's tables (``hashes.indices``) plus W
-``Position`` s, and the walk is on the miss path. So the array keeps a
-*resident home-position table* — block address → its position in every
-way — and expanding a candidate is one table read plus W-1 tag reads.
+is a pass over the hash family's tables (``hashes.indices``), and the
+walk is on the miss path. So the array keeps a *resident home-position
+table* — block address → its line index in every way — and expanding a
+candidate is one table read plus W-1 tag reads.
 The table is a pure memo of the hash family, keyed by address (never
 by line), so an entry cannot go stale: it is written when a
 block enters the array, dropped when the block leaves, kept while the
 block is relocated, and a tag that has no entry is simply hashed. Walks
 only read it, so candidate collection stays pure (lint rule ZS105) and
 may run off-lock; ``check_invariants`` asserts it holds exactly the
-resident blocks, which bounds it at W positions per line.
+resident blocks, which bounds it at W indices per line.
+
+The walk builds no object per node: it appends each one to the flat
+record of :class:`~repro.core.base.Replacement` (way, index, address,
+parent), like the hardware walk table.
 """
 
 from __future__ import annotations
@@ -44,13 +48,7 @@ import random
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.core.base import (
-    CacheArray,
-    Candidate,
-    CommitResult,
-    Position,
-    Replacement,
-)
+from repro.core.base import CacheArray, Candidate, CommitResult, Position, Replacement
 from repro.hashing.base import HashFamily, HashFunction, make_hash_family
 from repro.obs.metrics import IntHistogram, MetricsRegistry, RegistryStats
 from repro.util.bloom import BloomFilter
@@ -237,12 +235,20 @@ class ZCacheArray(CacheArray):
         else:
             self.hashes = make_hash_family(hash_kind, num_ways, lines_per_way, hash_seed)
         self._rng = random.Random(seed)
-        #: Resident home-position table: block address -> its position
-        #: in every way. A pure memo of the hash family, keyed by
-        #: address, so an entry is right for as long as it exists;
-        #: written when a block enters the array, dropped when it
-        #: leaves, kept across relocations, never written by a walk.
-        self._homes: dict[int, tuple[Position, ...]] = {}
+        #: Resident home-position table: block address -> its line index
+        #: in every way (``hashes.indices``: the way is the tuple
+        #: position). A pure memo of the hash family, keyed by address,
+        #: so an entry is right for as long as it exists; written when a
+        #: block enters the array, dropped when it leaves, kept across
+        #: relocations, never written by a walk.
+        self._homes: dict[int, tuple[int, ...]] = {}
+        #: the ways a block in way ``w`` expands into, in way order; the
+        #: last entry (reached as ``[-1]``) is every way, for the
+        #: incoming block, which sits in none
+        self._other_ways = [
+            tuple(way for way in range(num_ways) if way != own)
+            for own in range(num_ways)
+        ] + [tuple(range(num_ways))]
         self.stats = WalkStats()
         self._bind_stat_refs()
 
@@ -274,14 +280,9 @@ class ZCacheArray(CacheArray):
         obs.metrics.scoped("array").gauge("levels").set(self.levels)
 
     # -- helpers -------------------------------------------------------------
-    def _hash_homes(self, address: int) -> tuple[Position, ...]:
-        """The W legal positions of a block, one per way, by hashing it."""
-        return tuple(
-            [
-                Position(way, index)
-                for way, index in enumerate(self.hashes.indices(address))
-            ]
-        )
+    def _hash_homes(self, address: int) -> tuple[int, ...]:
+        """A block's line index in every way, by hashing it."""
+        return self.hashes.indices(address)
 
     def nominal_candidates(self) -> int:
         """R for this configuration, per the paper's formula."""
@@ -304,7 +305,7 @@ class ZCacheArray(CacheArray):
     def build_replacement(self, address: int) -> Replacement:
         if address in self._pos:
             raise RuntimeError(f"build_replacement for resident block {address:#x}")
-        repl = self._collect(address, self._hash_homes(address), None)
+        repl = self._collect(address, self.hashes.indices(address), None)
         if repl.truncated:
             self._c_truncated_walks.value += 1
         return repl
@@ -331,7 +332,7 @@ class ZCacheArray(CacheArray):
     def _collect(
         self,
         incoming: int,
-        homes: tuple[Position, ...],
+        homes: tuple[int, ...],
         own: Optional[Position],
     ) -> Replacement:
         """Collect the candidates for ``incoming``: the one loop behind
@@ -339,7 +340,7 @@ class ZCacheArray(CacheArray):
 
         Each round expands the blocks of the current frontier into the
         next level: a block's children are the lines at its home
-        positions in every way but the one it sits in. Level 0 is the
+        indices in every way but the one it sits in. Level 0 is the
         expansion of the incoming block itself (its ``homes``), which
         sits nowhere — or, for a reinsertion, at ``own``. The breadth-
         first walk carries every expandable child into the next round
@@ -348,100 +349,135 @@ class ZCacheArray(CacheArray):
         round, stopping at a free slot or at the breadth-first walk's
         candidate count. Reinsertions always walk breadth-first.
 
-        Home positions come from the resident table; a tag that is not
-        in it (rewritten behind the array's back) is hashed. The loop
-        only reads — array, table and all — so it may run off-lock.
+        A round is two passes over the record: a tight one appending
+        every frontier block's children (way, index, tag read, parent),
+        then one deciding which children the next round expands. Home
+        indices come from the resident table; a tag that is not in it
+        (rewritten behind the array's back) is hashed. The loop only
+        reads — array, table and all — so it may run off-lock.
         """
-        repl = Replacement(incoming=incoming, homes=homes)
-        cands = repl.candidates
-        append = cands.append
         lines = self._lines
         table = self._homes
+        hash_homes = self.hashes.indices
+        other_ways = self._other_ways
         tracker = self._new_repeat_tracker(incoming)
-        filtered = tracker is not None
-        seen: set[Position] = set() if own is None else {own}
         limit = self.candidate_limit
         if limit is None:
             limit = sys.maxsize
         dfs = self.strategy == "dfs" and own is None
         # DFS stops at the BFS walk's size even when no limit is set.
         cap = self.nominal_candidates() if dfs else limit
+        ways: list[int] = []
+        indices: list[int] = []
+        addresses: list[Optional[int]] = []
+        parents: list[int] = []
+        level_starts: list[int] = []
+        invalid: set[int] = set()
+        # Lines read so far; kept per node only under a repeat filter,
+        # and otherwise counted once the walk is done.
+        seen: set[tuple[int, int]] = set() if own is None else {own}
+        truncated = False
         repeats = 0
-        level = 0
-        frontier: list = [None]  # None stands for the incoming block
+        for way in other_ways[-1 if own is None else own[0]]:
+            index = homes[way]
+            ways.append(way)
+            indices.append(index)
+            addresses.append(lines[way][index])
+            parents.append(-1)
+        start = level = 0
         while True:
-            grown: list = []
-            free = capped = False
-            for parent in frontier:
-                if parent is None:
-                    expand = homes
-                    skip = -1 if own is None else own[0]
-                else:
-                    skip = parent.position[0]
-                    expand = table.get(parent.address)
-                    if expand is None:
-                        expand = self._hash_homes(parent.address)
-                for pos in expand:
-                    way = pos[0]
-                    if way == skip:
-                        continue
-                    # Never true at level 0: the limit is at least W.
-                    if len(cands) >= cap:
-                        capped = True
-                        break
-                    resident = lines[way][pos[1]]
-                    cand = Candidate(pos, resident, level, parent)
-                    append(cand)
-                    if level > 1:
-                        # A relocation path must not visit a position
-                        # twice. The parent sits in another way, so the
-                        # scan starts at the grandparent.
-                        node = parent.parent
-                        while node is not None:
-                            if node.position == pos:
-                                cand.valid = False
-                                break
-                            node = node.parent
-                    if pos in seen:
-                        repeat = True
+            end = len(ways)
+            # Never true at level 0: the limit is at least W.
+            capped = end > cap
+            if capped:
+                end = cap
+                invalid.difference_update(range(end, len(ways)))
+                del ways[end:], indices[end:], addresses[end:], parents[end:]
+                truncated = end >= limit
+            if end > start:
+                level_starts.append(start)
+            level += 1
+            last = not dfs and (capped or level == self.levels)
+            free = False
+            if tracker is not None:
+                grown = []
+                for i in range(start, end):
+                    line = (ways[i], indices[i])
+                    repeat = line in seen
+                    if repeat:
                         repeats += 1
                     else:
-                        repeat = False
-                        seen.add(pos)
-                    if filtered and resident is not None:
+                        seen.add(line)
+                    resident = addresses[i]
+                    if resident is not None:
                         if resident in tracker:
                             repeat = True
                             repeats += 1
                         else:
                             tracker.add(resident)
-                    if cand.valid and not (filtered and repeat):
+                    if not repeat and i not in invalid:
                         if resident is None:
                             free = True
                         else:
-                            grown.append(cand)
-                if capped:
-                    break
-            if capped and len(cands) >= limit:
-                repl.truncated = True
-            level += 1
+                            grown.append(i)
+            elif last:
+                break
+            else:
+                grown = [
+                    i for i in range(start, end)
+                    if addresses[i] is not None and i not in invalid
+                ]
+                free = dfs and any(
+                    addresses[i] is None and i not in invalid
+                    for i in range(start, end)
+                )
             if dfs:
                 # Level 0 only seeds the chain; below it a free slot ends
                 # the walk (the chain can terminate there).
                 if (free and level > 1) or not grown:
                     break
                 grown = [self._rng.choice(grown)]
-                if len(cands) >= cap:
+                if end >= cap:
                     break
-            elif capped or level == self.levels:
+            elif last or not grown:
                 break
-            frontier = grown
-        repl.tag_reads = len(cands)
-        repl.flat = level == 1  # one round: every candidate is a level-0 root
+            start = end
+            for parent in grown:
+                block = addresses[parent]
+                expand = table.get(block)  # type: ignore[arg-type]
+                if expand is None:
+                    expand = hash_homes(block)  # type: ignore[arg-type]
+                skip = ways[parent]
+                first = len(ways)
+                for way in other_ways[skip]:
+                    index = expand[way]
+                    ways.append(way)
+                    indices.append(index)
+                    addresses.append(lines[way][index])
+                    parents.append(parent)
+                # A relocation path must not visit a line twice. Only the
+                # child in an ancestor's way can land on the ancestor, and
+                # the parent sits in another way, so the scan starts at
+                # the grandparent.
+                ancestor = parents[parent]
+                while ancestor >= 0:
+                    way = ways[ancestor]
+                    if way != skip and expand[way] == indices[ancestor]:
+                        invalid.add(first + way - (way > skip))
+                    ancestor = parents[ancestor]
+        count = len(ways)
+        if tracker is None:
+            seen.update(zip(ways, indices))
+            repeats = count - len(seen) + (own is not None)
         self._c_repeats.value += repeats
         self._c_walks.value += 1
-        self._c_tag_reads.value += len(cands)
-        self._c_candidates.value += len(cands)
-        return repl
+        self._c_tag_reads.value += count
+        self._c_candidates.value += count
+        return Replacement(
+            incoming, ways, indices, addresses,
+            parents if len(level_starts) > 1 else None, level_starts,
+            invalid or None, count, truncated, homes=homes,
+        )
 
     def commit_reinsertion(
         self, repl: Replacement, chosen: Candidate
@@ -483,7 +519,7 @@ class ZCacheArray(CacheArray):
                     f"but hashes to {expected}"
                 )
         # The home-position table holds exactly the resident blocks (so
-        # it is bounded by the array, W positions a line) and memoises
+        # it is bounded by the array, W indices a line) and memoises
         # the hash family faithfully. An empty table is the one legal
         # exception: the turbo engine writes lines itself and never
         # walks the array, so it keeps none.

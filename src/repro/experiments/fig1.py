@@ -47,20 +47,24 @@ def run(seed: int = 4) -> Fig1Result:
         attempts += 1
         if attempts > 100_000:  # pragma: no cover - seed safety net
             raise RuntimeError("failed to fill the example cache")
-    # One more unique address is the Fig. 1 miss for 'Y'.
+    # One more unique address is the Fig. 1 miss for 'Y'. Its walk,
+    # dissected level by level, is the one the miss below repeats.
     incoming = 999_999
     repl = arr.build_replacement(incoming)
-    per_level: dict[int, int] = {}
-    for cand in repl.candidates:
-        per_level[cand.level] = per_level.get(cand.level, 0) + 1
-    victim = cache._choose_victim(repl)
-    commit = arr.commit_replacement(repl, victim)
-    timeline = schedule_replacement(WAYS, LEVELS, commit.relocations)
+    per_level = dict(enumerate(repl.level_counts()))
+    committed = [*arr.stats.level_hist, *[0] * LEVELS]
+    result = cache.access(incoming)
+    victim_level = next(
+        level
+        for level, count in enumerate(arr.stats.level_hist)
+        if count != committed[level]
+    )
+    timeline = schedule_replacement(WAYS, LEVELS, result.relocations)
     return Fig1Result(
         candidates_per_level=per_level,
-        total_candidates=len(repl.candidates),
-        victim_level=victim.level,
-        relocations=commit.relocations,
+        total_candidates=len(repl.addresses),
+        victim_level=victim_level,
+        relocations=result.relocations,
         walk_cycles=walk_cycles(WAYS, LEVELS),
         timeline=timeline,
     )

@@ -13,7 +13,7 @@ into actual damage:
   :class:`~repro.core.base.ArrayProxy` with
   :class:`~repro.analysis.sanitizer.SanitizedArray`), inserted *under*
   the sanitizer: ``SanitizedArray(FaultyArray(array))``. It applies
-  armed walk corruption to the candidate trees it returns and armed
+  armed walk corruption to the walk records it returns and armed
   relocation corruption right after the commits it forwards — so the
   sanitizer observes the faulted array exactly as it would observe a
   buggy one. With no injector armed it is a pure pass-through, and
@@ -144,17 +144,22 @@ class FaultInjector:
 
     # -- armed faults (consumed by the wrappers) ------------------------------
     def corrupt_walk(self, repl: Replacement) -> None:
-        """Rewrite one candidate's recorded contents (armed stale-walk)."""
-        if not self._armed_walk or not repl.candidates:
+        """Rewrite one node's recorded address (armed stale-walk).
+
+        The rewrite lands in the record itself, which is what the
+        controller picks from and commits.
+        """
+        addresses = repl.addresses
+        if not self._armed_walk or not addresses:
             return
         event = self._armed_walk.pop(0)
-        cands = repl.candidates
-        cand = cands[event.index % len(cands)]
-        if cand.address is None:
+        i = event.index % len(addresses)
+        recorded = addresses[i]
+        if recorded is None:
             # A stale record of a block that is not there.
-            cand.address = (repl.incoming ^ (1 << (event.bit % TAG_BITS))) | 1
+            addresses[i] = (repl.incoming ^ (1 << (event.bit % TAG_BITS))) | 1
         else:
-            cand.address = cand.address ^ (1 << (event.bit % TAG_BITS))
+            addresses[i] = recorded ^ (1 << (event.bit % TAG_BITS))
         self.fired.append((self._op, event, True))
 
     def corrupt_commit(self, array: CacheArray, chosen: Candidate) -> None:

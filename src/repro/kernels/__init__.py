@@ -1,8 +1,9 @@
 """ZTurbo: vectorized hot-path kernels for the simulator.
 
-The reference simulator (``repro.core``) is object-per-candidate pure
-Python: every miss allocates ``Candidate`` dataclasses, walks dicts and
-sorted multisets, and draws from ``random.Random`` one value at a time.
+The reference simulator (``repro.core``) is pure Python: every miss
+appends its candidates to flat lists one tag read at a time, walks
+dicts and sorted multisets, and draws from ``random.Random`` one value
+at a time.
 This package re-expresses the hot path as numpy array math while keeping
 a hard determinism contract: **a turbo cache produces bit-identical
 eviction sequences, statistics and eviction-priority streams to the

@@ -26,7 +26,6 @@ from repro.analysis.sanitizer import (
 )
 from repro.core import (
     Cache,
-    Candidate,
     Position,
     RandomCandidatesArray,
     Replacement,
@@ -234,7 +233,12 @@ class TestMutationDetection:
 
 
 class TestWalkTreeMutations:
-    """Hand-corrupted candidate trees fed to ``check_walk`` directly."""
+    """Hand-corrupted walk records fed to ``check_walk`` directly.
+
+    Node 0 of every record is a well-formed root — the empty line at
+    the incoming block's way-0 hash — so the corrupted node after it is
+    the first to fail.
+    """
 
     def setup_method(self):
         self.array = SanitizedArray(
@@ -242,81 +246,90 @@ class TestWalkTreeMutations:
             seed=1,
             deep_check_interval=0,
         )
+        self.home = self.array.array.hashes[0](0x999)
 
-    def repl_with(self, *cands):
-        repl = Replacement(incoming=0x999)
-        repl.candidates.extend(cands)
-        return repl
+    def repl_with(self, *nodes, parents=None, level_starts=(0,)):
+        """A record for incoming 0x999 from ``(way, index, address)``s."""
+        ways, indices, addresses = (list(column) for column in zip(*nodes))
+        return Replacement(0x999, ways, indices, addresses, parents, level_starts)
 
     def test_walk_cycle(self):
-        a = Candidate(position=Position(0, 0), address=None, level=0)
-        b = Candidate(position=Position(1, 0), address=None, level=1, parent=a)
-        a.parent = b  # corrupt: the "root" points back down the tree
+        # corrupt: the root names its own child as its parent
+        repl = self.repl_with(
+            (0, self.home, None), (1, 0, None), parents=[1, 0],
+            level_starts=[0, 1],
+        )
         with expect("walk-cycle"):
-            self.array.check_walk(self.repl_with(b))
+            self.array.check_walk(repl)
 
     def test_walk_level_gap(self):
-        root = Candidate(position=Position(0, 0), address=None, level=0)
-        child = Candidate(
-            position=Position(1, 0), address=None, level=5, parent=root
+        # The child sits in level 5 (four empty rounds in between).
+        repl = self.repl_with(
+            (0, self.home, None), (1, 0, None), parents=[-1, 0],
+            level_starts=[0, 1, 1, 1, 1, 1],
         )
         with expect("walk-level"):
-            self.array.check_walk(self.repl_with(child))
+            self.array.check_walk(repl)
 
     def test_walk_nonzero_root_level(self):
-        root = Candidate(position=Position(0, 0), address=None, level=3)
+        repl = self.repl_with(
+            (0, self.home, None), parents=[-1], level_starts=[0, 0, 0, 0]
+        )
         with expect("walk-level"):
-            self.array.check_walk(self.repl_with(root))
+            self.array.check_walk(repl)
 
     def test_flat_plan_with_a_non_root_candidate(self):
-        root = Candidate(position=Position(0, 0), address=0x1, level=0)
-        child = Candidate(
-            position=Position(1, 0), address=None, level=1, parent=root
+        # No parent links promise level-0 roots only; node 1 is level 1.
+        repl = self.repl_with(
+            (0, self.home, None), (1, 0, None), level_starts=[0, 1]
         )
-        repl = self.repl_with(child)
-        repl.flat = True  # promises level-0 roots only
+        assert repl.parents is None
         with expect("walk-level"):
             self.array.check_walk(repl)
 
     def test_walk_parent_empty_slot_expanded(self):
-        root = Candidate(position=Position(0, 0), address=None, level=0)
-        child = Candidate(
-            position=Position(1, 0), address=None, level=1, parent=root
+        repl = self.repl_with(
+            (0, self.home, None), (1, 0, None), parents=[-1, 0],
+            level_starts=[0, 1],
         )
         with expect("walk-parent"):
-            self.array.check_walk(self.repl_with(child))
+            self.array.check_walk(repl)
 
     def test_walk_repeat_not_invalidated(self):
-        root = Candidate(position=Position(0, 0), address=0x1, level=0)
-        child = Candidate(
-            position=Position(0, 0), address=0x1, level=1, parent=root,
-            valid=True,
-        )
         # Make the recorded contents real so only the repeat fires.
-        self.array.array._write(Position(0, 0), 0x1)
+        self.array.array._write(Position(0, self.home), 0x1)
+        repl = self.repl_with(
+            (0, self.home, 0x1), (0, self.home, 0x1), parents=[-1, 0],
+            level_starts=[0, 1],
+        )
+        assert repl.invalid is None
         with expect("walk-repeat"):
-            self.array.check_walk(self.repl_with(child))
+            self.array.check_walk(repl)
 
     def test_walk_stale_address(self):
-        ghost = Candidate(position=Position(0, 0), address=0xBEEF, level=0)
         with expect("walk-stale"):
-            self.array.check_walk(self.repl_with(ghost))
+            self.array.check_walk(self.repl_with((0, 0, 0xBEEF)))
 
     def test_walk_bounds(self):
-        rogue = Candidate(position=Position(9, 0), address=None, level=0)
         with expect("walk-bounds"):
-            self.array.check_walk(self.repl_with(rogue))
+            self.array.check_walk(self.repl_with((9, 0, None)))
 
     def test_walk_hash_mismatch(self):
         inner = self.array.array
-        want = inner.hashes[0](0x999)
-        off = Candidate(
-            position=Position(0, (want + 1) % inner.lines_per_way),
-            address=None,
-            level=0,
-        )
+        off = (0, (self.home + 1) % inner.lines_per_way, None)
         with expect("walk-hash"):
             self.array.check_walk(self.repl_with(off))
+
+    def test_corrupted_real_walk(self):
+        """A record from a real walk, one parent link pointed forward."""
+        array = filled_zcache()
+        repl = array.array.build_replacement(0x12345)
+        array.check_walk(repl)
+        assert repl.parents is not None and len(repl.level_starts) == 2
+        child = repl.level_starts[1]
+        repl.parents[child] = child
+        with expect("walk-cycle"):
+            array.check_walk(repl)
 
 
 class TestInvariantViolation:

@@ -98,12 +98,14 @@ def reference_walk(array: ZCacheArray, incoming: int, reinsert: bool = False):
 
 
 def observed(repl):
-    """A walk result in the reference's node format."""
-    number = {id(c): i for i, c in enumerate(repl.candidates)}
+    """A walk record in the reference's node format."""
+    parents = repl.parents
+    invalid = repl.invalid or ()
     return [
-        (c.position.way, c.position.index, c.address, c.level,
-         None if c.parent is None else number[id(c.parent)], c.valid)
-        for c in repl.candidates
+        (repl.ways[i], repl.indices[i], repl.addresses[i], repl.level(i),
+         None if parents is None or parents[i] < 0 else parents[i],
+         i not in invalid)
+        for i in range(len(repl.addresses))
     ]
 
 
@@ -169,8 +171,8 @@ def test_reinsertion_walk_matches_reference(
     resident = sorted(array.resident())
     block = resident[pick % len(resident)]
     repl = assert_walk_matches(array, array.build_reinsertion, block, reinsert=True)
-    assert all(c.position.way != array.lookup(block).way
-               for c in repl.candidates if c.level == 0)
+    assert all(repl.ways[i] != array.lookup(block).way
+               for i in range(len(repl.addresses)) if repl.level(i) == 0)
     array.check_invariants()
 
 
@@ -211,7 +213,7 @@ def test_ancestor_repeats_are_marked_invalid():
             cache.access(rng.randrange(300))
         for probe in range(1000, 1020):
             repl = assert_walk_matches(array, array.build_replacement, probe)
-            invalid += sum(not c.valid for c in repl.candidates)
+            invalid += len(repl.invalid or ())
             truncated += repl.truncated
     assert invalid > 0 and truncated > 0
 
@@ -226,9 +228,6 @@ def test_walk_level_counts_bounded_by_formula(trace):
     for addr in trace:
         cache.access(addr)
     repl = array.build_replacement(10**9)
-    per_level: dict[int, int] = {}
-    for c in repl.candidates:
-        per_level[c.level] = per_level.get(c.level, 0) + 1
     # Level l holds at most W*(W-1)^l nodes (fewer when slots are free).
-    for level, count in per_level.items():
+    for level, count in enumerate(repl.level_counts()):
         assert count <= 4 * 3**level

@@ -172,9 +172,9 @@ class TestRelocation:
     def test_commit_invalid_candidate_rejected(self):
         arr = ZCacheArray(4, 64, levels=2)
         repl = arr.build_replacement(1)
-        repl.candidates[0].valid = False
+        repl.invalid = {0}
         with pytest.raises(ValueError):
-            arr.commit_replacement(repl, repl.candidates[0])
+            arr.commit_replacement(repl, repl.node(0))
 
     def test_stale_candidate_detected(self):
         arr = ZCacheArray(4, 64, levels=2)

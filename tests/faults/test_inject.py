@@ -1,6 +1,8 @@
 """Tests for the fault injectors (repro.faults.inject)."""
 
-from repro.core import Cache
+import pytest
+
+from repro.core import Cache, SetAssociativeArray
 from repro.core.zcache import ZCacheArray
 from repro.faults.inject import FaultInjector, FaultyArray
 from repro.faults.plan import FaultEvent, FaultPlan
@@ -130,3 +132,20 @@ class TestFaultyArray:
         ]
         assert len(stale) == 1
         assert injector.exhausted
+
+    def test_armed_walk_reaches_the_controllers_commit(self):
+        # No sanitizer: the rewritten record is what the controller
+        # picks from and commits, so the fault cannot fizzle silently.
+        # One set of two ways holds blocks 2 and 3; the fault rewrites
+        # node 0's 2 into a 3, the policy's only choice is block 3, and
+        # its first node is node 0 — a line that holds 2.
+        array = SetAssociativeArray(2, 1)
+        injector = FaultInjector(FaultPlan.single("stale-walk", 0, index=0, bit=0))
+        cache = Cache(FaultyArray(array, injector), LRU())
+        cache.access(2)
+        cache.access(3)
+        injector.advance(array)
+        with pytest.raises(RuntimeError, match="stale walk path"):
+            cache.access(4)
+        assert injector.exhausted
+        assert sorted(array.resident()) == [2, 3]
