@@ -266,26 +266,9 @@ def _local_store_names(func: FunctionInfo) -> Set[str]:
     return names
 
 
-def _is_obs_module(module: str) -> bool:
-    """Whether ``module`` belongs to the observability layer.
-
-    The obs sinks are the sanctioned channel for a worker to record
-    span/trace data: each worker opens its *own* per-process file from
-    a path handed across the pickle boundary, so no handle is shared
-    with the parent. Mirrors the ZS005 exemption for the same layer.
-    """
-    return module == "repro.obs" or module.startswith("repro.obs.")
-
-
 @register_deep_rule
 class ParallelSafetyRule(DeepRule):
-    """ZS102: worker-reachable code must be pure w.r.t. module state.
-
-    The ``open()`` check exempts functions defined under ``repro.obs``:
-    per-worker span/trace sinks (see :mod:`repro.obs.spans`) are the
-    designed mechanism for workers to record observability data, and
-    they open worker-local paths rather than sharing parent handles.
-    """
+    """ZS102: worker-reachable code must be pure w.r.t. module state."""
 
     code = "ZS102"
     name = "parallel-safety"
@@ -435,11 +418,7 @@ class ParallelSafetyRule(DeepRule):
                         )
             elif isinstance(node, ast.Call):
                 func = node.func
-                if (
-                    isinstance(func, ast.Name)
-                    and func.id == "open"
-                    and not _is_obs_module(fn.module)
-                ):
+                if isinstance(func, ast.Name) and func.id == "open":
                     out.append(
                         self.finding(
                             info,

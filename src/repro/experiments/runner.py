@@ -66,8 +66,8 @@ def _run_sweeps(
     """Every sweep entry point: the roster through the one sweep engine.
 
     Returns workload name -> :class:`SweepResult`, complete or not at
-    all: a job that failed even in-process raises, naming every failed
-    job key and its error.
+    all: if any job failed (it raised, or its worker died), this raises
+    ``RuntimeError`` naming every failed job key and its error.
     """
     from repro.experiments.parallel import run_parallel_sweeps
 
@@ -87,7 +87,7 @@ def _run_sweeps(
     if outcome.failed:
         raise RuntimeError(
             "sweep failed: "
-            + "; ".join(f"{o.key}: {o.error}" for o in outcome.failed)
+            + "; ".join(f"{k}: {e}" for k, e in outcome.failed.items())
         )
     return outcome.sweeps
 
@@ -115,7 +115,7 @@ def run_design_sweep(
     so results are bit-identical (replay is deterministic given the
     captured trace) and an :class:`~repro.obs.ObsContext` sees the same
     names at any ``jobs``: phases ``capture.<workload>`` and
-    ``replay.<design>.<policy>``, metrics under ``<design>.<policy>``,
+    ``job.<design>.<policy>``, metrics under ``<design>.<policy>``,
     heartbeat progress per job. Without a context, a heartbeat is still
     honoured if the ``ZCACHE_PROGRESS_LOG`` environment variable names
     a log file.

@@ -5,8 +5,9 @@ trigger points and locations, against every design — of *independent*
 :func:`~repro.faults.harness.run_case` units: a roster, run by the same
 :func:`~repro.experiments.parallel.run_roster` that runs the design
 sweep. The driver owns restore from a fingerprint-validated checkpoint,
-the in-process path, the worker pool, roster-order join, one retry per
-case, degradation to in-parent execution and the checkpoint record
+the in-process path, the worker pool, roster-order join, the one
+failure path (a case that raises or whose worker dies is recorded in
+:attr:`CampaignOutcome.errors`, never rerun) and the checkpoint record
 after every finished case; this module supplies the roster
 (:func:`build_cases`, per-case seeds via
 :func:`~repro.experiments.parallel.derive_job_seed`), the worker and
@@ -244,9 +245,7 @@ class CampaignOutcome:
     report: CampaignReport = field(default_factory=CampaignReport)
     #: cases restored from the checkpoint instead of recomputed
     restored: int = 0
-    #: True when the worker pool died and cases fell back to the parent
-    degraded: bool = False
-    #: case key -> error string for cases that kept failing
+    #: case key -> error string for cases that produced no outcome
     errors: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -258,7 +257,6 @@ class CampaignOutcome:
             },
             "report": self.report.to_dict(),
             "restored": self.restored,
-            "degraded": self.degraded,
             "errors": dict(self.errors),
         }
 
@@ -300,7 +298,7 @@ def run_campaign(
     roster = list(cases) if cases is not None else build_cases(config)
     outcome = CampaignOutcome()
 
-    def commit(case, status, attempts, result: FaultOutcome) -> tuple:
+    def commit(case, result: FaultOutcome) -> tuple:
         """Fold one classified case into the outcome (and the registry)."""
         outcome.outcomes[result.key] = result
         outcome.report.add(result)
@@ -312,20 +310,19 @@ def run_campaign(
             obs.metrics.scoped(scope).counter(result.classification).inc()
         return result, None
 
-    def fail(case: FaultCase, attempts: int, error: str) -> None:
+    def fail(case: FaultCase, error: str) -> None:
         outcome.errors[case.key] = error
 
-    run_roster(
+    outcome.restored = run_roster(
         "faults",
         roster,
-        outcome,
         jobs=jobs,
         checkpoint=checkpoint,
         fingerprint=config.fingerprint(roster),
         heartbeat=obs.heartbeat if obs is not None else Heartbeat.from_env(),
         decode=lambda entry: FaultOutcome.from_dict(entry["result"]),
-        local=lambda case, attempts: _case_worker(case),
-        submit=lambda pool, case, attempt: pool.submit(_case_worker, case),
+        local=_case_worker,
+        submit=lambda pool, case: pool.submit(_case_worker, case),
         commit=commit,
         fail=fail,
     )

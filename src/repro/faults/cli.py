@@ -117,8 +117,7 @@ def run_faults_cli(argv: list) -> int:
     )
     print(
         f"faults: {len(outcome.outcomes)} cases "
-        f"({outcome.restored} restored, {len(outcome.errors)} failed"
-        f"{', degraded to serial' if outcome.degraded else ''})"
+        f"({outcome.restored} restored, {len(outcome.errors)} failed)"
     )
     print(outcome.report.render())
     for key, error in outcome.errors.items():

@@ -18,7 +18,7 @@ low-overhead facilities:
   for long sweeps.
 - **Span tracing** (:mod:`repro.obs.spans` + :mod:`repro.obs.timeline`,
   ZTrace): hierarchical spans with deterministic seed-derived ids,
-  cross-process propagation through the parallel sweep engine, Chrome
+  one parent-side span per parallel sweep job, Chrome
   trace-event/Perfetto export, per-name wall-time totals and
   critical-path attribution — the one wall clock. Off by default
   (``NULL_SPANS``); enabled per run by the ``stats`` and ``timeline``
@@ -70,14 +70,7 @@ from repro.obs.profiling import (
     PROGRESS_LOG_ENV,
     Heartbeat,
 )
-from repro.obs.spans import (
-    NULL_SPANS,
-    Span,
-    SpanContext,
-    SpanSink,
-    SpanTracker,
-    read_span_export,
-)
+from repro.obs.spans import NULL_SPANS, Span, SpanTracker
 
 __all__ = [
     "ObsContext",
@@ -108,11 +101,8 @@ __all__ = [
     "NULL_HEARTBEAT",
     "PROGRESS_LOG_ENV",
     "Span",
-    "SpanContext",
-    "SpanSink",
     "SpanTracker",
     "NULL_SPANS",
-    "read_span_export",
 ]
 
 
@@ -161,7 +151,7 @@ class ObsContext:
         )
 
     def close(self) -> None:
-        """Close the trace and span sinks (flushes JSONL files)."""
+        """Close the trace sink (flushes JSONL files) and open spans."""
         self.trace.close()
         if self.spans is not NULL_SPANS:
             self.spans.close()

@@ -13,11 +13,11 @@ scope covering simulation code.
   eviction-priority CDF offline and checks it against the in-process
   result, which is the acceptance test for trace completeness.
 - ``timeline`` runs an experiment under an enabled
-  :class:`~repro.obs.SpanTracker` (ZTrace), exports the stitched span
-  tree as a Perfetto-loadable Chrome trace-event JSON file, and prints
-  the critical-path / straggler report. ``--jobs N`` exercises the
-  cross-process propagation path; ``--check`` turns the schema and
-  coverage assertions into the exit code (the CI smoke step).
+  :class:`~repro.obs.SpanTracker` (ZTrace), exports the span tree as a
+  Perfetto-loadable Chrome trace-event JSON file, and prints the
+  critical-path / straggler report. ``--jobs N`` runs a sweep's jobs in
+  worker processes, each one parent-side ``job.*`` span; ``--check``
+  turns the schema and coverage assertions into the exit code.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def run_trace(argv: list[str]) -> int:
     return 0 if ok else 1
 
 
-#: --check threshold: the stitched tree's children must cover this
+#: --check threshold: the root span's children must cover this
 #: fraction of the root span, and the root this fraction of the
 #: CLI-measured wall time
 COVERAGE_FLOOR = 0.90
@@ -240,10 +240,10 @@ def run_timeline(argv: list[str]) -> int:
     """``zcache-repro timeline <experiment>`` — ZTrace span timeline.
 
     Runs the experiment under an enabled span tracker (``--jobs N``
-    fans a sweep across worker processes, exercising cross-process span
-    propagation and stitching), writes the tree as a Chrome
-    trace-event JSON file (drag into https://ui.perfetto.dev), and
-    prints the coverage / phase / utilization report plus, with
+    fans a sweep across worker processes; the parent records each job
+    as one ``job.*`` span from submit to result), writes the tree as a
+    Chrome trace-event JSON file (drag into https://ui.perfetto.dev),
+    and prints the coverage / phase report plus, with
     ``--critical-path``, the longest dependency chain. ``--check``
     additionally validates the exported JSON against the trace-event
     schema and requires span coverage of at least 90% of measured wall
@@ -258,8 +258,8 @@ def run_timeline(argv: list[str]) -> int:
     _add_run_arguments(parser)
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="sweep only: worker processes (cross-process span "
-        "stitching; default 1 = in-process)",
+        help="sweep only: worker processes, each job one parent-side "
+        "job.* span (default 1 = in-process)",
     )
     parser.add_argument(
         "--engine", choices=("reference", "turbo"), default="reference",
@@ -321,7 +321,7 @@ def run_timeline(argv: list[str]) -> int:
     failures.extend(tl.validate_chrome_trace(payload))
     if report.coverage < COVERAGE_FLOOR:
         failures.append(
-            f"stitched children cover {report.coverage * 100:.1f}% of the "
+            f"child spans cover {report.coverage * 100:.1f}% of the "
             f"root span (< {COVERAGE_FLOOR * 100:.0f}%)"
         )
     if wall > 0 and root.duration / wall < COVERAGE_FLOOR:

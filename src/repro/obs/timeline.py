@@ -1,25 +1,23 @@
 """ZTrace timeline: Perfetto export and critical-path analysis.
 
-The consumers of a stitched span tree (:mod:`repro.obs.spans`):
+The consumers of a span tree (:mod:`repro.obs.spans`):
 
 - :func:`to_chrome_trace` / :func:`write_chrome_trace` — export to the
   Chrome trace-event JSON format (the ``{"traceEvents": [...]}`` object
   form), loadable in Perfetto (https://ui.perfetto.dev) or
   ``chrome://tracing``. Each distinct process label becomes one pid
-  row; each (process, thread) pair one tid track — so a parallel sweep
-  renders as the parent timeline over one lane per worker.
-- :func:`validate_chrome_trace` — a self-contained schema check used by
-  the CI timeline smoke step (no jsonschema dependency).
+  row; each (process, thread) pair one tid track.
+- :func:`validate_chrome_trace` — a self-contained schema check behind
+  ``timeline --check`` (no jsonschema dependency).
 - :func:`critical_path` — the chain of spans that determined the
   root's end time: descend from the root into whichever child finished
   last, attributing to each node on the chain the tail segment no
   child covers. The sum of the attributed segments equals the root
   duration, which is what makes the report an *attribution*, not a
   listing.
-- :func:`phase_stats` / :func:`worker_utilization` / :func:`coverage` —
-  straggler and imbalance statistics: p50/p95/max per phase name,
-  busy-fraction per worker process, and how much of the root's wall
-  time its children account for.
+- :func:`phase_stats` / :func:`coverage` — straggler statistics:
+  p50/p95/max per phase name, and how much of the root's wall time its
+  children account for.
 
 Everything here is pure post-processing over finished
 :class:`~repro.obs.spans.Span` records — no clocks, no simulator state.
@@ -81,11 +79,11 @@ def _union_seconds(intervals: Iterable[tuple[float, float]]) -> float:
 def coverage(spans: Sequence[Span], root: Span) -> float:
     """Fraction of ``root``'s duration its direct children account for.
 
-    The acceptance metric for cross-process stitching: if workers'
-    span trees really landed under the parent sweep span, the union of
-    the root's child intervals (clipped to the root) covers nearly all
-    of the parent's measured wall time — scheduling gaps and
-    submit/join bookkeeping are the only uncovered slack.
+    The acceptance metric for span placement: if every phase of the run
+    opened its span under the root, the union of the root's child
+    intervals (clipped to the root) covers nearly all of its measured
+    wall time — bookkeeping between phases is the only uncovered
+    slack.
     """
     if root.duration <= 0.0:
         return 1.0
@@ -172,7 +170,7 @@ def render_critical_path(steps: Sequence[PathStep]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Straggler / imbalance statistics
+# Straggler statistics
 # ---------------------------------------------------------------------------
 
 
@@ -212,34 +210,6 @@ def phase_stats(spans: Sequence[Span]) -> dict[str, dict[str, float]]:
     return out
 
 
-def worker_utilization(
-    spans: Sequence[Span], root: Span
-) -> dict[str, dict[str, float]]:
-    """Busy time and busy fraction of the root window, per process.
-
-    Busy time is the union of a process's span intervals clipped to
-    the root window (union, so nesting doesn't double-count). A low
-    utilization on one worker next to high ones is the imbalance
-    signal the straggler report exists for.
-    """
-    by_process: dict[str, list[tuple[float, float]]] = {}
-    for span in spans:
-        if span.span_id == root.span_id:
-            continue
-        lo = max(span.start, root.start)
-        hi = min(span.end, root.end)
-        if hi > lo:
-            by_process.setdefault(span.process, []).append((lo, hi))
-    out: dict[str, dict[str, float]] = {}
-    for process in sorted(by_process):
-        busy = _union_seconds(by_process[process])
-        out[process] = {
-            "busy": busy,
-            "utilization": busy / root.duration if root.duration > 0 else 0.0,
-        }
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Chrome trace-event export
 # ---------------------------------------------------------------------------
@@ -257,7 +227,7 @@ def to_chrome_trace(spans: Sequence[Span]) -> dict[str, Any]:
     microseconds) plus ``ph: "M"`` metadata naming each process row and
     thread track. Pids are assigned in first-seen order with the
     parent (``main``) pinned to pid 1; tids are per (process, thread)
-    pair, so sweep shards land on separate tracks.
+    pair, so threads with their own labels land on separate tracks.
     """
     pids: dict[str, int] = {}
     tids: dict[tuple[str, str], int] = {}
@@ -333,7 +303,7 @@ def validate_chrome_trace(payload: Any) -> list[str]:
     list, ``X`` complete events with numeric non-negative ``ts``/
     ``dur`` and integer ``pid``/``tid``, ``M`` metadata events naming
     processes and threads — which is also the subset Perfetto needs to
-    load the file. Used by the CI timeline smoke step.
+    load the file. Behind ``timeline --check``.
     """
     errors: list[str] = []
     if not isinstance(payload, dict):
@@ -383,19 +353,18 @@ def validate_chrome_trace(payload: Any) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Report assembly (shared by the CLI and the CI smoke step)
+# Report assembly (the ``timeline`` CLI)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(slots=True)
 class TimelineReport:
-    """Everything the ``timeline`` CLI prints for one stitched tree."""
+    """Everything the ``timeline`` CLI prints for one span tree."""
 
     root: Span
     coverage: float
     steps: list[PathStep]
     phases: dict[str, dict[str, float]]
-    utilization: dict[str, dict[str, float]]
 
 
 def analyze(spans: Sequence[Span], root: Optional[Span] = None) -> TimelineReport:
@@ -410,7 +379,6 @@ def analyze(spans: Sequence[Span], root: Optional[Span] = None) -> TimelineRepor
         coverage=coverage(spans, root),
         steps=critical_path(spans, root),
         phases=phase_stats(spans),
-        utilization=worker_utilization(spans, root),
     )
 
 
@@ -438,11 +406,4 @@ def render_report(
             f"{stats['p50'] * 1e3:9.3f} {stats['p95'] * 1e3:9.3f} "
             f"{stats['max'] * 1e3:9.3f}"
         )
-    if report.utilization:
-        lines.append("worker utilization:")
-        for process, stats in report.utilization.items():
-            lines.append(
-                f"  {process:24s} busy {stats['busy'] * 1e3:9.3f} ms  "
-                f"({stats['utilization'] * 100:5.1f}%)"
-            )
     return lines

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -20,7 +21,6 @@ from repro.experiments.runner import (
     run_design_sweep,
 )
 from repro.obs import Heartbeat, ObsContext, SpanTracker
-from repro.obs.timeline import phase_stats
 from repro.sim import CMPConfig, L2DesignConfig
 
 WORKLOADS = ("gcc", "canneal")
@@ -31,11 +31,19 @@ DESIGNS = (
 SCALE = ExperimentScale(instructions_per_core=600, workloads=WORKLOADS, seed=5)
 
 
+N_JOBS = len(WORKLOADS) * len(DESIGNS)
+
+
 def mini_sweep(**kw):
     kw.setdefault("workloads", WORKLOADS)
     kw.setdefault("designs", DESIGNS)
     kw.setdefault("scale", SCALE)
     return run_parallel_sweeps(**kw)
+
+
+def n_results(outcome):
+    """How many jobs of a sweep left a result."""
+    return sum(len(sweep.results) for sweep in outcome.sweeps.values())
 
 
 class TestJobIdentity:
@@ -62,10 +70,8 @@ class TestDeterministicMerge:
         assert set(serial.sweeps) == set(parallel.sweeps)
         for w in serial.sweeps:
             assert serial.sweeps[w].results == parallel.sweeps[w].results
-        assert not parallel.degraded
-        assert all(
-            o.status == "parallel" for o in parallel.outcomes.values()
-        )
+        assert not serial.failed and not parallel.failed
+        assert n_results(parallel) == N_JOBS
 
     def test_parallel_matches_run_design_sweep(self):
         direct = run_design_sweep("gcc", DESIGNS, scale=SCALE)
@@ -107,7 +113,7 @@ class TestDeterministicMerge:
         mini_sweep(jobs=2, obs=obs)
         phases = {span.name for span in obs.spans.spans()}
         assert any(p.startswith("capture.") for p in phases)
-        assert any(p.startswith("replay.") for p in phases)
+        assert sum(p.startswith("job.") for p in phases) == N_JOBS
 
 
 class TestCheckpoint:
@@ -116,10 +122,7 @@ class TestCheckpoint:
         first = mini_sweep(jobs=2, checkpoint=str(path))
         assert path.exists()
         second = mini_sweep(jobs=2, checkpoint=str(path))
-        assert second.restored == len(first.outcomes)
-        assert all(
-            o.status == "checkpoint" for o in second.outcomes.values()
-        )
+        assert second.restored == n_results(first) == N_JOBS
         for w in first.sweeps:
             assert first.sweeps[w].results == second.sweeps[w].results
 
@@ -151,13 +154,29 @@ class TestCheckpoint:
         third = mini_sweep(
             jobs=1, checkpoint=str(path), cfg=CMPConfig(engine="turbo")
         )
-        assert third.restored == len(again.outcomes)
+        assert third.restored == n_results(again)
 
     def test_corrupt_checkpoint_is_ignored(self, tmp_path):
         path = tmp_path / "ck.json"
         path.write_text("{not json", encoding="utf-8")
         ck = SweepCheckpoint(path, fingerprint={"v": 1})
         assert ck.load() == {}
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            "checkpoint",
+            {"fingerprint": {"v": 1}, "results": {"k": [1]}},
+            {"fingerprint": {"v": 1}, "results": {"k": {}, "j": 3}},
+        ],
+    )
+    def test_checkpoint_of_the_wrong_shape_is_ignored(self, tmp_path, payload):
+        # Valid JSON whose top level, or a results entry, is not an
+        # object is as unusable as unparsable JSON.
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert SweepCheckpoint(path, fingerprint={"v": 1}).load() == {}
 
     def test_record_is_atomic_json(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -169,20 +188,24 @@ class TestCheckpoint:
 
 
 def _crash_worker_once(policy):
-    """Picklable policy wrapper that hard-kills the first worker to run it.
+    """Picklable policy wrapper that hard-kills one worker, once.
 
-    The crash flag travels via the environment (workers inherit it);
-    the first process through dies with ``os._exit`` — no exception,
-    no cleanup, exactly a killed worker — and every later call (other
-    workers after the flag lands, the parent's degraded-serial rerun,
-    a resumed campaign) passes through untouched.
+    Flag and checkpoint paths travel via the environment (workers
+    inherit it). The first FIFO job to build its policy waits until the
+    parent has checkpointed a finished job, then dies with ``os._exit``
+    — no exception, no cleanup, exactly a killed worker. LRU jobs, and
+    every call once the flag exists (a resumed sweep), pass through.
     """
     flag = os.environ.get("ZCACHE_TEST_CRASH_FLAG")
-    if flag and not os.path.exists(flag):
-        with open(flag, "w", encoding="utf-8") as f:
-            f.write("crashed")
-        os._exit(17)
-    return policy
+    if not flag or os.path.exists(flag) or type(policy).__name__ != "FIFO":
+        return policy
+    checkpoint = os.environ["ZCACHE_TEST_CRASH_CHECKPOINT"]
+    deadline = time.monotonic() + 120.0
+    while not os.path.exists(checkpoint) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    with open(flag, "w", encoding="utf-8") as f:
+        f.write("crashed")
+    os._exit(17)
 
 
 class TestCrashResume:
@@ -192,32 +215,39 @@ class TestCrashResume:
         flag = tmp_path / "crash.flag"
         ck = tmp_path / "ck.json"
         monkeypatch.setenv("ZCACHE_TEST_CRASH_FLAG", str(flag))
-        crashed = mini_sweep(
-            jobs=2, checkpoint=str(ck), policy_wrapper=_crash_worker_once
-        )
-        # The worker genuinely died mid-campaign...
+        monkeypatch.setenv("ZCACHE_TEST_CRASH_CHECKPOINT", str(ck))
+        kw = dict(policies=("lru", "fifo"), checkpoint=str(ck))
+        n_jobs = 2 * N_JOBS
+        crashed = mini_sweep(jobs=2, policy_wrapper=_crash_worker_once, **kw)
+        # The worker genuinely died mid-sweep, after the first job was
+        # checkpointed; every job it took down with it is named, not
+        # rerun...
         assert flag.exists()
-        assert crashed.degraded
-        # ...yet the campaign completed every job and checkpointed it.
-        assert not crashed.failed
-        data = json.loads(ck.read_text(encoding="utf-8"))
-        assert len(data["results"]) == len(WORKLOADS) * len(DESIGNS)
-
-        # A resumed run restores everything and recomputes nothing.
-        resumed = mini_sweep(
-            jobs=2, checkpoint=str(ck), policy_wrapper=_crash_worker_once
+        assert crashed.failed and n_results(crashed) >= 1
+        assert all(
+            error.startswith("BrokenProcessPool")
+            for error in crashed.failed.values()
         )
-        assert resumed.restored == len(crashed.outcomes)
+        assert n_results(crashed) + len(crashed.failed) == n_jobs
+        # ...while the checkpoint keeps exactly what finished.
+        data = json.loads(ck.read_text(encoding="utf-8"))
+        assert set(data["results"]).isdisjoint(crashed.failed)
+        assert len(data["results"]) == n_results(crashed)
 
-        # Both the crashed-and-degraded run and the resume are
-        # bit-identical to an undisturbed serial sweep.
-        clean = mini_sweep(jobs=1)
+        # A resumed run restores what finished and computes the rest.
+        resumed = mini_sweep(jobs=2, policy_wrapper=_crash_worker_once, **kw)
+        assert resumed.restored == n_results(crashed)
+        assert not resumed.failed
+
+        # The resume is bit-identical to an undisturbed serial sweep.
+        clean = mini_sweep(jobs=1, policies=("lru", "fifo"))
         for w in clean.sweeps:
-            assert clean.sweeps[w].results == crashed.sweeps[w].results
             assert clean.sweeps[w].results == resumed.sweeps[w].results
+            for key, result in crashed.sweeps[w].results.items():
+                assert clean.sweeps[w].results[key] == result
 
     def test_partial_checkpoint_resume_is_bit_identical(self, tmp_path):
-        # Simulate the parent dying mid-campaign: keep only half the
+        # Simulate the parent dying mid-sweep: keep only half the
         # checkpoint entries (the state an interrupted run leaves) and
         # resume — restored + recomputed must equal the clean run.
         ck = tmp_path / "ck.json"
@@ -229,9 +259,8 @@ class TestCrashResume:
         ck.write_text(json.dumps(data), encoding="utf-8")
 
         resumed = mini_sweep(jobs=2, checkpoint=str(ck))
-        assert resumed.restored == len(kept)
-        statuses = {o.status for o in resumed.outcomes.values()}
-        assert "checkpoint" in statuses and statuses - {"checkpoint"}
+        assert 0 < resumed.restored == len(kept) < N_JOBS
+        assert n_results(resumed) == N_JOBS
         for w in full.sweeps:
             assert full.sweeps[w].results == resumed.sweeps[w].results
 
@@ -246,78 +275,65 @@ class TestRobustness:
 
         outcome = mini_sweep(jobs=1, policy_wrapper=exploding_wrapper)
         assert calls  # the wrapper genuinely ran
-        assert len(outcome.failed) == len(WORKLOADS) * len(DESIGNS)
-        for o in outcome.failed:
-            assert o.status == "failed"
-            assert "RuntimeError" in o.error
+        assert len(outcome.failed) == N_JOBS
+        assert all("RuntimeError" in e for e in outcome.failed.values())
         # failed jobs leave no results behind
         assert all(not s.results for s in outcome.sweeps.values())
 
-    def test_unpicklable_job_degrades_to_serial(self):
-        # A lambda cannot cross the process boundary: every submission
-        # fails, the retry fails too, and the degraded-serial fallback
-        # (where the lambda works fine) completes the sweep.
+    def test_unpicklable_job_fails_by_name(self):
+        # A lambda cannot cross the process boundary: every job fails
+        # with the pickling error, named, and none reruns in the parent.
         outcome = mini_sweep(jobs=2, policy_wrapper=lambda p: p)
-        assert outcome.degraded
-        assert not outcome.failed
-        assert all(
-            o.status == "serial" for o in outcome.outcomes.values()
+        assert sorted(outcome.failed) == sorted(
+            f"{w}|{d.label()}|lru" for w in WORKLOADS for d in DESIGNS
         )
-        clean = mini_sweep(jobs=1)
-        for w in clean.sweeps:
-            assert clean.sweeps[w].results == outcome.sweeps[w].results
+        assert all("pickle" in e.lower() for e in outcome.failed.values())
+        assert n_results(outcome) == 0
 
-    def test_degraded_heartbeat_reports_serial_fallback(self, tmp_path):
-        # The degraded path must stay observable: every in-parent rerun
-        # beats a "[degraded-serial]" line with aggregate progress.
+    def test_heartbeat_counts_failed_jobs(self, tmp_path):
+        # A failed job still advances the aggregate progress count.
         log = tmp_path / "hb.log"
         obs = ObsContext(heartbeat=Heartbeat(path=log))
-        outcome = mini_sweep(jobs=2, policy_wrapper=lambda p: p, obs=obs)
-        assert outcome.degraded
+        mini_sweep(jobs=2, policy_wrapper=lambda p: p, obs=obs)
         text = log.read_text(encoding="utf-8")
-        n_jobs = len(WORKLOADS) * len(DESIGNS)
-        assert text.count("[degraded-serial]") == n_jobs
-        # progress counters keep aggregating across the fallback
-        assert f"({n_jobs}/{n_jobs})" in text
-        assert obs.heartbeat.beats >= n_jobs
+        assert text.count("[failed]") == N_JOBS
+        assert f"({N_JOBS}/{N_JOBS})" in text
 
-    def test_degraded_phase_timings_fold_into_parent(self):
-        # Serial-fallback jobs run in the parent process, but their
-        # timings must land under the same span names the worker path
-        # reports, so wall-time attribution stays whole.
-        obs = ObsContext(spans=SpanTracker(seed=1))
-        outcome = mini_sweep(jobs=2, policy_wrapper=lambda p: p, obs=obs)
-        assert outcome.degraded
-        phases = phase_stats(obs.spans.spans())
+    @pytest.mark.parametrize(
+        "wrapper", [None, lambda p: p], ids=["clean", "unpicklable"]
+    )
+    def test_job_span_names_match_at_any_jobs(self, wrapper):
+        # The parent owns one job.<scope> span per job that ran, whether
+        # it ran in-process, in a worker, or failed.
+        names = []
+        for jobs in (1, 2):
+            obs = ObsContext(spans=SpanTracker(seed=1))
+            mini_sweep(jobs=jobs, obs=obs, policy_wrapper=wrapper)
+            spans = obs.spans.spans()
+            (root,) = [s for s in spans if s.name == "sweep"]
+            top = sorted(s.name for s in spans if s.parent_id == root.span_id)
+            assert {s.process for s in spans} == {"main"}
+            names.append(top)
+        assert names[0] == names[1]
+        jobs_spans = [n for n in names[0] if n.startswith("job.")]
+        assert len(jobs_spans) == len(set(jobs_spans)) == N_JOBS
         for w in WORKLOADS:
-            assert any(p.startswith("capture.") and w in p for p in phases)
-        replay = [
-            p for p in phases
-            if any(p.startswith(f"replay.{w}.") for w in WORKLOADS)
-        ]
-        assert len(replay) == len(WORKLOADS) * len(DESIGNS)
-        assert all(stats["total"] >= 0.0 for stats in phases.values())
+            assert f"capture.{w}" in names[0]
 
     def test_failed_property_empty_on_success(self):
-        assert ParallelSweepOutcome().failed == []
+        assert ParallelSweepOutcome().failed == {}
+        assert not mini_sweep(jobs=1).failed
 
 
 class TestSweepCli:
-    def test_cli_runs_and_reports(self, capsys, tmp_path):
-        json_path = tmp_path / "out.json"
+    def test_cli_runs_and_reports(self, capsys):
         rc = run_sweep_cli(
-            [
-                "--workloads", "gcc",
-                "--instructions", "400",
-                "--jobs", "2",
-                "--json", str(json_path),
-            ]
+            ["--workloads", "gcc", "--instructions", "400", "--jobs", "2"]
         )
         out = capsys.readouterr().out
         assert rc == 0
+        assert out.startswith("sweep: 6 jobs (0 restored, 0 failed)\n")
         assert "gcc" in out and "SA-4h-S" in out
-        payload = json.loads(json_path.read_text(encoding="utf-8"))
-        assert all(v["status"] == "parallel" for v in payload.values())
 
     def test_cli_checkpoint_resume(self, capsys, tmp_path):
         ck = tmp_path / "ck.json"
@@ -340,12 +356,6 @@ class TestSweepCli:
         )
         assert rc == 0
         assert "captured L2 stream" in log.read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_timeout_option_accepted(jobs):
-    outcome = mini_sweep(jobs=jobs, timeout=300.0)
-    assert not outcome.failed
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

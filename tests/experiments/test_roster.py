@@ -11,7 +11,6 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from types import SimpleNamespace
 from urllib.parse import quote
 
 import pytest
@@ -60,7 +59,6 @@ class Run:
 
     committed: list  #: keys, in commit order
     failed: dict = field(default_factory=dict)  #: key -> error
-    degraded: bool = False
     restored: int = 0
 
 
@@ -89,29 +87,26 @@ TOY_ROSTER = [ToyItem(f"item-{i}") for i in range(4)]
 
 
 def run_toy(jobs, checkpoint=None, stale=False):
-    outcome = SimpleNamespace(restored=0, degraded=False)
     run = Run(committed=[])
 
-    def commit(item, status, attempts, payload):
+    def commit(item, payload):
         assert payload == item.key.upper()
         run.committed.append(item.key)
         return ToyResult(payload), None
 
-    run_roster(
+    run.restored = run_roster(
         "toy",
         TOY_ROSTER,
-        outcome,
         jobs=jobs,
         checkpoint=checkpoint,
         fingerprint={"stamp": 2 if stale else 1},
         heartbeat=NULL_HEARTBEAT,
         decode=lambda entry: entry["result"]["value"],
-        local=lambda item, attempts: toy_worker(item),
-        submit=lambda pool, item, attempt: pool.submit(toy_worker, item),
+        local=toy_worker,
+        submit=lambda pool, item: pool.submit(toy_worker, item),
         commit=commit,
-        fail=lambda item, attempts, error: run.failed.update({item.key: error}),
+        fail=lambda item, error: run.failed.update({item.key: error}),
     )
-    run.degraded, run.restored = outcome.degraded, outcome.restored
     return run
 
 
@@ -136,9 +131,12 @@ def run_sweep(jobs, checkpoint=None, stale=False):
         checkpoint=checkpoint,
     )
     return Run(
-        committed=[k for k, o in outcome.outcomes.items() if o.result],
-        failed={o.key: o.error for o in outcome.failed},
-        degraded=outcome.degraded,
+        committed=[
+            f"{w}|{design}|{policy}"
+            for w, sweep in outcome.sweeps.items()
+            for design, policy in sweep.results
+        ],
+        failed=outcome.failed,
         restored=outcome.restored,
     )
 
@@ -159,7 +157,6 @@ def run_faults(jobs, checkpoint=None, stale=False):
     return Run(
         committed=list(outcome.outcomes),
         failed=dict(outcome.errors),
-        degraded=outcome.degraded,
         restored=outcome.restored,
     )
 
@@ -208,7 +205,7 @@ def test_clean_run_commits_every_item_once_in_roster_order(harness):
     for jobs in (1, 2):
         result = run(jobs)
         assert result.committed == keys
-        assert not result.failed and not result.degraded
+        assert not result.failed
     assert all(len(calls(key)) == 2 for key in keys)
 
 
@@ -227,42 +224,75 @@ def test_restores_a_matching_checkpoint_and_ignores_a_stale_one(
     assert stale.committed == keys
 
 
-def test_one_failure_is_retried_with_the_same_item(harness):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_raise_marks_only_that_key_failed(harness, jobs):
     run, keys, script = harness
     script({keys[1]: ["raise"]})
-    result = run(2)
-    assert result.committed == keys  # still joined in roster order
-    assert not result.failed and not result.degraded
-    first, second = calls(keys[1])
-    assert first == second
-
-
-def test_two_failures_finish_in_the_parent_and_mark_degraded(harness):
-    run, keys, script = harness
-    script({keys[1]: ["raise", "raise"]})
-    result = run(2)
-    assert result.degraded and not result.failed
-    assert result.committed == [keys[0], *keys[2:], keys[1]]
-    assert len(calls(keys[1])) == 3
-
-
-@pytest.mark.parametrize("jobs, failures", [(1, 1), (2, 3)])
-def test_failing_in_the_parent_too_is_marked_and_the_roster_continues(
-    harness, jobs, failures
-):
-    run, keys, script = harness
-    script({keys[1]: ["raise"] * failures})
     result = run(jobs)
     assert list(result.failed) == [keys[1]]
-    assert f"scripted failure {failures}" in result.failed[keys[1]]
-    assert result.committed == [keys[0], *keys[2:]]
-    assert result.degraded == (jobs > 1)
+    assert "RuntimeError: scripted failure 1" in result.failed[keys[1]]
+    assert result.committed == [keys[0], *keys[2:]]  # still in roster order
+    assert all(len(calls(key)) == 1 for key in keys)  # never rerun
 
 
-def test_a_dead_pool_degrades_and_still_completes(harness):
+def test_a_dead_worker_fails_every_uncommitted_job(harness):
     run, keys, script = harness
     script({keys[0]: ["die"]})
     result = run(2)
-    assert result.degraded and not result.failed
-    assert sorted(result.committed) == sorted(keys)
-    assert len(calls(keys[0])) == 2  # died once, re-ran in the parent
+    assert keys[0] in result.failed
+    assert set(result.committed) | set(result.failed) == set(keys)
+    assert not set(result.committed) & set(result.failed)
+    assert all(
+        error.startswith("BrokenProcessPool") for error in result.failed.values()
+    )
+    assert all(len(calls(key)) <= 1 for key in keys)  # nothing reran
+
+
+def _die_on_item_0(item):
+    if item.key == "item-0":
+        os._exit(17)
+    return item.key.upper()
+
+
+def test_a_pool_that_breaks_during_submission_fails_the_rest_by_name():
+    # With a long roster the pool breaks while items are still being
+    # submitted, and submit() itself raises BrokenProcessPool.
+    roster = [ToyItem(f"item-{i}") for i in range(5000)]
+    committed, failed = [], {}
+
+    def commit(item, payload):
+        committed.append(item.key)
+        return ToyResult(payload), None
+
+    run_roster(
+        "toy",
+        roster,
+        jobs=2,
+        checkpoint=None,
+        fingerprint={},
+        heartbeat=NULL_HEARTBEAT,
+        decode=None,
+        local=_die_on_item_0,
+        submit=lambda pool, item: pool.submit(_die_on_item_0, item),
+        commit=commit,
+        fail=lambda item, error: failed.update({item.key: error}),
+    )
+    assert "item-0" in failed
+    assert len(committed) + len(failed) == len(roster)
+    assert all(e.startswith("BrokenProcessPool") for e in failed.values())
+
+
+def test_a_rerun_restores_what_committed_and_computes_the_rest(
+    harness, tmp_path
+):
+    run, keys, script = harness
+    ck = str(tmp_path / "ck.json")
+    script({keys[1]: ["raise"]})
+    first = run(2, checkpoint=ck)
+    assert list(first.failed) == [keys[1]]
+    second = run(2, checkpoint=ck)
+    assert second.restored == len(keys) - 1
+    assert not second.failed
+    assert second.committed == [keys[0], *keys[2:], keys[1]]
+    assert len(calls(keys[1])) == 2
+    assert all(len(calls(key)) == 1 for key in keys if key != keys[1])

@@ -1,10 +1,8 @@
 """Unit tests for ZTrace span tracking (repro.obs.spans)."""
 
-import json
-
 import pytest
 
-from repro.obs import NULL_SPANS, Span, SpanContext, SpanTracker, read_span_export
+from repro.obs import NULL_SPANS, SpanTracker
 from repro.obs.spans import derive_span_id, derive_trace_id
 
 
@@ -98,84 +96,9 @@ class TestNullTracker:
             assert span is None
         assert NULL_SPANS.spans() == []
         assert NULL_SPANS.record_span("x", 0.0, 1.0) is None
-        assert NULL_SPANS.adopt({"origin": 0.0, "spans": []}) == 0
 
     def test_null_spans_is_shared_and_disabled(self):
         assert NULL_SPANS.enabled is False
-
-
-class TestSerialization:
-    def test_span_dict_round_trip(self):
-        span = Span(
-            name="job", span_id=5, parent_id=2, trace_id=9,
-            process="worker-1", thread="gcc", start=0.25, duration=0.5,
-            attrs={"key": "k"},
-        )
-        assert Span.from_dict(json.loads(json.dumps(span.to_dict()))) == span
-
-    def test_context_dict_round_trip(self):
-        ctx = SpanContext(
-            seed=42, parent_span_id=7, process="worker", thread="t0",
-            sink_path="/tmp/x.jsonl",
-        )
-        assert SpanContext.from_dict(ctx.to_dict()) == ctx
-
-
-class TestCrossProcessStitching:
-    def test_sink_round_trip_preserves_header_and_spans(self, tmp_path):
-        sink_path = tmp_path / "w.spans.jsonl"
-        ctx = SpanContext(seed=9, parent_span_id=123, sink_path=str(sink_path))
-        worker = SpanTracker.from_context(ctx, process="worker-7")
-        with worker.span("replay"):
-            with worker.span("replay.stream"):
-                pass
-        worker.close()
-
-        export = read_span_export(sink_path)
-        assert export["process"] == "worker-7"
-        assert export["trace_id"] == derive_trace_id(9)
-        assert export["origin"] == worker.origin
-        assert [s.name for s in export["spans"]] == ["replay.stream", "replay"]
-        root = export["spans"][1]
-        assert root.parent_id == 123
-
-    def test_adopt_rebases_onto_the_parent_clock(self):
-        parent = SpanTracker(seed=0)
-        worker = Span(
-            name="replay", span_id=1, parent_id=None, trace_id=2,
-            process="worker-1", thread="main", start=0.5, duration=1.0,
-        )
-        offset = 10.0
-        parent.adopt(
-            {"origin": parent.origin + offset, "spans": [worker]}
-        )
-        (adopted,) = parent.spans()
-        assert adopted.start == pytest.approx(0.5 + offset)
-        assert adopted.duration == 1.0
-        # Orphans are re-parented under the tracker's root_parent_id
-        assert adopted.parent_id is None
-
-    def test_adopt_clamps_into_the_window(self):
-        parent = SpanTracker(seed=0)
-        worker = Span(
-            name="replay", span_id=1, parent_id=None, trace_id=2,
-            process="worker-1", thread="main", start=-1.0, duration=100.0,
-        )
-        parent.adopt(
-            {"origin": parent.origin, "spans": [worker]}, window=(2.0, 5.0)
-        )
-        (adopted,) = parent.spans()
-        assert adopted.start == 2.0
-        assert adopted.end == 5.0
-
-    def test_adopt_reparents_orphans_under_root_parent_id(self):
-        parent = SpanTracker(seed=0, root_parent_id=77)
-        worker = Span(
-            name="replay", span_id=1, parent_id=None, trace_id=2,
-            process="worker-1", thread="main", start=0.0, duration=1.0,
-        )
-        parent.adopt({"origin": parent.origin, "spans": [worker]})
-        assert parent.spans()[0].parent_id == 77
 
 
 class TestTurboBatches:

@@ -17,7 +17,7 @@ def _span(name, span_id, parent_id, start, duration, process="main",
 
 
 def _sweep_tree():
-    """A stitched two-worker sweep: root, two jobs, worker children.
+    """A sweep tree on three tracks: root, two jobs, a nested replay.
 
     Layout (seconds)::
 
@@ -109,15 +109,6 @@ class TestStats:
         # nearest rank: round(0.5 * 9) banker-rounds to index 4
         assert stats["p50"] == 5.0
         assert stats["total"] == 55.0
-
-    def test_worker_utilization_unions_nested_intervals(self):
-        spans = _sweep_tree()
-        util = tl.worker_utilization(spans, spans[0])
-        # worker-2: job.b [1, 8.5] already covers replay.b — no double count
-        assert util["worker-2"]["busy"] == pytest.approx(7.5)
-        assert util["worker-2"]["utilization"] == pytest.approx(0.75)
-        assert util["worker-1"]["busy"] == pytest.approx(4.0)
-        assert "main" not in util  # the root span itself is excluded
 
 
 class TestChromeTrace:
