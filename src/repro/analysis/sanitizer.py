@@ -58,13 +58,7 @@ from repro.analysis.spec import (
     invariants_for,
     stale_path_detail,
 )
-from repro.core.base import (
-    ArrayProxy,
-    CacheArray,
-    Candidate,
-    CommitResult,
-    Replacement,
-)
+from repro.core.base import ArrayProxy, CacheArray, CommitResult, Replacement
 
 __all__ = [
     "VIOLATION_KINDS",
@@ -236,40 +230,36 @@ class SanitizedArray(ArrayProxy):
         self.check_walk(repl)
         return repl
 
-    def commit_replacement(
-        self, repl: Replacement, chosen: Candidate
-    ) -> CommitResult:
+    def commit_replacement(self, repl: Replacement, node: int) -> CommitResult:
         """Commit, then verify conservation and relocation-path state."""
         self._note("commit", repl.incoming)
         inner = self._inner
         before = len(inner)
         was_resident = repl.incoming in inner
-        stale = stale_path_detail(inner, chosen)
+        stale = stale_path_detail(inner, repl, node)
         try:
-            result = inner.commit_replacement(repl, chosen)
+            result = inner.commit_replacement(repl, node)
         except RuntimeError as exc:
-            self._check_phase(repl, chosen, stale, exc, before, was_resident)
+            self._check_phase(repl, node, stale, exc, before, was_resident)
             raise
-        self._check_commit(repl, chosen, result, before, was_resident)
-        self._check_phase(repl, chosen, stale, None, before, was_resident)
+        self._check_commit(repl, node, result, before, was_resident)
+        self._check_phase(repl, node, stale, None, before, was_resident)
         self._after_mutation()
         return result
 
-    def commit_reinsertion(
-        self, repl: Replacement, chosen: Candidate
-    ) -> CommitResult:
+    def commit_reinsertion(self, repl: Replacement, node: int) -> CommitResult:
         """Commit a reinsertion move, then run the phase/state checks."""
         self._note("commit-reinsert", repl.incoming)
         inner = self._inner
         before = len(inner)
         was_resident = repl.incoming in inner
-        stale = stale_path_detail(inner, chosen)
+        stale = stale_path_detail(inner, repl, node)
         try:
-            result = inner.commit_reinsertion(repl, chosen)
+            result = inner.commit_reinsertion(repl, node)
         except RuntimeError as exc:
-            self._check_phase(repl, chosen, stale, exc, before, was_resident)
+            self._check_phase(repl, node, stale, exc, before, was_resident)
             raise
-        self._check_phase(repl, chosen, stale, None, before, was_resident)
+        self._check_phase(repl, node, stale, None, before, was_resident)
         self._after_mutation()
         return result
 
@@ -308,7 +298,7 @@ class SanitizedArray(ArrayProxy):
     def _check_commit(
         self,
         repl: Replacement,
-        chosen: Candidate,
+        node: int,
         result: CommitResult,
         len_before: int,
         was_resident: bool,
@@ -317,14 +307,14 @@ class SanitizedArray(ArrayProxy):
         self._run(
             _COMMIT,
             CommitCheck(
-                self._inner, repl, chosen, result, len_before, was_resident
+                self._inner, repl, node, result, len_before, was_resident
             ),
         )
 
     def _check_phase(
         self,
         repl: Replacement,
-        chosen: Candidate,
+        node: int,
         stale: Optional[str],
         error: Optional[BaseException],
         len_before: int,
@@ -341,7 +331,7 @@ class SanitizedArray(ArrayProxy):
         ctx = PhaseCheck(
             inner,
             repl,
-            chosen,
+            node,
             stale_detail=stale,
             error=error,
             len_before=len_before,

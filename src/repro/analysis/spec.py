@@ -52,13 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Set, Tuple
 
-from repro.core.base import (
-    CacheArray,
-    Candidate,
-    CommitResult,
-    Position,
-    Replacement,
-)
+from repro.core.base import CacheArray, CommitResult, Position, Replacement
 
 #: The invariant classes a violation is tagged with. The first eleven
 #: predate the registry (SanitizedArray's original taxonomy);
@@ -102,18 +96,18 @@ SCOPES = (
 )
 
 
-def iter_path(cand: Candidate, limit: int) -> Iterator[Candidate]:
-    """Walk parent links from ``cand`` to the root, yielding each node.
+def path_nodes(repl: Replacement, node: int) -> Iterator[int]:
+    """Node ``node`` and its ancestors up ``repl.parents``, root last.
 
-    Stops after ``limit`` nodes so a corrupted cyclic tree cannot hang
-    the checker; callers detect the truncation as a cycle.
+    Yields at most one node per record entry, so a corrupted cyclic
+    parent list cannot hang a checker.
     """
-    node: Optional[Candidate] = cand
-    for _ in range(limit):
-        if node is None:
-            return
+    parents = repl.parents
+    for _ in range(len(repl.addresses)):
         yield node
-        node = node.parent
+        node = -1 if parents is None else parents[node]
+        if node < 0:
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -158,30 +152,31 @@ class WalkCheck:
 
 
 class CommitCheck:
-    """Context for ``commit``-scope invariants: one finished commit."""
+    """Context for ``commit``-scope invariants: one finished commit of
+    node ``node`` of ``repl``."""
 
     def __init__(
         self,
         array: CacheArray,
         repl: Replacement,
-        chosen: Candidate,
+        node: int,
         result: CommitResult,
         len_before: int,
         was_resident: bool,
     ) -> None:
         self.array = array
         self.repl = repl
-        self.chosen = chosen
+        self.node = node
         self.result = result
         self.len_before = len_before
         self.was_resident = was_resident
-        root = chosen
-        for root in iter_path(
-            chosen, len(repl.addresses) + array.num_ways + 1
-        ):
-            pass
-        #: the relocation path's level-0 end, where the incoming lands
-        self.root = root
+        #: the committed path, ``node`` first and the root (the
+        #: level-0 end, where the incoming block lands) last
+        self.path = list(path_nodes(repl, node))
+
+    def position(self, node: int) -> Position:
+        """Where node ``node`` of the committed record sits."""
+        return Position(self.repl.ways[node], self.repl.indices[node])
 
 
 class EvictCheck:
@@ -213,18 +208,18 @@ class PhaseCheck:
     """Context for ``phase``-scope invariants: one commit *attempt*.
 
     Built by the driver around ``commit_replacement`` /
-    ``commit_reinsertion``, whether the inner commit succeeded
-    (``error is None``) or raised a ``RuntimeError``. ``stale_detail``
-    records — *before* the attempt — whether the chosen path had gone
-    stale, exactly as :meth:`~repro.core.base.CacheArray.check_path`
-    would judge it.
+    ``commit_reinsertion`` of node ``node`` of ``repl``, whether the
+    inner commit succeeded (``error is None``) or raised a
+    ``RuntimeError``. ``stale_detail`` records — *before* the attempt —
+    whether the node's path had gone stale, judged as the array's own
+    guard judges it (:func:`stale_path_detail`).
     """
 
     def __init__(
         self,
         array: CacheArray,
         repl: Replacement,
-        chosen: Candidate,
+        node: int,
         *,
         stale_detail: Optional[str],
         error: Optional[BaseException],
@@ -235,7 +230,7 @@ class PhaseCheck:
     ) -> None:
         self.array = array
         self.repl = repl
-        self.chosen = chosen
+        self.node = node
         self.stale_detail = stale_detail
         self.error = error
         self.len_before = len_before
@@ -275,17 +270,23 @@ class ThreadCheck:
         self.cycle = cycle
 
 
-def stale_path_detail(array: CacheArray, chosen: Candidate) -> Optional[str]:
-    """Why ``chosen``'s recorded path is stale, or None if accurate.
+def stale_path_detail(
+    array: CacheArray, repl: Replacement, node: int
+) -> Optional[str]:
+    """Why node ``node``'s recorded path is stale, or None if accurate.
 
-    Mirrors :meth:`~repro.core.base.CacheArray.check_path` verbatim so
-    the ``phase-stale`` invariant judges staleness by the same standard
-    the array's own guard does.
+    Follows ``repl.parents`` from ``node`` to its root and compares each
+    line with the block the walk recorded there — the standard the
+    array's own commit guard applies, written out independently so the
+    ``phase-stale`` invariant catches a guard that stops applying it.
     """
-    for node in chosen.path_to_root():
-        if array._read(node.position) != node.address:
+    lines = array._lines
+    for j in path_nodes(repl, node):
+        way, index = repl.ways[j], repl.indices[j]
+        if lines[way][index] != repl.addresses[j]:
             return (
-                f"position {node.position} no longer holds {node.address!r}"
+                f"position {Position(way, index)} no longer holds "
+                f"{repl.addresses[j]!r}"
             )
     return None
 
@@ -464,7 +465,7 @@ def _walk_path_distinct(ctx: WalkCheck) -> Optional[str]:
 )
 def _walk_records_current(ctx: WalkCheck) -> Optional[str]:
     pos = ctx.position
-    actual = ctx.array._read(pos)
+    actual = ctx.array._lines[pos.way][pos.index]
     if actual != ctx.address:
         return (
             f"candidate records {ctx.address!r} at {pos} but the "
@@ -547,10 +548,11 @@ def _commit_incoming_resident(ctx: CommitCheck) -> Optional[str]:
 )
 def _commit_root_placement(ctx: CommitCheck) -> Optional[str]:
     pos = ctx.array.lookup(ctx.repl.incoming)
-    if pos is not None and pos != ctx.root.position:
+    root = ctx.position(ctx.path[-1])
+    if pos is not None and pos != root:
         return (
             f"incoming block {ctx.repl.incoming:#x} at {pos}, expected "
-            f"the path root {ctx.root.position}"
+            f"the path root {root}"
         )
     return None
 
@@ -560,15 +562,12 @@ def _commit_root_placement(ctx: CommitCheck) -> Optional[str]:
     "every relocated block moved exactly one step down the path",
 )
 def _commit_path_placement(ctx: CommitCheck) -> Optional[str]:
-    node = ctx.chosen
-    while node.parent is not None:
-        moved = node.parent.address
-        if moved is not None and ctx.array.lookup(moved) != node.position:
-            return (
-                f"relocated block {moved:#x} is not at {node.position} "
-                "after commit"
-            )
-        node = node.parent
+    path = ctx.path
+    for child, parent in zip(path, path[1:]):
+        moved = ctx.repl.addresses[parent]
+        target = ctx.position(child)
+        if moved is not None and ctx.array.lookup(moved) != target:
+            return f"relocated block {moved:#x} is not at {target} after commit"
     return None
 
 

@@ -8,8 +8,9 @@ ordering. The array API is a two-phase replacement:
 1. :meth:`CacheArray.build_replacement` — collect candidates (for a
    zcache this is the walk; for a set-associative cache, the set) into
    a flat :class:`Replacement` record.
-2. :meth:`CacheArray.commit_replacement` — evict the chosen candidate,
-   perform any relocations, and install the incoming block.
+2. :meth:`CacheArray.commit_replacement` — evict the chosen node (an
+   index into that record), perform any relocations, and install the
+   incoming block.
 
 Positions are ``(way, index)`` pairs; storage is a dense per-way line
 array plus an address → position map kept exactly in sync.
@@ -38,10 +39,10 @@ class Position(NamedTuple):
 class Candidate:
     """One node of a walk record as an object, linked to its ancestors.
 
-    Arrays record candidates flat (:class:`Replacement`); a
-    ``Candidate`` is built only for the node a commit takes
-    (:meth:`Replacement.node`) or for a reader of the whole tree
-    (:attr:`Replacement.candidates`).
+    Arrays record candidates flat (:class:`Replacement`) and the miss
+    path picks and commits by node index; a ``Candidate`` is only built
+    by the record's read-only view (:meth:`Replacement.node`,
+    :attr:`Replacement.candidates`) for checkers, figures and tests.
 
     Attributes
     ----------
@@ -61,6 +62,10 @@ class Candidate:
         False if the ancestor path revisits a position (a walk repeat
         that would corrupt relocation); such candidates must not be
         chosen.
+    node:
+        The node's index in the record the view was read from (-1 when
+        built by hand); :meth:`CacheArray.commit_replacement` commits a
+        view candidate through it.
     """
 
     position: Position
@@ -68,15 +73,7 @@ class Candidate:
     level: int = 0
     parent: Optional["Candidate"] = None
     valid: bool = True
-
-    def path_to_root(self) -> list["Candidate"]:
-        """Candidates from self up to (and including) the level-0 root."""
-        path = [self]
-        node = self
-        while node.parent is not None:
-            node = node.parent
-            path.append(node)
-        return path
+    node: int = -1
 
 
 @dataclass(slots=True)
@@ -95,10 +92,11 @@ class Replacement:
     ``invalid`` holds the nodes whose relocation path revisits a line
     (they must not be committed), or is None when there are none.
 
-    No object is built per node. :meth:`node` builds the one path a
-    commit takes; :attr:`candidates`, :meth:`usable` and
-    :meth:`first_empty` are a read-only view for checkers, figures and
-    tests, rebuilt on every call.
+    No object is built per node: the controller picks a node index and
+    the array commits it. :meth:`node`, :attr:`candidates`,
+    :meth:`usable` and :meth:`first_empty` are a read-only view for
+    checkers, figures, tests and ZBench's ladder, rebuilt on every
+    call; it goes with ROADMAP item 2.
     """
 
     incoming: int
@@ -136,8 +134,7 @@ class Replacement:
         )
 
     def node(self, i: int) -> Candidate:
-        """Node ``i`` as a :class:`Candidate` linked to its ancestors: the
-        at most L objects committing it needs."""
+        """Node ``i`` as a :class:`Candidate` linked to its ancestors."""
         chain = [i]
         parents = self.parents
         if parents is not None:
@@ -151,7 +148,7 @@ class Replacement:
         for level, j in enumerate(reversed(chain)):
             cand = Candidate(
                 Position(ways[j], indices[j]), addresses[j], level, cand,
-                j not in invalid,
+                j not in invalid, j,
             )
         assert cand is not None
         return cand
@@ -169,7 +166,7 @@ class Replacement:
                 Candidate(
                     Position(self.ways[i], self.indices[i]), address,
                     self.level(i), view[parent] if parent >= 0 else None,
-                    i not in invalid,
+                    i not in invalid, i,
                 )
             )
         return view
@@ -237,29 +234,6 @@ class CacheArray(abc.ABC):
         geometry.gauge("lines_per_way").set(self.lines_per_way)
         geometry.gauge("blocks").set(self.num_blocks)
 
-    # -- storage primitives -------------------------------------------------
-    def _read(self, pos: Position) -> Optional[int]:
-        return self._lines[pos.way][pos.index]
-
-    def _write(self, pos: Position, address: Optional[int]) -> None:
-        # Guard before any mutation: rejecting a duplicate after the old
-        # block's map entry is dropped would leave the array corrupted
-        # exactly when the caller most needs a clean state to retry from
-        # (the ZS106 exception-state-safety contract).
-        if (
-            address is not None
-            and self._pos.get(address, pos) != pos
-        ):
-            raise RuntimeError(
-                f"block {address:#x} would be duplicated in the array"
-            )
-        old = self._lines[pos.way][pos.index]
-        if old is not None:
-            del self._pos[old]
-        self._lines[pos.way][pos.index] = address
-        if address is not None:
-            self._pos[address] = pos
-
     # -- public interface ---------------------------------------------------
     def lookup(self, address: int) -> Optional[Position]:
         """Position of ``address`` if resident, else None."""
@@ -309,67 +283,101 @@ class CacheArray(abc.ABC):
         ``address`` must not be resident (that would be a hit).
         """
 
-    def check_path(self, chosen: Candidate) -> None:
-        """Verify a walk path is still accurate (not stale).
+    @staticmethod
+    def _stale(repl: Replacement, node: int) -> RuntimeError:
+        """The error for a commit whose node ``node`` went stale: its
+        line no longer holds the block the walk recorded there."""
+        return RuntimeError(
+            f"stale walk path: position "
+            f"{Position(repl.ways[node], repl.indices[node])} no longer "
+            f"holds {repl.addresses[node]!r}"
+        )
 
-        The walk records (position, address) pairs; any interleaved
-        operation — an invalidation, or a second walk's relocations in
-        the two-phase controller — can move the recorded blocks. Every
-        node on the relocation path must still hold its recorded block,
-        or committing would corrupt the array.
+    def commit_replacement(
+        self, repl: Replacement, node: "int | Candidate"
+    ) -> CommitResult:
+        """Evict node ``node`` of ``repl`` and relocate its ancestors to
+        admit the incoming block.
 
-        Raises
-        ------
-        RuntimeError
-            If any node on the path went stale.
+        One pass up ``repl.parents`` validates the whole path before the
+        first write: every line on it must still hold the block the walk
+        recorded (an invalidation or the two-phase controller's second
+        walk can move them), else ``RuntimeError`` and the array is
+        untouched. Then the node's block leaves, each ancestor's block
+        moves one line down the path, and the incoming block lands at
+        the root. Each move clears the line the map had for the block
+        and drops whatever the line it writes still holds: no-ops on a
+        consistent array, and what keeps a corrupted one failing the
+        way the fault campaign records. A record without parent links
+        (set-associative, skew, random-candidates, fully-associative)
+        commits in place.
+
+        ``node`` may also be a view :class:`Candidate`
+        (``repl.usable()``, ``first_empty()``), committed through its
+        node index: ZBench's frozen ladder commits those. The
+        translation goes with the view (ROADMAP item 2).
         """
-        lines = self._lines
-        node: Optional[Candidate] = chosen
-        while node is not None:
-            way, index = node.position
-            if lines[way][index] != node.address:
-                raise RuntimeError(
-                    f"stale walk path: position {node.position} no longer "
-                    f"holds {node.address!r}"
-                )
-            node = node.parent
-
-    def commit_replacement(self, repl: Replacement, chosen: Candidate) -> CommitResult:
-        """Evict ``chosen`` and relocate its ancestors to admit the block.
-
-        Works for every array type: in arrays without relocation
-        (set-associative), candidates are all level 0 and the loop body
-        never runs.
-        """
-        if not chosen.valid:
+        if not isinstance(node, int):
+            if node.node < 0:
+                raise ValueError("a hand-built candidate names no record node")
+            node = node.node
+        invalid = repl.invalid
+        if invalid and node in invalid:
             raise ValueError("cannot commit a candidate with an invalid path")
-        if repl.incoming in self._pos:
-            raise RuntimeError(f"incoming block {repl.incoming:#x} already resident")
-        self.check_path(chosen)
-        evicted = chosen.address
+        incoming = repl.incoming
+        pos = self._pos
+        if incoming in pos:
+            raise RuntimeError(f"incoming block {incoming:#x} already resident")
+        lines = self._lines
+        ways, indices, addresses = repl.ways, repl.indices, repl.addresses
+        parents = repl.parents
+        depth = 0
+        missing = None
+        j = node
+        while True:
+            block = addresses[j]
+            if lines[ways[j]][indices[j]] != block:
+                raise self._stale(repl, j)
+            if block is not None and block not in pos and missing is None:
+                missing = block  # the deepest: its move would fail first
+            if parents is None:
+                break
+            j = parents[j]
+            if j < 0:
+                break
+            depth += 1
+        if missing is not None:
+            raise KeyError(f"evicting non-resident block {missing:#x}")
+        evicted = addresses[node]
         if evicted is not None:
-            self.evict_address(evicted)
-        relocations = 0
+            line = pos.pop(evicted)
+            lines[line.way][line.index] = None
         trace = self._trace
-        node = chosen
-        while node.parent is not None:
-            parent = node.parent
-            moving = parent.address
-            assert moving is not None, "internal walk nodes always hold a block"
-            # A relocated block moves, it does not leave: detach it with
-            # the base primitive so a subclass's departure bookkeeping
-            # (the zcache's home-position table) keeps its entry.
-            CacheArray.evict_address(self, moving)
-            self._write(node.position, moving)
+        child, level = node, depth
+        while level:
+            parent = parents[child]  # type: ignore[index]
+            moving = addresses[parent]
+            line = pos.pop(moving)  # type: ignore[arg-type]
+            lines[line.way][line.index] = None
+            way, index = ways[child], indices[child]
+            row = lines[way]
+            if row[index] is not None:
+                del pos[row[index]]  # type: ignore[arg-type]
+            row[index] = moving
+            pos[moving] = target = Position(way, index)  # type: ignore[index]
             if trace is not None:
                 trace.relocation(
-                    self._trace_label, moving, parent.position, node.position,
-                    node.level,
+                    self._trace_label, moving,
+                    Position(ways[parent], indices[parent]), target, level,
                 )
-            relocations += 1
-            node = parent
-        self._write(node.position, repl.incoming)
-        return CommitResult(evicted=evicted, relocations=relocations)
+            child, level = parent, level - 1
+        way, index = ways[child], indices[child]
+        row = lines[way]
+        if row[index] is not None:
+            del pos[row[index]]  # type: ignore[arg-type]
+        row[index] = incoming
+        pos[incoming] = Position(way, index)
+        return CommitResult(evicted, depth)
 
     def check_invariants(self) -> None:
         """Verify storage consistency (used by property-based tests)."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
-from repro.core.base import CacheArray, Candidate, CommitResult, Replacement
+from repro.core.base import CacheArray, CommitResult, Replacement
 from repro.obs import ObsContext
 from repro.obs.events import TraceBus
 from repro.obs.metrics import MetricsRegistry, RegistryStats
@@ -172,6 +172,12 @@ class Cache:
         self._c_tag_reads = counters["tag_reads"]
         self._c_data_reads = counters["data_reads"]
         self._c_data_writes = counters["data_writes"]
+        self._c_walk_tag_reads = counters["walk_tag_reads"]
+        self._c_fills_empty = counters["fills_empty"]
+        self._c_evictions = counters["evictions"]
+        self._c_writebacks = counters["writebacks"]
+        self._c_relocations = counters["relocations"]
+        self._c_tag_writes = counters["tag_writes"]
         self._trace: Optional[TraceBus] = (
             obs.trace if obs is not None and obs.trace.enabled else None
         )
@@ -247,7 +253,7 @@ class Cache:
 
     def _account_walk(self, address: int, repl: Replacement) -> None:
         """Count one walk's tag reads and, when tracing, emit its event."""
-        self._sc["walk_tag_reads"].value += repl.tag_reads
+        self._c_walk_tag_reads.value += repl.tag_reads
         self._c_tag_reads.value += repl.tag_reads
         trace = self._trace
         if trace is None:
@@ -338,18 +344,16 @@ class Cache:
 
     def _fill_with(self, address: int, repl: Replacement) -> AccessResult:
         self._account_walk(address, repl)
-        empty, chosen = self._pick(repl)
-        if empty is not None:
-            self._sc["fills_empty"].value += 1
-            commit = self.array.commit_replacement(repl, empty)
-            return self._install(address, commit, filled_empty=True)
-        if chosen is None:
+        node = self._pick(repl)
+        if node < 0:
             return self._bypass(address)
-        return self._replace(repl, chosen)
+        if repl.addresses[node] is None:
+            self._c_fills_empty.value += 1
+            commit = self.array.commit_replacement(repl, node)
+            return self._install(address, commit, filled_empty=True)
+        return self._replace(repl, node)
 
-    def _pick(
-        self, repl: Replacement, skip: Optional[int] = None
-    ) -> tuple[Optional[Candidate], Optional[Candidate]]:
+    def _pick(self, repl: Replacement, skip: Optional[int] = None) -> int:
         """Where a fill lands: one pass over the walk record.
 
         Levels never decrease along the record, so the first usable node
@@ -365,13 +369,13 @@ class Cache:
         then picks among ``skip`` and the evictable blocks, and ``skip``
         staying the choice (or nothing else being evictable) means no.
 
-        Returns ``(free slot, None)``, ``(None, victim)``, or ``(None,
-        None)`` when every candidate is pinned (the caller bypasses) or
-        ``skip`` stays the victim. Only the returned node and its
-        ancestors are built as :class:`Candidate` objects.
+        Returns the node the fill lands on — a free slot when
+        ``repl.addresses[node] is None``, else the victim's — or -1 when
+        every candidate is pinned (the caller bypasses) or ``skip``
+        stays the victim.
         """
         if repl.exhaustive and not repl.addresses:
-            return None, self._global_victim()
+            return self._global_victim(repl)
         addresses = repl.addresses
         invalid = repl.invalid
         if invalid:
@@ -379,7 +383,7 @@ class Cache:
                 _MASKED if i in invalid else a for i, a in enumerate(addresses)
             ]
         if None in addresses:
-            return repl.node(addresses.index(None)), None
+            return addresses.index(None)
         # Keyed in candidate order; one block in two nodes is seen once.
         evictable: dict[Any, None] = dict.fromkeys(addresses)
         evictable.pop(_MASKED, None)
@@ -392,7 +396,7 @@ class Cache:
             choices = list(evictable)
         if not choices:
             if pinned or skip is not None:
-                return None, None
+                return -1
             raise RuntimeError(
                 f"no usable replacement candidates for {repl.incoming:#x}"
             )
@@ -401,33 +405,37 @@ class Cache:
         else:
             victim = self.policy.select_victim([skip, *choices])
             if victim == skip:
-                return None, None
-        return None, repl.node(addresses.index(victim))
+                return -1
+        return addresses.index(victim)
 
-    def _global_victim(self) -> Optional[Candidate]:
+    def _global_victim(self, repl: Replacement) -> int:
         """The victim when every resident block is a candidate: the
-        policy's global choice, or its pick among the unpinned blocks
-        (None when every block is pinned)."""
+        policy's global choice, or its pick among the unpinned blocks,
+        appended to the empty exhaustive record as its one node (-1
+        when every block is pinned)."""
         victim = self.policy.global_victim()
         if victim is None or victim in self._pinned:
             unpinned = [a for a in self.array.resident() if a not in self._pinned]
             if not unpinned:
-                return None
+                return -1
             victim = self.policy.select_victim(unpinned)
         pos = self.array.lookup(victim)
         if pos is None:
             raise RuntimeError(f"policy chose non-resident victim {victim:#x}")
-        return Candidate(position=pos, address=victim, level=0)
+        repl.ways.append(pos.way)
+        repl.indices.append(pos.index)
+        repl.addresses.append(victim)
+        return 0
 
-    def _replace(self, repl: Replacement, node: Candidate) -> AccessResult:
-        """Evict the chosen victim and land the block through its path.
+    def _replace(self, repl: Replacement, node: int) -> AccessResult:
+        """Evict the victim at ``node`` and land the block through its path.
 
         Order is part of the contract: evict-accounting, then the
         commit, then ``on_insert`` (inside :meth:`_install`).
         """
-        victim = node.address
+        victim = repl.addresses[node]
         assert victim is not None
-        writeback = self._evict(victim, node.level)
+        writeback = self._evict(victim, repl.level(node))
         commit = self.array.commit_replacement(repl, node)
         return self._install(repl.incoming, commit, victim, writeback)
 
@@ -440,11 +448,11 @@ class Cache:
         recorded the victim's normalised eviction priority.
         """
         self.policy.on_evict(victim)
-        self._sc["evictions"].value += 1
+        self._c_evictions.value += 1
         writeback = victim in self._dirty
         if writeback:
             self._dirty.remove(victim)
-            self._sc["writebacks"].value += 1
+            self._c_writebacks.value += 1
         if self._trace is not None:
             priorities = getattr(self.policy, "priorities", None)
             self._trace.eviction(
@@ -463,8 +471,8 @@ class Cache:
         the final install writes the landing block's tag and data.
         """
         relocations = commit.relocations
-        self._sc["relocations"].value += relocations
-        self._sc["tag_writes"].value += relocations + 1
+        self._c_relocations.value += relocations
+        self._c_tag_writes.value += relocations + 1
         self._c_data_reads.value += relocations
         self._c_data_writes.value += relocations + 1
         return relocations
@@ -481,12 +489,7 @@ class Cache:
         relocations = self._account_commit(commit)
         self.policy.on_insert(address)
         return AccessResult(
-            address=address,
-            hit=False,
-            evicted=evicted,
-            writeback=writeback,
-            relocations=relocations,
-            filled_empty=filled_empty,
+            address, False, evicted, writeback, relocations, filled_empty
         )
 
     def _bypass(self, address: int) -> AccessResult:
@@ -532,7 +535,7 @@ class Cache:
         self._sc["invalidations"].value += 1
         if address in self._dirty:
             self._dirty.remove(address)
-            self._sc["writebacks"].value += 1
+            self._c_writebacks.value += 1
             return True
         return False
 

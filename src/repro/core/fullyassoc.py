@@ -34,12 +34,11 @@ class FullyAssociativeArray(CacheArray):
         return Replacement(address, exhaustive=True, tag_reads=1)
 
     def commit_replacement(
-        self, repl: Replacement, chosen: Candidate
+        self, repl: Replacement, node: "int | Candidate"
     ) -> CommitResult:
-        result = super().commit_replacement(repl, chosen)
-        # The chosen slot now holds the incoming block, whatever it held
-        # before; eviction bookkeeping may have marked it free meanwhile.
-        self._free.discard(chosen.position.index)
+        result = super().commit_replacement(repl, node)
+        if result.evicted is None:  # an evicting fill keeps its slot taken
+            self._free.discard(self._pos[repl.incoming].index)
         return result
 
     def evict_address(self, address: int) -> None:

@@ -77,10 +77,11 @@ class RandomCandidatesArray(CacheArray):
         )
 
     def commit_replacement(
-        self, repl: Replacement, chosen: Candidate
+        self, repl: Replacement, node: "int | Candidate"
     ) -> CommitResult:
-        result = super().commit_replacement(repl, chosen)
-        self._free.discard(chosen.position.index)
+        result = super().commit_replacement(repl, node)
+        if result.evicted is None:  # an evicting fill keeps its slot taken
+            self._free.discard(self._pos[repl.incoming].index)
         return result
 
     def evict_address(self, address: int) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.core.base import ArrayProxy, Candidate, Replacement
+from repro.core.base import ArrayProxy, Replacement
 from repro.core.controller import AccessResult, Cache
 from repro.core.zcache import ZCacheArray
 from repro.obs import ObsContext
@@ -160,23 +160,26 @@ class TwoPhaseZCache(Cache):
         return result
 
     # -- the two-phase replacement ---------------------------------------------
-    def _replace(self, repl: Replacement, node: Candidate) -> AccessResult:
+    def _replace(self, repl: Replacement, node: int) -> AccessResult:
         """Phase 2: try to move the phase-1 victim instead of evicting it.
 
-        When phase 2 wins the order is part of the contract: phase-2
-        commit, then phase-2 evict-accounting, then the phase-1 commit.
+        The policy weighs victim1 against the reinsertion walk's blocks
+        (a free slot always wins): if some phase-2 block is more
+        evictable, victim1 moves there instead. When phase 2 wins the
+        order is part of the contract: phase-2 commit, then phase-2
+        evict-accounting, then the phase-1 commit.
         """
-        node1, victim1 = node, node.address
+        victim1 = repl.addresses[node]
         assert victim1 is not None
         repl2 = self.array.build_reinsertion(victim1)
         self._c_sp_walks.value += 1
         self._account_walk(victim1, repl2)
 
-        choice2 = self._phase2_choice(repl2, victim1)
-        if choice2 is not None:
-            evicted2 = choice2.address  # None = free slot found
+        node2 = self._pick(repl2, skip=victim1)
+        if node2 >= 0:
+            evicted2 = repl2.addresses[node2]  # None = free slot found
             try:
-                commit2 = self.array.commit_reinsertion(repl2, choice2)
+                commit2 = self.array.commit_reinsertion(repl2, node2)
             except RuntimeError as exc:
                 # Only the array's own stale-path guard (a plain
                 # RuntimeError) triggers the retry; subclasses such as
@@ -189,33 +192,21 @@ class TwoPhaseZCache(Cache):
                 self._c_sp_wins.value += 1
                 self._account_commit(commit2)
                 if evicted2 is not None:
-                    self._evict(evicted2, choice2.level)
+                    self._evict(evicted2, repl2.level(node2))
                 else:
-                    self._sc["fills_empty"].value += 1
-                # victim1 moved away: land the incoming block through
-                # the phase-1 path into its (now-empty) old position.
-                freed = Candidate(node1.position, None, node1.level, node1.parent)
-                return self._land(repl, freed, evicted2)
+                    self._c_fills_empty.value += 1
+                # victim1 moved away: its recorded line is free now, and
+                # the incoming block lands through the phase-1 path there.
+                repl.addresses[node] = None
+                return self._land(repl, node, evicted2)
 
-        writeback = self._evict(victim1, node1.level)
-        return self._land(repl, node1, victim1, writeback)
-
-    def _phase2_choice(
-        self, repl2: Replacement, victim1: int
-    ) -> Optional[Candidate]:
-        """Pick where victim1 should go, or None to just evict it.
-
-        A free slot always wins. Otherwise the policy compares victim1
-        against the best phase-2 candidate: if some phase-2 block is
-        more evictable than victim1, moving victim1 there is a win.
-        """
-        empty, choice = self._pick(repl2, skip=victim1)
-        return choice if empty is None else empty
+        writeback = self._evict(victim1, repl.level(node))
+        return self._land(repl, node, victim1, writeback)
 
     def _land(
         self,
         repl: Replacement,
-        node: Candidate,
+        node: int,
         evicted: Optional[int],
         writeback: bool = False,
     ) -> AccessResult:
@@ -230,18 +221,18 @@ class TwoPhaseZCache(Cache):
             self._c_stale_retries.value += 1
             # A plain eviction's victim is already accounted as gone
             # but still sits in the array: free its slot for the re-walk.
-            if node.address is not None and node.address in self.array:
-                self.array.evict_address(node.address)
+            victim = repl.addresses[node]
+            if victim is not None and victim in self.array:
+                self.array.evict_address(victim)
             fresh = self.array.build_replacement(address)
-            target, extra = self._pick(fresh)
-            if target is None:
+            target = self._pick(fresh)
+            if target < 0:
+                return self._bypass(address)
+            extra = fresh.addresses[target]
+            if extra is not None:
                 # The walk may not reach the freed slot: evict the best
                 # fresh candidate too (an *extra* victim that
                 # ``AccessResult.evicted`` does not report).
-                if extra is None:
-                    return self._bypass(address)
-                assert extra.address is not None
-                self._evict(extra.address, extra.level)
-                target = extra
+                self._evict(extra, fresh.level(target))
             commit = self.array.commit_replacement(fresh, target)
         return self._install(address, commit, evicted, writeback)

@@ -266,6 +266,7 @@ class ZCacheArray(CacheArray):
         self._c_repeats = c["repeats"]
         self._c_truncated_walks = c["truncated_walks"]
         self._c_relocations = c["relocations"]
+        self._observe_level = self.stats._levels.observe
 
     def attach_obs(self, obs: "ObsContext", label: Optional[str] = None) -> None:
         """Re-home walk statistics under ``<scope>.walk`` in the registry.
@@ -479,29 +480,38 @@ class ZCacheArray(CacheArray):
             invalid or None, count, truncated, homes=homes,
         )
 
-    def commit_reinsertion(
-        self, repl: Replacement, chosen: Candidate
-    ) -> CommitResult:
+    def commit_reinsertion(self, repl: Replacement, node: int) -> CommitResult:
         """Move the (resident) block of ``repl.incoming`` into the slot
-        freed by evicting ``chosen``, relocating the path between them.
+        freed by evicting node ``node``, relocating the path between them.
 
         The block's old position is left empty for the caller (the
         two-phase controller installs the original incoming block
         there). The path is validated *before* the block is detached so
-        a stale path raises without mutating the array."""
-        self.check_path(chosen)
+        a stale path raises without mutating the array; a path through
+        the block's own old line goes stale by that detachment, and the
+        commit rejects it with the block already out."""
+        lines, parents = self._lines, repl.parents
+        j = node
+        while j >= 0:
+            if lines[repl.ways[j]][repl.indices[j]] != repl.addresses[j]:
+                raise self._stale(repl, j)
+            j = -1 if parents is None else parents[j]
         self.evict_address(repl.incoming)
-        return self.commit_replacement(repl, chosen)
+        return self.commit_replacement(repl, node)
 
     def commit_replacement(
-        self, repl: Replacement, chosen: Candidate
-    ) -> "CommitResult":
-        result = super().commit_replacement(repl, chosen)
+        self, repl: Replacement, node: "int | Candidate"
+    ) -> CommitResult:
+        result = super().commit_replacement(repl, node)
+        homes = self._homes
+        if result.evicted is not None:
+            homes.pop(result.evicted, None)
         # The incoming block is in: its homes come with the plan when the
         # walk hashed them (hand-built plans did not).
-        self._homes[repl.incoming] = repl.homes or self._hash_homes(repl.incoming)
+        homes[repl.incoming] = repl.homes or self._hash_homes(repl.incoming)
         self._c_relocations.value += result.relocations
-        self.stats.record_commit_level(chosen.level)
+        # A node's level is the number of ancestors its commit relocates.
+        self._observe_level(result.relocations)
         return result
 
     def evict_address(self, address: int) -> None:

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.analysis.spec import path_nodes
 from repro.core.base import (
     ArrayProxy,
     CacheArray,
-    Candidate,
     CommitResult,
     Position,
     Replacement,
@@ -162,8 +162,11 @@ class FaultInjector:
             addresses[i] = recorded ^ (1 << (event.bit % TAG_BITS))
         self.fired.append((self._op, event, True))
 
-    def corrupt_commit(self, array: CacheArray, chosen: Candidate) -> None:
-        """Damage one relocation of a just-committed path (armed kinds).
+    def corrupt_commit(
+        self, array: CacheArray, repl: Replacement, node: int
+    ) -> None:
+        """Damage one relocation of the just-committed path of node
+        ``node`` (armed kinds).
 
         The event stays armed across non-relocating commits (a
         set-associative or skew array never relocates, so the fault
@@ -171,13 +174,13 @@ class FaultInjector:
         """
         if not self._armed_commit:
             return
-        path = chosen.path_to_root()
+        path = list(path_nodes(repl, node))
         if len(path) < 2:
             return
         event = self._armed_commit.pop(0)
         hop = event.index % (len(path) - 1)
-        dest = path[hop].position
-        moved = path[hop + 1].address
+        dest = Position(repl.ways[path[hop]], repl.indices[path[hop]])
+        moved = repl.addresses[path[hop + 1]]
         assert moved is not None, "internal walk nodes always hold a block"
         wrong = (dest.index + 1 + event.bit) % array.lines_per_way
         if event.kind == "misdirect-relocation" and wrong != dest.index:
@@ -229,20 +232,16 @@ class FaultyArray(ArrayProxy):
         self._injector.corrupt_walk(repl)
         return repl
 
-    def commit_replacement(
-        self, repl: Replacement, chosen: Candidate
-    ) -> CommitResult:
+    def commit_replacement(self, repl: Replacement, node: int) -> CommitResult:
         """Forward the commit, then damage one relocation if armed."""
-        result = self._inner.commit_replacement(repl, chosen)
-        self._injector.corrupt_commit(self._inner, chosen)
+        result = self._inner.commit_replacement(repl, node)
+        self._injector.corrupt_commit(self._inner, repl, node)
         return result
 
-    def commit_reinsertion(
-        self, repl: Replacement, chosen: Candidate
-    ) -> CommitResult:
+    def commit_reinsertion(self, repl: Replacement, node: int) -> CommitResult:
         """Forward a reinsertion commit, then damage it if armed."""
-        result = self._inner.commit_reinsertion(repl, chosen)
-        self._injector.corrupt_commit(self._inner, chosen)
+        result = self._inner.commit_reinsertion(repl, node)
+        self._injector.corrupt_commit(self._inner, repl, node)
         return result
 
 

@@ -128,11 +128,13 @@ def test_memoization_bounds_state_count():
 # Acceptance: a planted commit-ordering bug in the two-phase controller
 # must produce a counterexample with the exact access sequence.
 
-_PHASE2_LINE = "            evicted2 = choice2.address  # None = free slot found\n"
-_COMMIT_CALL = "                return self._land(repl, freed, evicted2)"
+_PHASE2_LINE = (
+    "            evicted2 = repl2.addresses[node2]  # None = free slot found\n"
+)
+_COMMIT_CALL = "                return self._land(repl, node, evicted2)"
 _EARLY_COMMIT = (
-    "            first = self._land(repl, Candidate(node1.position, None, "
-    "node1.level, node1.parent), evicted2)\n"
+    "            repl.addresses[node] = None\n"
+    "            first = self._land(repl, node, evicted2)\n"
 )
 
 

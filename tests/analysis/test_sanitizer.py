@@ -297,7 +297,9 @@ class TestWalkTreeMutations:
 
     def test_walk_repeat_not_invalidated(self):
         # Make the recorded contents real so only the repeat fires.
-        self.array.array._write(Position(0, self.home), 0x1)
+        inner = self.array.array
+        inner._lines[0][self.home] = 0x1
+        inner._pos[0x1] = Position(0, self.home)
         repl = self.repl_with(
             (0, self.home, 0x1), (0, self.home, 0x1), parents=[-1, 0],
             level_starts=[0, 1],

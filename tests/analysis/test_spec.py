@@ -118,7 +118,7 @@ def _corrupted_sanitized_array():
     wrapped = SanitizedArray(array, deep_check_interval=0)
     for addr in (0x10, 0x20, 0x30):
         repl = array.build_replacement(addr)
-        array.commit_replacement(repl, repl.candidates[0])
+        array.commit_replacement(repl, 0)
     # Desynchronize the map: point one resident block somewhere else.
     addr = next(iter(array._pos))
     pos = array._pos[addr]
@@ -151,7 +151,7 @@ def test_clean_array_passes_every_state_invariant():
     array = ZCacheArray(2, 4, levels=2, hash_kind="h3", hash_seed=3)
     for addr in (0x10, 0x20, 0x30):
         repl = array.build_replacement(addr)
-        array.commit_replacement(repl, repl.candidates[0])
+        array.commit_replacement(repl, 0)
     ctx = StateCheck(array)
     for inv in invariants_for(SCOPE_STATE):
         assert inv.check(ctx) is None, inv.name

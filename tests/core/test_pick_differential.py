@@ -1,14 +1,15 @@
 """The controller's one pick against the two-pass pick it replaced.
 
-``Cache._pick`` reads the flat walk record once: the first usable free
-slot, else the policy's choice among the evictable blocks in candidate
-order, landed at the first usable node holding it. The oracle below is
-the pick as it used to be made — a ``Candidate`` per node, a scan for
-the shallowest free slot and the shallowest node per block, then the
-policy — and both must land the fill on the same node for every array
-type, with pinned blocks, invalid nodes, duplicate addresses and the
-two-phase controller's ``skip``, under a policy that ignores candidate
-order (LRU) and two that do not (random, SRRIP).
+``Cache._pick`` reads the flat walk record once and returns a node
+index: the first usable free slot, else the policy's choice among the
+evictable blocks in candidate order, landed at the first usable node
+holding it. The oracle below is the pick as it used to be made — a
+``Candidate`` per node, a scan for the shallowest free slot and the
+shallowest node per block, then the policy — and both must land the
+fill on the same line, level and block for every array type, with
+pinned blocks, invalid nodes, duplicate addresses and the two-phase
+controller's ``skip``, under a policy that ignores candidate order
+(LRU) and two that do not (random, SRRIP).
 """
 
 import copy
@@ -39,7 +40,8 @@ POLICIES = {"lru": LRU, "random": lambda: RandomPolicy(seed=5), "srrip": SRRIP}
 
 
 def oracle_pick(cache, repl, skip=None):
-    """``_scan`` + ``_choose_victim`` (phase 2: ``_phase2_choice``)."""
+    """``_scan`` + ``_choose_victim`` (phase 2: ``_phase2_choice``):
+    ``(free slot, victim)`` as ``Candidate``s."""
     pinned, policy = cache._pinned, cache.policy
     if repl.exhaustive and not repl.candidates:
         victim = policy.global_victim()
@@ -71,14 +73,24 @@ def oracle_pick(cache, repl, skip=None):
 
 
 def landing(pick, cache, repl, skip):
-    """What a pick decided, as comparable data."""
+    """What a pick decided, as comparable data: ``(way, index, level,
+    address, valid)`` of the line the fill lands on, None for no
+    landing. Each side gets its own copy of the record: the index pick
+    appends an exhaustive record's victim to it."""
+    repl = copy.deepcopy(repl)
     try:
-        empty, victim = pick(cache, repl, skip)
+        landed = pick(cache, repl, skip)
     except RuntimeError:
         return "raises"
-    return tuple(
-        None if c is None else (c.position, c.level, c.address, c.valid)
-        for c in (empty, victim)
+    if isinstance(landed, tuple):  # the oracle's (free slot, victim)
+        empty, victim = landed
+        c = victim if empty is None else empty
+        return None if c is None else (*c.position, c.level, c.address, c.valid)
+    if landed < 0:
+        return None
+    return (
+        repl.ways[landed], repl.indices[landed], repl.level(landed),
+        repl.addresses[landed], landed not in (repl.invalid or ()),
     )
 
 

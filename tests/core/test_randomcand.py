@@ -29,7 +29,7 @@ def test_candidate_slots_are_the_randrange_sequence(seed, blocks, n):
     oracle = random.Random(seed)
     for address in range(blocks):  # warm-up: cold fills draw nothing
         repl = array.build_replacement(address)
-        array.commit_replacement(repl, repl.candidates[0])
+        array.commit_replacement(repl, 0)
     for address in range(blocks, blocks + EVICTING_FILLS):
         repl = array.build_replacement(address)
         expected = [oracle.randrange(blocks) for _ in range(n)]
@@ -42,7 +42,7 @@ def test_candidate_slots_are_the_randrange_sequence(seed, blocks, n):
         assert [c.valid for c in cands] == [
             s not in expected[:i] for i, s in enumerate(expected)
         ]
-        array.commit_replacement(repl, cands[0])
+        array.commit_replacement(repl, 0)
     array.check_invariants()
 
 
@@ -60,7 +60,7 @@ def test_cold_fills_take_the_lowest_free_slot(make):
         assert repl.tag_reads == 1 and len(repl.candidates) == 1
         (free,) = repl.candidates
         assert free.address is None and free.valid
-        array.commit_replacement(repl, free)
+        array.commit_replacement(repl, 0)
         return free.position.index
 
     assert [fill(a) for a in range(16)] == list(range(16))

@@ -146,15 +146,15 @@ class TestRelocation:
         incoming = 123_123
         repl = arr.build_replacement(incoming)
         deep = next(c for c in repl.usable() if c.level == 2 and c.address is not None)
-        path = deep.path_to_root()
-        moved = [c.address for c in path[1:]]  # ancestors that will move
-        result = arr.commit_replacement(repl, deep)
+        moved = [deep.parent.address, deep.parent.parent.address]  # will move
+        result = arr.commit_replacement(repl, deep.node)
         assert result.evicted == deep.address
         assert result.relocations == 2
         assert incoming in arr
         assert deep.address not in arr
-        for addr in moved:
-            assert addr in arr  # relocated, not evicted
+        assert arr.lookup(moved[0]) == deep.position  # one line down the path
+        assert arr.lookup(moved[1]) == deep.parent.position
+        assert arr.lookup(incoming) == deep.parent.parent.position
         arr.check_invariants()
 
     def test_commit_level0_no_relocation(self):
@@ -165,7 +165,7 @@ class TestRelocation:
             cache.access(rng.randrange(10_000))
         repl = arr.build_replacement(55_555)
         root = next(c for c in repl.usable() if c.level == 0)
-        result = arr.commit_replacement(repl, root)
+        result = arr.commit_replacement(repl, root.node)
         assert result.relocations == 0
         assert arr.lookup(55_555) == root.position
 
@@ -174,7 +174,7 @@ class TestRelocation:
         repl = arr.build_replacement(1)
         repl.invalid = {0}
         with pytest.raises(ValueError):
-            arr.commit_replacement(repl, repl.node(0))
+            arr.commit_replacement(repl, 0)
 
     def test_stale_candidate_detected(self):
         arr = ZCacheArray(4, 64, levels=2)
@@ -186,7 +186,7 @@ class TestRelocation:
         victim = next(c for c in repl.usable() if c.address is not None)
         arr.evict_address(victim.address)  # concurrent invalidation
         with pytest.raises(RuntimeError):
-            arr.commit_replacement(repl, victim)
+            arr.commit_replacement(repl, victim.node)
 
 
 class TestHomeTable:
@@ -229,9 +229,9 @@ class TestHomeTable:
         arr, _ = self.make_full()
         repl = arr.build_replacement(77_777)
         deep = next(c for c in repl.usable() if c.level == 2 and c.address is not None)
-        moved = [c.address for c in deep.path_to_root()[1:]]
+        moved = [deep.parent.address, deep.parent.parent.address]
         entries = [arr._homes[a] for a in moved]
-        arr.commit_replacement(repl, deep)
+        arr.commit_replacement(repl, deep.node)
         assert [arr._homes[a] for a in moved] == entries
         assert all(arr._homes[a] is e for a, e in zip(moved, entries))
         assert arr._homes[77_777] is repl.homes  # carried from the walk
@@ -244,7 +244,7 @@ class TestHomeTable:
         victim = next(c for c in repl.usable() if c.address is not None)
         arr.evict_address(victim.address)
         with pytest.raises(RuntimeError):
-            arr.commit_replacement(repl, victim)
+            arr.commit_replacement(repl, victim.node)
         assert 66_666 not in arr._homes
         arr.check_invariants()
 

@@ -128,7 +128,7 @@ class TestFaultyArray:
         stale = [
             c
             for c in repl.candidates
-            if c.address != array._read(c.position)
+            if c.address != array._lines[c.position.way][c.position.index]
         ]
         assert len(stale) == 1
         assert injector.exhausted
