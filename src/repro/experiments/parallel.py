@@ -36,6 +36,7 @@ failed job instead of returning a sweep with holes.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import zlib
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -220,9 +221,10 @@ class SweepCheckpoint:
 
 
 def _submit_or_fail(pool, submit: Callable, item) -> Future:
-    """``submit(pool, item)``; a refused submission (the pool broke
-    while the roster was still being submitted) becomes a failed
-    future, so it reaches the caller through the one failure path."""
+    """``submit(pool, item)``; a refused submission (a worker was killed
+    from outside while the roster was still being submitted) becomes a
+    failed future, so it reaches the caller through the one failure
+    path."""
     try:
         return submit(pool, item)
     except Exception as exc:
@@ -269,7 +271,8 @@ def run_roster(
         Mark an item that produced no payload; the roster continues.
 
     ``jobs <= 1`` (or a single item to run) stays in-process. Otherwise
-    every item is submitted up front and joined in roster order, so
+    every item is submitted up front, before any worker starts a job,
+    and joined in roster order, so
     commits arrive in roster order at any worker count. Whatever a job
     raises — its own exception, a pickling error, ``BrokenProcessPool``
     after a worker died — goes to ``fail``: a job is never resubmitted
@@ -315,8 +318,20 @@ def run_roster(
         for item in todo:
             finish(item, local, item)
         return n_restored
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        futures = [_submit_or_fail(pool, submit, item) for item in todo]
+    # Workers take no job until every item is submitted. A job that kills
+    # its worker while submit() runs can otherwise orphan a future: on
+    # Python 3.11 the pool fails its pending futures without holding the
+    # submit lock, so an item submitted during that sweep never resolves
+    # and its result() waits forever. The gate is a semaphore with one
+    # permit per worker, not an Event: a worker killed while waiting on
+    # an Event's condition makes set() block for good.
+    gate = multiprocessing.Semaphore(0)
+    with ProcessPoolExecutor(max_workers=n_jobs, initializer=gate.acquire) as pool:
+        try:
+            futures = [_submit_or_fail(pool, submit, item) for item in todo]
+        finally:
+            for _ in range(n_jobs):
+                gate.release()
         for item, future in zip(todo, futures):
             finish(item, future.result)
     return n_restored

@@ -9,6 +9,8 @@ directory named by an environment variable, which forked workers inherit.
 
 import json
 import os
+import signal
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from urllib.parse import quote
@@ -248,17 +250,21 @@ def test_a_dead_worker_fails_every_uncommitted_job(harness):
     assert all(len(calls(key)) <= 1 for key in keys)  # nothing reran
 
 
-def _die_on_item_0(item):
-    if item.key == "item-0":
-        os._exit(17)
-    return item.key.upper()
-
-
 def test_a_pool_that_breaks_during_submission_fails_the_rest_by_name():
-    # With a long roster the pool breaks while items are still being
-    # submitted, and submit() itself raises BrokenProcessPool.
-    roster = [ToyItem(f"item-{i}") for i in range(5000)]
+    # A worker killed from outside while the roster is still being
+    # submitted: the items already in the pool fail, and submit() itself
+    # raises BrokenProcessPool for the rest. The kill waits until the
+    # pool has seen it (the private ``_broken`` flag), so no submit()
+    # runs while the pool is failing its pending futures.
+    roster = [ToyItem(f"item-{i}") for i in range(40)]
     committed, failed = [], {}
+
+    def submit(pool, item):
+        if item.key == "item-20":
+            os.kill(next(iter(pool._processes)), signal.SIGKILL)
+            while not pool._broken:
+                time.sleep(0.001)
+        return pool.submit(str.upper, item.key)
 
     def commit(item, payload):
         committed.append(item.key)
@@ -272,13 +278,13 @@ def test_a_pool_that_breaks_during_submission_fails_the_rest_by_name():
         fingerprint={},
         heartbeat=NULL_HEARTBEAT,
         decode=None,
-        local=_die_on_item_0,
-        submit=lambda pool, item: pool.submit(_die_on_item_0, item),
+        local=toy_worker,
+        submit=submit,
         commit=commit,
         fail=lambda item, error: failed.update({item.key: error}),
     )
-    assert "item-0" in failed
-    assert len(committed) + len(failed) == len(roster)
+    assert not committed  # no worker started a job before the kill
+    assert list(failed) == [item.key for item in roster]
     assert all(e.startswith("BrokenProcessPool") for e in failed.values())
 
 
