@@ -16,7 +16,8 @@ anything else          ``ERR <reason>``
 =====================  =======================================
 
 A line longer than :data:`MAX_LINE` bytes gets ``ERR line too long``
-and the connection is closed.
+and the connection is closed. A final line with no newline before EOF
+is a request that never finished: it is dropped with no reply.
 
 The server is a stock :class:`socketserver.ThreadingTCPServer`: one
 thread per connection, all of them hammering the shared
@@ -54,6 +55,11 @@ class _Handler(socketserver.StreamRequestHandler):
                 # Hang up rather than resynchronise: the rest of the
                 # line would otherwise be parsed as fresh requests.
                 self.wfile.write(b"ERR line too long\n")
+                return
+            if not raw.endswith(b"\n"):
+                # EOF in mid-line: the client never finished this
+                # request, so it is dropped, not executed (a half-sent
+                # PUT would install a truncated value).
                 return
             reply = self.server.dispatch(raw.decode("utf-8", "replace"))
             self.wfile.write(reply.encode("utf-8") + b"\n")

@@ -154,6 +154,22 @@ class TestClientLifecycle:
             lsock.close()
 
 
+class TestHalfSentLine:
+    def test_a_line_cut_off_by_eof_is_not_executed(self, server):
+        # The client sends a PUT without its newline, then half-closes:
+        # the request never finished, so nothing may be installed and
+        # nothing is answered.
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(b"PUT k1 full-valu")
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as rfile:
+                assert rfile.readline() == b""
+        with ServeClient(*server.address) as client:
+            assert client.get("k1") is None
+            assert client.ping() is True
+        server.cache.check_consistency()
+
+
 class TestOversizedLine:
     def test_newline_free_megabyte_gets_an_error_and_a_hang_up(self, server):
         # One client that never sends a newline must cost the server

@@ -1,5 +1,8 @@
 """Tests for the sharded service: routing, API, aggregate stats."""
 
+import threading
+
+import numpy as np
 import pytest
 
 from repro.serve.baseline import DictLRUServe
@@ -99,6 +102,144 @@ class TestServiceApi:
         assert {a for s in two.shards for a in s.cache.resident()} == {
             a for s in locked.shards for a in s.cache.resident()
         }
+
+
+class TestKeyIndex:
+    """The resident-key index: a memo of key_address kept by the shards."""
+
+    def make(self, **kwargs):
+        kwargs.setdefault("num_shards", 4)
+        kwargs.setdefault("lines_per_way", 16)
+        return ZServeCache(ServeConfig(**kwargs))
+
+    @staticmethod
+    def resident_keys(svc):
+        return {
+            entry[0]: address
+            for shard in svc.shards
+            for address, entry in shard._entries.items()
+        }
+
+    @pytest.mark.parametrize("op", ["get", "put", "invalidate"])
+    @pytest.mark.parametrize(
+        "alias", [True, 1.0, np.int64(1)], ids=["bool", "float", "int64"]
+    )
+    def test_equal_keys_of_other_types_still_raise(self, op, alias):
+        # Each alias compares equal to (and hashes like) the resident
+        # int 1, so an index lookup would find 1's address.
+        svc = self.make()
+        svc.put(1, "one")
+        svc.put("abc", "s")
+        args = (alias, "x") if op == "put" else (alias,)
+        with pytest.raises(TypeError):
+            getattr(svc, op)(*args)
+        assert svc.get(1) == (True, "one")
+        # b"abc" misses the index ("abc" != b"abc"), and key_address
+        # gives it "abc"'s address.
+        assert svc.get(b"abc") == (True, "s")
+        svc.check_consistency()
+
+    def test_a_str_subclass_with_its_own_equality_is_not_indexed(self):
+        class Folded(str):
+            def __eq__(self, other):
+                return isinstance(other, str) and self.lower() == other.lower()
+
+            def __hash__(self):
+                return hash(self.lower())
+
+        svc = self.make()
+        svc.put("abc", "lower")
+        svc.put(Folded("ABC"), "upper")
+        assert svc._index == {"abc": key_address("abc")}
+        # "ABC" is hashed to its own address, as Folded("ABC") was, and
+        # "abc" keeps its entry through Folded("ABC")'s invalidation.
+        assert svc.get("ABC") == (True, "upper")
+        assert svc.get("abc") == (True, "lower")
+        svc.check_consistency()
+        assert svc.invalidate(Folded("ABC")) is True
+        assert svc.get("abc") == (True, "lower")
+        svc.check_consistency()
+        svc.invalidate("abc")
+        svc.put(Folded("ABC"), "upper")
+        assert svc.get("abc") == (False, None)
+        svc.check_consistency()
+
+    @pytest.mark.parametrize("mode", ["twophase", "locked"])
+    def test_index_holds_exactly_the_resident_keys(self, mode):
+        svc = self.make(mode=mode)
+        capacity = svc.config.capacity
+        for i in range(4 * capacity):  # evictions on every shard
+            svc.put(i, i)
+            if i % 7 == 0:
+                svc.invalidate(i // 2)
+        resident = self.resident_keys(svc)
+        assert 0 < len(resident) <= capacity
+        assert svc._index == resident
+        assert all(a == key_address(k) for k, a in svc._index.items())
+        svc.check_consistency()
+
+    def test_an_aliasing_key_takes_the_entry_over(self):
+        svc = self.make()
+        svc.put("k", 1)
+        svc.put(b"k", 2)  # same address: the entry now holds b"k"
+        assert "k" not in svc._index and b"k" in svc._index
+        svc.put(5, 3)
+        svc.put(5 + 2**64, 4)  # ints alias at 64 bits
+        assert 5 not in svc._index and 5 + 2**64 in svc._index
+        assert svc.get("k") == (True, 2)
+        assert svc.get(5) == (True, 4)
+        svc.check_consistency()
+        assert svc.invalidate("k") is True
+        assert b"k" not in svc._index
+        svc.check_consistency()
+
+    def test_check_catches_a_leaked_entry(self):
+        svc = self.make()
+        svc.put("abc", 1)
+        svc._index["ghost"] = key_address("ghost")
+        with pytest.raises(AssertionError, match="1 indexed key.* not resident"):
+            svc.check_consistency()
+
+    def test_check_catches_a_wrong_address(self):
+        svc = self.make()
+        svc.put("abc", 1)
+        svc._index["abc"] ^= 1
+        with pytest.raises(AssertionError, match="1 key.* at a wrong address"):
+            svc.check_consistency()
+
+    def test_check_catches_a_missing_key(self):
+        svc = self.make()
+        svc.put("abc", 1)
+        del svc._index["abc"]
+        with pytest.raises(AssertionError, match="1 resident key.* not indexed"):
+            svc.check_consistency()
+
+    def test_threaded_aliasing_traffic_keeps_the_index_exact(self):
+        svc = self.make(num_shards=2)
+        errors = []
+
+        def worker(seed):
+            try:
+                for i in range(1500):
+                    n = (seed * 7919 + i * 31) % 300
+                    key = str(n) if i % 3 else str(n).encode()
+                    if i % 10 == 0:
+                        svc.invalidate(key)
+                    elif i % 2:
+                        svc.put(key, n)
+                    else:
+                        hit, value = svc.get(key)
+                        assert not hit or value == n
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        svc.check_consistency()
 
 
 class TestDictLRUBaseline:
