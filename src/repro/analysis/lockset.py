@@ -5,8 +5,8 @@ time (the static side is narrower: ZS105 keeps ``prepare_fill`` — the
 off-lock walk — free of mutations, ZS104 keeps ``serve/`` free of
 module-level mutable state). A :class:`LocksetSanitizer` instruments
 a live :class:`~repro.serve.shard.CacheShard` — its lock, its payload dict,
-its key index, its recency buffer, and its two-phase zcache — and
-replays Eraser's per-field state machine over every observed access::
+its recency buffer, and its two-phase zcache — and replays Eraser's
+per-field state machine over every observed access::
 
     virgin → exclusive(owner) → shared / shared-modified
 
@@ -20,7 +20,7 @@ race: two threads mutate it and no common lock protects them.
 The shard's sanctioned lock-free idioms are encoded as per-field
 *policies*:
 
-``write-locked`` (``_entries``, ``_index``, ``zcache``)
+``write-locked`` (``_entries``, ``zcache``)
     Lock-free reads are the design (``dict.get`` is GIL-atomic;
     ``prepare_fill`` is a re-validated off-lock read), so reads do
     not participate. Every write does.
@@ -71,7 +71,7 @@ _ZC_WRITES = frozenset({
     "absorb_writeback",
 })
 
-#: dict mutators intercepted on the payload store and the key index
+#: dict mutators intercepted on the payload store
 _DICT_WRITES = ("__setitem__", "__delitem__", "pop", "popitem", "clear",
                 "update", "setdefault")
 
@@ -167,8 +167,7 @@ class _TrackingLock:
 
 
 class _InstrumentedDict(dict):
-    """Payload store or key index reporting mutations (policy:
-    write-locked)."""
+    """Payload-store dict reporting mutations (policy: write-locked)."""
 
     # dict subclassing keeps every read on the C fast path: only the
     # mutators are overridden, reads are sanctioned lock-free.
@@ -251,11 +250,10 @@ class LocksetSanitizer:
     ----------
     shard:
         The shard to instrument, in place: its lock, payload dict,
-        key index, recency buffer and zcache are replaced with
-        tracking wrappers and its class is swapped for a dynamic
-        subclass whose ``_entries``/``_index``/``_recency`` are
-        tracked properties (rebind detection). The shard keeps
-        working identically.
+        recency buffer and zcache are replaced with tracking wrappers
+        and its class is swapped for a dynamic subclass whose
+        ``_entries``/``_recency`` are tracked properties (rebind
+        detection). The shard keeps working identically.
     strict:
         When True, the first violation raises
         :class:`~repro.analysis.sanitizer.InvariantViolation` at the
@@ -288,15 +286,13 @@ class LocksetSanitizer:
             (cls,),
             {
                 "_entries": self._tracked_property("_entries"),
-                "_index": self._tracked_property("_index"),
                 "_recency": self._tracked_property("_recency"),
             },
         )
         shard.lock = _TrackingLock("CacheShard.lock", shard.lock, self)
-        for field in ("_entries", "_index"):
-            setattr(shard, field, _InstrumentedDict(
-                dict(shard.__dict__.pop(field)), self, field
-            ))
+        shard._entries = _InstrumentedDict(
+            dict(shard.__dict__.pop("_entries")), self, "_entries"
+        )
         shard._recency = _InstrumentedList(
             list(shard.__dict__.pop("_recency")), self, "_recency"
         )
@@ -522,9 +518,9 @@ def planted_unlocked_replay(
 ) -> LocksetSanitizer:
     """The acceptance negative: a shard whose ``put`` skips the lock.
 
-    Writer threads mutating the payload store, the key index and the
-    zcache with no lock held drive those fields to ``shared-modified``
-    with an empty candidate lockset — the checker must report them.
+    Writer threads mutating the payload store and the zcache with no
+    lock held drive both fields to ``shared-modified`` with an empty
+    candidate lockset — the checker must report them.
     """
     from repro.serve.shard import CacheShard
 

@@ -25,21 +25,19 @@ buffered and replayed into the replacement policy by the next writer
 eviction of the same key may return the just-removed value — ordinary
 cache-service staleness, never corruption.
 
-Nor does a request on a resident key hash it: the service keeps one
-dict from each resident key to its block address, written only by the
-shards, under the lock of the shard the key routes to, wherever they
-keep the payload dict in step with residency. The index is a memo of
-:func:`~repro.serve.service.key_address` that holds only keys of an
-exact ``int``/``str``/``bytes`` type (no subclass can bring its own
-equality into it), so it can only ever give a key's true address; a
-key it does not hold is hashed as before.
+Nor does a request on a recently seen key hash it: the service keeps
+a plain dict memo of :func:`~repro.serve.service.key_address`, capped
+at the cache's capacity and emptied when full. It holds only keys of
+an exact ``int``/``str``/``bytes`` type (no subclass can bring its own
+equality into it), and every value is the pure function's, so it needs
+no lock: a racing reader finds a key's true address or none.
 
 Layout
 ------
 - :mod:`repro.serve.shard` — one lock + one ``TwoPhaseZCache`` +
   payload storage; the two-phase discipline lives here.
 - :mod:`repro.serve.service` — :class:`ZServeCache`: hash-partitioned
-  shards and the resident-key index behind a get/put/invalidate API.
+  shards and the key-address memo behind a get/put/invalidate API.
 - :mod:`repro.serve.baseline` — the plain dict+LRU competitor.
 - :mod:`repro.serve.loadgen` — replays the 72 workload proxies as
   concurrent request streams and reports throughput + latency

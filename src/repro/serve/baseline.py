@@ -55,7 +55,9 @@ class DictLRUServe:
     def invalidate(self, key: Key) -> bool:
         """Drop ``key``; True when it was cached."""
         with self._lock:
-            return self._data.pop(key, None) is not None
+            cached = key in self._data
+            self._data.pop(key, None)
+            return cached
 
     def __len__(self) -> int:
         return len(self._data)

@@ -59,7 +59,7 @@ class LoadGenConfig:
     #: set is sized relative to this, exactly as in the simulator)
     footprint_blocks: int = 4096
     seed: int = 0
-    #: fraction of read misses followed by a cache-aside fill
+    #: follow every read miss with a cache-aside fill (PUT of the key)
     fill_on_miss: bool = True
     #: bytes-payload size per value; 0 stores small ints instead.
     #: Sizes past ~2 KiB make the backend's fingerprint work (when

@@ -5,11 +5,10 @@ address picks a shard and doubles as the block identity inside that
 shard's zcache. Shard choice and in-shard placement use *independent*
 hash bits — the shard index is the address modulo the shard count,
 while the zcache ways re-mix the full address — so partitioning does
-not correlate with way placement. A resident key is not hashed
-again: the service keeps one dict from each resident key to its
-address, which the shards write under their locks as blocks are
-installed, evicted and invalidated
-(:class:`~repro.serve.shard.CacheShard`).
+not correlate with way placement. A key seen recently is not hashed
+again: the service memoises :func:`key_address` in a plain dict of at
+most ``capacity`` entries, which needs no lock because every value in
+it is the pure function's value.
 
 The service exposes the paper-facing knobs (ways, walk levels, policy)
 plus the two service-side ones that matter for concurrency: the shard
@@ -28,7 +27,7 @@ from repro.core.base import CacheArray
 from repro.core.zcache import ZCacheArray
 from repro.hashing.mixers import splitmix64
 from repro.obs import ObsContext
-from repro.serve.shard import INDEXED_TYPES, MISS, CacheShard
+from repro.serve.shard import MISS, CacheShard
 
 #: key types the service accepts
 Key = Union[int, str, bytes]
@@ -37,6 +36,11 @@ _MASK63 = (1 << 63) - 1
 
 #: access-mode names accepted by :class:`ServeConfig`
 MODES = ("twophase", "locked")
+
+#: exact key types the address memo holds. A subclass may define its
+#: own equality, and ``True``, ``1.0`` or ``numpy.int64(1)`` compare
+#: equal to ``1``: such keys are always hashed, never memoised.
+MEMO_TYPES = frozenset((int, str, bytes))
 
 
 def key_address(key: Key) -> int:
@@ -115,9 +119,9 @@ class ZServeCache:
         self.config = cfg
         self.obs = obs
         self._num_shards = cfg.num_shards
-        #: resident key -> its block address, a memo of key_address
-        #: kept by the shards (see CacheShard._index)
-        self._index: dict[Any, int] = {}
+        #: key -> key_address(key) for keys of a MEMO_TYPES type,
+        #: capped at capacity entries and written only by _address
+        self._memo: dict[Key, int] = {}
         self.shards: list[CacheShard] = []
         for i in range(cfg.num_shards):
             shard_obs = obs.scoped(f"shard{i}") if obs is not None else None
@@ -140,30 +144,33 @@ class ZServeCache:
                     fingerprint=cfg.fingerprint,
                 )
             )
-            self.shards[-1]._index = self._index
 
     # -- the API -------------------------------------------------------------
     def _address(self, key: Key) -> int:
-        """``key``'s block address: from the index when resident.
+        """``key``'s block address, through the memo for a ``MEMO_TYPES``
+        key.
 
-        Only keys of an exact ``INDEXED_TYPES`` type consult the index:
-        ``True``, ``1.0`` or ``numpy.int64(1)`` compare equal to a
-        resident ``1`` and must still reach :func:`key_address` (and
-        its ``TypeError``).
+        No lock: each ``dict`` call is atomic under the GIL and every
+        value is ``key_address``'s, so a racing reader finds a key's
+        true address or none.
         """
-        if type(key) in INDEXED_TYPES:
-            address = self._index.get(key)
-            if address is not None:
-                return address
-        return key_address(key)
+        if type(key) not in MEMO_TYPES:
+            return key_address(key)
+        address = self._memo.get(key)
+        if address is None:
+            address = key_address(key)
+            if len(self._memo) >= self.config.capacity:
+                self._memo.clear()
+            self._memo[key] = address
+        return address
 
     def get(self, key: Key) -> tuple[bool, Any]:
         """``(True, value)`` on a hit, ``(False, None)`` on a miss."""
-        # _address, inlined: the call costs 5% of serve_hot's wall_s
-        # (0.1057 against 0.1005 calibrated s, medians of ten runs).
-        address = self._index.get(key) if type(key) in INDEXED_TYPES else None
+        # _address's memo hit, inlined: the call costs 5% of serve_hot's
+        # wall_s (0.1057 against 0.1005 calibrated s, medians of ten runs).
+        address = self._memo.get(key) if type(key) in MEMO_TYPES else None
         if address is None:
-            address = key_address(key)
+            address = self._address(key)
         value = self.shards[address % self._num_shards].get(address)
         if value is MISS:
             return False, None
@@ -250,31 +257,14 @@ class ZServeCache:
 
     def check_consistency(self) -> None:
         """Quiesced full-service check: each shard's payloads against its
-        residency, and the index against the payloads.
-
-        The index must map exactly the keys of an ``INDEXED_TYPES``
-        type the shards hold, each to the address its payload is
-        stored at, which must be the key's :func:`key_address`.
-        """
+        residency, and every memo entry against :func:`key_address`."""
         for shard in self.shards:
             shard.check_consistency()
-        stored = {
-            entry[0]: address
-            for shard in self.shards
-            for address, entry in shard._entries.items()
-            if type(entry[0]) in INDEXED_TYPES
-        }
-        index = dict(self._index)
-        leaked = index.keys() - stored.keys()
-        missing = stored.keys() - index.keys()
         wrong = [
-            key for key, address in index.items()
-            if key not in leaked
-            and (address != stored[key] or address != key_address(key))
+            key for key, address in list(self._memo.items())
+            if address != key_address(key)
         ]
-        if leaked or missing or wrong:
+        if wrong:
             raise AssertionError(
-                f"key index out of sync: {len(leaked)} indexed key(s) not "
-                f"resident, {len(missing)} resident key(s) not indexed, "
-                f"{len(wrong)} key(s) indexed at a wrong address"
+                f"key memo holds {len(wrong)} key(s) at a wrong address"
             )

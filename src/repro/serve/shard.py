@@ -25,10 +25,7 @@ lockstep with array residency: the shard's cache drops a victim's
 payload at the controller's eviction choke point
 (:meth:`~repro.core.controller.Cache._evict`), so no two-phase path
 (plain eviction, phase-2 win, stale re-walk with an extra victim) can
-evict a block and keep its payload. The same places keep the
-resident-key index (key → block address) that lets the service skip
-hashing a resident key: every write to it happens under the lock,
-next to the write to the payload dict it mirrors.
+evict a block and keep its payload.
 """
 
 from __future__ import annotations
@@ -50,11 +47,6 @@ MISS = object()
 #: lock-free read hits buffered for policy replay before writers start
 #: dropping them (a read-only burst must not grow the buffer unboundedly)
 RECENCY_CAP = 1024
-
-#: exact key types the resident-key index holds. A subclass may define
-#: its own equality, and ``True``, ``1.0`` or ``numpy.int64(1)`` compare
-#: equal to ``1``: such keys are always hashed, never indexed.
-INDEXED_TYPES = frozenset((int, str, bytes))
 
 
 def payload_digest(value: object) -> Optional[bytes]:
@@ -80,9 +72,9 @@ class _ShardCache(TwoPhaseZCache):
     The controller reports at most one eviction per ``AccessResult``,
     but the two-phase stale-recovery path can evict *two* blocks for
     one fill; the choke point is the one place every eviction, on
-    every path, passes through. The payload store and key index are
-    reached through the shard at call time (not captured) because the
-    lockset sanitizer swaps in instrumented dicts.
+    every path, passes through. The payload store is reached through
+    the shard at call time (not captured) because the lockset
+    sanitizer swaps in an instrumented dict.
     """
 
     #: the owning shard, set by :class:`CacheShard` after construction
@@ -91,7 +83,7 @@ class _ShardCache(TwoPhaseZCache):
     shard: "CacheShard"
 
     def _evict(self, victim: int, level: int) -> bool:
-        self.shard._drop(victim)
+        self.shard._entries.pop(victim, None)
         return super()._evict(victim, level)
 
 
@@ -161,12 +153,6 @@ class CacheShard:
         self.max_retries = max_retries
         self.fingerprint = fingerprint
         self._entries: dict[int, tuple[object, object, Optional[bytes]]] = {}
-        #: resident key -> block address for the keys of an exact
-        #: ``INDEXED_TYPES`` type, kept in step with ``_entries`` under
-        #: the lock. Private to a standalone shard; a ZServeCache hands
-        #: all its shards one shared index, which is safe because a key
-        #: always routes to the same shard.
-        self._index: dict[Any, int] = {}
         self._recency: list[int] = []
         registry = self.cache.stats.registry
         self._c_walk_races = registry.counter("walk_races")
@@ -284,7 +270,7 @@ class CacheShard:
             self._drain_recency()
             resident = address in self.cache
             self.cache.invalidate(address)
-            self._drop(address)
+            self._entries.pop(address, None)
             return resident
 
     # -- bookkeeping (caller holds the lock) --------------------------------
@@ -315,27 +301,12 @@ class CacheShard:
         value: object,
         fp: Optional[bytes] = None,
     ) -> None:
-        entries, index = self._entries, self._index
         if address in self.cache:
-            old = entries.get(address)
-            if (old is not None and old[0] is not key
-                    and type(old[0]) in INDEXED_TYPES):
-                # Another key object takes the block over (an equal
-                # copy, or ``b"k"`` after ``"k"``): unindex the old one.
-                index.pop(old[0], None)
-            entries[address] = (key, value, fp)
-            if type(key) in INDEXED_TYPES:
-                index[key] = address
+            self._entries[address] = (key, value, fp)
         else:
             # Pinned-overflow bypass cannot happen (the service never
             # pins), but stay correct if it ever does.
-            self._drop(address)
-
-    def _drop(self, address: int) -> None:
-        """Forget ``address``'s payload and unindex its key."""
-        entry = self._entries.pop(address, None)
-        if entry is not None and type(entry[0]) in INDEXED_TYPES:
-            self._index.pop(entry[0], None)
+            self._entries.pop(address, None)
 
     # -- introspection -------------------------------------------------------
     def __len__(self) -> int:

@@ -87,7 +87,6 @@ def test_single_threaded_traffic_stays_exclusive_and_clean():
     assert san.reports == []
     states = san.field_states()
     assert states["_entries"] == "exclusive"
-    assert states["_index"] == "exclusive"
     assert states["zcache"] == "exclusive"
 
 
@@ -216,50 +215,15 @@ def test_instrumented_replay_of_production_shard_is_clean():
     assert san.accesses > 0
     # Real contention reached the shared states without a report: the
     # shard lock survived every lockset intersection.
-    states = san.field_states()
-    assert states["_entries"] == states["_index"] == "shared-modified"
+    assert san.field_states()["_entries"] == "shared-modified"
     san.shard.check_consistency()
-    assert san.shard._index == {
-        entry[0]: address for address, entry in san.shard._entries.items()
-    }
 
 
 def test_planted_unlocked_replay_is_flagged():
     san = planted_unlocked_replay(ops=400, threads=2, seed=7)
     flagged = {r.field for r in san.reports if r.kind == "lockset-race"}
-    assert {"_entries", "_index"} <= flagged
+    assert {"_entries"} <= flagged
     assert "lockset-race" in san.summary() or san.reports
-
-
-def test_unlocked_index_write_is_reported():
-    shard = _tiny_shard()
-    san = LocksetSanitizer(shard)
-
-    def bare_write(val):
-        shard._index[val] = 0x30
-
-    bare_write(0)  # owner: main thread, no lock held
-    t = threading.Thread(target=bare_write, args=(1,))
-    t.start()
-    t.join()
-    assert [r.field for r in san.reports] == ["_index"]
-
-
-def test_lock_free_index_reads_are_sanctioned():
-    shard = _tiny_shard()
-    san = LocksetSanitizer(shard)
-    shard.put(0x10, "k", 0)
-
-    def read_burst():
-        for _ in range(50):
-            assert shard._index.get("k") == 0x10
-
-    pool = [threading.Thread(target=read_burst) for _ in range(2)]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join()
-    assert san.reports == []
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +242,7 @@ PLANTS = {
         "            resident = address in self.cache\n",
         {},
         "lockset-race",
-        {"_entries", "_index", "zcache", "_recency"},
+        {"_entries", "zcache", "_recency"},
     ),
     # The first match is the retry-exhausted fallback fill, which
     # max_retries=0 sends every put through.

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro.serve.baseline import DictLRUServe
-from repro.serve.service import MODES, ServeConfig, ZServeCache, key_address
+from repro.serve.service import (
+    MEMO_TYPES,
+    MODES,
+    ServeConfig,
+    ZServeCache,
+    key_address,
+)
 
 
 class TestKeyAddress:
@@ -105,7 +111,7 @@ class TestServiceApi:
 
 
 class TestKeyIndex:
-    """The resident-key index: a memo of key_address kept by the shards."""
+    """The key-address memo: a plain dict owned by the service."""
 
     def make(self, **kwargs):
         kwargs.setdefault("num_shards", 4)
@@ -150,7 +156,8 @@ class TestKeyIndex:
         svc = self.make()
         svc.put("abc", "lower")
         svc.put(Folded("ABC"), "upper")
-        assert svc._index == {"abc": key_address("abc")}
+        # ``Folded("ABC") in svc._memo`` would match "abc": test types.
+        assert not any(type(k) is Folded for k in svc._memo)
         # "ABC" is hashed to its own address, as Folded("ABC") was, and
         # "abc" keeps its entry through Folded("ABC")'s invalidation.
         assert svc.get("ABC") == (True, "upper")
@@ -165,53 +172,39 @@ class TestKeyIndex:
         svc.check_consistency()
 
     @pytest.mark.parametrize("mode", ["twophase", "locked"])
-    def test_index_holds_exactly_the_resident_keys(self, mode):
+    def test_memo_stays_within_capacity_and_exact(self, mode):
         svc = self.make(mode=mode)
         capacity = svc.config.capacity
         for i in range(4 * capacity):  # evictions on every shard
             svc.put(i, i)
             if i % 7 == 0:
                 svc.invalidate(i // 2)
-        resident = self.resident_keys(svc)
-        assert 0 < len(resident) <= capacity
-        assert svc._index == resident
-        assert all(a == key_address(k) for k, a in svc._index.items())
+        assert 0 < len(self.resident_keys(svc)) <= capacity
+        assert 0 < len(svc._memo) <= capacity
+        assert all(type(k) in MEMO_TYPES for k in svc._memo)
+        assert all(a == key_address(k) for k, a in svc._memo.items())
         svc.check_consistency()
 
     def test_an_aliasing_key_takes_the_entry_over(self):
         svc = self.make()
         svc.put("k", 1)
         svc.put(b"k", 2)  # same address: the entry now holds b"k"
-        assert "k" not in svc._index and b"k" in svc._index
+        assert svc._memo["k"] == svc._memo[b"k"] == key_address("k")
         svc.put(5, 3)
         svc.put(5 + 2**64, 4)  # ints alias at 64 bits
-        assert 5 not in svc._index and 5 + 2**64 in svc._index
+        assert svc._memo[5] == svc._memo[5 + 2**64] == key_address(5)
         assert svc.get("k") == (True, 2)
         assert svc.get(5) == (True, 4)
         svc.check_consistency()
         assert svc.invalidate("k") is True
-        assert b"k" not in svc._index
+        assert svc.get(b"k") == (False, None)
         svc.check_consistency()
-
-    def test_check_catches_a_leaked_entry(self):
-        svc = self.make()
-        svc.put("abc", 1)
-        svc._index["ghost"] = key_address("ghost")
-        with pytest.raises(AssertionError, match="1 indexed key.* not resident"):
-            svc.check_consistency()
 
     def test_check_catches_a_wrong_address(self):
         svc = self.make()
         svc.put("abc", 1)
-        svc._index["abc"] ^= 1
+        svc._memo["abc"] ^= 1
         with pytest.raises(AssertionError, match="1 key.* at a wrong address"):
-            svc.check_consistency()
-
-    def test_check_catches_a_missing_key(self):
-        svc = self.make()
-        svc.put("abc", 1)
-        del svc._index["abc"]
-        with pytest.raises(AssertionError, match="1 resident key.* not indexed"):
             svc.check_consistency()
 
     def test_threaded_aliasing_traffic_keeps_the_index_exact(self):
@@ -241,15 +234,45 @@ class TestKeyIndex:
         assert not errors
         svc.check_consistency()
 
+    def test_threaded_traffic_through_a_memo_that_empties(self):
+        # Capacity 32 against 200 keys: the memo fills and is emptied
+        # over and over while 4 threads get, put and invalidate.
+        svc = self.make(num_shards=2, lines_per_way=4)
+        errors = []
+
+        def worker(seed):
+            try:
+                for i in range(2000):
+                    n = (seed * 7919 + i * 31) % 200
+                    key = n if i % 3 else str(n)
+                    if i % 10 == 0:
+                        svc.invalidate(key)
+                    elif i % 2:
+                        svc.put(key, (key, seed))
+                    else:
+                        hit, value = svc.get(key)
+                        assert not hit or value[0] == key
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        svc.check_consistency()
+
 
 class TestDictLRUBaseline:
     def test_same_interface(self):
         base = DictLRUServe(capacity=8)
-        base.put("a", 1)
-        assert base.get("a") == (True, 1)
-        assert base.get("b") == (False, None)
-        assert base.invalidate("a") is True
-        assert base.invalidate("a") is False
+        for value in (1, None):  # None is a storable value
+            base.put("a", value)
+            assert base.get("a") == (True, value)
+            assert base.get("b") == (False, None)
+            assert base.invalidate("a") is True
+            assert base.invalidate("a") is False
         assert "hit_rate" in base.snapshot()
 
     def test_lru_eviction_order(self):
