@@ -475,9 +475,9 @@ class CounterBypass(LintRule):
     facade's ``counters()`` dict). A plain attribute increment —
     ``self.stats.hits += 1`` or a bare ``self.total_misses += 1`` —
     creates a shadow counter the registry never sees, so metric
-    snapshots, ``zcache-repro stats`` and trace summaries silently
-    under-report. Private epoch-local accumulators (underscore-prefixed)
-    are fine: they are bookkeeping, not reported statistics.
+    snapshots and ``zcache-repro stats`` silently under-report. Private
+    epoch-local accumulators (underscore-prefixed) are fine: they are
+    bookkeeping, not reported statistics.
 
     The ZTurbo kernels (``kernels/``) add a second hazard at their
     accumulator fold points: a vectorized stage computes a batch delta

@@ -10,7 +10,6 @@ Examples::
     zcache-repro lint --deep src/repro
     zcache-repro check --sanitize
     zcache-repro stats fig2 --format json
-    zcache-repro trace fig2 --instructions 2000
     zcache-repro timeline sweep --jobs 2 --out trace.json --critical-path
     zcache-repro sweep --jobs 4 --workloads canneal,gcc --checkpoint ck.json
     zcache-repro faults --campaign --minimize --jobs 2 --json faults.json
@@ -19,9 +18,9 @@ Examples::
 
 ``lint`` and ``check`` are the correctness-tooling subcommands (the
 ZSan static analyzer and the runtime invariant sanitizer; see
-``docs/lint_rules.md``); ``stats`` and ``trace`` are the ZScope
-observability subcommands (metrics snapshots and JSONL event traces;
-see ``docs/observability.md``); everything else regenerates a paper
+``docs/lint_rules.md``); ``stats`` and ``timeline`` are the ZScope
+observability subcommands (metrics snapshots and span timelines; see
+``docs/observability.md``); everything else regenerates a paper
 artifact.
 """
 
@@ -46,8 +45,6 @@ SUBCOMMANDS = {
               "--sanitize runtime invariants, --model checker, --lockset races"),
     "stats": ("repro.obs.cli:run_stats",
               "ZScope metrics snapshot of an experiment"),
-    "trace": ("repro.obs.cli:run_trace",
-              "JSONL event trace of an experiment + offline summary"),
     "timeline": ("repro.obs.cli:run_timeline",
                  "ZTrace span timeline: Perfetto export + critical path"),
     "sweep": ("repro.experiments.parallel:run_sweep_cli",

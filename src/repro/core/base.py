@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     from repro.obs import ObsContext
-    from repro.obs.events import TraceBus
 
 
 class Position(NamedTuple):
@@ -212,23 +211,17 @@ class CacheArray(abc.ABC):
             [None] * lines_per_way for _ in range(num_ways)
         ]
         self._pos: dict[int, Position] = {}
-        # ZScope bindings; None/defaults until attach_obs is called.
-        self._trace: Optional["TraceBus"] = None
-        self._trace_label: str = type(self).__name__
 
     # -- observability ------------------------------------------------------
-    def attach_obs(self, obs: "ObsContext", label: Optional[str] = None) -> None:
+    def attach_obs(self, obs: "ObsContext") -> None:
         """Bind this array to an observability context.
 
-        Registers the array's geometry gauges under ``<scope>.array`` and
-        binds the trace bus so commits emit relocation events. Subclasses
-        extend this to register their own metrics (the zcache re-homes
-        its walk counters under ``<scope>.walk``), which resets those
-        counters — attach before use, as
+        Registers the array's geometry gauges under ``<scope>.array``.
+        Subclasses extend this to register their own metrics (the zcache
+        re-homes its walk counters under ``<scope>.walk``), which resets
+        those counters — attach before use, as
         :class:`~repro.core.controller.Cache` does.
         """
-        self._trace = obs.trace if obs.trace.enabled else None
-        self._trace_label = label or obs.label or type(self).__name__
         geometry = obs.metrics.scoped("array")
         geometry.gauge("ways").set(self.num_ways)
         geometry.gauge("lines_per_way").set(self.lines_per_way)
@@ -352,9 +345,8 @@ class CacheArray(abc.ABC):
         if evicted is not None:
             line = pos.pop(evicted)
             lines[line.way][line.index] = None
-        trace = self._trace
-        child, level = node, depth
-        while level:
+        child = node
+        for _ in range(depth):
             parent = parents[child]  # type: ignore[index]
             moving = addresses[parent]
             line = pos.pop(moving)  # type: ignore[arg-type]
@@ -364,13 +356,8 @@ class CacheArray(abc.ABC):
             if row[index] is not None:
                 del pos[row[index]]  # type: ignore[arg-type]
             row[index] = moving
-            pos[moving] = target = Position(way, index)  # type: ignore[index]
-            if trace is not None:
-                trace.relocation(
-                    self._trace_label, moving,
-                    Position(ways[parent], indices[parent]), target, level,
-                )
-            child, level = parent, level - 1
+            pos[moving] = Position(way, index)  # type: ignore[index]
+            child = parent
         way, index = ways[child], indices[child]
         row = lines[way]
         if row[index] is not None:

@@ -15,9 +15,7 @@ Statistics cover everything the energy model and the bandwidth analysis
 (Section VI-D) need: tag/data array reads and writes, walk lengths,
 relocations, and writebacks. Since the ZScope layer, the counters live
 in a metrics registry (:class:`CacheStats` is a
-:class:`~repro.obs.metrics.RegistryStats` facade) and, when an
-:class:`~repro.obs.ObsContext` is attached, the controller emits
-access / miss / walk / eviction trace events through its bus.
+:class:`~repro.obs.metrics.RegistryStats` facade).
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.core.base import CacheArray, CommitResult, Replacement
 from repro.obs import ObsContext
-from repro.obs.events import TraceBus
 from repro.obs.metrics import MetricsRegistry, RegistryStats
 from repro.replacement.base import ReplacementPolicy
 
@@ -126,11 +123,10 @@ class Cache:
         Label used in reports.
     obs:
         Optional :class:`~repro.obs.ObsContext`. When given, the
-        statistics counters register under its metrics scope, the array
-        is attached (walk counters, relocation events), and the
-        controller emits trace events through its bus. Without one,
-        behaviour is identical to the pre-ZScope controller: a private
-        registry and no tracing.
+        statistics counters register under its metrics scope and the
+        array is attached (geometry gauges, walk counters). Without
+        one, behaviour is identical to the pre-ZScope controller: a
+        private registry.
     engine:
         ``"reference"`` (default) runs the per-candidate Python
         protocol below; ``"turbo"`` delegates accesses to the ZTurbo
@@ -178,12 +174,8 @@ class Cache:
         self._c_writebacks = counters["writebacks"]
         self._c_relocations = counters["relocations"]
         self._c_tag_writes = counters["tag_writes"]
-        self._trace: Optional[TraceBus] = (
-            obs.trace if obs is not None and obs.trace.enabled else None
-        )
-        self._label = (obs.label or name) if obs is not None else name
         if obs is not None:
-            array.attach_obs(obs, label=self._label)
+            array.attach_obs(obs)
         self._dirty: set[int] = set()
         self._pinned: set[int] = set()
         self.requested_engine = engine
@@ -251,21 +243,10 @@ class Cache:
     def pinned_count(self) -> int:
         return len(self._pinned)
 
-    def _account_walk(self, address: int, repl: Replacement) -> None:
-        """Count one walk's tag reads and, when tracing, emit its event."""
+    def _account_walk(self, repl: Replacement) -> None:
+        """Count one walk's tag reads."""
         self._c_walk_tag_reads.value += repl.tag_reads
         self._c_tag_reads.value += repl.tag_reads
-        trace = self._trace
-        if trace is None:
-            return
-        trace.walk(
-            self._label,
-            address,
-            repl.tag_reads,
-            len(repl.addresses),
-            repl.truncated,
-            repl.level_counts(),
-        )
 
     # -- the access protocol ---------------------------------------------------
     # One routine per protocol step, shared with TwoPhaseZCache (the
@@ -278,7 +259,7 @@ class Cache:
         if address < 0:
             raise ValueError(f"address must be non-negative, got {address}")
         if self.array.lookup(address) is None:
-            self._count_miss(address, is_write)
+            self._count_miss(is_write)
             result = self._fill(address)
             if is_write and not result.bypassed:
                 self._dirty.add(address)
@@ -295,8 +276,6 @@ class Cache:
             self._c_reads.value += 1
             self._c_data_reads.value += 1
         self.policy.on_access(address, is_write)
-        if self._trace is not None:
-            self._trace.access(self._label, address, is_write, True)
         return AccessResult(address=address, hit=True)
 
     def probe(self, address: int, is_write: bool = False) -> bool:
@@ -318,13 +297,13 @@ class Cache:
         if self.array.lookup(address) is not None:
             self.access(address, is_write)
             return True
-        self._count_miss(address, is_write)
+        self._count_miss(is_write)
         # A probe has no walk to fold the failed lookup's tag reads into.
         self._c_tag_reads.value += self.array.num_ways
         return False
 
-    def _count_miss(self, address: int, is_write: bool) -> None:
-        """Demand prologue of a miss: count the reference and trace it.
+    def _count_miss(self, is_write: bool) -> None:
+        """Demand prologue of a miss: count the reference.
 
         The failed lookup read the tags; the walk's level-0 reads are
         those same reads, so tag accounting comes from the walk.
@@ -335,15 +314,12 @@ class Cache:
         else:
             self._c_reads.value += 1
         self._c_misses.value += 1
-        if self._trace is not None:
-            self._trace.access(self._label, address, is_write, False)
-            self._trace.miss(self._label, address, is_write)
 
     def _fill(self, address: int) -> AccessResult:
         return self._fill_with(address, self.array.build_replacement(address))
 
     def _fill_with(self, address: int, repl: Replacement) -> AccessResult:
-        self._account_walk(address, repl)
+        self._account_walk(repl)
         node = self._pick(repl)
         if node < 0:
             return self._bypass(address)
@@ -435,17 +411,17 @@ class Cache:
         """
         victim = repl.addresses[node]
         assert victim is not None
-        writeback = self._evict(victim, repl.level(node))
+        writeback = self._evict(victim)
         commit = self.array.commit_replacement(repl, node)
         return self._install(repl.incoming, commit, victim, writeback)
 
-    def _evict(self, victim: int, level: int) -> bool:
+    def _evict(self, victim: int) -> bool:
         """The eviction choke point: every replacement victim, on every
         path, leaves through here. Returns True on a writeback.
 
-        The trace event goes out *after* ``policy.on_evict`` so an
-        attached :class:`~repro.assoc.measurement.TrackedPolicy` has
-        recorded the victim's normalised eviction priority.
+        ``policy.on_evict`` is where an attached
+        :class:`~repro.assoc.measurement.TrackedPolicy` records the
+        victim's normalised eviction priority.
         """
         self.policy.on_evict(victim)
         self._c_evictions.value += 1
@@ -453,15 +429,6 @@ class Cache:
         if writeback:
             self._dirty.remove(victim)
             self._c_writebacks.value += 1
-        if self._trace is not None:
-            priorities = getattr(self.policy, "priorities", None)
-            self._trace.eviction(
-                self._label,
-                victim,
-                priorities[-1] if priorities else None,
-                level,
-                writeback,
-            )
         return writeback
 
     def _account_commit(self, commit: CommitResult) -> int:

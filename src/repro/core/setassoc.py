@@ -49,9 +49,9 @@ class SetAssociativeArray(CacheArray):
         else:
             self.index_hash = make_hash_family(hash_kind, 1, lines_per_way, hash_seed)[0]
 
-    def attach_obs(self, obs: "ObsContext", label: Optional[str] = None) -> None:
+    def attach_obs(self, obs: "ObsContext") -> None:
         """Also record the set count as an ``array.sets`` gauge."""
-        super().attach_obs(obs, label)
+        super().attach_obs(obs)
         obs.metrics.scoped("array").gauge("sets").set(self.num_sets)
 
     @property

@@ -153,7 +153,7 @@ class TwoPhaseZCache(Cache):
             raise StaleWalkError(
                 f"prepared walk for {address:#x} went stale; re-prepare"
             )
-        self._count_miss(address, is_write)
+        self._count_miss(is_write)
         result = self._fill_with(address, repl)
         if is_write and not result.bypassed:
             self._dirty.add(address)
@@ -173,7 +173,7 @@ class TwoPhaseZCache(Cache):
         assert victim1 is not None
         repl2 = self.array.build_reinsertion(victim1)
         self._c_sp_walks.value += 1
-        self._account_walk(victim1, repl2)
+        self._account_walk(repl2)
 
         node2 = self._pick(repl2, skip=victim1)
         if node2 >= 0:
@@ -192,7 +192,7 @@ class TwoPhaseZCache(Cache):
                 self._c_sp_wins.value += 1
                 self._account_commit(commit2)
                 if evicted2 is not None:
-                    self._evict(evicted2, repl2.level(node2))
+                    self._evict(evicted2)
                 else:
                     self._c_fills_empty.value += 1
                 # victim1 moved away: its recorded line is free now, and
@@ -200,7 +200,7 @@ class TwoPhaseZCache(Cache):
                 repl.addresses[node] = None
                 return self._land(repl, node, evicted2)
 
-        writeback = self._evict(victim1, repl.level(node))
+        writeback = self._evict(victim1)
         return self._land(repl, node, victim1, writeback)
 
     def _land(
@@ -233,6 +233,6 @@ class TwoPhaseZCache(Cache):
                 # The walk may not reach the freed slot: evict the best
                 # fresh candidate too (an *extra* victim that
                 # ``AccessResult.evicted`` does not report).
-                self._evict(extra, fresh.level(target))
+                self._evict(extra)
             commit = self.array.commit_replacement(fresh, target)
         return self._install(address, commit, evicted, writeback)

@@ -268,14 +268,14 @@ class ZCacheArray(CacheArray):
         self._c_relocations = c["relocations"]
         self._observe_level = self.stats._levels.observe
 
-    def attach_obs(self, obs: "ObsContext", label: Optional[str] = None) -> None:
+    def attach_obs(self, obs: "ObsContext") -> None:
         """Re-home walk statistics under ``<scope>.walk`` in the registry.
 
         Replaces the private :class:`WalkStats` built at construction
         with one registered in the context (resetting the counters, so
         attach before use) and records the walk depth as a gauge.
         """
-        super().attach_obs(obs, label)
+        super().attach_obs(obs)
         self.stats = WalkStats(obs.metrics.scoped("walk"))
         self._bind_stat_refs()
         obs.metrics.scoped("array").gauge("levels").set(self.levels)

@@ -49,9 +49,9 @@ def run(
     --sanitize`` uses to run this experiment under the runtime
     invariant sanitizer without perturbing it. ``obs`` threads an
     observability context through: each n's cache registers metrics
-    under an ``n<N>`` scope and emits trace events through the shared
-    bus (labelled ``n4``, ``n8``, ...), which is how the eviction
-    CDFs become reconstructible from a JSONL trace. ``engine="turbo"``
+    under an ``n<N>`` scope (``n4.misses``, ``n8.evictions``, ...).
+    The eviction CDFs come from each cache's
+    :class:`~repro.assoc.measurement.TrackedPolicy`. ``engine="turbo"``
     runs each cache on the ZTurbo vectorized core and pre-draws the
     whole access stream in bulk; results are bit-identical to the
     reference engine.

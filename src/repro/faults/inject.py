@@ -259,11 +259,11 @@ def record_evictions(
     victims: list[int] = []
     evict = cache._evict
 
-    def recording(victim: int, level: int) -> bool:
+    def recording(victim: int) -> bool:
         victims.append(victim)
         if injector is not None and injector.take_log_drop():
-            return Cache._evict(cache, victim, level)
-        return evict(victim, level)
+            return Cache._evict(cache, victim)
+        return evict(victim)
 
     cache._evict = recording  # type: ignore[method-assign]
     return victims

@@ -44,8 +44,8 @@ array                     ``RandomCandidatesArray``, ``SetAssociativeArray``,
                           strategy, no repeat filter, no candidate limit
 policy                    ``LRU``, ``FIFO``, ``RandomPolicy`` — bare or wrapped
                           in exactly ``TrackedPolicy``
-controller                plain ``Cache`` (not ``TwoPhaseZCache``), tracing
-                          disabled, nothing pinned, array and policy empty
+controller                plain ``Cache`` (not ``TwoPhaseZCache``), nothing
+                          pinned, array and policy empty
 ========================  =====================================================
 """
 
@@ -144,8 +144,6 @@ def try_build_turbo_explain(
 
     if type(cache) is not Cache:
         return None, f"unsupported cache type {type(cache).__name__}"
-    if cache._trace is not None:
-        return None, "event tracing enabled"
     if cache._pinned:
         return None, "pinned blocks present"
     array = cache.array

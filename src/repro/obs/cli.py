@@ -1,4 +1,4 @@
-"""CLI backends for ``zcache-repro stats`` and ``zcache-repro trace``.
+"""CLI backends for ``zcache-repro stats`` and ``zcache-repro timeline``.
 
 Kept in the obs package (rather than ``repro.cli``) for the same
 reason the analysis CLI lives in its package: these surfaces print
@@ -8,10 +8,6 @@ scope covering simulation code.
 - ``stats`` runs an experiment under an :class:`~repro.obs.ObsContext`
   and prints the metrics-registry snapshot (text or JSON) plus the
   wall time its spans attribute to each phase name.
-- ``trace`` runs an experiment with a JSONL sink, then *re-reads the
-  file* and summarizes it — for ``fig2`` it additionally rebuilds the
-  eviction-priority CDF offline and checks it against the in-process
-  result, which is the acceptance test for trace completeness.
 - ``timeline`` runs an experiment under an enabled
   :class:`~repro.obs.SpanTracker` (ZTrace), exports the span tree as a
   Perfetto-loadable Chrome trace-event JSON file, and prints the
@@ -27,29 +23,15 @@ import json
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from repro.obs import (
-    Heartbeat,
-    JsonlSink,
-    ObsContext,
-    SpanTracker,
-    TraceBus,
-    collect_eviction_priorities,
-    count_by_kind,
-    read_jsonl,
-)
+from repro.obs import Heartbeat, ObsContext, SpanTracker
 from repro.obs import timeline as tl
 
 #: experiments the obs subcommands can drive
 EXPERIMENTS = ("fig2", "sweep")
 
-#: reconstruction must match in-process values to float round-trip
-CDF_TOLERANCE = 1e-9
-
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    """The experiment-selection flags shared by ``stats`` and ``trace``."""
+    """The experiment-selection flags shared by ``stats`` and ``timeline``."""
     parser.add_argument(
         "experiment", choices=EXPERIMENTS,
         help="what to run under the observability context",
@@ -68,7 +50,11 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--workload", type=str, default="canneal",
         help="sweep only: workload to capture and replay",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--seed", type=int, default=None,
+        help="fig2: trace seed (default 0); sweep: the sweep's seed "
+        "(default 1)",
+    )
     parser.add_argument(
         "--progress-log", type=str, default=None, metavar="PATH",
         help="append heartbeat progress lines to PATH",
@@ -85,7 +71,7 @@ def _run_experiment(
         return fig2.run(
             cache_blocks=args.blocks,
             accesses=args.instructions,
-            seed=args.seed,
+            seed=0 if args.seed is None else args.seed,
             obs=obs,
             engine=getattr(args, "engine", "reference"),
         )
@@ -99,7 +85,7 @@ def _run_experiment(
     scale = ExperimentScale(
         instructions_per_core=args.instructions,
         workloads=(args.workload,),
-        seed=args.seed or 1,
+        seed=ExperimentScale.seed if args.seed is None else args.seed,
     )
     designs = (
         baseline_design(),
@@ -125,7 +111,9 @@ def run_stats(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    spans = SpanTracker(seed=args.seed, process="main")
+    spans = SpanTracker(
+        seed=0 if args.seed is None else args.seed, process="main"
+    )
     obs = ObsContext(
         spans=spans, heartbeat=Heartbeat(path=args.progress_log)
     )
@@ -153,81 +141,6 @@ def run_stats(argv: list[str]) -> int:
     for name, seconds in sorted(phases.items(), key=lambda kv: -kv[1]):
         print(f"{name:<{width}}  {seconds:>9.3f}")
     return 0
-
-
-def _check_fig2_reconstruction(
-    result: Any, priorities: dict[str, list[float]]
-) -> tuple[list[str], bool]:
-    """Rebuild each n's eviction CDF from the trace and diff it.
-
-    Returns the report lines and whether every candidate count's
-    offline CDF matched the in-process one within :data:`CDF_TOLERANCE`.
-    """
-    from repro.assoc import AssociativityDistribution
-
-    lines = ["reconstruction (trace CDF vs in-process):"]
-    ok = True
-    for n in sorted(result.simulated):
-        samples = priorities.get(f"n{n}", [])
-        if not samples:
-            lines.append(f"  n={n}: no traced evictions  FAIL")
-            ok = False
-            continue
-        rebuilt = AssociativityDistribution(samples).cdf(result.xs)
-        delta = float(np.max(np.abs(rebuilt - result.simulated[n][0])))
-        good = delta <= CDF_TOLERANCE
-        ok = ok and good
-        lines.append(
-            f"  n={n}: {len(samples)} evictions, max CDF deviation "
-            f"{delta:.2e}  {'OK' if good else 'FAIL'}"
-        )
-    return lines, ok
-
-
-def run_trace(argv: list[str]) -> int:
-    """``zcache-repro trace <experiment>`` — JSONL trace + offline summary.
-
-    Exits non-zero when the fig2 eviction-priority CDF rebuilt from the
-    trace file disagrees with the in-process result.
-    """
-    parser = argparse.ArgumentParser(
-        prog="zcache-repro trace",
-        description="Run an experiment with a JSONL trace sink, then "
-        "re-read the file and summarize it (event counts; for fig2, "
-        "an offline rebuild of the eviction-priority CDF checked "
-        "against the in-process result).",
-    )
-    _add_run_arguments(parser)
-    parser.add_argument(
-        "--out", type=str, default=None, metavar="PATH",
-        help="trace file path (default: results/trace_<experiment>.jsonl)",
-    )
-    args = parser.parse_args(argv)
-
-    out = Path(args.out or f"results/trace_{args.experiment}.jsonl")
-    sink = JsonlSink(out)
-    obs = ObsContext(
-        trace=TraceBus(sink),
-        heartbeat=Heartbeat(path=args.progress_log),
-    )
-    try:
-        result = _run_experiment(args, obs)
-    finally:
-        obs.close()
-
-    events = list(read_jsonl(out))
-    counts = count_by_kind(events)
-    print(f"trace: {len(events)} events written to {out}")
-    for kind in sorted(counts):
-        print(f"  {kind:<10} {counts[kind]}")
-
-    if args.experiment != "fig2":
-        return 0
-    priorities = collect_eviction_priorities(events)
-    lines, ok = _check_fig2_reconstruction(result, priorities)
-    for line in lines:
-        print(line)
-    return 0 if ok else 1
 
 
 #: --check threshold: the root span's children must cover this
@@ -290,7 +203,9 @@ def run_timeline(argv: list[str]) -> int:
     import repro.experiments.parallel  # noqa: F401
     import repro.kernels.replay  # noqa: F401
 
-    spans = SpanTracker(seed=args.seed, process="main")
+    spans = SpanTracker(
+        seed=0 if args.seed is None else args.seed, process="main"
+    )
     obs = ObsContext(
         spans=spans, heartbeat=Heartbeat(path=args.progress_log)
     )

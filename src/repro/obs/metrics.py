@@ -232,18 +232,13 @@ class MetricsRegistry:
         self._prefix = _prefix
 
     # -- naming ------------------------------------------------------------
-    @property
-    def prefix(self) -> str:
-        """This view's name prefix ("" for the root registry)."""
-        return self._prefix
-
     def _full(self, name: str) -> str:
         if not name:
             raise ValueError("metric name must be non-empty")
         return f"{self._prefix}.{name}" if self._prefix else name
 
     def scoped(self, prefix: str) -> "MetricsRegistry":
-        """A view over the same store under ``<self.prefix>.<prefix>``."""
+        """A view over the same store under ``<own prefix>.<prefix>``."""
         return MetricsRegistry(self._store, self._full(prefix))
 
     # -- registration ------------------------------------------------------

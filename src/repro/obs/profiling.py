@@ -48,8 +48,7 @@ class Heartbeat:
         self.min_interval = min_interval
         self.enabled = self.path is not None or self.stream is not None
         if self.path is not None:
-            # Fail fast on an unwritable location (matching the JSONL
-            # sink, which mkdirs in its constructor) rather than
+            # Fail fast on an unwritable location rather than
             # surfacing it at the first rate-limit-passing beat deep
             # into a sweep. ``beat`` keeps its own mkdir: the directory
             # can be removed between construction and use.

@@ -82,9 +82,9 @@ class _ShardCache(TwoPhaseZCache):
     #: a dropped service is freed at once, not at the next full GC
     shard: "CacheShard"
 
-    def _evict(self, victim: int, level: int) -> bool:
+    def _evict(self, victim: int) -> bool:
         self.shard._entries.pop(victim, None)
-        return super()._evict(victim, level)
+        return super()._evict(victim)
 
 
 class CacheShard:

@@ -1,4 +1,4 @@
-"""Integration tests for ``zcache-repro stats`` and ``zcache-repro trace``."""
+"""Integration tests for ``zcache-repro stats`` and ``zcache-repro timeline``."""
 
 import json
 
@@ -38,47 +38,24 @@ class TestStats:
             code = exc.code
         assert code == 2
 
+    def test_trace_subcommand_is_gone(self, capsys):
+        try:
+            code = main(["trace", "fig2"])
+        except SystemExit as exc:  # argparse rejects an unknown artifact
+            code = exc.code
+        assert code == 2
 
-class TestTrace:
-    def test_fig2_trace_reconstruction_passes(self, tmp_path, capsys):
-        out_path = tmp_path / "t.jsonl"
-        code = main([
-            "trace", "fig2", "--blocks", "128", "--instructions", "800",
-            "--out", str(out_path),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out_path.exists()
-        assert "reconstruction (trace CDF vs in-process):" in out
-        assert "FAIL" not in out
-        assert out.count("OK") == 4
+    def test_explicit_seed_zero_is_not_seed_one(self, capsys):
+        def sweep_metrics(*seed):
+            assert main([
+                "stats", "sweep", "--workload", "canneal",
+                "--instructions", "300", "--format", "json", *seed,
+            ]) == 0
+            return json.loads(capsys.readouterr().out)["metrics"]
 
-    def test_trace_file_is_valid_jsonl(self, tmp_path, capsys):
-        out_path = tmp_path / "t.jsonl"
-        assert main([
-            "trace", "fig2", "--blocks", "128", "--instructions", "400",
-            "--out", str(out_path),
-        ]) == 0
-        capsys.readouterr()
-        kinds = set()
-        with open(out_path, encoding="utf-8") as f:
-            for line in f:
-                kinds.add(json.loads(line)["ev"])
-        assert {"access", "miss", "walk", "eviction"} <= kinds
-
-    def test_gzip_trace_read_transparently(self, tmp_path, capsys):
-        out_path = tmp_path / "t.jsonl.gz"
-        code = main([
-            "trace", "fig2", "--blocks", "128", "--instructions", "400",
-            "--out", str(out_path),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        with open(out_path, "rb") as f:
-            assert f.read(2) == b"\x1f\x8b"  # really gzip on disk
-        # the offline reconstruction re-read the compressed trace
-        assert "reconstruction (trace CDF vs in-process):" in out
-        assert "FAIL" not in out
+        assert sweep_metrics("--seed", "0") != sweep_metrics("--seed", "1")
+        # No --seed is the sweep's own default seed, 1.
+        assert sweep_metrics() == sweep_metrics("--seed", "1")
 
     def test_progress_log_heartbeat(self, tmp_path, capsys):
         log = tmp_path / "hb.log"

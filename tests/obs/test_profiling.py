@@ -50,7 +50,7 @@ class TestHeartbeat:
     def test_construction_creates_missing_parents(self, tmp_path):
         # Fail fast on an unwritable location: the parent chain is
         # created when the heartbeat is built, not on the first beat
-        # hours into a sweep (mirroring the JSONL sink's constructor).
+        # hours into a sweep.
         log = tmp_path / "deep" / "nested" / "run" / "progress.log"
         assert not log.parent.exists()
         Heartbeat(path=log)
