@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Tuple
 
-import numpy as np
-
 from repro.assoc.distribution import AssociativityDistribution
 from repro.assoc.measurement import TrackedPolicy
 from repro.core.controller import Cache
@@ -52,6 +50,8 @@ def dominates(
     Lower CDF everywhere = mass shifted towards e = 1.0 = strictly
     better eviction decisions.
     """
+    import numpy as np
+
     xs = np.linspace(0.0, 1.0, 201)
     return bool(np.all(a.cdf(xs) <= b.cdf(xs) + tolerance))
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.util.statistics import empirical_cdf, ks_distance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def uniformity_cdf(num_candidates: int) -> Callable[[float], float]:
@@ -44,6 +45,8 @@ class AssociativityDistribution:
     """
 
     def __init__(self, samples: Iterable[float]) -> None:
+        import numpy as np
+
         arr = np.asarray(list(samples), dtype=float)
         if arr.size == 0:
             raise ValueError("no eviction-priority samples")
@@ -60,18 +63,20 @@ class AssociativityDistribution:
 
     def mean(self) -> float:
         """Mean eviction priority (n/(n+1) under uniformity)."""
-        return float(np.mean(self.samples))
+        return float(self.samples.mean())
 
     def quantile(self, q: float) -> float:
         """Inverse CDF."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0,1], got {q}")
+        import numpy as np
+
         return float(np.quantile(self.samples, q))
 
     def fraction_below(self, threshold: float) -> float:
         """P(evicted block priority < threshold) — the paper's headline
         per-curve statistic (e.g. 10^-6 below 0.4 for n=16)."""
-        return float(np.searchsorted(self.samples, threshold, side="left")) / len(self)
+        return float(self.samples.searchsorted(threshold, side="left")) / len(self)
 
     def ks_to_uniformity(self, num_candidates: int) -> float:
         """KS distance to the analytic ``x^n`` curve."""

@@ -32,9 +32,6 @@ import inspect
 import sys
 from dataclasses import replace
 
-from repro.experiments import ARTIFACTS
-
-
 #: Subcommands that own their argument parsing (they take paths and
 #: flags the experiment parser must not see). One table both dispatches
 #: them and renders the epilog: ``name -> ("module:function", help)``.
@@ -76,6 +73,10 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] in SUBCOMMANDS:
         module, _, function = SUBCOMMANDS[argv[0]][0].partition(":")
         return getattr(importlib.import_module(module), function)(argv[1:])
+    # Only the artifact path loads the experiment stack: a subcommand
+    # such as ``serve`` boots without it.
+    from repro.experiments import ARTIFACTS
+
     parser = argparse.ArgumentParser(
         prog="zcache-repro",
         description="Reproduce the tables and figures of the zcache paper "

@@ -11,15 +11,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.assoc import TrackedPolicy
 from repro.core import Cache, RandomCandidatesArray
 from repro.obs import NULL_SPANS, ObsContext
 from repro.replacement import LRU
 from repro.workloads.patterns import uniform_random
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CANDIDATE_COUNTS = (4, 8, 16, 64)
 
@@ -56,6 +57,8 @@ def run(
     whole access stream in bulk; results are bit-identical to the
     reference engine.
     """
+    import numpy as np
+
     xs = np.linspace(0.0, 1.0, 101)
     analytic = {}
     simulated = {}

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -29,6 +30,8 @@ def empirical_cdf(samples: Sequence[float], xs: Sequence[float]) -> np.ndarray:
 
     Returns ``P(sample <= x)`` for each ``x`` in ``xs``.
     """
+    import numpy as np
+
     if len(samples) == 0:
         raise ValueError("empirical_cdf of empty sample set")
     sorted_samples = np.sort(np.asarray(samples, dtype=float))
@@ -43,6 +46,8 @@ def ks_distance(samples: Sequence[float], cdf) -> float:
     ``cdf`` is a callable mapping x -> P(X <= x). Used to quantify how
     closely a cache design matches the uniformity assumption.
     """
+    import numpy as np
+
     sorted_samples = np.sort(np.asarray(samples, dtype=float))
     n = len(sorted_samples)
     if n == 0:

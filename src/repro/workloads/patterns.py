@@ -13,23 +13,37 @@ same order — pinned by ``tests/goldens/stream_digests.json``. Where a
 loop spells ``rng.randrange(n)`` as ``getrandbits(n.bit_length())``
 redrawn while ``>= n``, that is ``Random._randbelow_with_getrandbits``
 written out, so it consumes exactly the bits ``randrange`` would.
+
+**Memory.** ``zipf`` and ``pointer_chase`` hold their permutation as a
+4-byte ``array("I")``, shuffled in place: 4 bytes per block rather than
+the ~36 of a list of ints. A footprint above 2**32 does not fit the
+typecode and raises ``OverflowError``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Iterator, Sequence
+from array import array
+from typing import Iterator, MutableSequence, Sequence
 
 
-def _shuffle(x: list, getrandbits) -> None:
-    """``Random.shuffle`` with its ``randrange(i + 1)`` written out."""
-    for i in range(len(x) - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
+def _shuffle(x: MutableSequence[int], getrandbits) -> None:
+    """``Random.shuffle`` with its ``randrange(i + 1)`` written out.
+
+    ``k = (i + 1).bit_length()`` only changes at powers of two, so it is
+    computed once per band of ``i`` rather than once per element.
+    """
+    hi = len(x) - 1
+    while hi > 0:
+        k = (hi + 1).bit_length()
+        lo = (1 << (k - 1)) - 1  # the smallest i with this k
+        for i in range(hi, lo - 1, -1):
             j = getrandbits(k)
-        x[i], x[j] = x[j], x[i]
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        hi = lo - 1
 
 
 def sequential_scan(footprint: int, start: int = 0) -> Iterator[int]:
@@ -93,7 +107,7 @@ def zipf(footprint: int, skew: float = 1.1, seed: int = 0) -> Iterator[int]:
     rng = random.Random(seed)
     # A fixed random permutation decouples popularity rank from address
     # value, so hot blocks do not cluster in one cache region.
-    perm = list(range(footprint))
+    perm = array("I", range(footprint))
     _shuffle(perm, rng.getrandbits)
     exponent = 1.0 - skew
     span = footprint**exponent - 1.0
@@ -150,17 +164,22 @@ def working_set_phases(
 
 
 def pointer_chase(footprint: int, seed: int = 0, jump_every: int = 0) -> Iterator[int]:
-    """Traversal of a random permutation cycle.
+    """Chase through a random successor table.
 
     Models linked-data-structure codes (mcf, omnetpp, canneal): each
     access is data-dependent on the previous one, with no spatial
-    pattern. ``jump_every`` > 0 restarts the chase at a random node
-    periodically (several independent traversals in flight).
+    pattern. The table is a shuffled permutation, not one cycle: it
+    splits into about ``ln(footprint)`` cycles, and between jumps the
+    chase stays on the start node's cycle, which may cover only part
+    of the footprint. ``jump_every`` > 0 restarts the chase at a random
+    node periodically (several traversals in flight, each on whichever
+    cycle its start node lies).
     """
     if footprint < 1:
         raise ValueError(f"footprint must be >= 1, got {footprint}")
     rng = random.Random(seed)
-    nxt = list(range(1, footprint)) + [0]
+    nxt = array("I", range(1, footprint))
+    nxt.append(0)
     getrandbits = rng.getrandbits
     _shuffle(nxt, getrandbits)
     k = footprint.bit_length()

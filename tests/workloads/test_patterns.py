@@ -1,6 +1,7 @@
 """Tests for the access-pattern primitives."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -106,9 +107,9 @@ class TestWorkingSet:
 
 class TestPointerChase:
     def test_visits_whole_cycle(self):
-        # The successor permutation is one big cycle by construction?
-        # Not guaranteed; but a chase must stay in range and be
-        # deterministic per seed.
+        # The successor table is a random permutation, so it has about
+        # ln(n) cycles and a chase covers only its start node's cycle;
+        # it must still stay in range and be deterministic per seed.
         a = take(pointer_chase(64, seed=7), 200)
         b = take(pointer_chase(64, seed=7), 200)
         assert a == b
@@ -130,6 +131,19 @@ class TestPointerChase:
             if mapping.setdefault(cur, nxt) != nxt:
                 violations += 1
         assert violations > 0
+
+
+@pytest.mark.parametrize("pattern", [pointer_chase, zipf])
+def test_permutation_costs_four_bytes_per_block(pattern):
+    # The permutation is a 4-byte array; a list of ints costs > 36 B/block.
+    blocks = 1 << 16
+    tracemalloc.start()
+    try:
+        next(pattern(blocks, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * blocks
 
 
 class TestMixed:
