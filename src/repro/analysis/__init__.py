@@ -6,10 +6,8 @@ three independent enforcement prongs:
 - :mod:`repro.analysis.lint` — ZSan, a custom AST lint engine with
   repository-specific rules (seeded-randomness discipline, float
   equality, the replacement-policy contract, hot-path dataclass slots,
-  wall-clock/global-state hygiene). Run via ``zcache-repro lint``.
-  :mod:`repro.analysis.semantic` adds the ZProve whole-program pass
-  (ZS101–ZS109, including the effect/typestate rules) behind
-  ``lint --deep``.
+  wall-clock/global-state hygiene, hidden module state, span
+  discipline). Run via ``zcache-repro lint``.
 - :mod:`repro.analysis.sanitizer` — :class:`SanitizedArray`, a runtime
   proxy driving the registry invariants after every array operation
   along one concrete run. Run via ``zcache-repro check --sanitize``.

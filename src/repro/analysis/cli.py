@@ -13,49 +13,27 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis.lint import (
-    RULE_REGISTRY,
-    LintEngine,
-    LintReport,
-    default_rules,
-)
+from repro.analysis.lint import RULE_REGISTRY, LintEngine, default_rules
 from repro.analysis.sanitizer import InvariantViolation, SanitizedArray
 
 
-def _split_codes(
-    raw: str | None, deep_codes: set[str]
-) -> tuple[list[str] | None, list[str] | None, list[str]]:
-    """Split a ``--select``/``--ignore`` list into shallow/deep/unknown."""
+def _split_codes(raw: str | None) -> tuple[list[str] | None, list[str]]:
+    """Split a ``--select``/``--ignore`` list into known/unknown codes."""
     if raw is None:
-        return None, None, []
-    shallow: list[str] = []
-    deep: list[str] = []
-    unknown: list[str] = []
-    for code in (c.strip().upper() for c in raw.split(",") if c.strip()):
-        if code in RULE_REGISTRY:
-            shallow.append(code)
-        elif code in deep_codes:
-            deep.append(code)
-        else:
-            unknown.append(code)
-    return shallow, deep, unknown
+        return None, []
+    codes = [c.strip().upper() for c in raw.split(",") if c.strip()]
+    return (
+        [c for c in codes if c in RULE_REGISTRY],
+        [c for c in codes if c not in RULE_REGISTRY],
+    )
 
 
 def run_lint(argv: list[str]) -> int:
-    """``zcache-repro lint [paths...]`` — run ZSan; exit 1 on findings.
-
-    ``--deep`` adds the ZProve whole-program rules (ZS101–ZS109) on
-    top of the per-file rules; selecting a deep code enables the deep
-    pass implicitly.
-    """
-    from repro.analysis.semantic import default_deep_rules, run_deep
-
+    """``zcache-repro lint [paths...]`` — run ZSan; exit 1 on findings."""
     parser = argparse.ArgumentParser(
         prog="zcache-repro lint",
-        description="Run the ZSan AST lint rules (ZS001-ZS006) and, "
-        "with --deep, the ZProve whole-program rules (ZS101-ZS109) "
-        "over Python sources. Exits non-zero when any finding is "
-        "reported.",
+        description="Run the ZSan AST lint rules over Python sources. "
+        "Exits non-zero when any finding is reported.",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
@@ -75,33 +53,17 @@ def run_lint(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--rules", action="store_true",
-        help="list the registered rules (per-file and deep) and exit",
-    )
-    parser.add_argument(
-        "--deep", action="store_true",
-        help="also run the whole-program semantic rules (ZS101-ZS109)",
+        help="list the registered rules and exit",
     )
     args = parser.parse_args(argv)
-
-    deep_rules = default_deep_rules()
-    deep_codes = {r.code for r in deep_rules}
 
     if args.rules:
         for rule in default_rules():
             print(f"{rule.code}  {rule.name}: {rule.summary}")
-        for deep_rule in deep_rules:
-            print(
-                f"{deep_rule.code}  {deep_rule.name} [deep]: "
-                f"{deep_rule.summary}"
-            )
         return 0
 
-    select_shallow, select_deep, unknown = _split_codes(
-        args.select, deep_codes
-    )
-    ignore_shallow, ignore_deep, unknown_ignored = _split_codes(
-        args.ignore, deep_codes
-    )
+    select, unknown = _split_codes(args.select)
+    ignore, unknown_ignored = _split_codes(args.ignore)
     if unknown or unknown_ignored:
         bad = sorted(set(unknown) | set(unknown_ignored))
         print(f"zsan: error: unknown rule code(s): {bad}", file=sys.stderr)
@@ -113,34 +75,7 @@ def run_lint(argv: list[str]) -> int:
             print(f"zsan: error: no such file or directory: {p}", file=sys.stderr)
         return 2
 
-    # --deep runs the whole-program pass (unless --select names only
-    # per-file codes); naming a deep code in --select implies --deep.
-    run_deep_pass = bool(select_deep) or (
-        args.deep and (args.select is None or bool(select_deep))
-    )
-    findings = []
-    files_checked = 0
-    if select_shallow is None or select_shallow or not run_deep_pass:
-        engine = LintEngine(select=select_shallow, ignore=ignore_shallow)
-        shallow_report = engine.lint_paths(args.paths)
-        findings.extend(shallow_report.findings)
-        files_checked = shallow_report.files_checked
-
-    if run_deep_pass:
-        deep_report, stats = run_deep(
-            args.paths,
-            select=select_deep or None,
-            ignore=ignore_deep or None,
-        )
-        print(stats.render(), file=sys.stderr)
-        seen = {(f.code, f.path, f.line, f.column, f.message) for f in findings}
-        for f in deep_report.findings:
-            if (f.code, f.path, f.line, f.column, f.message) not in seen:
-                findings.append(f)
-        files_checked = max(files_checked, deep_report.files_checked)
-
-    findings.sort(key=lambda f: (f.path, f.line, f.column, f.code))
-    report = LintReport(findings=findings, files_checked=files_checked)
+    report = LintEngine(select=select, ignore=ignore).lint_paths(args.paths)
     if args.format == "json":
         print(report.render_json())
     else:

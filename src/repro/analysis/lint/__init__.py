@@ -22,7 +22,9 @@ from repro.analysis.lint.engine import (
 from repro.analysis.lint.rules import (
     DataclassSlots,
     FloatEquality,
+    HiddenModuleState,
     PolicyContract,
+    SpanDiscipline,
     UnseededRandomness,
     WallClockGlobalState,
 )
@@ -43,4 +45,6 @@ __all__ = [
     "PolicyContract",
     "DataclassSlots",
     "WallClockGlobalState",
+    "HiddenModuleState",
+    "SpanDiscipline",
 ]

@@ -7,7 +7,8 @@ with ``==``, replacement policies must honour the
 :class:`~repro.replacement.base.ReplacementPolicy` contract, and hot
 ``core/`` dataclasses must declare ``slots=True``. This module provides
 the machinery; :mod:`repro.analysis.lint.rules` provides the repository
-rules (codes ``ZS001``–``ZS006``, catalogued in ``docs/lint_rules.md``).
+rules (codes ``ZS001``–``ZS006``, ``ZS104`` and ``ZS109``, catalogued
+in ``docs/lint_rules.md``).
 
 Design:
 

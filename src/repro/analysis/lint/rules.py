@@ -1,4 +1,4 @@
-"""The repository rule set, codes ZS001–ZS006.
+"""The repository rule set: codes ZS001–ZS006, ZS104 and ZS109.
 
 Each rule encodes one of the simulator's correctness conventions; the
 rationale for every code lives in ``docs/lint_rules.md``. Rules are
@@ -583,3 +583,150 @@ class CounterBypass(LintRule):
                 "the Counter's .value"
             )
         return None
+
+
+#: constructors whose call builds a mutable container
+_MUTABLE_CALLS = frozenset(
+    {"list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter",
+     "OrderedDict"}
+)
+
+
+def _builds_mutable(value: Optional[ast.expr]) -> bool:
+    """True for a container display, comprehension or mutable constructor."""
+    if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
+                          ast.DictComp, ast.SetComp)):
+        return True
+    if isinstance(value, ast.Call):
+        name = _dotted(value.func)
+        return name is not None and name.split(".")[-1] in _MUTABLE_CALLS
+    return False
+
+
+def _toplevel(body: list[ast.stmt]) -> Iterator[ast.stmt]:
+    """Module-level statements, looking through top-level ``if``/``try``.
+
+    ``if TYPE_CHECKING:`` blocks are skipped: their bindings never
+    exist at runtime.
+    """
+    for stmt in body:
+        if isinstance(stmt, ast.If):
+            name = _dotted(stmt.test)
+            if name and name.split(".")[-1] == "TYPE_CHECKING":
+                continue
+            yield from _toplevel(stmt.body)
+            yield from _toplevel(stmt.orelse)
+        elif isinstance(stmt, ast.Try):
+            yield from _toplevel(stmt.body)
+            for handler in stmt.handlers:
+                yield from _toplevel(handler.body)
+            yield from _toplevel(stmt.orelse)
+            yield from _toplevel(stmt.finalbody)
+        else:
+            yield stmt
+
+
+@register_rule
+class HiddenModuleState(LintRule):
+    """ZS104: simulator and serve packages keep no module-level mutables.
+
+    A module-level list, dict or set in ``core``/``sim``/``replacement``
+    is state that outlives one simulation and leaks into the next run in
+    the same process. ``serve`` is in scope because its code runs on many
+    threads at once: a module-level mutable there is state no shard lock
+    guards. Constants are frozen (tuple, frozenset, ``MappingProxyType``);
+    ``__all__`` is exempt.
+    """
+
+    code = "ZS104"
+    name = "hidden-module-state"
+    summary = (
+        "core/, sim/, replacement/ and serve/ modules must not hold "
+        "mutable module-level globals; state lives in objects"
+    )
+
+    _SCOPED = frozenset({"core", "sim", "replacement", "serve"})
+
+    @classmethod
+    def applies_to(cls, path: Path) -> bool:
+        """Files under a simulator or serve package directory."""
+        return bool(cls._SCOPED & set(path.parts))
+
+    def check(self, src: LintSource) -> Iterator[Finding]:
+        """Flag each name whose module-level binding builds a mutable."""
+        flagged: dict[str, ast.stmt] = {}
+        for stmt in _toplevel(src.tree.body):
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+                targets = [stmt.target]
+            else:
+                continue
+            if not _builds_mutable(stmt.value):
+                continue
+            for target in targets:
+                for node in getattr(target, "elts", [target]):
+                    if isinstance(node, ast.Name) and node.id != "__all__":
+                        flagged[node.id] = stmt
+        for name, stmt in flagged.items():
+            yield self.finding(
+                src,
+                stmt,
+                f"module-level mutable global '{name}'; state must live in "
+                "objects threaded through calls (freeze constants with "
+                "tuple/frozenset/MappingProxyType)",
+            )
+
+
+@register_rule
+class SpanDiscipline(LintRule):
+    """ZS109: spans open only as ``with`` items in simulation code.
+
+    A span (or a tracker-managed helper like ``turbo_batches``) opened
+    outside a ``with`` statement leaks open when the enclosed work
+    raises: its duration is never recorded and every later span on the
+    thread parents under a ghost. ``record_span`` (an already-measured
+    interval) is the sanctioned non-``with`` spelling.
+    """
+
+    code = "ZS109"
+    name = "span-discipline"
+    summary = (
+        "core/, kernels/ and experiments/ code must open spans as "
+        "`with tracker.span(...)` (or a tracker-managed helper) so "
+        "spans cannot leak open on exceptions"
+    )
+
+    _SCOPED = frozenset({"core", "kernels", "experiments"})
+    #: span-opening method names that must appear as a ``with`` item
+    _OPENERS = frozenset({"span", "turbo_batches", "_start"})
+
+    @classmethod
+    def applies_to(cls, path: Path) -> bool:
+        """Files under a core, kernels or experiments directory."""
+        return bool(cls._SCOPED & set(path.parts))
+
+    def check(self, src: LintSource) -> Iterator[Finding]:
+        """Flag span-opener calls that are not a ``with`` item."""
+        with_items = {
+            id(item.context_expr)
+            for node in ast.walk(src.tree)
+            if isinstance(node, (ast.With, ast.AsyncWith))
+            for item in node.items
+        }
+        for node in ast.walk(src.tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in self._OPENERS
+                and id(node) not in with_items
+            ):
+                attr = node.func.attr
+                yield self.finding(
+                    src,
+                    node,
+                    f"'.{attr}(...)' opens a span outside a 'with' "
+                    f"statement; use `with tracker.{attr}(...)` so the "
+                    "span closes on exceptions (record_span is the "
+                    "sanctioned non-with form)",
+                )

@@ -1,9 +1,10 @@
 """The serve layer's race checker: an Eraser-style lockset sanitizer.
 
 This module *watches* the serve layer's locking discipline at run
-time (the static side is narrower: ZS105 keeps ``prepare_fill`` — the
-off-lock walk — free of mutations, ZS104 keeps ``serve/`` free of
-module-level mutable state). A :class:`LocksetSanitizer` instruments
+time (the other guards are narrower:
+``tests/core/test_walk_readonly.py`` keeps ``prepare_fill`` — the
+off-lock walk — free of writes, lint rule ZS104 keeps ``serve/`` free
+of module-level mutable state). A :class:`LocksetSanitizer` instruments
 a live :class:`~repro.serve.shard.CacheShard` — its lock, its payload dict,
 its recency buffer, and its two-phase zcache — and replays Eraser's
 per-field state machine over every observed access::

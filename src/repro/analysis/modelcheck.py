@@ -1,11 +1,11 @@
 """Exhaustive bounded model checking over tiny cache geometries.
 
-The third ZSpec backend: where the sanitizer checks the registry
-invariants along *one* concrete run and the deep rules check them
-statically, the model checker enumerates **every** access sequence up
-to a configured depth over deliberately tiny geometries (a 2-way
-zcache with 2 lines per way has 4 blocks — small enough that a few
-addresses exercise every fill/evict/relocate interleaving) and checks:
+The second ZSpec backend: where the sanitizer checks the registry
+invariants along *one* concrete run, the model checker enumerates
+**every** access sequence up to a configured depth over deliberately
+tiny geometries (a 2-way zcache with 2 lines per way has 4 blocks —
+small enough that a few addresses exercise every fill/evict/relocate
+interleaving) and checks:
 
 - every ``state``-scope registry invariant after every transition;
 - reference ↔ turbo bit-identity (results, statistics, and full array

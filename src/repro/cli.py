@@ -7,7 +7,6 @@ Examples::
     zcache-repro fig4 --workloads canneal,cactusADM --instructions 5000
     zcache-repro roster
     zcache-repro lint src/repro
-    zcache-repro lint --deep src/repro
     zcache-repro check --sanitize
     zcache-repro stats fig2 --format json
     zcache-repro timeline sweep --jobs 2 --out trace.json --critical-path
@@ -37,7 +36,7 @@ from dataclasses import replace
 #: them and renders the epilog: ``name -> ("module:function", help)``.
 SUBCOMMANDS = {
     "lint": ("repro.analysis.cli:run_lint",
-             "ZSan static analysis; --deep whole-program rules"),
+             "ZSan static analysis (per-file AST rules)"),
     "check": ("repro.analysis.cli:run_check",
               "--sanitize runtime invariants, --model checker, --lockset races"),
     "stats": ("repro.obs.cli:run_stats",

@@ -126,7 +126,7 @@ class TwoPhaseZCache(Cache):
             return False
         return self.array.still_holds(repl)
 
-    def commit_prepared(  # zspec: atomic
+    def commit_prepared(
         self, address: int, repl: Replacement, is_write: bool = False
     ) -> AccessResult:
         """Phase 2: validate a prepared plan and commit it under the lock.
@@ -136,8 +136,7 @@ class TwoPhaseZCache(Cache):
         - the block became resident since the walk → a plain hit, scored
           and counted exactly like :meth:`access`;
         - the plan went stale → ``stale_retries`` is bumped and
-          :class:`StaleWalkError` raised, with **no** array mutation
-          (the atomic marker covers the counter bump before the raise);
+          :class:`StaleWalkError` raised, with **no** array mutation;
         - the plan is fresh → the miss is counted and the fill commits
           through the normal two-phase replacement.
         """

@@ -33,9 +33,10 @@ The table is a pure memo of the hash family, keyed by address (never
 by line), so an entry cannot go stale: it is written when a
 block enters the array, dropped when the block leaves, kept while the
 block is relocated, and a tag that has no entry is simply hashed. Walks
-only read it, so candidate collection stays pure (lint rule ZS105) and
-may run off-lock; ``check_invariants`` asserts it holds exactly the
-resident blocks, which bounds it at W indices per line.
+only read it, so candidate collection stays pure
+(``tests/core/test_walk_readonly.py``) and may run off-lock;
+``check_invariants`` asserts it holds exactly the resident blocks,
+which bounds it at W indices per line.
 
 The walk builds no object per node: it appends each one to the flat
 record of :class:`~repro.core.base.Replacement` (way, index, address,

@@ -14,8 +14,9 @@ is the contract). The design sweep here and the fault campaign
 
 1. **Capture once.** The parent captures each workload's stream and
    ships the :class:`~repro.sim.cmp.CapturedTrace` to workers.
-2. **One seed per job**, derived from the sweep seed and the job key,
-   so a job replays identically whichever process runs it.
+2. **Jobs carry no seed.** Every random choice in a replay is fixed by
+   the captured stream and the design's config, so a job replays
+   identically whichever process runs it.
 3. **Merge deterministically.** A worker replays under a *private*
    :class:`~repro.obs.ObsContext` and returns ``(result, metrics
    snapshot)``; the commit folds the snapshot into the parent registry
@@ -64,11 +65,11 @@ def default_jobs() -> int:
 
 
 def derive_job_seed(base_seed: int, key: str) -> int:
-    """Deterministic per-job seed from the sweep seed and the job key.
+    """Deterministic per-job seed from a base seed and the job key.
 
     Stable across processes and Python versions (crc32 + splitmix64,
-    never the salted builtin ``hash``), so a job replays under the same
-    seed in a worker, in the parent, and in a resumed sweep.
+    never the salted builtin ``hash``), so a fault-campaign case runs
+    under the same seed in a worker, in the parent, and on resume.
     """
     return splitmix64((base_seed & 0xFFFFFFFF) << 32 | zlib.crc32(key.encode()))
 
@@ -80,7 +81,6 @@ class SweepJob:
     workload: str
     design: L2DesignConfig
     policy: str
-    seed: int  #: deterministic per-job seed (see :func:`derive_job_seed`)
 
     @property
     def key(self) -> str:
@@ -119,7 +119,7 @@ def _execute_job(
     """Replay one job, its metrics under ``scope``. Shared verbatim by
     workers and the in-process path, which is what makes the two
     bit-identical."""
-    runner = TraceDrivenRunner.from_captured(cfg, captured, seed=job.seed)
+    runner = TraceDrivenRunner.from_captured(cfg, captured)
     design_cfg = cfg.with_design(replace(job.design, policy=job.policy))
     return runner.replay(
         design_cfg,
@@ -389,7 +389,7 @@ def run_parallel_sweeps(
     spans = obs.spans if obs is not None else NULL_SPANS
 
     all_jobs = [
-        SweepJob(w, d, p, seed=derive_job_seed(scale.seed, f"{w}|{d.label()}|{p}"))
+        SweepJob(w, d, p)
         for w in names
         for d in designs
         for p in policies

@@ -26,8 +26,9 @@ into actual damage:
 
 Corruption is applied only to *state between operations* or to
 *returned walk results* — never inside candidate collection itself —
-so the two-phase purity contract (walks are read-only, rule ZS105)
-holds for the faulty stack just as it does for the real one.
+so the two-phase purity contract (walks are read-only,
+``tests/core/test_walk_readonly.py``) holds for the faulty stack just
+as it does for the real one.
 """
 
 from __future__ import annotations

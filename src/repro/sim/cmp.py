@@ -493,25 +493,17 @@ class TraceDrivenRunner:
 
     @classmethod
     def from_captured(
-        cls,
-        cfg: CMPConfig,
-        captured: CapturedTrace,
-        instructions_per_core: int = 100_000,
-        seed: int = 0,
+        cls, cfg: CMPConfig, captured: CapturedTrace
     ) -> "TraceDrivenRunner":
-        """A runner seeded with an already-captured stream.
+        """A runner holding an already-captured stream.
 
         The parallel sweep engine captures each workload's stream once
         in the parent process and ships the :class:`CapturedTrace` to
         workers; a worker rebuilds a runner from it without needing the
-        workload generator (``capture`` is already satisfied).
+        workload generator. ``capture`` is already satisfied, so the
+        runner never reads a length or a seed.
         """
-        runner = cls(
-            cfg,
-            workload=None,
-            instructions_per_core=instructions_per_core,
-            seed=seed,
-        )
+        runner = cls(cfg, workload=None)
         runner._captured = captured
         return runner
 

@@ -19,6 +19,7 @@ from repro.analysis.lint import (
     default_rules,
     register_rule,
 )
+from repro.cli import main as cli_main
 
 UNSEEDED = "import random\nx = random.random()\n"
 
@@ -224,3 +225,17 @@ class TestCustomRule:
         report = engine.lint_paths([tmp_path])
         assert len(report.findings) == 1
         assert "core" in report.findings[0].path
+
+
+def test_cli_unknown_code_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "mod.py"
+    target.write_text("X = 1\n", encoding="utf-8")
+    assert cli_main(["lint", "--select", "ZS999", str(target)]) == 2
+    assert "unknown rule code" in capsys.readouterr().err
+    # ZS104 and ZS109 are the only rules in the ZS1xx range
+    assert cli_main(["lint", "--select", "ZS101", str(target)]) == 2
+    assert "unknown rule code" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["lint", "--deep", str(target)])
+    assert exc.value.code == 2
+    assert "--deep" in capsys.readouterr().err

@@ -25,7 +25,21 @@ FIXTURE_CODES = {
     "zs005_wall_clock.py": "ZS005",
     "core/zs006_counter_bypass.py": "ZS006",
     "kernels/zs006_counter_fold.py": "ZS006",
+    "core/zs104_hidden_state.py": "ZS104",
+    "serve/zs104_thread_results.py": "ZS104",
+    "core/zs109_span_discipline.py": "ZS109",
 }
+
+#: flagged fixtures whose exact lines are pinned, so a rule that drifts
+#: (new false positive, lost true positive) fails loudly
+PINNED_LINES = {
+    "core/zs104_hidden_state.py": [3, 4, 5, 6],
+    "serve/zs104_thread_results.py": [5],
+    "core/zs109_span_discipline.py": [5, 6, 11, 18, 23],
+}
+
+#: clean twins: the same scope as a flagged fixture, zero findings
+CLEAN_TWINS = ("core/zs104_clean.py", "serve/zs104_clean.py", "core/zs109_clean.py")
 
 
 def lint(text: str, path: str = "x.py") -> set[str]:
@@ -47,15 +61,21 @@ class TestFixtures:
         assert exit_code == 1
         assert code in out
 
+    @pytest.mark.parametrize("rel", sorted(PINNED_LINES))
+    def test_fixture_pins_lines(self, rel):
+        findings = LintEngine().lint_file(FIXTURES / rel)
+        assert [f.line for f in findings] == PINNED_LINES[rel], "\n".join(
+            f.render() for f in findings
+        )
+
+    @pytest.mark.parametrize("rel", CLEAN_TWINS)
+    def test_clean_twin_has_no_findings(self, rel):
+        findings = LintEngine().lint_file(FIXTURES / rel)
+        assert not findings, "\n".join(f.render() for f in findings)
+
     def test_every_fixture_is_covered(self):
-        # fixtures/deep/ belongs to the ZProve rules and is pinned by
-        # test_deep_rules.py; this inventory covers the per-file rules.
-        on_disk = {
-            str(p.relative_to(FIXTURES))
-            for p in FIXTURES.rglob("*.py")
-            if p.relative_to(FIXTURES).parts[0] != "deep"
-        }
-        assert on_disk == set(FIXTURE_CODES)
+        on_disk = {str(p.relative_to(FIXTURES)) for p in FIXTURES.rglob("*.py")}
+        assert on_disk == set(FIXTURE_CODES) | set(CLEAN_TWINS)
 
 
 class TestZS001UnseededRandomness:
@@ -340,3 +360,33 @@ class TestZS006KernelFoldPoints:
     def test_outside_core_and_sim_not_scoped(self):
         text = "self.stats.hits += 1\n"
         assert LintEngine().lint_text(text, "src/repro/viz/x.py") == []
+
+
+class TestZS104HiddenModuleState:
+    def test_module_level_containers_flagged(self):
+        text = "A = []\nB: dict = {}\nC = collections.deque()\nD = (1,)\n"
+        findings = LintEngine().lint_text(text, "src/repro/core/x.py")
+        assert [(f.code, f.line) for f in findings] == [
+            ("ZS104", 1), ("ZS104", 2), ("ZS104", 3)
+        ]
+
+    def test_function_locals_clean(self):
+        text = "def f():\n    cache = {}\n    return cache\n"
+        assert lint_core(text) == set()
+
+    def test_looks_through_try_but_not_type_checking(self):
+        text = "try:\n    A = []\nexcept ImportError:\n    pass\n"
+        assert lint_core(text) == {"ZS104"}
+        assert lint_core("if TYPE_CHECKING:\n    A = []\n") == set()
+
+    def test_suppressed_global_not_reported(self):
+        findings = LintEngine().lint_file(FIXTURES / "core" / "zs104_hidden_state.py")
+        assert 7 not in [f.line for f in findings]
+
+    def test_outside_simulator_and_serve_not_scoped(self):
+        assert LintEngine().lint_text("A = []\n", "src/repro/obs/x.py") == []
+
+
+class TestZS109SpanDiscipline:
+    def test_outside_scope_not_flagged(self):
+        assert LintEngine().lint_text("s = t.span('a')\n", "src/repro/obs/x.py") == []

@@ -2,7 +2,7 @@
 
 ``test_sanitizer.py`` plants concrete corruptions and checks the
 runtime driver end-to-end; this file pins the *registry itself* — the
-taxonomy every backend (sanitizer, deep rules, model checker) consumes
+taxonomy every backend (sanitizer, model checker, lockset) consumes
 — and the parity between a raised ``InvariantViolation`` and the
 registry entry that produced it.
 """

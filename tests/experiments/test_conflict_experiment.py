@@ -85,3 +85,30 @@ class TestPressureExperiment:
         assert capped.tag_load_per_bank < full.tag_load_per_bank
         assert capped.l2_mpki >= full.l2_mpki - 1e-9
         assert capped.queueing_cycles <= full.queueing_cycles
+
+
+def test_conflict_designs_defaults_preserve_historical_seeds():
+    from repro.experiments.conflict import _designs
+
+    def h3_seeds(designs):
+        seeds = {}
+        for label, _ways, factory in designs:
+            arr = factory()
+            hashes = getattr(arr, "hashes", None) or [
+                getattr(arr, "index_hash", None)
+            ]
+            first = hashes[0]
+            if hasattr(first, "seed"):
+                seeds[label] = first.seed
+        return seeds
+
+    default = h3_seeds(_designs())
+    # H3Hash derives per-bank seeds from the design's hash_seed; these
+    # exact values are what hash_seed=1..4 produced before the fix.
+    assert default["SA-4h"] == 1000003
+    assert default["SK-4"] == 2000006
+    assert default["Z4/16"] == 3000009
+    assert default["Z4/52"] == 4000012
+    assert h3_seeds(_designs(seed=0)) == default
+    shifted = h3_seeds(_designs(seed=10))
+    assert all(shifted[k] != default[k] for k in default)

@@ -48,7 +48,7 @@ def n_results(outcome):
 
 class TestJobIdentity:
     def test_job_key_and_scope(self):
-        job = SweepJob("gcc", DESIGNS[1], "lru", seed=1)
+        job = SweepJob("gcc", DESIGNS[1], "lru")
         assert job.key == "gcc|Z4/16-S|lru"
         assert job.scope(include_workload=True) == "gcc.Z4_16-S.lru"
         assert job.scope(include_workload=False) == "Z4_16-S.lru"

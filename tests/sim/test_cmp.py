@@ -213,7 +213,7 @@ class TestResultSerialization:
 
         runner = TDR(CFG, get_workload("gcc"), instructions_per_core=INSTR, seed=3)
         captured = runner.capture()
-        rehosted = TDR.from_captured(CFG, captured, seed=3)
+        rehosted = TDR.from_captured(CFG, captured)
         assert rehosted.replay(CFG) == runner.replay(CFG)
 
 
