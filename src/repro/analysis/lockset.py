@@ -96,26 +96,28 @@ class _FieldState:
 
     def __init__(self) -> None:
         self.state = "virgin"
-        self.owner: Optional[int] = None
+        self.owner: Optional[threading.Thread] = None
         #: ``None`` is ⊤ — refinement starts on the first cross-thread
         #: access, never before
         self.lockset: Optional[Set[str]] = None
-        self.threads: Set[int] = set()
+        self.threads: Set[threading.Thread] = set()
         self.writes = 0
         self.reads = 0
 
-    def access(self, tid: int, held: FrozenSet[str], is_write: bool) -> None:
-        self.threads.add(tid)
+    def access(
+        self, thread: threading.Thread, held: FrozenSet[str], is_write: bool
+    ) -> None:
+        self.threads.add(thread)
         if is_write:
             self.writes += 1
         else:
             self.reads += 1
         if self.state == "virgin":
             self.state = "exclusive"
-            self.owner = tid
+            self.owner = thread
             return
         if self.state == "exclusive":
-            if tid == self.owner:
+            if thread is self.owner:
                 return
             self.state = "shared-modified" if is_write else "shared"
             self.lockset = set(held)
@@ -271,7 +273,10 @@ class LocksetSanitizer:
         #: never take a shard lock themselves), so instrumenting
         #: cannot introduce the deadlocks it exists to find
         self._mutex = threading.Lock()
-        self._held: Dict[int, List[str]] = {}
+        #: threads are keyed by ``Thread`` objects (kept alive here), not
+        #: ``get_ident()``: the OS reuses an exited thread's id, merging
+        #: two workers that never overlap and hiding their race
+        self._held: Dict[threading.Thread, List[str]] = {}
         self._edges: Dict[str, Set[str]] = {}
         self._fields: Dict[str, _FieldState] = {}
         self._reported: Set[Tuple[str, str]] = set()
@@ -326,9 +331,9 @@ class LocksetSanitizer:
 
     # -- lock-order detector -------------------------------------------------
     def _before_acquire(self, name: str) -> None:
-        tid = threading.get_ident()
+        thread = threading.current_thread()
         with self._mutex:
-            held = self._held.get(tid, [])
+            held = self._held.get(thread, [])
             if name in held:
                 self._violation(
                     ThreadCheck(cycle=(name, name)), field=name,
@@ -350,14 +355,14 @@ class LocksetSanitizer:
                     )
 
     def _after_acquire(self, name: str) -> None:
-        tid = threading.get_ident()
+        thread = threading.current_thread()
         with self._mutex:
-            self._held.setdefault(tid, []).append(name)
+            self._held.setdefault(thread, []).append(name)
 
     def _on_release(self, name: str) -> None:
-        tid = threading.get_ident()
+        thread = threading.current_thread()
         with self._mutex:
-            held = self._held.get(tid)
+            held = self._held.get(thread)
             if held and name in held:
                 held.remove(name)
 
@@ -381,12 +386,12 @@ class LocksetSanitizer:
 
     # -- lockset detector ----------------------------------------------------
     def _field_access(self, field: str, is_write: bool, op: str) -> None:
-        tid = threading.get_ident()
+        thread = threading.current_thread()
         with self._mutex:
             self.accesses += 1
-            held = frozenset(self._held.get(tid, ()))
+            held = frozenset(self._held.get(thread, ()))
             state = self._fields.setdefault(field, _FieldState())
-            state.access(tid, held, is_write)
+            state.access(thread, held, is_write)
             self._violation(
                 ThreadCheck(
                     field=field,
@@ -455,8 +460,9 @@ def _replay(shard: Any, ops: int, threads: int, seed: int) -> LocksetSanitizer:
     """Instrument ``shard`` and run ``threads`` workers of mixed traffic.
 
     Each worker issues ``ops`` operations over 512 addresses: 50% put,
-    10% invalidate, 40% get. A worker's exception is re-raised after
-    the join only when the sanitizer reported nothing: once the
+    10% invalidate, 40% get, all starting together behind a barrier. A
+    worker's exception is re-raised after the join only when the
+    sanitizer reported nothing: once the
     discipline is broken, the real races it prevents (policy desync,
     torn walks, a re-acquired lock) can genuinely fire, and the reports
     are the verdict.
@@ -465,8 +471,10 @@ def _replay(shard: Any, ops: int, threads: int, seed: int) -> LocksetSanitizer:
 
     san = LocksetSanitizer(shard)
     errors: List[Exception] = []
+    start = threading.Barrier(threads, timeout=60)
 
     def worker(wid: int) -> None:
+        start.wait()
         rng = random.Random(seed * 1000 + wid)
         for _ in range(ops):
             addr = rng.randrange(512)

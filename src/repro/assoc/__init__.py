@@ -11,7 +11,8 @@ replacement candidates.
   to record eviction priorities while a cache runs.
 - :class:`~repro.assoc.distribution.AssociativityDistribution` holds the
   samples and compares them to the analytic curves.
-- :func:`~repro.assoc.distribution.uniformity_cdf` is the analytic CDF.
+- :func:`~repro.assoc.distribution.uniformity_cdf` is the analytic CDF,
+  ``uniformity_cdf_exact`` its form for n draws from B blocks.
 - :func:`~repro.assoc.measurement.measure_associativity` runs a trace
   through a cache and returns the measured distribution.
 """
@@ -33,12 +34,14 @@ from repro.assoc.distribution import (
     AssociativityDistribution,
     expected_priority,
     uniformity_cdf,
+    uniformity_cdf_exact,
 )
 from repro.assoc.measurement import TrackedPolicy, measure_associativity
 
 __all__ = [
     "AssociativityDistribution",
     "uniformity_cdf",
+    "uniformity_cdf_exact",
     "expected_priority",
     "TrackedPolicy",
     "measure_associativity",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.util.statistics import empirical_cdf, ks_distance
@@ -25,6 +26,25 @@ def uniformity_cdf(num_candidates: int) -> Callable[[float], float]:
         if x >= 1.0:
             return 1.0
         return x**num_candidates
+
+    return cdf
+
+
+def uniformity_cdf_exact(num_candidates: int, num_blocks: int) -> Callable[[float], float]:
+    """Exact CDF of n candidates drawn with repetition from B blocks.
+
+    The victim's rank is the largest of n i.i.d. uniform ranks, so
+    P(rank <= r) = ((r+1)/B)^n at priority x = r/(B-1). The top rank
+    keeps about n/B of the mass, a step ``x^n`` cannot follow.
+    """
+    if num_candidates < 1:
+        raise ValueError(f"num_candidates must be >= 1, got {num_candidates}")
+    if num_blocks < 2:
+        raise ValueError(f"num_blocks must be >= 2, got {num_blocks}")
+
+    def cdf(x: float) -> float:
+        rank = min(math.floor(x * (num_blocks - 1) + 1e-9), num_blocks - 1)
+        return ((rank + 1) / num_blocks) ** num_candidates if rank >= 0 else 0.0
 
     return cdf
 
@@ -81,6 +101,20 @@ class AssociativityDistribution:
     def ks_to_uniformity(self, num_candidates: int) -> float:
         """KS distance to the analytic ``x^n`` curve."""
         return ks_distance(self.samples, uniformity_cdf(num_candidates))
+
+    def ks_on_lattice(self, num_candidates: int, num_blocks: int) -> float:
+        """KS distance to :func:`uniformity_cdf_exact` on the rank lattice
+        r/(B-1), where both CDFs step. Every sample must be a rank among
+        B residents (an eviction from a full cache)."""
+        import numpy as np
+
+        top = num_blocks - 1
+        ranks = np.rint(self.samples * top).astype(np.int64)
+        if not np.allclose(ranks / top, self.samples, rtol=0.0, atol=1e-12):
+            raise ValueError(f"samples are not ranks among {num_blocks} blocks")
+        exact = (np.arange(1, num_blocks + 1) / num_blocks) ** num_candidates
+        measured = np.cumsum(np.bincount(ranks, minlength=num_blocks)) / len(self)
+        return float(np.abs(measured - exact).max())
 
     def effective_candidates(self) -> float:
         """Invert the mean: the n for which n/(n+1) equals the sample

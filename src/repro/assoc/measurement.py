@@ -1,7 +1,7 @@
 """Eviction-priority instrumentation (paper Section IV-A).
 
 :class:`TrackedPolicy` wraps any replacement policy and mirrors the
-scores of all resident blocks into a sorted multiset. When a block is
+scores of all resident blocks into one sorted list. When a block is
 evicted, its *rank* r among the B resident blocks (by eviction
 preference) yields the eviction priority e = r / (B - 1); the stream of
 e values is the cache's associativity distribution.
@@ -13,11 +13,11 @@ without modification.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Any, Iterable, Sequence, Tuple
 
 from repro.assoc.distribution import AssociativityDistribution
 from repro.replacement.base import ReplacementPolicy
-from repro.util.sortedmultiset import SortedMultiset
 
 
 class TrackedPolicy(ReplacementPolicy):
@@ -25,7 +25,8 @@ class TrackedPolicy(ReplacementPolicy):
 
     def __init__(self, inner: ReplacementPolicy) -> None:
         self.inner = inner
-        self._scores = SortedMultiset()
+        #: every resident ``(score, address)``, sorted; rank = bisect_left
+        self._scores: list[Tuple[Any, int]] = []
         #: address -> its (score, address) entry in ``_scores``; the
         #: tuples are unique even when scores tie
         self._mirror: dict[int, Tuple[Any, int]] = {}
@@ -35,11 +36,11 @@ class TrackedPolicy(ReplacementPolicy):
     # -- mirror maintenance ----------------------------------------------------
     def _sync(self, address: int) -> None:
         """Re-read a tracked block's score after the inner policy changed it."""
-        mirror = self._mirror
+        scores = self._scores
         new = (self.inner.score(address), address)
-        self._scores.pop_rank(mirror[address])
-        mirror[address] = new
-        self._scores.add(new)
+        del scores[bisect_left(scores, self._mirror[address])]
+        self._mirror[address] = new
+        insort(scores, new)
 
     # -- forwarded policy interface ---------------------------------------------
     def on_insert(self, address: int) -> None:
@@ -48,20 +49,21 @@ class TrackedPolicy(ReplacementPolicy):
             raise ValueError(f"block {address:#x} inserted twice")
         entry = (self.inner.score(address), address)
         self._mirror[address] = entry
-        self._scores.add(entry)
+        insort(self._scores, entry)
 
     def on_access(self, address: int, is_write: bool = False) -> None:
         self.inner.on_access(address, is_write)
         self._sync(address)
 
     def on_evict(self, address: int) -> None:
-        entry = self._mirror.get(address)
+        entry = self._mirror.pop(address, None)
         if entry is None:
             raise KeyError(f"evicting untracked block {address:#x}")
-        resident = len(self._scores)
-        rank = self._scores.pop_rank(entry)
+        scores = self._scores
+        resident = len(scores)
+        rank = bisect_left(scores, entry)
+        del scores[rank]
         self.priorities.append(rank / (resident - 1) if resident > 1 else 1.0)
-        del self._mirror[address]
         self.inner.on_evict(address)
 
     def score(self, address: int) -> Any:
@@ -77,14 +79,12 @@ class TrackedPolicy(ReplacementPolicy):
         return victim
 
     def global_victim(self):
-        # The sorted mirror makes the globally most-evictable block an
-        # O(1) query under any wrapped policy. (For policies whose
-        # select_victim deviates from score order — BucketedLRU's
-        # wrapped-age comparison — this returns the ground-truth-order
-        # victim instead.)
-        if len(self._scores) == 0:
+        # The globally most-evictable block, O(1) under any policy (for
+        # BucketedLRU, whose select_victim deviates from score order,
+        # the ground-truth-order victim).
+        if not self._scores:
             return self.inner.global_victim()
-        return self._scores.max()[1]
+        return self._scores[-1][1]
 
     # -- results -----------------------------------------------------------------
     def distribution(self) -> AssociativityDistribution:

@@ -355,9 +355,9 @@ class Cache:
         addresses = repl.addresses
         invalid = repl.invalid
         if invalid:
-            addresses = [
-                _MASKED if i in invalid else a for i, a in enumerate(addresses)
-            ]
+            addresses = list(addresses)
+            for i in invalid:
+                addresses[i] = _MASKED
         if None in addresses:
             return addresses.index(None)
         # Keyed in candidate order; one block in two nodes is seen once.

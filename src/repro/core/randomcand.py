@@ -13,7 +13,6 @@ assumption made flesh. The repo uses it to validate the framework
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from repro.core.base import CacheArray, Candidate, CommitResult, Replacement
 from repro.util.freeslots import FreeSlots
@@ -22,28 +21,61 @@ from repro.util.freeslots import FreeSlots
 class RandomCandidatesArray(CacheArray):
     """Fully-associative placement, n uniformly random candidates.
 
-    **Draw-order contract.** An evicting fill consumes the array's
-    ``random.Random(seed)`` exactly as ``n`` consecutive
-    ``rng.randrange(num_blocks)`` calls would, in candidate order, and
-    nothing else draws from it: the loop in :meth:`build_replacement`
-    is ``Random._randbelow_with_getrandbits`` written out
-    (``getrandbits(num_blocks.bit_length())``, redrawn while
-    ``>= num_blocks``). Every victim, eviction priority and KS value
-    downstream depends on it, and the turbo engine's bit-synced stream
-    reproduces the same draws; ``tests/core/test_randomcand.py`` pins
-    it against a ``randrange`` oracle. A fill of a free slot draws
-    nothing and lands in the lowest-numbered free slot.
+    **Draw-order contract.** The evicting fills' slots, in order, are
+    the sequence ``random.Random(seed).randrange(num_blocks)`` yields
+    (``tests/core/test_randomcand.py`` pins it); a fill of a free slot
+    draws nothing and lands in the lowest-numbered free slot. The array
+    draws ahead, in blocks of 32·m bits: one ``getrandbits(32 * m)``
+    (m = :attr:`POOL_WORDS`) is the next m words, least significant
+    first, that m ``randrange`` attempts would consume, and an attempt
+    keeps ``word >> (32 - num_blocks.bit_length())`` when it is below
+    ``num_blocks``. So nothing else may draw from ``_rng``, which runs
+    ahead of the pooled slots, and ``num_blocks < 2**32``.
     """
 
+    #: Mersenne-Twister words drawn per refill of the slot pool
+    POOL_WORDS = 4096
+
     def __init__(self, num_blocks: int, num_candidates: int, seed: int = 0) -> None:
-        if num_blocks < 1:
-            raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
+        if not 1 <= num_blocks < 1 << 32:
+            raise ValueError(f"num_blocks must be in [1, 2**32), got {num_blocks}")
         if num_candidates < 1:
             raise ValueError(f"num_candidates must be >= 1, got {num_candidates}")
         super().__init__(num_ways=1, lines_per_way=num_blocks)
         self.num_candidates = num_candidates
         self._rng = random.Random(seed)
         self._free = FreeSlots(num_blocks)
+        #: drawn slots, ``_pool[_taken:]`` not handed out yet; the pool
+        #: offset of an n-slot draw -> its repeated draws' nodes
+        self._pool: list[int] = []
+        self._taken = 0
+        self._repeats: dict[int, set[int]] = {}
+
+    def _refill(self) -> list[int]:
+        """Top the pool up to at least one n-slot draw, marking repeats."""
+        import numpy as np  # not at import: repro.core loads no numpy
+
+        n = self.num_candidates
+        bound = self.lines_per_way
+        shift = 32 - bound.bit_length()
+        pool = np.array(self._pool[self._taken:], dtype=np.uint32)
+        while len(pool) < n:
+            block = self._rng.getrandbits(32 * self.POOL_WORDS).to_bytes(
+                4 * self.POOL_WORDS, "little"
+            )
+            words = np.frombuffer(block, dtype="<u4") >> shift
+            pool = np.concatenate([pool, words[words < bound]])
+        # A draw is an n-slot run. Keyed (draw, slot), a stable sort lists
+        # each slot's occurrences in a draw in order; all but the first repeat.
+        draws = len(pool) // n
+        keys = pool[: draws * n] + np.arange(draws * n) // n * bound
+        order = keys.argsort(kind="stable")
+        ranked = keys[order]
+        repeats: dict[int, set[int]] = {}
+        for at in order[1:][ranked[1:] == ranked[:-1]].tolist():
+            repeats.setdefault(at - at % n, set()).add(at % n)
+        self._pool, self._taken, self._repeats = pool.tolist(), 0, repeats
+        return self._pool
 
     def build_replacement(self, address: int) -> Replacement:
         if address in self._pos:
@@ -51,29 +83,18 @@ class RandomCandidatesArray(CacheArray):
         if self._free:
             return Replacement(address, [0], [self._free.lowest()], [None], tag_reads=1)
         n = self.num_candidates
-        bound = self.lines_per_way
-        bits = bound.bit_length()
-        getrandbits = self._rng.getrandbits
-        slots = []
-        for _ in range(n):
-            slot = getrandbits(bits)  # the draw-order contract: see the class
-            while slot >= bound:
-                slot = getrandbits(bits)
-            slots.append(slot)
+        pool, start = self._pool, self._taken
+        end = start + n
+        if end > len(pool):
+            pool, start, end = self._refill(), 0, n
+        self._taken = end
+        slots = pool[start:end]  # the draw-order contract: see the class
         row = self._lines[0]
-        # Sampling is with repetition (paper); repeated draws stay in
-        # the record but only one copy can be committed.
-        invalid: Optional[set[int]] = None
-        if len(set(slots)) != n:
-            seen: set[int] = set()
-            invalid = set()
-            for i, slot in enumerate(slots):
-                if slot in seen:
-                    invalid.add(i)
-                seen.add(slot)
+        # Sampling is with repetition (paper): a repeat stays in the
+        # record, marked invalid.
         return Replacement(
             address, [0] * n, slots, [row[slot] for slot in slots],
-            invalid=invalid, tag_reads=n,
+            invalid=self._repeats.pop(start, None), tag_reads=n,
         )
 
     def commit_replacement(

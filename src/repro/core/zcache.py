@@ -469,8 +469,14 @@ class ZCacheArray(CacheArray):
                     ancestor = parents[ancestor]
         count = len(ways)
         if tracker is None:
-            seen.update(zip(ways, indices))
-            repeats = count - len(seen) + (own is not None)
+            # Repeats are nodes minus distinct lines (``own`` holds
+            # ``incoming``); only empty lines need positions compared.
+            blocks = set(addresses)
+            repeats = count - len(blocks) + (own is not None and incoming in blocks)
+            if None in blocks:
+                repeats -= len({
+                    (ways[i], indices[i]) for i, a in enumerate(addresses) if a is None
+                }) - 1
         self._c_repeats.value += repeats
         self._c_walks.value += 1
         self._c_tag_reads.value += count

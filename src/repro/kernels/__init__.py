@@ -1,9 +1,8 @@
 """ZTurbo: vectorized hot-path kernels for the simulator.
 
 The reference simulator (``repro.core``) is pure Python: every miss
-appends its candidates to flat lists one tag read at a time, walks
-dicts and sorted multisets, and draws from ``random.Random`` one value
-at a time.
+appends its candidates to flat lists one tag read at a time and walks
+dicts and sorted lists.
 This package re-expresses the hot path as numpy array math while keeping
 a hard determinism contract: **a turbo cache produces bit-identical
 eviction sequences, statistics and eviction-priority streams to the

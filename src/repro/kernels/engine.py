@@ -16,7 +16,7 @@ stores the hot state densely:
   slot id ``way * lines_per_way + index``, gathered by the walk kernels;
 - a policy kernel (:mod:`repro.kernels.policy`) holding per-slot scores,
   so victim selection is an argmin/argmax and the eviction-priority rank
-  one vectorized comparison instead of a sorted-multiset update per
+  one vectorized comparison instead of a sorted-list update per
   access;
 - pre-synced RNG streams (:mod:`repro.kernels.rng`) reproducing the
   reference ``random.Random`` draws bit for bit.
@@ -27,8 +27,9 @@ through its ``lowest`` / ``add`` / ``discard``) are written through on
 every mutation, so queries, invariant checks and post-run inspection
 see exactly the state the reference engine would have left. The
 array's ``random.Random`` is read once, at construction: the reference
-fill consumes it in ``randrange`` order, which the synced stream
-reproduces. What is *not* maintained while the
+fill's slots are its ``randrange`` sequence, which the synced stream
+reproduces, so an array still pooling slots its RNG has passed is
+declined. What is *not* maintained while the
 core runs is the replacement policy's own per-address dicts and a
 :class:`~repro.assoc.measurement.TrackedPolicy`'s sorted mirror — their
 information lives in the policy kernel instead (the tracked
@@ -45,7 +46,7 @@ array                     ``RandomCandidatesArray``, ``SetAssociativeArray``,
 policy                    ``LRU``, ``FIFO``, ``RandomPolicy`` — bare or wrapped
                           in exactly ``TrackedPolicy``
 controller                plain ``Cache`` (not ``TwoPhaseZCache``), nothing
-                          pinned, array and policy empty
+                          pinned, array, slot pool and policy empty
 ========================  =====================================================
 """
 
@@ -156,6 +157,8 @@ def try_build_turbo_explain(
         return None, f"unsupported policy {type(inner).__name__}"
     kernel, tracked = built
     if type(array) is RandomCandidatesArray:
+        if array._taken < len(array._pool):  # its RNG is past these slots
+            return None, "random-candidates array holds pooled draws"
         return TurboCore(cache, kernel, tracked, pool=RandrangePool(
             MTStream(array._rng), array.lines_per_way
         )), ""

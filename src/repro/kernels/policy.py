@@ -1,8 +1,8 @@
 """Dense, slot-indexed replacement-policy kernels.
 
 The reference policies keep per-address dicts (and, under
-:class:`~repro.assoc.measurement.TrackedPolicy`, a sorted multiset whose
-O(n) list inserts dominate the hot loop). The turbo engine stores the
+:class:`~repro.assoc.measurement.TrackedPolicy`, a sorted list of
+``(score, address)`` entries with an O(n) insert per access). The turbo engine stores the
 same information as dense arrays indexed by *global slot id*
 (``way * lines_per_way + index``): victim selection over a miss's
 candidates is a gather plus an argmin/argmax, and the eviction-priority
@@ -13,9 +13,9 @@ Determinism contract (asserted by the differential suite):
 - victim choice equals ``policy.select_victim`` over the in-order
   deduplicated candidate list — numpy's first-of-equals argmin/argmax
   matches the reference scan's first-wins strictly-greater update;
-- :meth:`rank` equals ``SortedMultiset.rank`` of the victim's
-  ``(score, address)`` entry: the count of resident entries comparing
-  strictly less, with the address as tie-break;
+- :meth:`rank` equals the rank ``TrackedPolicy.on_evict`` bisects for
+  the victim's ``(score, address)`` entry: the count of resident entries
+  comparing strictly less, with the address as tie-break;
 - :class:`RandomKernel` consumes its ``random.Random`` draw-for-draw
   through an :class:`~repro.kernels.rng.MTStream` (one ``random()`` per
   insert, in insert order).

@@ -17,7 +17,7 @@ class ReplacementPolicy(abc.ABC):
       means "evict me first". The score of a block must only change as a
       result of an ``on_*`` call naming that block, or be reported via
       :meth:`drain_score_updates` — the associativity instrumentation
-      mirrors scores into a sorted multiset and must be told when they
+      mirrors scores into a sorted list and must be told when they
       move.
     - :meth:`select_victim` picks the highest-scoring candidate; policies
       may override (e.g. SRRIP's aging sweep).

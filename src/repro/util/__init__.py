@@ -1,7 +1,6 @@
-"""Small shared substrates: Bloom filter, sorted multiset, math helpers."""
+"""Small shared substrates: Bloom filter, math helpers."""
 
 from repro.util.bloom import BloomFilter
-from repro.util.sortedmultiset import SortedMultiset
 from repro.util.statistics import geometric_mean, empirical_cdf
 
-__all__ = ["BloomFilter", "SortedMultiset", "geometric_mean", "empirical_cdf"]
+__all__ = ["BloomFilter", "geometric_mean", "empirical_cdf"]

@@ -3,11 +3,13 @@
 import functools
 import importlib.util
 import threading
+import types
 from pathlib import Path
 
 import pytest
 
 import repro.serve.shard
+from repro.analysis import lockset
 from repro.analysis.lockset import (
     LocksetSanitizer,
     instrumented_replay,
@@ -224,6 +226,27 @@ def test_planted_unlocked_replay_is_flagged():
     flagged = {r.field for r in san.reports if r.kind == "lockset-race"}
     assert {"_entries"} <= flagged
     assert "lockset-race" in san.summary() or san.reports
+
+
+def test_planted_race_is_flagged_between_workers_that_never_overlap(monkeypatch):
+    # Once the first worker has exited, the OS may give the second one
+    # its thread id. Make that certain: every thread gets one id.
+    reused = types.SimpleNamespace(**vars(threading))
+    reused.get_ident = lambda: 1
+    monkeypatch.setattr(lockset, "threading", reused)
+    san = planted_unlocked_replay(ops=400, threads=1, seed=7)
+    assert san.reports == []  # one worker alone races with no one
+
+    def second_worker():
+        for address in range(64):
+            san.shard.put(address, address, address)
+
+    worker = threading.Thread(target=second_worker)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    flagged = {r.field for r in san.reports if r.kind == "lockset-race"}
+    assert {"_entries"} <= flagged
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,52 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.assoc import AssociativityDistribution, expected_priority, uniformity_cdf
+from repro.assoc import (
+    AssociativityDistribution,
+    expected_priority,
+    uniformity_cdf,
+    uniformity_cdf_exact,
+)
+
+
+class TestUniformityCdfExact:
+    def test_lattice_values(self):
+        cdf = uniformity_cdf_exact(4, 5)
+        for rank in range(5):
+            assert cdf(rank / 4) == ((rank + 1) / 5) ** 4
+        assert cdf(0.3) == cdf(0.25)  # constant between lattice points
+        assert cdf(-0.1) == 0.0
+        assert cdf(1.0) == 1.0
+
+    def test_top_rank_holds_about_n_over_b(self):
+        cdf = uniformity_cdf_exact(64, 2048)
+        assert 1.0 - cdf(2046 / 2047) == pytest.approx(64 / 2048, rel=0.02)
+
+    def test_tends_to_xn(self):
+        gaps = []
+        for blocks in (64, 1024, 16384):
+            cdf, limit = uniformity_cdf_exact(8, blocks), uniformity_cdf(8)
+            gaps.append(max(abs(cdf(x) - limit(x)) for x in np.linspace(0, 1, 501)))
+        assert gaps == sorted(gaps, reverse=True) and gaps[-1] < 0.001
+
+    def test_rejects_bad_params(self):
+        with pytest.raises(ValueError):
+            uniformity_cdf_exact(0, 16)
+        with pytest.raises(ValueError):
+            uniformity_cdf_exact(4, 1)
+
+
+class TestKsOnLattice:
+    def test_exact_law_sample_is_close(self):
+        rng = np.random.default_rng(0)
+        ranks = rng.integers(0, 100, size=(20_000, 3)).max(axis=1)
+        d = AssociativityDistribution(ranks / 99)
+        assert d.ks_on_lattice(3, 100) < 1.63 / math.sqrt(len(d))
+        assert d.ks_on_lattice(1, 100) > 0.2
+
+    def test_off_lattice_samples_rejected(self):
+        with pytest.raises(ValueError, match="ranks among 100"):
+            AssociativityDistribution([0.5, 0.123456]).ks_on_lattice(2, 100)
 
 
 class TestUniformityCdf:

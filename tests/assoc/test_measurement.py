@@ -6,7 +6,7 @@ import pytest
 
 from repro.assoc import TrackedPolicy, measure_associativity
 from repro.core import Cache, FullyAssociativeArray, SetAssociativeArray, ZCacheArray
-from repro.replacement import LRU, SRRIP
+from repro.replacement import LRU, SRRIP, OptPolicy
 
 
 class TestTrackedPolicy:
@@ -95,6 +95,52 @@ class TestTrackedPolicy:
         assert len(t._mirror) == len(cache)
         for addr in cache.resident():
             assert t._mirror[addr] == (t.inner.score(addr), addr)
+
+
+class _BruteForceRank(TrackedPolicy):
+    """A TrackedPolicy that also ranks every victim by brute force: a count
+    over the resident blocks' live scores, independent of the sorted mirror."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.resident = set()
+        self.expected = []
+
+    def on_insert(self, address):
+        super().on_insert(address)
+        self.resident.add(address)
+
+    def on_evict(self, address):
+        score = self.inner.score
+        key = (score(address), address)
+        rank = sum((score(block), block) < key for block in self.resident)
+        residents = len(self.resident)
+        self.expected.append(rank / (residents - 1) if residents > 1 else 1.0)
+        self.resident.remove(address)
+        super().on_evict(address)
+
+
+@pytest.mark.parametrize("policy", ["lru", "srrip", "opt"])
+def test_every_priority_is_the_brute_force_rank(policy):
+    # SRRIP ages blocks inside select_victim; OPT's never-used-again
+    # blocks all score infinity, so its ranks rest on the address tiebreak.
+    rng = random.Random(11)
+    trace = [rng.randrange(160) for _ in range(3000)]
+    inner = {
+        "lru": LRU,
+        "srrip": lambda: SRRIP(m_bits=2),
+        "opt": lambda: OptPolicy.from_trace(trace),
+    }[policy]()
+    tracked = _BruteForceRank(inner)
+    cache = Cache(ZCacheArray(4, 16, levels=2, hash_seed=3), tracked)
+    for i, address in enumerate(trace):
+        if i % 17 == 0 and address in cache:
+            cache.invalidate(address)
+        cache.access(address)
+    assert len(tracked.expected) > 1000
+    assert tracked.priorities == tracked.expected
+    if policy == "opt":
+        assert any(tracked.inner.score(a) == float("inf") for a in cache.resident())
 
 
 class TestMeasureAssociativity:

@@ -10,6 +10,7 @@ comparative claims:
 4. un-hashed set-associative caches deviate under conflict-heavy traffic.
 """
 
+import math
 import random
 
 import pytest
@@ -61,6 +62,30 @@ class TestRandomCandidatesMatchesUniformity:
         strided = [(17 * i) % 4096 for i in range(15_000)]
         run(cache, strided)
         assert t.distribution().ks_to_uniformity(8) < 0.1
+
+
+def test_fig2_n64_follows_the_finite_b_law_not_xn():
+    """Fig. 2's n = 64 cache, as ``fig2.run(seed=0)`` builds it, after 10k,
+    30k and 60k accesses. KS to x^n sits on a ties floor: the top rank
+    keeps about n/B of the mass. KS to the exact finite-B law, on the
+    rank lattice, falls with the sample count and stays inside the 1%
+    critical value 1.63/sqrt(samples)."""
+    blocks, n = 2048, 64
+    t = TrackedPolicy(LRU())
+    cache = Cache(RandomCandidatesArray(blocks, n, seed=n), t)
+    stream = uniform_trace(60_000, 8 * blocks, seed=n)
+    to_xn, on_lattice = [], []
+    done = 0
+    for stop in (10_000, 30_000, 60_000):
+        run(cache, stream[done:stop])
+        done = stop
+        d = t.distribution()
+        to_xn.append(d.ks_to_uniformity(n))
+        on_lattice.append(d.ks_on_lattice(n, blocks))
+        assert on_lattice[-1] < 1.63 / math.sqrt(len(d))
+    assert min(to_xn) > 0.025
+    assert on_lattice[-1] < on_lattice[0]
+    assert on_lattice[-1] < to_xn[-1] / 4
 
 
 class TestSkewMatchesUniformity:

@@ -46,6 +46,42 @@ def test_candidate_slots_are_the_randrange_sequence(seed, blocks, n):
     array.check_invariants()
 
 
+@pytest.mark.parametrize("blocks", [1000, 1024, 2048])  # 1024, 2048: k = log2 B + 1
+@pytest.mark.parametrize("n", [1, 4, 64])
+def test_pooled_slots_are_the_randrange_sequence_across_refills(blocks, n):
+    """The bulk draw path, over several pool refills, with free-slot fills
+    (which draw nothing) and invalidations interleaved."""
+    seed = blocks + n
+    array = RandomCandidatesArray(blocks, n, seed=seed)
+    oracle = random.Random(seed)
+    chooser = random.Random(-seed)
+    for address in range(blocks):
+        array.commit_replacement(array.build_replacement(address), 0)
+    address, refills = blocks, 0
+    while refills < 3:
+        if chooser.random() < 0.05:  # invalidate; the next fill is free
+            array.evict_address(chooser.choice(list(array._pos)))
+            taken = array._taken
+            repl = array.build_replacement(address)
+            assert repl.tag_reads == 1 and repl.addresses == [None]
+            assert array._taken == taken, "a free-slot fill drew"
+        else:
+            pool = array._pool
+            repl = array.build_replacement(address)
+            refills += array._pool is not pool
+            assert repl.indices == [oracle.randrange(blocks) for _ in range(n)]
+        array.commit_replacement(repl, 0)
+        address += 1
+    array.check_invariants()
+
+
+def test_blocks_must_fit_one_word():
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        RandomCandidatesArray(1 << 32, 4)
+    with pytest.raises(ValueError):
+        RandomCandidatesArray(0, 4)
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda: RandomCandidatesArray(16, 4, seed=3), lambda: FullyAssociativeArray(16)],

@@ -15,6 +15,7 @@ from repro.core.adaptive import AdaptiveZCache
 from repro.core.column import ColumnAssociativeCache
 from repro.core.controller import Cache
 from repro.core.fullyassoc import FullyAssociativeArray
+from repro.core.randomcand import RandomCandidatesArray
 from repro.core.setassoc import SetAssociativeArray
 from repro.core.victim import VictimCache
 from repro.core.zcache import ZCacheArray
@@ -24,6 +25,7 @@ from repro.kernels.engine import (
     try_build_turbo,
     try_build_turbo_explain,
 )
+from repro.assoc import TrackedPolicy
 from repro.obs import ObsContext
 from repro.replacement.lru import LRU
 
@@ -110,3 +112,35 @@ def test_victim_cache_runs_correctly_after_fallback():
     assert vc.buffer.engine == "reference"
     counters = vc.stats.counters()
     assert counters["accesses"].value == 200
+
+
+def _drawn_ahead_array():
+    """A random-candidates array emptied after evicting fills: its RNG has
+    run ahead of the slots still in its pool."""
+    array = RandomCandidatesArray(64, 4, seed=5)
+    cache = Cache(array, LRU())
+    for address in range(200):
+        cache.access(address)
+    for address in list(cache.resident()):
+        cache.invalidate(address)
+    assert not array._pos and array._taken < len(array._pool)
+    return array
+
+
+def test_turbo_declines_a_random_candidates_array_that_drew_ahead():
+    core, reason = try_build_turbo_explain(
+        Cache(_drawn_ahead_array(), TrackedPolicy(LRU()))
+    )
+    assert core is None
+    assert reason == "random-candidates array holds pooled draws"
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TurboFallbackWarning)
+        turbo = Cache(_drawn_ahead_array(), TrackedPolicy(LRU()), engine="turbo")
+    reference = Cache(_drawn_ahead_array(), TrackedPolicy(LRU()))
+    assert turbo.engine == "reference"
+    for address in range(300, 3300):
+        address %= 700
+        assert turbo.access(address) == reference.access(address)
+    assert turbo.policy.priorities == reference.policy.priorities
+    assert sorted(turbo.resident()) == sorted(reference.resident())

@@ -1,4 +1,4 @@
-"""Tests for the shared substrates: Bloom filter, sorted multiset, stats."""
+"""Tests for the shared substrates: Bloom filter, free slots, stats."""
 
 import math
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util import BloomFilter, SortedMultiset, empirical_cdf, geometric_mean
+from repro.util import BloomFilter, empirical_cdf, geometric_mean
 from repro.util.freeslots import FreeSlots
 from repro.util.statistics import ks_distance
 
@@ -50,64 +50,6 @@ class TestBloomFilter:
             BloomFilter(0)
         with pytest.raises(ValueError):
             BloomFilter(64, num_hashes=0)
-
-
-class TestSortedMultiset:
-    def test_rank_counts_strictly_less(self):
-        ms = SortedMultiset([1, 3, 3, 5])
-        assert ms.rank(1) == 0
-        assert ms.rank(3) == 1
-        assert ms.rank(4) == 3
-        assert ms.rank(99) == 4
-
-    def test_add_remove_contains(self):
-        ms = SortedMultiset()
-        ms.add(2)
-        ms.add(2)
-        assert 2 in ms
-        ms.remove(2)
-        assert 2 in ms
-        ms.remove(2)
-        assert 2 not in ms
-
-    def test_remove_missing_raises(self):
-        with pytest.raises(KeyError):
-            SortedMultiset([1]).remove(9)
-
-    def test_min_max(self):
-        ms = SortedMultiset([5, 1, 9])
-        assert ms.min() == 1
-        assert ms.max() == 9
-
-    def test_min_of_empty_raises(self):
-        with pytest.raises(ValueError):
-            SortedMultiset().min()
-
-    @given(st.lists(st.integers(-50, 50), max_size=60))
-    def test_matches_reference_semantics(self, xs):
-        ms = SortedMultiset()
-        ref: list[int] = []
-        for x in xs:
-            ms.add(x)
-            ref.append(x)
-        ref.sort()
-        assert list(ms) == ref
-        for probe in (-51, 0, 51):
-            assert ms.rank(probe) == sum(1 for v in ref if v < probe)
-
-
-    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=40), st.data())
-    def test_pop_rank_is_rank_then_remove(self, xs, data):
-        popped, reference = SortedMultiset(xs), SortedMultiset(xs)
-        for x in data.draw(st.permutations(xs)):
-            rank = reference.rank(x)
-            reference.remove(x)
-            assert popped.pop_rank(x) == rank
-            assert list(popped) == list(reference)
-        with pytest.raises(KeyError):
-            popped.pop_rank(0)
-        with pytest.raises(KeyError):
-            SortedMultiset([1, 3]).pop_rank(2)
 
 
 class TestFreeSlots:
