@@ -14,9 +14,8 @@ machine-checkable predicate. Three backends consume the registry:
 - :mod:`repro.analysis.modelcheck` exhaustively enumerates access
   sequences over tiny geometries and evaluates every state-scope
   invariant (plus reference↔turbo bit-identity) at each step.
-- The planned fault-injection campaign (ROADMAP item 5) reuses the
-  registry as its detector vocabulary: an injected fault is *detected*
-  when some registered invariant fires.
+- :mod:`repro.faults` reuses the registry as its detector vocabulary:
+  an injected fault is *detected* when some registered invariant fires.
 
 Invariants are grouped by *scope* — the operation whose aftermath they
 constrain:

@@ -11,7 +11,6 @@ Examples::
     zcache-repro stats fig2 --format json
     zcache-repro timeline sweep --jobs 2 --out trace.json --critical-path
     zcache-repro sweep --jobs 4 --workloads canneal,gcc --checkpoint ck.json
-    zcache-repro faults --campaign --minimize --jobs 2 --json faults.json
     zcache-repro serve --shards 8 --port 9401
     zcache-repro loadgen --workload canneal --workers 4 --sanitize
 
@@ -45,8 +44,6 @@ SUBCOMMANDS = {
                  "ZTrace span timeline: Perfetto export + critical path"),
     "sweep": ("repro.experiments.parallel:run_sweep_cli",
               "parallel design sweep (--jobs N) with checkpoint/resume"),
-    "faults": ("repro.faults.cli:run_faults_cli",
-               "ZFault campaign: fault injection under the sanitizer"),
     "serve": ("repro.serve.cli:run_serve_cli",
               "boot the ZServe concurrent key-value cache over TCP"),
     "loadgen": ("repro.serve.cli:run_loadgen_cli",

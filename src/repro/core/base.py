@@ -301,7 +301,7 @@ class CacheArray(abc.ABC):
         the root. Each move clears the line the map had for the block
         and drops whatever the line it writes still holds: no-ops on a
         consistent array, and what keeps a corrupted one failing the
-        way the fault campaign records. A record without parent links
+        way the fault table records. A record without parent links
         (set-associative, skew, random-candidates, fully-associative)
         commits in place.
 

@@ -7,8 +7,7 @@ deterministic replay jobs, so the pool only has to map jobs to workers.
 
 :func:`run_roster` is the one loop that runs such a roster (restore,
 run in-process or in a pool, mark failures, checkpoint — its docstring
-is the contract). The design sweep here and the fault campaign
-(:mod:`repro.faults.campaign`) each supply a worker and a commit.
+is the contract). The design sweep here supplies a worker and a commit.
 
 :func:`run_parallel_sweeps` is the sweep's side, at every ``jobs``:
 
@@ -39,14 +38,12 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import zlib
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.experiments.runner import ExperimentScale, SweepResult
-from repro.hashing.mixers import splitmix64
 from repro.obs import NULL_SPANS, Heartbeat, ObsContext, sanitize_component
 from repro.sim import CMPConfig, CMPResult, L2DesignConfig, TraceDrivenRunner
 from repro.sim.cmp import CapturedTrace
@@ -62,16 +59,6 @@ def default_jobs() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # non-Linux
         return max(1, os.cpu_count() or 1)
-
-
-def derive_job_seed(base_seed: int, key: str) -> int:
-    """Deterministic per-job seed from a base seed and the job key.
-
-    Stable across processes and Python versions (crc32 + splitmix64,
-    never the salted builtin ``hash``), so a fault-campaign case runs
-    under the same seed in a worker, in the parent, and on resume.
-    """
-    return splitmix64((base_seed & 0xFFFFFFFF) << 32 | zlib.crc32(key.encode()))
 
 
 @dataclass(frozen=True)
@@ -250,8 +237,8 @@ def run_roster(
 ) -> int:
     """Run every item of ``roster`` once; return how many were restored.
 
-    The one restore -> run -> checkpoint loop behind the design sweep
-    and the fault campaign. Items need a stable ``.key``.
+    The one restore -> run -> checkpoint loop behind the design sweep.
+    Items need a stable ``.key``.
     ``checkpoint`` is the path of a :class:`SweepCheckpoint` (None: keep
     none), valid for rosters of the same ``fingerprint``. A *payload* is
     whatever a job produces; the driver never looks inside one.

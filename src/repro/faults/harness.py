@@ -1,10 +1,11 @@
-"""Single-replay harness: run one design under one fault plan, classify.
+"""Single-replay harness: run one design under one fault, classify.
 
-One campaign case = one deterministic replay of a seeded address
-stream against one design, with a :class:`~repro.faults.plan.FaultPlan`
-injected, under the full ZSpec sanitizer — plus the matching *golden*
-replay (``plan=None``, same seed, same stream) the faulted run is
-judged against. The classifier's verdicts:
+One case = one deterministic replay of a seeded address stream against
+one design, with one :class:`~repro.faults.inject.FaultEvent` injected,
+under the full ZSpec sanitizer — plus, when the faulted run neither
+crashed nor tripped a detector, the matching *golden* replay
+(``faults=None``, same seed, same stream) it is judged against. The
+classifier's verdicts:
 
 ``detected``
     A registered invariant fired (:class:`InvariantViolation`), or the
@@ -36,17 +37,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.analysis.sanitizer import InvariantViolation, SanitizedArray
 from repro.core import Cache, SetAssociativeArray, SkewAssociativeArray
 from repro.core.zcache import ZCacheArray
-from repro.faults.inject import FaultInjector, FaultyArray, record_evictions
-from repro.faults.plan import FaultPlan
+from repro.faults.inject import (
+    SERVE_FAULT_KINDS,
+    FaultEvent,
+    FaultInjector,
+    FaultyArray,
+    record_evictions,
+)
 from repro.replacement import make_policy
 
 __all__ = [
-    "CLASSIFICATIONS",
     "DESIGNS",
     "SERVE_DESIGNS",
     "FaultCase",
@@ -58,16 +63,7 @@ __all__ = [
     "run_serve_replay",
 ]
 
-#: classifier verdicts, strongest first
-CLASSIFICATIONS = (
-    "detected",
-    "crash",
-    "silent-wrong-victim",
-    "silent-mpki-drift",
-    "benign",
-)
-
-#: design label -> array-builder arguments (the campaign's cast)
+#: design label -> array-builder arguments (the paper's cast)
 DESIGNS = {
     "Z4/16": {"kind": "z", "ways": 4, "levels": 2},
     "Z4/52": {"kind": "z", "ways": 4, "levels": 3},
@@ -97,7 +93,6 @@ def build_array(design: str, lines_per_way: int, seed: int):
 class ReplayResult:
     """Everything one replay produced that classification needs."""
 
-    accesses: int
     completed: int
     misses: int
     hits: int
@@ -105,8 +100,9 @@ class ReplayResult:
     #: registry name of the invariant that fired (or pseudo-detector
     #: name for serve/crash outcomes); None when the run finished clean
     detector: Optional[str] = None
-    #: violation kind for the taxonomy table (None when undetected)
+    #: the invariant's violation kind (None when undetected)
     detector_kind: Optional[str] = None
+    #: the violation's or exception's message
     detail: str = ""
     crashed: bool = False
 
@@ -120,94 +116,32 @@ class ReplayResult:
 
 @dataclass(frozen=True, slots=True)
 class FaultCase:
-    """One campaign unit: a design, a plan, and a replay configuration."""
+    """One table case: a design, one fault event, and a replay seed.
+
+    A serve-layer kind (:data:`~repro.faults.inject.SERVE_FAULT_KINDS`)
+    replays through a shard (:func:`run_serve_replay`), every other kind
+    through a plain cache (:func:`run_replay`).
+    """
 
     design: str
     kind: str
     at: int
     seed: int
-    accesses: int = 2000
-    lines_per_way: int = 64
     way: int = 0
     index: int = 0
     bit: int = 0
-    deep_interval: int = 16
-    serve: bool = False
-
-    @property
-    def key(self) -> str:
-        """Stable identity for checkpointing and result lookup."""
-        return (
-            f"{self.design}|{self.kind}|at{self.at}"
-            f"|w{self.way}i{self.index}b{self.bit}|s{self.seed:x}"
-        )
-
-    def plan(self) -> FaultPlan:
-        """The one-event plan this case injects."""
-        return FaultPlan.single(
-            self.kind, self.at, way=self.way, index=self.index, bit=self.bit
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-safe representation (counterexample replay files)."""
-        return {
-            "design": self.design,
-            "kind": self.kind,
-            "at": self.at,
-            "seed": self.seed,
-            "accesses": self.accesses,
-            "lines_per_way": self.lines_per_way,
-            "way": self.way,
-            "index": self.index,
-            "bit": self.bit,
-            "deep_interval": self.deep_interval,
-            "serve": self.serve,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultCase":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**{k: data[k] for k in data})
+    accesses: int = 2000
+    lines_per_way: int = 64
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class FaultOutcome:
-    """Classified result of one case (what the checkpoint persists)."""
+    """Classified result of one case."""
 
-    key: str
-    design: str
-    kind: str
     classification: str
     detector: Optional[str] = None
-    detector_kind: Optional[str] = None
-    detail: str = ""
-    detected_at: int = -1
-    diverged_at: int = -1
+    #: faulted minus golden MPKI; 0.0 when no golden replay ran
     mpki_delta: float = 0.0
-    golden_misses: int = 0
-    faulted_misses: int = 0
-
-    def to_dict(self) -> dict:
-        """JSON-safe representation (checkpoint / BENCH payloads)."""
-        return {
-            "key": self.key,
-            "design": self.design,
-            "kind": self.kind,
-            "classification": self.classification,
-            "detector": self.detector,
-            "detector_kind": self.detector_kind,
-            "detail": self.detail,
-            "detected_at": self.detected_at,
-            "diverged_at": self.diverged_at,
-            "mpki_delta": self.mpki_delta,
-            "golden_misses": self.golden_misses,
-            "faulted_misses": self.faulted_misses,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultOutcome":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**{k: data[k] for k in data})
 
 
 # ---------------------------------------------------------------------------
@@ -221,18 +155,18 @@ def run_replay(
     seed: int,
     accesses: int,
     lines_per_way: int = 64,
-    plan: Optional[FaultPlan] = None,
+    faults: Optional[Sequence[FaultEvent]] = None,
     deep_interval: int = 16,
 ) -> ReplayResult:
     """One sanitized replay of the case's address stream (array layer).
 
-    ``plan=None`` is the golden path: no injector, no
+    ``faults=None`` is the golden path: no injector, no
     :class:`FaultyArray` in the stack — bit-identical to a plain
     sanitized run (the wrappers are pure proxies either way; a test
-    pins the equivalence against an *empty* plan).
+    pins the equivalence against an *empty* schedule).
     """
     array = build_array(design, lines_per_way, seed)
-    injector = FaultInjector(plan) if plan is not None else None
+    injector = FaultInjector(faults) if faults is not None else None
     target = array if injector is None else FaultyArray(array, injector)
     sanitized = SanitizedArray(
         target, seed=seed, deep_check_interval=deep_interval
@@ -262,7 +196,6 @@ def run_replay(
         crashed = True
     counters = cache.stats.counters()
     return ReplayResult(
-        accesses=accesses,
         completed=completed,
         misses=counters["misses"].value,
         hits=counters["hits"].value,
@@ -274,13 +207,27 @@ def run_replay(
     )
 
 
+class _PayloadDesync(Exception):
+    """The shard's own consistency contract failed: payload store and
+    array residency disagree. Not a ZSpec invariant — the serve layer's
+    detector."""
+
+
+def _check_consistency(shard) -> None:
+    """Run the shard's consistency check, naming a failure as its own."""
+    try:
+        shard.check_consistency()
+    except AssertionError as exc:
+        raise _PayloadDesync(str(exc)) from exc
+
+
 def run_serve_replay(
     design: str,
     *,
     seed: int,
     accesses: int,
     lines_per_way: int = 64,
-    plan: Optional[FaultPlan] = None,
+    faults: Optional[Sequence[FaultEvent]] = None,
     deep_interval: int = 16,
     consistency_interval: int = 64,
 ) -> ReplayResult:
@@ -291,14 +238,15 @@ def run_serve_replay(
     whose eviction choke point :func:`record_evictions` interposes on.
     The shard's payload/residency consistency check runs every
     ``consistency_interval`` operations and once at the end — the serve
-    layer's deep scan.
+    layer's deep scan. Only an ``AssertionError`` out of that check is
+    credited to it; one raised inside ``put``/``get`` is a crash.
     """
     from repro.serve.shard import MISS, CacheShard
 
-    spec = DESIGNS[design]
-    if spec["kind"] != "z":
+    if design not in SERVE_DESIGNS:
         raise ValueError(f"serve replay requires a zcache design, got {design}")
-    injector = FaultInjector(plan) if plan is not None else None
+    spec = DESIGNS[design]
+    injector = FaultInjector(faults) if faults is not None else None
     shard = CacheShard(
         num_ways=spec["ways"],
         lines_per_way=lines_per_way,
@@ -328,17 +276,14 @@ def run_serve_replay(
                 read_hits += 1
             completed = i + 1
             if completed % consistency_interval == 0:
-                shard.check_consistency()
-        shard.check_consistency()
+                _check_consistency(shard)
+        _check_consistency(shard)
         shard.cache.array.final_check()
     except InvariantViolation as exc:
         detector = exc.invariant or "unknown-invariant"
         detector_kind = exc.kind
         detail = exc.detail
-    except AssertionError as exc:
-        # The shard's own consistency contract: payload store and array
-        # residency must agree. Not a ZSpec invariant — the serve
-        # layer's detector.
+    except _PayloadDesync as exc:
         detector = "shard-consistency"
         detector_kind = "payload-desync"
         detail = str(exc)
@@ -348,7 +293,6 @@ def run_serve_replay(
         crashed = True
     counters = shard.cache.stats.counters()
     return ReplayResult(
-        accesses=accesses,
         completed=completed,
         misses=counters["misses"].value,
         hits=counters["hits"].value + read_hits,
@@ -365,12 +309,17 @@ def run_serve_replay(
 # ---------------------------------------------------------------------------
 
 
-def classify(faulted: ReplayResult, golden: ReplayResult) -> str:
-    """Verdict for one faulted replay against its golden twin."""
+def classify(faulted: ReplayResult, golden: Optional[ReplayResult]) -> str:
+    """Verdict for one faulted replay against its golden twin.
+
+    ``golden`` is read only when the faulted run finished clean, so it
+    may be None for a run that crashed or tripped a detector.
+    """
     if faulted.crashed:
         return "crash"
     if faulted.detector is not None:
         return "detected"
+    assert golden is not None, "a clean faulted run needs its golden twin"
     if faulted.evictions != golden.evictions:
         return "silent-wrong-victim"
     if faulted.misses != golden.misses or faulted.hits != golden.hits:
@@ -378,47 +327,26 @@ def classify(faulted: ReplayResult, golden: ReplayResult) -> str:
     return "benign"
 
 
-def _first_divergence(faulted: tuple, golden: tuple) -> int:
-    """Index of the first differing eviction (-1 when identical)."""
-    for i, (a, b) in enumerate(zip(faulted, golden)):
-        if a != b:
-            return i
-    if len(faulted) != len(golden):
-        return min(len(faulted), len(golden))
-    return -1
-
-
 def run_case(case: FaultCase) -> FaultOutcome:
-    """Run one campaign case: golden replay, faulted replay, classify."""
-    runner = run_serve_replay if case.serve else run_replay
-    golden = runner(
-        case.design,
-        seed=case.seed,
-        accesses=case.accesses,
-        lines_per_way=case.lines_per_way,
-        plan=None,
-        deep_interval=case.deep_interval,
+    """Run one case: faulted replay, golden replay if needed, classify."""
+    runner = run_serve_replay if case.kind in SERVE_FAULT_KINDS else run_replay
+    event = FaultEvent(
+        case.kind, case.at, way=case.way, index=case.index, bit=case.bit
     )
-    faulted = runner(
-        case.design,
-        seed=case.seed,
-        accesses=case.accesses,
-        lines_per_way=case.lines_per_way,
-        plan=case.plan(),
-        deep_interval=case.deep_interval,
-    )
-    verdict = classify(faulted, golden)
+
+    def replay(faults):
+        return runner(
+            case.design,
+            seed=case.seed,
+            accesses=case.accesses,
+            lines_per_way=case.lines_per_way,
+            faults=faults,
+        )
+
+    faulted = replay([event])
+    if faulted.detector is not None:  # detected or crashed: golden unread
+        return FaultOutcome(classify(faulted, None), faulted.detector)
+    golden = replay(None)
     return FaultOutcome(
-        key=case.key,
-        design=case.design,
-        kind=case.kind,
-        classification=verdict,
-        detector=faulted.detector,
-        detector_kind=faulted.detector_kind,
-        detail=faulted.detail,
-        detected_at=faulted.completed if faulted.detector else -1,
-        diverged_at=_first_divergence(faulted.evictions, golden.evictions),
-        mpki_delta=faulted.mpki - golden.mpki,
-        golden_misses=golden.misses,
-        faulted_misses=faulted.misses,
+        classify(faulted, golden), None, faulted.mpki - golden.mpki
     )

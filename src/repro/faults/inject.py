@@ -1,7 +1,38 @@
 """Fault injectors: seeded, replayable corruption of cache machinery.
 
-Three cooperating pieces turn a :class:`~repro.faults.plan.FaultPlan`
-into actual damage:
+A fault is data: a :class:`FaultEvent` (kind, trigger time, location
+hints). Trigger times are access indices into the replay's
+deterministic address stream: ``at=k`` fires just before access ``k``.
+Location hints (``way``/``index``/``bit``) are taken modulo whatever the
+target structure's size happens to be at fire time, so an event written
+for one geometry stays meaningful on another.
+
+The six fault kinds and the machinery each one corrupts:
+
+====================  ====================================================
+kind                  corrupted structure
+====================  ====================================================
+``tag-flip``          one resident line's stored tag (bit flip), the
+                      position map left stale — a latent corruption
+``stale-walk``        a candidate record in a freshly built walk (the
+                      walk "serves" contents the array does not hold)
+``drop-relocation``   one relocation of a commit never lands: the moved
+                      block vanishes from lines and map
+``misdirect-relocation``  one relocation lands at the wrong index of
+                      its way
+``stamp-corrupt``     an LRU/FIFO timestamp is zeroed — the policy's
+                      recency order silently inverts for that block
+``drop-eviction-log`` one ZServe eviction-log record is dropped, so the
+                      shard never evicts the payload
+====================  ====================================================
+
+The first four target array state and are the ZSpec registry's prey;
+``stamp-corrupt`` is deliberately *outside* every registered
+invariant's reach (policy state is not array state) — the planted
+detector miss; ``drop-eviction-log`` targets the serve layer and is
+caught by the shard's payload/residency consistency check.
+
+Three cooperating pieces turn a list of events into actual damage:
 
 - :class:`FaultInjector` owns the schedule. The replay harness calls
   :meth:`FaultInjector.advance` once before every access; events whose
@@ -17,7 +48,7 @@ into actual damage:
   relocation corruption right after the commits it forwards — so the
   sanitizer observes the faulted array exactly as it would observe a
   buggy one. With no injector armed it is a pure pass-through, and
-  with ``plan=None`` the harness skips it entirely (bit-identical).
+  with ``faults=None`` the harness skips it entirely (bit-identical).
 - :func:`record_evictions` interposes on one call — the controller's
   eviction choke point (:meth:`~repro.core.controller.Cache._evict`) —
   to record the victim stream and, when armed, to let one eviction
@@ -33,7 +64,8 @@ as it does for the real one.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from repro.analysis.spec import path_nodes
 from repro.core.base import (
@@ -44,10 +76,14 @@ from repro.core.base import (
     Replacement,
 )
 from repro.core.controller import Cache
-from repro.faults.plan import FaultEvent, FaultPlan
 
 __all__ = [
+    "ARRAY_FAULT_KINDS",
+    "FAULT_KINDS",
+    "POLICY_FAULT_KINDS",
+    "SERVE_FAULT_KINDS",
     "TAG_BITS",
+    "FaultEvent",
     "FaultInjector",
     "FaultyArray",
     "record_evictions",
@@ -56,19 +92,69 @@ __all__ = [
 #: width of the modelled tag, for ``tag-flip`` bit selection
 TAG_BITS = 20
 
+#: faults applied to cache-array state or walk results
+ARRAY_FAULT_KINDS = (
+    "tag-flip",
+    "stale-walk",
+    "drop-relocation",
+    "misdirect-relocation",
+)
+
+#: faults applied to replacement-policy state (invisible to ZSpec)
+POLICY_FAULT_KINDS = ("stamp-corrupt",)
+
+#: faults applied to the serve layer's eviction accounting
+SERVE_FAULT_KINDS = ("drop-eviction-log",)
+
+#: every fault kind the injector understands
+FAULT_KINDS = ARRAY_FAULT_KINDS + POLICY_FAULT_KINDS + SERVE_FAULT_KINDS
+
+
+@dataclass(frozen=True, slots=True)
+class FaultEvent:
+    """One scheduled corruption.
+
+    Attributes
+    ----------
+    kind:
+        One of :data:`FAULT_KINDS`.
+    at:
+        Access index the event fires before (``0`` = before the first
+        access). Walk/commit kinds *arm* at this point and fire on the
+        next walk (``stale-walk``), the next relocating commit
+        (``drop-relocation``/``misdirect-relocation``) or the next
+        eviction (``drop-eviction-log``).
+    way / index / bit:
+        Location hints, reduced modulo the live structure's size at
+        fire time (ways, lines or entries, tag bits respectively).
+    """
+
+    kind: str
+    at: int
+    way: int = 0
+    index: int = 0
+    bit: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in FAULT_KINDS:
+            raise ValueError(f"unknown fault kind: {self.kind!r}")
+        if self.at < 0:
+            raise ValueError(f"trigger time must be >= 0, got {self.at}")
+        if self.way < 0 or self.index < 0 or self.bit < 0:
+            raise ValueError("location hints must be >= 0")
+
 
 class FaultInjector:
-    """Drives one plan through one replay; all decisions deterministic.
+    """Drives a schedule of events through one replay, in ``at`` order.
 
     The injector is purely schedule-driven — location hints in the
     events pick targets by modular arithmetic over live structure
-    sizes, so no RNG is involved and a replayed plan always damages
+    sizes, so no RNG is involved and a replayed schedule always damages
     the same state.
     """
 
-    def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
-        self._pending = list(plan)
+    def __init__(self, events: Iterable[FaultEvent]) -> None:
+        self._pending = sorted(events, key=lambda event: event.at)
         self._cursor = 0
         self._op = 0
         self._armed_walk: list[FaultEvent] = []
@@ -216,9 +302,18 @@ class FaultyArray(ArrayProxy):
 
     _OWN = frozenset({"_injector"})
 
+    #: what the sanitizer reads for every walk node and state scan: bound
+    #: once by the array's constructor and only mutated in place, so the
+    #: proxy holds the same objects and a read skips the forwarding
+    #: ``__getattr__`` (170k of them made a Z4/52 replay 1.7x slower)
+    _ALIASED = ("_lines", "_pos", "num_ways", "lines_per_way", "hashes")
+
     def __init__(self, array: CacheArray, injector: FaultInjector) -> None:
         super().__init__(array)
         self._injector = injector
+        for name in self._ALIASED:
+            if hasattr(array, name):
+                object.__setattr__(self, name, getattr(array, name))
 
     # -- intercepted operations ----------------------------------------------
     def build_replacement(self, address: int) -> Replacement:

@@ -11,7 +11,6 @@ from repro.experiments.parallel import (
     SweepCheckpoint,
     SweepJob,
     default_jobs,
-    derive_job_seed,
     run_parallel_sweeps,
     run_sweep_cli,
 )
@@ -52,12 +51,6 @@ class TestJobIdentity:
         assert job.key == "gcc|Z4/16-S|lru"
         assert job.scope(include_workload=True) == "gcc.Z4_16-S.lru"
         assert job.scope(include_workload=False) == "Z4_16-S.lru"
-
-    def test_seed_is_deterministic_and_distinct(self):
-        a = derive_job_seed(1, "gcc|SA-4h-S|lru")
-        assert a == derive_job_seed(1, "gcc|SA-4h-S|lru")
-        assert a != derive_job_seed(2, "gcc|SA-4h-S|lru")
-        assert a != derive_job_seed(1, "gcc|SA-4h-S|opt")
 
     def test_default_jobs_positive(self):
         assert default_jobs() >= 1

@@ -1,17 +1,17 @@
 """Contract of the roster driver (repro.experiments.parallel.run_roster).
 
-One set of cases, run three ways: a toy roster straight through
-``run_roster`` (no simulator), and its two callers, ``run_parallel_sweeps``
-and ``run_campaign``. Failures are scripted per job key and consumed one
-per call, in whichever process runs the job: plan and call log live in a
-directory named by an environment variable, which forked workers inherit.
+One set of cases, run two ways: a toy roster straight through
+``run_roster`` (no simulator), and its caller, ``run_parallel_sweeps``.
+Failures are scripted per job key and consumed one per call, in
+whichever process runs the job: plan and call log live in a directory
+named by an environment variable, which forked workers inherit.
 """
 
 import json
 import os
 import signal
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import quote
 
@@ -20,8 +20,6 @@ import pytest
 from repro.experiments import parallel
 from repro.experiments.parallel import run_roster
 from repro.experiments.runner import ExperimentScale
-from repro.faults import campaign
-from repro.faults.campaign import CampaignConfig, build_cases
 from repro.obs import NULL_HEARTBEAT
 from repro.sim import L2DesignConfig
 
@@ -143,33 +141,12 @@ def run_sweep(jobs, checkpoint=None, stale=False):
     )
 
 
-# -- the campaign: four cases of a tiny configuration -------------------------
-
-CAMPAIGN = CampaignConfig(
-    base_seed=1, accesses=200, lines_per_way=16, triggers=(0.5,), variants=1
-)
-CAMPAIGN_CASES = build_cases(CAMPAIGN)[:4]
-
-
-def run_faults(jobs, checkpoint=None, stale=False):
-    outcome = campaign.run_campaign(
-        replace(CAMPAIGN, base_seed=2 if stale else 1),
-        jobs=jobs, checkpoint=checkpoint, cases=CAMPAIGN_CASES,
-    )
-    return Run(
-        committed=list(outcome.outcomes),
-        failed=dict(outcome.errors),
-        restored=outcome.restored,
-    )
-
-
 SWEEP_KEYS = [
     f"gcc|{d.label()}|{p}" for d in SWEEP_DESIGNS for p in SWEEP_POLICIES
 ]
 HARNESSES = {
     "toy": (run_toy, [item.key for item in TOY_ROSTER]),
     "sweep": (run_sweep, SWEEP_KEYS),
-    "campaign": (run_faults, [case.key for case in CAMPAIGN_CASES]),
 }
 
 
@@ -184,20 +161,15 @@ def harness(request, tmp_path, monkeypatch):
         (root / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
 
     script({})
-    # Both callers run a job through one module-level function, in the
+    # The sweep runs a job through one module-level function, in the
     # workers and in the parent alike; script it there.
-    real_execute, real_case = parallel._execute_job, campaign.run_case
+    real_execute = parallel._execute_job
 
     def execute(job, *args):
         scripted_call(job.key, job)
         return real_execute(job, *args)
 
-    def case(fault_case):
-        scripted_call(fault_case.key, fault_case)
-        return real_case(fault_case)
-
     monkeypatch.setattr(parallel, "_execute_job", execute)
-    monkeypatch.setattr(campaign, "run_case", case)
     run, keys = HARNESSES[request.param]
     return run, keys, script
 

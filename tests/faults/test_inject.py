@@ -4,8 +4,15 @@ import pytest
 
 from repro.core import Cache, SetAssociativeArray
 from repro.core.zcache import ZCacheArray
-from repro.faults.inject import FaultInjector, FaultyArray
-from repro.faults.plan import FaultEvent, FaultPlan
+from repro.faults.inject import (
+    ARRAY_FAULT_KINDS,
+    FAULT_KINDS,
+    POLICY_FAULT_KINDS,
+    SERVE_FAULT_KINDS,
+    FaultEvent,
+    FaultInjector,
+    FaultyArray,
+)
 from repro.replacement.lru import LRU
 
 
@@ -17,16 +24,32 @@ def _filled_array(blocks=32):
     return array, cache
 
 
+class TestFaultEvent:
+    def test_kind_vocabulary_is_partitioned(self):
+        assert set(FAULT_KINDS) == (
+            set(ARRAY_FAULT_KINDS)
+            | set(POLICY_FAULT_KINDS)
+            | set(SERVE_FAULT_KINDS)
+        )
+        assert len(FAULT_KINDS) == len(set(FAULT_KINDS))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultEvent(kind="cosmic-ray", at=0)
+
+    def test_negative_fields_rejected(self):
+        with pytest.raises(ValueError):
+            FaultEvent(kind="tag-flip", at=-1)
+        with pytest.raises(ValueError):
+            FaultEvent(kind="tag-flip", at=0, bit=-2)
+
+
 class TestSchedule:
     def test_events_fire_at_their_trigger(self):
-        plan = FaultPlan(
-            events=(
-                FaultEvent(kind="tag-flip", at=0),
-                FaultEvent(kind="tag-flip", at=2),
-            )
-        )
         array, _ = _filled_array()
-        injector = FaultInjector(plan)
+        injector = FaultInjector(
+            [FaultEvent(kind="tag-flip", at=2), FaultEvent(kind="tag-flip", at=0)]
+        )
         injector.advance(array)
         assert len(injector.fired) == 1
         injector.advance(array)
@@ -38,7 +61,7 @@ class TestSchedule:
     def test_tag_flip_mutates_one_resident_tag(self):
         array, _ = _filled_array()
         before = [list(row) for row in array._lines]
-        injector = FaultInjector(FaultPlan.single("tag-flip", 0, bit=2))
+        injector = FaultInjector([FaultEvent("tag-flip", 0, bit=2)])
         injector.advance(array)
         after = array._lines
         diffs = [
@@ -55,7 +78,7 @@ class TestSchedule:
 
     def test_tag_flip_fizzles_on_empty_array(self):
         array = ZCacheArray(4, 16, levels=2, hash_seed=3)
-        injector = FaultInjector(FaultPlan.single("tag-flip", 0))
+        injector = FaultInjector([FaultEvent("tag-flip", 0)])
         injector.advance(array)
         ((_, _, applied),) = injector.fired
         assert applied is False
@@ -64,19 +87,18 @@ class TestSchedule:
         _, cache = _filled_array()
         policy = cache.policy
         assert all(v > 0 for v in policy._stamp.values())
-        injector = FaultInjector(FaultPlan.single("stamp-corrupt", 0))
+        injector = FaultInjector([FaultEvent("stamp-corrupt", 0)])
         injector.advance(None, policy)
         assert sum(1 for v in policy._stamp.values() if v == 0) == 1
 
     def test_walk_and_commit_kinds_arm_instead_of_firing(self):
-        plan = FaultPlan(
-            events=(
+        injector = FaultInjector(
+            [
                 FaultEvent(kind="stale-walk", at=0),
                 FaultEvent(kind="drop-relocation", at=0),
                 FaultEvent(kind="drop-eviction-log", at=0),
-            )
+            ]
         )
-        injector = FaultInjector(plan)
         injector.advance()
         assert not injector.fired
         assert not injector.exhausted
@@ -92,7 +114,7 @@ class TestFaultyArray:
         bare_array = ZCacheArray(4, 16, levels=2, hash_seed=9)
         bare = Cache(bare_array, LRU())
         wrapped_array = ZCacheArray(4, 16, levels=2, hash_seed=9)
-        injector = FaultInjector(FaultPlan())
+        injector = FaultInjector([])
         proxied = Cache(FaultyArray(wrapped_array, injector), LRU())
         import random
 
@@ -109,10 +131,12 @@ class TestFaultyArray:
 
     def test_delegation_surface(self):
         array, _ = _filled_array()
-        injector = FaultInjector(FaultPlan())
+        injector = FaultInjector([])
         proxy = FaultyArray(array, injector)
         assert proxy.array is array
         assert proxy.num_ways == array.num_ways
+        # The sanitizer's per-node reads see the array's own storage.
+        assert proxy._lines is array._lines and proxy._pos is array._pos
         assert len(proxy) == len(array)
         resident = next(iter(array._pos))
         assert resident in proxy
@@ -120,7 +144,7 @@ class TestFaultyArray:
 
     def test_armed_walk_corrupts_returned_candidates(self):
         array, _ = _filled_array(blocks=200)
-        injector = FaultInjector(FaultPlan.single("stale-walk", 0, bit=1))
+        injector = FaultInjector([FaultEvent("stale-walk", 0, bit=1)])
         proxy = FaultyArray(array, injector)
         injector.advance(array)
         repl = proxy.build_replacement(10_000)
@@ -140,7 +164,7 @@ class TestFaultyArray:
         # node 0's 2 into a 3, the policy's only choice is block 3, and
         # its first node is node 0 — a line that holds 2.
         array = SetAssociativeArray(2, 1)
-        injector = FaultInjector(FaultPlan.single("stale-walk", 0, index=0, bit=0))
+        injector = FaultInjector([FaultEvent("stale-walk", 0, index=0, bit=0)])
         cache = Cache(FaultyArray(array, injector), LRU())
         cache.access(2)
         cache.access(3)

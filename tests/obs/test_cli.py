@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -38,9 +40,13 @@ class TestStats:
             code = exc.code
         assert code == 2
 
-    def test_trace_subcommand_is_gone(self, capsys):
+    @pytest.mark.parametrize(
+        "argv", [["trace", "fig2"], ["faults", "--campaign"]],
+        ids=["trace", "faults"],
+    )
+    def test_trace_subcommand_is_gone(self, capsys, argv):
         try:
-            code = main(["trace", "fig2"])
+            code = main(argv)
         except SystemExit as exc:  # argparse rejects an unknown artifact
             code = exc.code
         assert code == 2
