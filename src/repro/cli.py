@@ -10,7 +10,7 @@ Examples::
     zcache-repro check --sanitize
     zcache-repro stats fig2 --format json
     zcache-repro timeline sweep --jobs 2 --out trace.json --critical-path
-    zcache-repro sweep --jobs 4 --workloads canneal,gcc --checkpoint ck.json
+    zcache-repro sweep --jobs 4 --workloads canneal,gcc --checkpoint sweep.ck
     zcache-repro serve --shards 8 --port 9401
     zcache-repro loadgen --workload canneal --workers 4 --sanitize
 

@@ -1,56 +1,63 @@
-"""Parallel sweep engine: one roster driver, process-pool replay,
-deterministic merge.
+"""Parallel sweep engine: one loop, process-pool replay, deterministic
+merge, content-keyed resume.
 
 The paper's LLC evaluation (Section VI) is a large outer product —
 72 workloads x 6 designs x multiple policies — of *independent*,
 deterministic replay jobs, so the pool only has to map jobs to workers.
+:func:`run_parallel_sweeps` is the one loop that runs such a roster, at
+every ``jobs``:
 
-:func:`run_roster` is the one loop that runs such a roster (restore,
-run in-process or in a pool, mark failures, checkpoint — its docstring
-is the contract). The design sweep here supplies a worker and a commit.
-
-:func:`run_parallel_sweeps` is the sweep's side, at every ``jobs``:
-
-1. **Capture once.** The parent captures each workload's stream and
-   ships the :class:`~repro.sim.cmp.CapturedTrace` to workers.
-2. **Jobs carry no seed.** Every random choice in a replay is fixed by
-   the captured stream and the design's config, so a job replays
-   identically whichever process runs it.
-3. **Merge deterministically.** A worker replays under a *private*
-   :class:`~repro.obs.ObsContext` and returns ``(result, metrics
-   snapshot)``; the commit folds the snapshot into the parent registry
-   (:meth:`~repro.obs.MetricsRegistry.merge_snapshot`: additive, order
-   independent), so results and metrics are identical at any ``jobs``.
-4. **Parent-side job spans.** The parent's ``sweep`` span gets one
-   ``job.<scope>`` child per job that ran: opened around the replay at
-   ``jobs == 1``, recorded from submit to result otherwise. Workers
+1. **Restore.** With a checkpoint directory, a job whose entry is there
+   is restored, not rerun. An entry is one write-once JSON file named by
+   the sha256 of the job's pure inputs (:func:`_entry_name`): workload,
+   seed, instructions, the full :class:`~repro.sim.CMPConfig` with the
+   job's design and policy, and a digest of this package's sources.
+   A changed input simply misses, so resuming is running the same
+   command again, and a sweep that adds a design reuses what is done.
+2. **Capture once.** The parent captures the stream of each workload
+   still to run and ships the :class:`~repro.sim.cmp.CapturedTrace` to
+   workers. A job carries no seed: every random choice in a replay is
+   fixed by the captured stream and the design's config.
+3. **One job path.** :func:`_execute_job` replays under a *private*
+   metrics registry and returns ``(result, metrics snapshot)``, in a
+   worker or in this process alike; the parent folds the snapshot into
+   its registry (:meth:`~repro.obs.MetricsRegistry.merge_snapshot`:
+   additive, order independent) and into the job's entry, so results
+   and metrics are identical at any ``jobs``, restored or not.
+4. **Commit in roster order, name every failure.** Pooled jobs are all
+   submitted before any worker starts one and joined in roster order.
+   Whatever a job raises — its own exception, a pickling error,
+   ``BrokenProcessPool`` after a worker died — is named in
+   ``outcome.failed``; nothing is resubmitted or rerun in the parent.
+5. **Parent-side job spans.** The ``sweep`` span gets one
+   ``job.<scope>`` child per job that ran: opened around the replay in
+   this process (its ``replay.build`` / ``replay.stream`` spans nest
+   inside), recorded from submit to commit for a pooled job. Workers
    record no spans.
 
-The checkpoint is one JSON file rewritten atomically after every
-finished job; a fingerprint of the roster, scale, seed and engine makes
-a stale one ignored rather than resurrected. ``run_design_sweep`` /
-``collect_design_sweeps`` (:mod:`repro.experiments.runner`) raise on a
-failed job instead of returning a sweep with holes.
+``run_design_sweep`` / ``collect_design_sweeps``
+(:mod:`repro.experiments.runner`) raise on a failed job instead of
+returning a sweep with holes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
+from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.experiments.runner import ExperimentScale, SweepResult
 from repro.obs import NULL_SPANS, Heartbeat, ObsContext, sanitize_component
 from repro.sim import CMPConfig, CMPResult, L2DesignConfig, TraceDrivenRunner
 from repro.sim.cmp import CapturedTrace
 from repro.workloads import get_workload
-
-#: checkpoint schema version (bump on incompatible change)
-CHECKPOINT_VERSION = 1
 
 
 def default_jobs() -> int:
@@ -71,7 +78,7 @@ class SweepJob:
 
     @property
     def key(self) -> str:
-        """Stable identity used for checkpointing and result lookup."""
+        """Identity of the job's result within one sweep."""
         return f"{self.workload}|{self.design.label()}|{self.policy}"
 
     def scope(self, include_workload: bool) -> str:
@@ -94,239 +101,94 @@ class ParallelSweepOutcome:
     restored: int = 0
 
 
-# ---------------------------------------------------------------------------
-# Worker side
-# ---------------------------------------------------------------------------
-
-
 def _execute_job(
-    job: SweepJob, cfg: CMPConfig, captured: CapturedTrace, policy_wrapper,
-    scope: str, obs: Optional[ObsContext],
-) -> CMPResult:
-    """Replay one job, its metrics under ``scope``. Shared verbatim by
-    workers and the in-process path, which is what makes the two
-    bit-identical."""
-    runner = TraceDrivenRunner.from_captured(cfg, captured)
-    design_cfg = cfg.with_design(replace(job.design, policy=job.policy))
-    return runner.replay(
-        design_cfg,
-        policy_wrapper=policy_wrapper,
-        obs=obs.scoped(scope) if obs is not None else None,
-    )
-
-
-def _replay_worker(
-    job: SweepJob, cfg: CMPConfig, captured: CapturedTrace, policy_wrapper,
-    scope: str,
+    cfg: CMPConfig, captured: CapturedTrace, policy_wrapper, scope: str,
+    spans=NULL_SPANS,
 ) -> tuple[CMPResult, dict]:
-    """Process-pool entry point: replay under a private ObsContext.
+    """Replay one job (``cfg`` carries its design and policy) under a
+    private metrics registry; return ``(result, metrics snapshot)``.
 
-    Returns ``(result, metrics snapshot)``; the parent merges the
-    snapshot into its own registry.
+    The one job path: workers and the in-process loop both run it,
+    which is what makes the two bit-identical.
     """
-    obs = ObsContext()
-    result = _execute_job(job, cfg, captured, policy_wrapper, scope, obs)
+    obs = ObsContext(spans=spans)
+    runner = TraceDrivenRunner.from_captured(cfg, captured)
+    result = runner.replay(
+        cfg, policy_wrapper=policy_wrapper, obs=obs.scoped(scope)
+    )
     return result, obs.metrics.snapshot()
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing
+# Content-keyed entries
 # ---------------------------------------------------------------------------
 
 
-def _sweep_fingerprint(
-    cfg: CMPConfig, scale: ExperimentScale, jobs: Sequence[SweepJob]
-) -> dict:
-    """Identity of a sweep: same fingerprint == checkpoint is resumable.
+@cache
+def _source_digest() -> str:
+    """sha256 over the ``repro`` package's ``.py`` sources."""
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
-    The engine is part of the identity: both engines are bit-identical
-    *when supported*, but a turbo run silently falls back per-cache for
-    unsupported configurations, so resuming a reference checkpoint
-    under ``--engine turbo`` (or vice versa) would mix results whose
-    provenance can no longer be told apart.
-    """
-    return {
-        "version": CHECKPOINT_VERSION,
-        "seed": scale.seed,
+
+def _entry_name(
+    workload: str, cfg: CMPConfig, scale: ExperimentScale
+) -> str:
+    """File name of a job's entry: the sha256 of its pure inputs."""
+    inputs = {
+        "workload": workload,
         "instructions_per_core": scale.instructions_per_core,
-        "num_cores": cfg.num_cores,
-        "l2_blocks": cfg.l2_blocks,
-        "l2_banks": cfg.l2_banks,
-        "engine": cfg.engine,
-        "jobs": sorted(j.key for j in jobs),
+        "seed": scale.seed,
+        "config": asdict(cfg),
+        "source": _source_digest(),
     }
+    blob = json.dumps(inputs, sort_keys=True).encode()
+    return f"{hashlib.sha256(blob).hexdigest()}.json"
 
 
-class SweepCheckpoint:
-    """Append-as-you-go JSON checkpoint for an interruptible sweep.
-
-    One file, rewritten atomically (temp + rename) after every finished
-    job: {"fingerprint": ..., "results": {job key: {"result",
-    "metrics"}}}. ``load`` ignores files whose fingerprint does not
-    match the current sweep, so changing the roster, scale or seed never
-    resurrects stale results, and files that are not of this shape.
-    """
-
-    def __init__(self, path, fingerprint: dict) -> None:
-        self.path = Path(path)
-        self.fingerprint = fingerprint
-        self._results: dict[str, dict] = {}
-
-    def load(self) -> dict[str, dict]:
-        """Restore finished jobs (empty dict when absent/stale/corrupt)."""
-        try:
-            with open(self.path, "r", encoding="utf-8") as f:
-                data = json.load(f)
-        except (OSError, json.JSONDecodeError):
-            return {}
-        if not isinstance(data, dict) or data.get("fingerprint") != self.fingerprint:
-            return {}
-        results = data.get("results", {})
-        if not isinstance(results, dict) or not all(
-            isinstance(entry, dict) for entry in results.values()
-        ):
-            return {}
-        self._results = results
-        return dict(results)
-
-    def record(
-        self, key: str, result: CMPResult, metrics: Optional[dict] = None
-    ) -> None:
-        """Persist one finished job (atomic rewrite)."""
-        self._results[key] = {"result": result.to_dict(), "metrics": metrics or {}}
-        payload = {"fingerprint": self.fingerprint, "results": self._results}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(payload, f)
-        os.replace(tmp, self.path)
-
-
-# ---------------------------------------------------------------------------
-# The roster driver
-# ---------------------------------------------------------------------------
-
-
-def _submit_or_fail(pool, submit: Callable, item) -> Future:
-    """``submit(pool, item)``; a refused submission (a worker was killed
-    from outside while the roster was still being submitted) becomes a
-    failed future, so it reaches the caller through the one failure
-    path."""
+def _restore(path: Path) -> Optional[tuple[CMPResult, dict]]:
+    """``(result, metrics)`` of a finished job, or None when its entry
+    is missing or unreadable (the job then simply runs again)."""
     try:
-        return submit(pool, item)
-    except Exception as exc:
-        future: Future = Future()
-        future.set_exception(exc)
-        return future
+        with open(path, encoding="utf-8") as f:
+            entry = json.load(f)
+        return CMPResult.from_dict(entry["result"]), dict(entry["metrics"])
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
 
 
-def run_roster(
-    label: str,
-    roster: Sequence,
-    *,
-    jobs: Optional[int],
-    checkpoint: Optional[str],
-    fingerprint: dict,
-    heartbeat: Heartbeat,
-    decode: Callable,
-    local: Callable,
-    submit: Callable,
-    commit: Callable,
-    fail: Callable,
-    prepare: Optional[Callable] = None,
-) -> int:
-    """Run every item of ``roster`` once; return how many were restored.
-
-    The one restore -> run -> checkpoint loop behind the design sweep.
-    Items need a stable ``.key``.
-    ``checkpoint`` is the path of a :class:`SweepCheckpoint` (None: keep
-    none), valid for rosters of the same ``fingerprint``. A *payload* is
-    whatever a job produces; the driver never looks inside one.
-
-    ``decode(entry)``
-        Payload of a finished job restored from its checkpoint entry.
-    ``prepare(todo)``
-        Runs once after restore, with the items still to run.
-    ``local(item)``
-        Run one item in this process; returns its payload.
-    ``submit(pool, item)``
-        Submit one item to the pool; returns the payload's future.
-    ``commit(item, payload)``
-        Fold a finished or restored item into the caller's outcome;
-        returns ``(result, metrics)`` for the checkpoint record.
-    ``fail(item, error)``
-        Mark an item that produced no payload; the roster continues.
-
-    ``jobs <= 1`` (or a single item to run) stays in-process. Otherwise
-    every item is submitted up front, before any worker starts a job,
-    and joined in roster order, so
-    commits arrive in roster order at any worker count. Whatever a job
-    raises — its own exception, a pickling error, ``BrokenProcessPool``
-    after a worker died — goes to ``fail``: a job is never resubmitted
-    or rerun in this process, and a rerun of the roster with the same
-    checkpoint computes only what did not finish.
-    """
-    n_jobs = jobs if jobs is not None else default_jobs()
-    total = len(roster)
-    ckpt = SweepCheckpoint(checkpoint, fingerprint) if checkpoint else None
-    restored = ckpt.load() if ckpt is not None else {}
-    todo = []
-    for item in roster:
-        entry = restored.get(item.key)
-        if entry is None:
-            todo.append(item)
-        else:
-            commit(item, decode(entry))
-    n_restored = done = total - len(todo)
-    if done:
-        heartbeat.beat(
-            f"{label}: restored {done} from checkpoint", done=done, total=total
+def _write_entry(
+    path: Path, key: str, result: CMPResult, metrics: dict
+) -> None:
+    """Write one finished job's entry (temp file + atomic rename)."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as f:
+        json.dump(
+            {"key": key, "result": result.to_dict(), "metrics": metrics}, f
         )
-    if prepare is not None:
-        prepare(todo)
-    mode = "serial" if n_jobs <= 1 or len(todo) <= 1 else "parallel"
-
-    def finish(item, run: Callable, *args) -> None:
-        nonlocal done
-        try:
-            payload = run(*args)
-        except Exception as exc:  # mark and continue: the roster finishes
-            fail(item, f"{type(exc).__name__}: {exc}")
-            note = "failed"
-        else:
-            result, metrics = commit(item, payload)
-            if ckpt is not None:
-                ckpt.record(item.key, result, metrics)
-            note = mode
-        done += 1
-        heartbeat.beat(f"{label}: {item.key} [{note}]", done=done, total=total)
-
-    if mode == "serial":
-        for item in todo:
-            finish(item, local, item)
-        return n_restored
-    # Workers take no job until every item is submitted. A job that kills
-    # its worker while submit() runs can otherwise orphan a future: on
-    # Python 3.11 the pool fails its pending futures without holding the
-    # submit lock, so an item submitted during that sweep never resolves
-    # and its result() waits forever. The gate is a semaphore with one
-    # permit per worker, not an Event: a worker killed while waiting on
-    # an Event's condition makes set() block for good.
-    gate = multiprocessing.Semaphore(0)
-    with ProcessPoolExecutor(max_workers=n_jobs, initializer=gate.acquire) as pool:
-        try:
-            futures = [_submit_or_fail(pool, submit, item) for item in todo]
-        finally:
-            for _ in range(n_jobs):
-                gate.release()
-        for item, future in zip(todo, futures):
-            finish(item, future.result)
-    return n_restored
+    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
 # The sweep
 # ---------------------------------------------------------------------------
+
+
+def _submit_or_fail(pool, *args) -> Future:
+    """``pool.submit(_execute_job, *args)``; a refused submission (a
+    worker was killed from outside while the roster was still being
+    submitted) becomes a failed future, so it reaches the loop through
+    the one failure path."""
+    try:
+        return pool.submit(_execute_job, *args)
+    except Exception as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
 
 
 def run_parallel_sweeps(
@@ -351,8 +213,10 @@ def run_parallel_sweeps(
         ``None`` uses the machine's available CPUs. Results are
         bit-identical either way.
     checkpoint:
-        Path of a JSON checkpoint. Finished jobs found there (from a
-        matching interrupted sweep) are restored, not recomputed.
+        Directory of finished-job entries, one JSON file per job named
+        by the sha256 of its inputs. Jobs found there are restored, not
+        recomputed; every job that finishes adds its entry. Cannot be
+        combined with ``policy_wrapper`` (a key cannot name a callable).
     obs:
         Parent observability context. Each job's metrics land under its
         scope — ``<design>.<policy>``, prefixed with the workload when
@@ -363,33 +227,64 @@ def run_parallel_sweeps(
         still honoured via the ``ZCACHE_PROGRESS_LOG`` environment
         variable.
 
-    A job that raises, or whose worker dies, is named in
-    ``outcome.failed`` and leaves no result; the checkpoint keeps every
-    job that finished.
+    Raises ``ValueError`` before capturing anything if two jobs share a
+    key (designs with one label). A job that raises, or whose worker
+    dies, is named in ``outcome.failed`` and leaves no result.
     """
     cfg = cfg or CMPConfig()
-    designs = list(designs)
-    policies = list(policies)
+    if checkpoint is not None and policy_wrapper is not None:
+        raise ValueError("a checkpoint cannot be combined with a policy_wrapper")
     names = list(workloads) if workloads is not None else scale.workload_names()
+    designs, policies = list(designs), list(policies)
+    roster = [
+        SweepJob(w, d, p) for w in names for d in designs for p in policies
+    ]
+    shared = sorted(k for k, n in Counter(j.key for j in roster).items() if n > 1)
+    if shared:
+        raise ValueError(f"sweep jobs share a key: {', '.join(shared)}")
     n_jobs = jobs if jobs is not None else default_jobs()
     heartbeat = obs.heartbeat if obs is not None else Heartbeat.from_env()
     spans = obs.spans if obs is not None else NULL_SPANS
-
-    all_jobs = [
-        SweepJob(w, d, p)
-        for w in names
-        for d in designs
-        for p in policies
-    ]
-    scopes = {job.key: job.scope(len(names) > 1) for job in all_jobs}
     outcome = ParallelSweepOutcome(
         sweeps={w: SweepResult(workload=w) for w in names}
     )
-    captures: dict[str, CapturedTrace] = {}
-    submitted_at: dict[str, float] = {}
+    job_cfgs = {
+        job.key: cfg.with_design(replace(job.design, policy=job.policy))
+        for job in roster
+    }
+    scopes = {job.key: job.scope(len(names) > 1) for job in roster}
+    entries: dict[str, Path] = {}
+    if checkpoint is not None:
+        store = Path(checkpoint)
+        store.mkdir(parents=True, exist_ok=True)
+        entries = {
+            job.key: store / _entry_name(job.workload, job_cfgs[job.key], scale)
+            for job in roster
+        }
+    total = len(roster)
 
-    def capture(todo: list) -> None:
-        """Once per workload still to run, in the parent."""
+    def commit(job: SweepJob, result: CMPResult, metrics: dict) -> None:
+        outcome.sweeps[job.workload].results[
+            (job.design.label(), job.policy)
+        ] = result
+        if obs is not None:
+            obs.metrics.merge_snapshot(metrics)
+
+    with spans.span("sweep", total_jobs=total, workers=n_jobs):
+        todo = []
+        for job in roster:
+            entry = _restore(entries[job.key]) if entries else None
+            if entry is None:
+                todo.append(job)
+            else:
+                commit(job, *entry)
+        outcome.restored = done = total - len(todo)
+        if done:
+            heartbeat.beat(
+                f"sweep: restored {done} from checkpoint", done=done, total=total
+            )
+
+        captures: dict[str, CapturedTrace] = {}
         for w in names:
             if not any(job.workload == w for job in todo):
                 continue
@@ -402,62 +297,60 @@ def run_parallel_sweeps(
                 captures[w] = runner.capture()
             heartbeat.beat(f"sweep: {w}: captured L2 stream")
 
-    def local(job: SweepJob) -> tuple:
-        with spans.span(f"job.{scopes[job.key]}", key=job.key):
-            result = _execute_job(
-                job, cfg, captures[job.workload], policy_wrapper,
-                scopes[job.key], obs,
-            )
-        return result, None
-
-    def submit(pool, job: SweepJob) -> Future:
-        submitted_at[job.key] = spans.now()
-        return pool.submit(
-            _replay_worker, job, cfg, captures[job.workload], policy_wrapper,
-            scopes[job.key],
-        )
-
-    def end_job_span(job: SweepJob) -> None:
-        """A pooled job's span, from submit to result (or failure)."""
-        start = submitted_at.pop(job.key, None)
-        if start is not None:
-            spans.record_span(
-                f"job.{scopes[job.key]}", start=start, end=spans.now(),
-                key=job.key,
+        def args(job: SweepJob) -> tuple:
+            return (
+                job_cfgs[job.key], captures[job.workload], policy_wrapper,
+                scopes[job.key],
             )
 
-    def commit(job: SweepJob, payload) -> tuple:
-        """Fold one finished job into the outcome and the registry."""
-        end_job_span(job)
-        result, snapshot = payload
-        outcome.sweeps[job.workload].results[
-            (job.design.label(), job.policy)
-        ] = result
-        if obs is not None and snapshot:
-            obs.metrics.merge_snapshot(snapshot)
-        return result, snapshot
+        mode = "serial" if n_jobs <= 1 or len(todo) <= 1 else "parallel"
 
-    def fail(job: SweepJob, error: str) -> None:
-        end_job_span(job)
-        outcome.failed[job.key] = error
+        def finish(job: SweepJob, run) -> None:
+            nonlocal done
+            try:
+                result, metrics = run()
+            except Exception as exc:  # mark and continue: the roster finishes
+                outcome.failed[job.key] = f"{type(exc).__name__}: {exc}"
+                note = "failed"
+            else:
+                commit(job, result, metrics)
+                if entries:
+                    _write_entry(entries[job.key], job.key, result, metrics)
+                note = mode
+            done += 1
+            heartbeat.beat(f"sweep: {job.key} [{note}]", done=done, total=total)
 
-    with spans.span("sweep", total_jobs=len(all_jobs), workers=n_jobs):
-        outcome.restored = run_roster(
-            "sweep",
-            all_jobs,
-            jobs=n_jobs,
-            checkpoint=checkpoint,
-            fingerprint=_sweep_fingerprint(cfg, scale, all_jobs),
-            heartbeat=heartbeat,
-            decode=lambda entry: (
-                CMPResult.from_dict(entry["result"]), entry.get("metrics")
-            ),
-            prepare=capture,
-            local=local,
-            submit=submit,
-            commit=commit,
-            fail=fail,
-        )
+        if mode == "serial":
+            for job in todo:
+                with spans.span(f"job.{scopes[job.key]}", key=job.key):
+                    finish(job, partial(_execute_job, *args(job), spans))
+        else:
+            # Workers take no job until every job is submitted. A job that
+            # kills its worker while submit() runs can otherwise orphan a
+            # future: on Python 3.11 the pool fails its pending futures
+            # without holding the submit lock, so a job submitted during
+            # that sweep never resolves and its result() waits forever.
+            # The gate is a semaphore with one permit per worker, not an
+            # Event: a worker killed while waiting on an Event's condition
+            # makes set() block for good.
+            gate = multiprocessing.Semaphore(0)
+            with ProcessPoolExecutor(
+                max_workers=n_jobs, initializer=gate.acquire
+            ) as pool:
+                try:
+                    submitted = [
+                        (job, spans.now(), _submit_or_fail(pool, *args(job)))
+                        for job in todo
+                    ]
+                finally:
+                    for _ in range(n_jobs):
+                        gate.release()
+                for job, start, future in submitted:
+                    finish(job, future.result)
+                    spans.record_span(
+                        f"job.{scopes[job.key]}", start=start, end=spans.now(),
+                        key=job.key,
+                    )
         spans.set_attr(restored=outcome.restored)
     return outcome
 
@@ -490,8 +383,9 @@ def run_sweep_cli(argv: list) -> int:
     add("--engine", choices=("reference", "turbo"), default="reference",
         help="bank access engine: 'turbo' runs the ZTurbo vectorized "
         "kernels (bit-identical; unsupported policies fall back)")
-    add("--checkpoint", type=str, default=None, metavar="PATH",
-        help="JSON checkpoint: resume an interrupted sweep from here")
+    add("--checkpoint", type=str, default=None, metavar="DIR",
+        help="directory of finished-job entries keyed by their inputs: "
+        "the same command run again restores every job it finished")
     add("--progress-log", type=str, default=None, metavar="PATH",
         help="append heartbeat progress lines to this file")
     args = parser.parse_args(argv)

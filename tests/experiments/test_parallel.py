@@ -3,12 +3,14 @@
 import json
 import os
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from repro.experiments import parallel
 from repro.experiments.parallel import (
     ParallelSweepOutcome,
-    SweepCheckpoint,
     SweepJob,
     default_jobs,
     run_parallel_sweeps,
@@ -20,7 +22,7 @@ from repro.experiments.runner import (
     run_design_sweep,
 )
 from repro.obs import Heartbeat, ObsContext, SpanTracker
-from repro.sim import CMPConfig, L2DesignConfig
+from repro.sim import CMPConfig, L2DesignConfig, TraceDrivenRunner
 
 WORKLOADS = ("gcc", "canneal")
 DESIGNS = (
@@ -109,96 +111,159 @@ class TestDeterministicMerge:
         assert sum(p.startswith("job.") for p in phases) == N_JOBS
 
 
+def entries(directory):
+    """The checkpoint's entry files, by name."""
+    return sorted(directory.glob("*.json"))
+
+
 class TestCheckpoint:
     def test_resume_restores_everything(self, tmp_path):
-        path = tmp_path / "ck.json"
-        first = mini_sweep(jobs=2, checkpoint=str(path))
-        assert path.exists()
-        second = mini_sweep(jobs=2, checkpoint=str(path))
-        assert second.restored == n_results(first) == N_JOBS
-        for w in first.sweeps:
-            assert first.sweeps[w].results == second.sweeps[w].results
+        # A rerun restores every job, reruns nothing and is bit-identical
+        # at any jobs.
+        ck = tmp_path / "ck"
+        first = mini_sweep(jobs=2, checkpoint=str(ck))
+        assert len(entries(ck)) == N_JOBS
+        for jobs in (1, 2):
+            again = mini_sweep(jobs=jobs, checkpoint=str(ck))
+            assert again.restored == n_results(first) == N_JOBS
+            for w in first.sweeps:
+                assert first.sweeps[w].results == again.sweeps[w].results
 
     def test_stale_checkpoint_is_ignored(self, tmp_path):
-        path = tmp_path / "ck.json"
-        mini_sweep(jobs=1, checkpoint=str(path))
-        stale_scale = ExperimentScale(
-            instructions_per_core=600, workloads=WORKLOADS, seed=6
-        )
-        again = mini_sweep(jobs=1, checkpoint=str(path), scale=stale_scale)
-        assert again.restored == 0
+        # A changed seed or instruction count restores nothing.
+        ck = tmp_path / "ck"
+        mini_sweep(jobs=1, checkpoint=str(ck))
+        for seed, instructions in ((6, 600), (5, 700)):
+            scale = ExperimentScale(
+                instructions_per_core=instructions, workloads=WORKLOADS,
+                seed=seed,
+            )
+            again = mini_sweep(jobs=1, checkpoint=str(ck), scale=scale)
+            assert again.restored == 0
+        assert len(entries(ck)) == 3 * N_JOBS  # every sweep's entries kept
 
     def test_engine_change_invalidates_checkpoint(self, tmp_path):
         # The turbo engine silently falls back to reference for designs
-        # it cannot vectorize, so a checkpoint written under one engine
-        # must never seed a resume under the other: mixed-engine result
-        # sets would be unattributable. The fingerprint carries the
-        # engine to force a clean re-run instead.
-        path = tmp_path / "ck.json"
+        # it cannot vectorize, so an entry written under one engine must
+        # never seed a resume under the other: mixed-engine result sets
+        # would be unattributable. The engine is part of every key.
+        ck = tmp_path / "ck"
         first = mini_sweep(
-            jobs=1, checkpoint=str(path), cfg=CMPConfig(engine="reference")
+            jobs=1, checkpoint=str(ck), cfg=CMPConfig(engine="reference")
         )
-        assert first.restored == 0 and path.exists()
+        assert first.restored == 0
         again = mini_sweep(
-            jobs=1, checkpoint=str(path), cfg=CMPConfig(engine="turbo")
+            jobs=1, checkpoint=str(ck), cfg=CMPConfig(engine="turbo")
         )
         assert again.restored == 0
-        # Same engine again: the rewritten checkpoint is honoured.
         third = mini_sweep(
-            jobs=1, checkpoint=str(path), cfg=CMPConfig(engine="turbo")
+            jobs=1, checkpoint=str(ck), cfg=CMPConfig(engine="turbo")
         )
         assert third.restored == n_results(again)
 
+    def test_changed_source_restores_nothing(self, tmp_path, monkeypatch):
+        ck = tmp_path / "ck"
+        mini_sweep(jobs=1, checkpoint=str(ck))
+        monkeypatch.setattr(parallel, "_source_digest", lambda: "edited")
+        assert mini_sweep(jobs=1, checkpoint=str(ck)).restored == 0
+
+    def test_a_sweep_that_adds_a_design_reuses_the_jobs_done(self, tmp_path):
+        ck = tmp_path / "ck"
+        mini_sweep(jobs=1, checkpoint=str(ck), designs=DESIGNS[:1])
+        wider = mini_sweep(jobs=2, checkpoint=str(ck))
+        assert wider.restored == len(WORKLOADS)
+        clean = mini_sweep(jobs=1)
+        for w in clean.sweeps:
+            assert clean.sweeps[w].results == wider.sweeps[w].results
+
     def test_corrupt_checkpoint_is_ignored(self, tmp_path):
-        path = tmp_path / "ck.json"
-        path.write_text("{not json", encoding="utf-8")
-        ck = SweepCheckpoint(path, fingerprint={"v": 1})
-        assert ck.load() == {}
+        # A truncated entry (a copy cut short) is recomputed, not fatal.
+        ck = tmp_path / "ck"
+        full = mini_sweep(jobs=1, checkpoint=str(ck))
+        victim = entries(ck)[0]
+        victim.write_text(victim.read_text(encoding="utf-8")[:40],
+                          encoding="utf-8")
+        again = mini_sweep(jobs=1, checkpoint=str(ck))
+        assert again.restored == N_JOBS - 1
+        for w in full.sweeps:
+            assert full.sweeps[w].results == again.sweeps[w].results
+        json.loads(victim.read_text(encoding="utf-8"))  # rewritten whole
 
     @pytest.mark.parametrize(
         "payload",
         [
             [1, 2],
             "checkpoint",
-            {"fingerprint": {"v": 1}, "results": {"k": [1]}},
-            {"fingerprint": {"v": 1}, "results": {"k": {}, "j": 3}},
+            {"result": {"l2_mpki": 1.0}, "metrics": {}},
+            {"result": None, "metrics": 3},
         ],
     )
     def test_checkpoint_of_the_wrong_shape_is_ignored(self, tmp_path, payload):
-        # Valid JSON whose top level, or a results entry, is not an
-        # object is as unusable as unparsable JSON.
-        path = tmp_path / "ck.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert SweepCheckpoint(path, fingerprint={"v": 1}).load() == {}
+        # Valid JSON that is not an entry is as unusable as unparsable
+        # JSON: every job is recomputed.
+        ck = tmp_path / "ck"
+        mini_sweep(jobs=1, checkpoint=str(ck))
+        for path in entries(ck):
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        assert mini_sweep(jobs=1, checkpoint=str(ck)).restored == 0
 
     def test_record_is_atomic_json(self, tmp_path):
-        path = tmp_path / "ck.json"
-        mini_sweep(jobs=1, checkpoint=str(path))
-        data = json.loads(path.read_text(encoding="utf-8"))
-        assert set(data) == {"fingerprint", "results"}
-        assert len(data["results"]) == len(WORKLOADS) * len(DESIGNS)
-        assert not path.with_name(path.name + ".tmp").exists()
+        ck = tmp_path / "ck"
+        mini_sweep(jobs=1, checkpoint=str(ck))
+        assert len(entries(ck)) == N_JOBS
+        assert sorted(
+            json.loads(path.read_text(encoding="utf-8"))["key"]
+            for path in entries(ck)
+        ) == sorted(f"{w}|{d.label()}|lru" for w in WORKLOADS for d in DESIGNS)
+        assert not list(ck.glob("*.tmp"))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resumed_sweep_merges_the_same_metrics(self, tmp_path, jobs):
+        # An entry keeps the job's metrics snapshot at any jobs, so a
+        # resumed sweep's registry equals the uninterrupted sweep's.
+        ck = str(tmp_path / "ck")
+        whole, resumed = ObsContext(), ObsContext()
+        mini_sweep(jobs=jobs, checkpoint=ck, obs=whole)
+        assert mini_sweep(jobs=jobs, checkpoint=ck, obs=resumed).restored == N_JOBS
+        assert whole.metrics.snapshot()
+        assert resumed.metrics.snapshot() == whole.metrics.snapshot()
+
+    def test_checkpoint_refuses_a_policy_wrapper(self, tmp_path):
+        with pytest.raises(ValueError, match="policy_wrapper"):
+            mini_sweep(
+                jobs=1, checkpoint=str(tmp_path / "ck"),
+                policy_wrapper=lambda p: p,
+            )
 
 
-def _crash_worker_once(policy):
-    """Picklable policy wrapper that hard-kills one worker, once.
+REAL_REPLAY = TraceDrivenRunner.replay
+TEST_PID = os.getpid()  # forked workers inherit the parent's value
+
+
+def _crash_worker_once(self, design_cfg, *args, **kwargs):
+    """Replay that hard-kills one worker, once.
 
     Flag and checkpoint paths travel via the environment (workers
-    inherit it). The first FIFO job to build its policy waits until the
-    parent has checkpointed a finished job, then dies with ``os._exit``
-    — no exception, no cleanup, exactly a killed worker. LRU jobs, and
-    every call once the flag exists (a resumed sweep), pass through.
+    inherit it). The first FIFO job to replay in a worker waits until
+    the parent has written a finished job's entry, then dies with
+    ``os._exit`` — no exception, no cleanup, exactly a killed worker.
+    LRU jobs, and every call once the flag exists (a resumed sweep),
+    pass through.
     """
-    flag = os.environ.get("ZCACHE_TEST_CRASH_FLAG")
-    if not flag or os.path.exists(flag) or type(policy).__name__ != "FIFO":
-        return policy
-    checkpoint = os.environ["ZCACHE_TEST_CRASH_CHECKPOINT"]
-    deadline = time.monotonic() + 120.0
-    while not os.path.exists(checkpoint) and time.monotonic() < deadline:
-        time.sleep(0.01)
-    with open(flag, "w", encoding="utf-8") as f:
-        f.write("crashed")
-    os._exit(17)
+    flag = os.environ["ZCACHE_TEST_CRASH_FLAG"]
+    if (
+        design_cfg.l2_design.policy == "fifo"
+        and os.getpid() != TEST_PID
+        and not os.path.exists(flag)
+    ):
+        checkpoint = Path(os.environ["ZCACHE_TEST_CRASH_CHECKPOINT"])
+        deadline = time.monotonic() + 120.0
+        while not entries(checkpoint) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with open(flag, "w", encoding="utf-8") as f:
+            f.write("crashed")
+        os._exit(17)
+    return REAL_REPLAY(self, design_cfg, *args, **kwargs)
 
 
 class TestCrashResume:
@@ -206,15 +271,16 @@ class TestCrashResume:
         self, tmp_path, monkeypatch
     ):
         flag = tmp_path / "crash.flag"
-        ck = tmp_path / "ck.json"
+        ck = tmp_path / "ck"
         monkeypatch.setenv("ZCACHE_TEST_CRASH_FLAG", str(flag))
         monkeypatch.setenv("ZCACHE_TEST_CRASH_CHECKPOINT", str(ck))
+        monkeypatch.setattr(TraceDrivenRunner, "replay", _crash_worker_once)
         kw = dict(policies=("lru", "fifo"), checkpoint=str(ck))
         n_jobs = 2 * N_JOBS
-        crashed = mini_sweep(jobs=2, policy_wrapper=_crash_worker_once, **kw)
-        # The worker genuinely died mid-sweep, after the first job was
-        # checkpointed; every job it took down with it is named, not
-        # rerun...
+        crashed = mini_sweep(jobs=2, **kw)
+        # The worker genuinely died mid-sweep, after the first job's
+        # entry was written; every job it took down with it is named,
+        # not rerun...
         assert flag.exists()
         assert crashed.failed and n_results(crashed) >= 1
         assert all(
@@ -223,12 +289,15 @@ class TestCrashResume:
         )
         assert n_results(crashed) + len(crashed.failed) == n_jobs
         # ...while the checkpoint keeps exactly what finished.
-        data = json.loads(ck.read_text(encoding="utf-8"))
-        assert set(data["results"]).isdisjoint(crashed.failed)
-        assert len(data["results"]) == n_results(crashed)
+        keys = {
+            json.loads(path.read_text(encoding="utf-8"))["key"]
+            for path in entries(ck)
+        }
+        assert keys.isdisjoint(crashed.failed)
+        assert len(keys) == n_results(crashed)
 
         # A resumed run restores what finished and computes the rest.
-        resumed = mini_sweep(jobs=2, policy_wrapper=_crash_worker_once, **kw)
+        resumed = mini_sweep(jobs=2, **kw)
         assert resumed.restored == n_results(crashed)
         assert not resumed.failed
 
@@ -241,15 +310,13 @@ class TestCrashResume:
 
     def test_partial_checkpoint_resume_is_bit_identical(self, tmp_path):
         # Simulate the parent dying mid-sweep: keep only half the
-        # checkpoint entries (the state an interrupted run leaves) and
-        # resume — restored + recomputed must equal the clean run.
-        ck = tmp_path / "ck.json"
+        # entries (the state an interrupted run leaves) and resume —
+        # restored + recomputed must equal the clean run.
+        ck = tmp_path / "ck"
         full = mini_sweep(jobs=1, checkpoint=str(ck))
-        data = json.loads(ck.read_text(encoding="utf-8"))
-        keys = sorted(data["results"])
-        kept = keys[: len(keys) // 2]
-        data["results"] = {k: data["results"][k] for k in kept}
-        ck.write_text(json.dumps(data), encoding="utf-8")
+        kept = entries(ck)[: N_JOBS // 2]
+        for path in entries(ck)[N_JOBS // 2 :]:
+            path.unlink()
 
         resumed = mini_sweep(jobs=2, checkpoint=str(ck))
         assert 0 < resumed.restored == len(kept) < N_JOBS
@@ -313,6 +380,29 @@ class TestRobustness:
         for w in WORKLOADS:
             assert f"capture.{w}" in names[0]
 
+    def test_designs_that_share_a_label_are_refused(self):
+        # Z4/52 three ways: one label, so one result key and one metrics
+        # scope. Refused by name before anything is captured.
+        z52 = L2DesignConfig(kind="z", ways=4, levels=3)
+        designs = (
+            z52, replace(z52, candidate_limit=20), replace(z52, hash_kind="mix")
+        )
+        obs = ObsContext(spans=SpanTracker(seed=1))
+        with pytest.raises(ValueError, match=r"gcc\|Z4/52-S\|lru"):
+            run_parallel_sweeps(
+                workloads=("gcc",), designs=designs, scale=SCALE, obs=obs
+            )
+        assert not obs.spans.spans()
+
+    def test_in_process_replay_spans_nest_in_their_job(self):
+        obs = ObsContext(spans=SpanTracker(seed=1))
+        mini_sweep(jobs=1, obs=obs)
+        spans = obs.spans.spans()
+        jobs = {s.span_id for s in spans if s.name.startswith("job.")}
+        nested = [s for s in spans if s.name.startswith("replay.")]
+        assert len(nested) == 2 * N_JOBS
+        assert {s.parent_id for s in nested} == jobs
+
     def test_failed_property_empty_on_success(self):
         assert ParallelSweepOutcome().failed == {}
         assert not mini_sweep(jobs=1).failed
@@ -329,15 +419,19 @@ class TestSweepCli:
         assert "gcc" in out and "SA-4h-S" in out
 
     def test_cli_checkpoint_resume(self, capsys, tmp_path):
-        ck = tmp_path / "ck.json"
+        # The same command run again restores every job and prints the
+        # same table.
         args = [
             "--workloads", "gcc", "--instructions", "400",
-            "--jobs", "1", "--checkpoint", str(ck),
+            "--jobs", "1", "--checkpoint", str(tmp_path / "ck"),
         ]
         assert run_sweep_cli(args) == 0
-        capsys.readouterr()
+        first = capsys.readouterr().out.splitlines()
         assert run_sweep_cli(args) == 0
-        assert "restored" in capsys.readouterr().out
+        second = capsys.readouterr().out.splitlines()
+        assert first[0] == "sweep: 6 jobs (0 restored, 0 failed)"
+        assert second[0] == "sweep: 6 jobs (6 restored, 0 failed)"
+        assert second[1:] == first[1:]
 
     def test_cli_progress_log(self, capsys, tmp_path):
         log = tmp_path / "progress.log"

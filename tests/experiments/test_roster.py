@@ -1,16 +1,16 @@
-"""Contract of the roster driver (repro.experiments.parallel.run_roster).
+"""Contract of the sweep loop (repro.experiments.parallel.run_parallel_sweeps).
 
-One set of cases, run two ways: a toy roster straight through
-``run_roster`` (no simulator), and its caller, ``run_parallel_sweeps``.
-Failures are scripted per job key and consumed one per call, in
-whichever process runs the job: plan and call log live in a directory
-named by an environment variable, which forked workers inherit.
+Four replays of one tiny capture, with failures scripted per job key
+and consumed one per call, in whichever process runs the job: plan and
+call log live in a directory named by an environment variable, which
+forked workers inherit.
 """
 
 import json
 import os
 import signal
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import quote
@@ -18,12 +18,11 @@ from urllib.parse import quote
 import pytest
 
 from repro.experiments import parallel
-from repro.experiments.parallel import run_roster
 from repro.experiments.runner import ExperimentScale
-from repro.obs import NULL_HEARTBEAT
-from repro.sim import L2DesignConfig
+from repro.sim import L2DesignConfig, TraceDrivenRunner
 
 PLAN_ENV = "ZCACHE_TEST_ROSTER_PLAN"
+WORKLOAD = "gcc"
 
 
 def _call_files(key):
@@ -55,62 +54,12 @@ def calls(key):
 
 @dataclass
 class Run:
-    """What a driven roster looked like from outside, caller-neutral."""
+    """What a sweep looked like from outside."""
 
     committed: list  #: keys, in commit order
     failed: dict = field(default_factory=dict)  #: key -> error
     restored: int = 0
 
-
-# -- the toy roster: run_roster itself, nothing else --------------------------
-
-
-@dataclass(frozen=True)
-class ToyItem:
-    key: str
-
-
-@dataclass
-class ToyResult:
-    value: str
-
-    def to_dict(self):
-        return {"value": self.value}
-
-
-def toy_worker(item):
-    scripted_call(item.key, item)
-    return item.key.upper()
-
-
-TOY_ROSTER = [ToyItem(f"item-{i}") for i in range(4)]
-
-
-def run_toy(jobs, checkpoint=None, stale=False):
-    run = Run(committed=[])
-
-    def commit(item, payload):
-        assert payload == item.key.upper()
-        run.committed.append(item.key)
-        return ToyResult(payload), None
-
-    run.restored = run_roster(
-        "toy",
-        TOY_ROSTER,
-        jobs=jobs,
-        checkpoint=checkpoint,
-        fingerprint={"stamp": 2 if stale else 1},
-        heartbeat=NULL_HEARTBEAT,
-        decode=lambda entry: entry["result"]["value"],
-        local=toy_worker,
-        submit=lambda pool, item: pool.submit(toy_worker, item),
-        commit=commit,
-        fail=lambda item, error: run.failed.update({item.key: error}),
-    )
-    return run
-
-
-# -- the sweep: four replays of one tiny capture ------------------------------
 
 SWEEP_DESIGNS = (
     L2DesignConfig(kind="sa", ways=4, hash_kind="h3"),
@@ -121,7 +70,7 @@ SWEEP_POLICIES = ("lru", "fifo")
 
 def run_sweep(jobs, checkpoint=None, stale=False):
     outcome = parallel.run_parallel_sweeps(
-        workloads=("gcc",),
+        workloads=(WORKLOAD,),
         designs=SWEEP_DESIGNS,
         policies=SWEEP_POLICIES,
         scale=ExperimentScale(
@@ -142,15 +91,11 @@ def run_sweep(jobs, checkpoint=None, stale=False):
 
 
 SWEEP_KEYS = [
-    f"gcc|{d.label()}|{p}" for d in SWEEP_DESIGNS for p in SWEEP_POLICIES
+    f"{WORKLOAD}|{d.label()}|{p}" for d in SWEEP_DESIGNS for p in SWEEP_POLICIES
 ]
-HARNESSES = {
-    "toy": (run_toy, [item.key for item in TOY_ROSTER]),
-    "sweep": (run_sweep, SWEEP_KEYS),
-}
 
 
-@pytest.fixture(params=sorted(HARNESSES))
+@pytest.fixture(params=["sweep"])
 def harness(request, tmp_path, monkeypatch):
     """``(run, keys, script)``: ``script(plan)`` arms per-key failures."""
     root = tmp_path / "plan"
@@ -161,17 +106,18 @@ def harness(request, tmp_path, monkeypatch):
         (root / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
 
     script({})
-    # The sweep runs a job through one module-level function, in the
-    # workers and in the parent alike; script it there.
-    real_execute = parallel._execute_job
+    # Every job replays through TraceDrivenRunner.replay, in the workers
+    # (forked after this patch) and in the parent alike; script it there.
+    real_replay = TraceDrivenRunner.replay
 
-    def execute(job, *args):
-        scripted_call(job.key, job)
-        return real_execute(job, *args)
+    def replay(self, design_cfg, *args, **kwargs):
+        design = design_cfg.l2_design
+        key = f"{WORKLOAD}|{design.label()}|{design.policy}"
+        scripted_call(key, design)
+        return real_replay(self, design_cfg, *args, **kwargs)
 
-    monkeypatch.setattr(parallel, "_execute_job", execute)
-    run, keys = HARNESSES[request.param]
-    return run, keys, script
+    monkeypatch.setattr(TraceDrivenRunner, "replay", replay)
+    return run_sweep, SWEEP_KEYS, script
 
 
 def test_clean_run_commits_every_item_once_in_roster_order(harness):
@@ -187,7 +133,7 @@ def test_restores_a_matching_checkpoint_and_ignores_a_stale_one(
     harness, tmp_path
 ):
     run, keys, _ = harness
-    ck = str(tmp_path / "ck.json")
+    ck = str(tmp_path / "ck")
     assert run(1, checkpoint=ck).restored == 0
     again = run(2, checkpoint=ck)
     assert again.restored == len(keys)
@@ -222,49 +168,41 @@ def test_a_dead_worker_fails_every_uncommitted_job(harness):
     assert all(len(calls(key)) <= 1 for key in keys)  # nothing reran
 
 
-def test_a_pool_that_breaks_during_submission_fails_the_rest_by_name():
-    # A worker killed from outside while the roster is still being
-    # submitted: the items already in the pool fail, and submit() itself
-    # raises BrokenProcessPool for the rest. The kill waits until the
-    # pool has seen it (the private ``_broken`` flag), so no submit()
-    # runs while the pool is failing its pending futures.
-    roster = [ToyItem(f"item-{i}") for i in range(40)]
-    committed, failed = [], {}
+class KillAtThirdSubmit(ProcessPoolExecutor):
+    """A pool whose third submission first SIGKILLs one of its workers.
 
-    def submit(pool, item):
-        if item.key == "item-20":
-            os.kill(next(iter(pool._processes)), signal.SIGKILL)
-            while not pool._broken:
+    The kill waits until the pool has seen it (the private ``_broken``
+    flag), so no submit() runs while the pool is failing its pending
+    futures.
+    """
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted = getattr(self, "submitted", 0) + 1
+        if self.submitted == 3:
+            os.kill(next(iter(self._processes)), signal.SIGKILL)
+            while not self._broken:
                 time.sleep(0.001)
-        return pool.submit(str.upper, item.key)
+        return super().submit(fn, *args, **kwargs)
 
-    def commit(item, payload):
-        committed.append(item.key)
-        return ToyResult(payload), None
 
-    run_roster(
-        "toy",
-        roster,
-        jobs=2,
-        checkpoint=None,
-        fingerprint={},
-        heartbeat=NULL_HEARTBEAT,
-        decode=None,
-        local=toy_worker,
-        submit=submit,
-        commit=commit,
-        fail=lambda item, error: failed.update({item.key: error}),
-    )
-    assert not committed  # no worker started a job before the kill
-    assert list(failed) == [item.key for item in roster]
-    assert all(e.startswith("BrokenProcessPool") for e in failed.values())
+def test_a_pool_that_breaks_during_submission_fails_the_rest_by_name(
+    monkeypatch,
+):
+    # A worker killed from outside while the roster is still being
+    # submitted: the jobs already in the pool fail, and submit() itself
+    # raises BrokenProcessPool for the rest.
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", KillAtThirdSubmit)
+    result = run_sweep(2)
+    assert not result.committed  # no worker started a job before the kill
+    assert list(result.failed) == SWEEP_KEYS
+    assert all(e.startswith("BrokenProcessPool") for e in result.failed.values())
 
 
 def test_a_rerun_restores_what_committed_and_computes_the_rest(
     harness, tmp_path
 ):
     run, keys, script = harness
-    ck = str(tmp_path / "ck.json")
+    ck = str(tmp_path / "ck")
     script({keys[1]: ["raise"]})
     first = run(2, checkpoint=ck)
     assert list(first.failed) == [keys[1]]
