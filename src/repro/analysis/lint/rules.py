@@ -1,4 +1,4 @@
-"""The repository rule set: codes ZS001–ZS006, ZS104 and ZS109.
+"""The repository rule set: ZS001, ZS002, ZS005, ZS006, ZS104 and ZS109.
 
 Each rule encodes one of the simulator's correctness conventions; the
 rationale for every code lives in ``docs/lint_rules.md``. Rules are
@@ -12,12 +12,7 @@ import ast
 from pathlib import Path
 from typing import Iterator, Optional
 
-from repro.analysis.lint.engine import (
-    Finding,
-    LintRule,
-    LintSource,
-    register_rule,
-)
+from repro.analysis.lint.engine import Finding, LintRule, LintSource
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -47,7 +42,6 @@ def _import_aliases(tree: ast.Module, module: str) -> set[str]:
     return names
 
 
-@register_rule
 class UnseededRandomness(LintRule):
     """ZS001: all randomness must flow through a seeded ``random.Random``.
 
@@ -170,15 +164,13 @@ def _is_float_literal(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and isinstance(node.value, float)
 
 
-@register_rule
 class FloatEquality(LintRule):
     """ZS002: no ``==`` / ``!=`` against float literals.
 
     The statistics and associativity pipelines accumulate floating
     point; exact comparison against a float literal is almost always a
     latent bug (``0.1 + 0.2 != 0.3``). Use ``math.isclose`` or an
-    explicit tolerance. Intentional sentinel comparisons can be
-    suppressed with ``# zsan: ignore[ZS002]``.
+    explicit tolerance.
     """
 
     code = "ZS002"
@@ -207,172 +199,6 @@ class FloatEquality(LintRule):
                     break
 
 
-@register_rule
-class PolicyContract(LintRule):
-    """ZS003: ``ReplacementPolicy`` subclasses must honour the contract.
-
-    Direct subclasses must override the four abstract hooks
-    (``on_insert``/``on_access``/``on_evict``/``score``), and no policy
-    method may mutate a ``candidates`` parameter — the controller owns
-    the candidate list and hands the same sequence to instrumentation
-    wrappers; a policy that sorts or pops it corrupts the measurement
-    path.
-    """
-
-    code = "ZS003"
-    name = "policy-contract"
-    summary = "policies override the abstract hooks and never mutate candidates"
-
-    REQUIRED_HOOKS = ("on_insert", "on_access", "on_evict", "score")
-    _MUTATORS = frozenset(
-        {"append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse"}
-    )
-
-    def check(self, src: LintSource) -> Iterator[Finding]:
-        """Flag contract violations on every policy class in ``src``."""
-        for node in ast.walk(src.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            bases = {b for b in (_dotted(base) for base in node.bases) if b}
-            tails = {b.split(".")[-1] for b in bases}
-            if "ReplacementPolicy" not in tails:
-                continue
-            yield from self._check_hooks(src, node)
-            yield from self._check_mutation(src, node)
-
-    @staticmethod
-    def _is_abstract(node: ast.ClassDef) -> bool:
-        for item in node.body:
-            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for dec in item.decorator_list:
-                name = _dotted(dec)
-                if name and name.split(".")[-1] == "abstractmethod":
-                    return True
-        return False
-
-    def _check_hooks(
-        self, src: LintSource, node: ast.ClassDef
-    ) -> Iterator[Finding]:
-        if self._is_abstract(node):
-            return
-        defined = {
-            item.name
-            for item in node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        missing = [h for h in self.REQUIRED_HOOKS if h not in defined]
-        if missing:
-            yield self.finding(
-                src,
-                node,
-                f"policy class {node.name} does not override required "
-                f"hook(s): {', '.join(missing)}",
-            )
-
-    def _check_mutation(
-        self, src: LintSource, node: ast.ClassDef
-    ) -> Iterator[Finding]:
-        for item in ast.walk(node):
-            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            args = item.args
-            params = {
-                a.arg
-                for a in (
-                    *args.posonlyargs, *args.args, *args.kwonlyargs,
-                )
-            }
-            if "candidates" not in params:
-                continue
-            for stmt in ast.walk(item):
-                bad = self._mutation_site(stmt)
-                if bad is not None:
-                    yield self.finding(
-                        src,
-                        stmt,
-                        f"method {item.name} mutates the 'candidates' "
-                        f"parameter ({bad}); copy it first",
-                    )
-
-    def _mutation_site(self, stmt: ast.AST) -> Optional[str]:
-        if isinstance(stmt, ast.Call):
-            func = stmt.func
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "candidates"
-                and func.attr in self._MUTATORS
-            ):
-                return f"candidates.{func.attr}()"
-        if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.Delete)):
-            targets = (
-                stmt.targets
-                if isinstance(stmt, (ast.Assign, ast.Delete))
-                else [stmt.target]
-            )
-            for target in targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "candidates"
-                ):
-                    return "item assignment"
-                if (
-                    isinstance(stmt, ast.AugAssign)
-                    and isinstance(target, ast.Name)
-                    and target.id == "candidates"
-                ):
-                    return "augmented assignment"
-        return None
-
-
-@register_rule
-class DataclassSlots(LintRule):
-    """ZS004: ``core/`` dataclasses must declare ``slots=True``.
-
-    The hot paths allocate result and statistics objects per access;
-    ``slots=True`` cuts per-instance memory and speeds attribute access,
-    and rejects typo'd attribute writes that a ``__dict__`` would
-    silently absorb (exactly the failure mode a sanitizer exists to
-    catch).
-    """
-
-    code = "ZS004"
-    name = "dataclass-slots"
-    summary = "core/ dataclasses declare slots=True"
-
-    @classmethod
-    def applies_to(cls, path: Path) -> bool:
-        """Only files under a ``core`` directory are hot-path scoped."""
-        return "core" in path.parts
-
-    def check(self, src: LintSource) -> Iterator[Finding]:
-        """Flag ``@dataclass`` decorations lacking ``slots=True``."""
-        for node in ast.walk(src.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for dec in node.decorator_list:
-                target = dec.func if isinstance(dec, ast.Call) else dec
-                name = _dotted(target)
-                if not name or name.split(".")[-1] != "dataclass":
-                    continue
-                if isinstance(dec, ast.Call) and any(
-                    kw.arg == "slots"
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value is True
-                    for kw in dec.keywords
-                ):
-                    continue
-                yield self.finding(
-                    src,
-                    node,
-                    f"dataclass {node.name} in core/ must declare "
-                    "slots=True (hot-path allocation)",
-                )
-
-
-@register_rule
 class WallClockGlobalState(LintRule):
     """ZS005: no wall-clock reads or ``global`` state in simulation logic.
 
@@ -464,28 +290,18 @@ class WallClockGlobalState(LintRule):
                     )
 
 
-@register_rule
 class CounterBypass(LintRule):
     """ZS006: hot-path counters go through the metrics registry.
 
-    Since the ZScope layer, every statistics counter in ``core/`` and
-    ``sim/`` is a registered :class:`~repro.obs.metrics.Counter`; the
-    sanctioned increment is ``counter.value += 1`` on a cached counter
-    reference (or through a :class:`~repro.obs.metrics.RegistryStats`
-    facade's ``counters()`` dict). A plain attribute increment —
-    ``self.stats.hits += 1`` or a bare ``self.total_misses += 1`` —
-    creates a shadow counter the registry never sees, so metric
-    snapshots and ``zcache-repro stats`` silently under-report. Private
-    epoch-local accumulators (underscore-prefixed) are fine: they are
-    bookkeeping, not reported statistics.
-
-    The ZTurbo kernels (``kernels/``) add a second hazard at their
-    accumulator fold points: a vectorized stage computes a batch delta
-    and must fold it *additively* into the registered counter. A plain
-    assignment — ``counter.value = batch_total`` — overwrites whatever
-    the counter already held (reference-path warm-up, invalidations,
-    counts surviving a stats swap), so in kernels modules any ``=`` on
-    a ``.value`` attribute is flagged alongside the facade bypasses.
+    Every statistics counter in ``core/`` and ``sim/`` is a registered
+    :class:`~repro.obs.metrics.Counter`, bumped as ``counter.value += 1``
+    on a cached reference (or through a
+    :class:`~repro.obs.metrics.RegistryStats` facade, whose
+    ``__setattr__`` writes the same counter). A bare counter attribute
+    on ``self`` — ``self.writeback_hits += 1`` — is a shadow counter the
+    registry never sees, so metric snapshots and ``zcache-repro stats``
+    silently under-report. Private (underscore-prefixed) accumulators
+    are bookkeeping, not reported statistics, and are fine.
     """
 
     code = "ZS006"
@@ -516,73 +332,33 @@ class CounterBypass(LintRule):
         )
 
     def check(self, src: LintSource) -> Iterator[Finding]:
-        """Flag ``+=``/``-=`` on counter-looking attributes.
-
-        In kernels modules, additionally flag plain assignment to a
-        ``.value`` attribute (an accumulator fold point must add, not
-        overwrite).
-        """
-        in_kernels = "kernels" in src.path.parts
+        """Flag ``+=``/``-=`` on counter-named ``self`` attributes."""
         for node in ast.walk(src.tree):
-            if isinstance(node, ast.AugAssign):
-                if not isinstance(node.op, (ast.Add, ast.Sub)):
-                    continue
-                message = self._bypass_message(node.target)
-                if message is not None:
-                    yield self.finding(src, node, message)
-            elif in_kernels and isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and target.attr == "value"
-                    ):
-                        yield self.finding(
-                            src,
-                            node,
-                            "'=' on a Counter's .value overwrites counts "
-                            "accumulated outside this kernel; fold the "
-                            "batch delta additively (counter.value += delta)",
-                        )
-
-    def _bypass_message(self, target: ast.AST) -> Optional[str]:
-        node = target
-        if isinstance(node, ast.Subscript):
-            node = node.value
-        if not isinstance(node, ast.Attribute):
-            return None
-        name = node.attr
-        if name == "value":
-            # counter.value += 1 — the sanctioned registry increment.
-            return None
-        parent = node.value
-        # (a) anything incremented through a stats facade:
-        # self.stats.hits, cache.stats.data_writes, self.victim_stats.swaps
-        parent_name = None
-        if isinstance(parent, ast.Attribute):
-            parent_name = parent.attr
-        elif isinstance(parent, ast.Name):
-            parent_name = parent.id
-        if parent_name is not None and parent_name != "self" and (
-            parent_name == "stats" or parent_name.endswith("_stats")
-        ):
-            return (
-                f"'{parent_name}.{name} +=' bypasses the metrics registry; "
-                "increment the registered Counter's .value (see "
-                "repro.obs.metrics.RegistryStats.counters)"
-            )
-        # (b) a bare counter attribute on self: self.writeback_hits += 1
-        if (
-            isinstance(parent, ast.Name)
-            and parent.id == "self"
-            and not name.startswith("_")
-            and (name in self._VOCAB or name.endswith(self._SUFFIXES))
-        ):
-            return (
-                f"'self.{name} +=' keeps an ad-hoc counter the registry "
-                "never sees; register it (repro.obs.metrics) and increment "
-                "the Counter's .value"
-            )
-        return None
+            if not (
+                isinstance(node, ast.AugAssign)
+                and isinstance(node.op, (ast.Add, ast.Sub))
+            ):
+                continue
+            target = node.target
+            if isinstance(target, ast.Subscript):
+                target = target.value
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+                and not target.attr.startswith("_")
+                and (
+                    target.attr in self._VOCAB
+                    or target.attr.endswith(self._SUFFIXES)
+                )
+            ):
+                yield self.finding(
+                    src,
+                    node,
+                    f"'self.{target.attr} +=' keeps an ad-hoc counter the "
+                    "registry never sees; register it (repro.obs.metrics) "
+                    "and increment the Counter's .value",
+                )
 
 
 #: constructors whose call builds a mutable container
@@ -626,7 +402,6 @@ def _toplevel(body: list[ast.stmt]) -> Iterator[ast.stmt]:
             yield stmt
 
 
-@register_rule
 class HiddenModuleState(LintRule):
     """ZS104: simulator and serve packages keep no module-level mutables.
 
@@ -678,7 +453,6 @@ class HiddenModuleState(LintRule):
             )
 
 
-@register_rule
 class SpanDiscipline(LintRule):
     """ZS109: spans open only as ``with`` items in simulation code.
 
@@ -730,3 +504,14 @@ class SpanDiscipline(LintRule):
                     "span closes on exceptions (record_span is the "
                     "sanctioned non-with form)",
                 )
+
+
+#: the repository rules, in code order (``zcache-repro lint --rules``)
+RULES: tuple[type[LintRule], ...] = (
+    UnseededRandomness,
+    FloatEquality,
+    WallClockGlobalState,
+    CounterBypass,
+    HiddenModuleState,
+    SpanDiscipline,
+)

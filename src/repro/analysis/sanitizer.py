@@ -8,7 +8,8 @@ driver that builds the scope-appropriate check context around every
 intercepted operation and raises on the first violated invariant:
 
 - **walk** scope after every ``build_replacement`` /
-  ``build_reinsertion``, node by node of the walk record: every parent
+  ``build_reinsertion``, once per walk record (each invariant loops
+  over the nodes and the first broken node is reported): every parent
   link points to an earlier node (so paths are acyclic), levels
   increase by exactly one along parent links, a valid candidate's path never
   revisits a position, recorded addresses match the array, and for
@@ -33,10 +34,8 @@ be replayed deterministically.
 Cost model: per-operation checks are O(walk) — proportional to work the
 array already did — while the O(cache) deep scan runs every
 ``deep_check_interval`` commits (default 64) and on :meth:`final_check`,
-which bounds how long a corruption can stay latent. The sanitized
-Fig. 2 validation runs 5–6x slower than the plain one (``zcache-repro
-check --sanitize`` prints the ratio): the per-candidate walk
-invariants, not the deep scans, are the cost.
+which bounds how long a corruption can stay latent. ``zcache-repro
+check --sanitize`` prints the slowdown over the same replay unsanitized.
 """
 
 from __future__ import annotations
@@ -60,24 +59,13 @@ from repro.analysis.spec import (
 )
 from repro.core.base import ArrayProxy, CacheArray, CommitResult, Replacement
 
-__all__ = [
-    "VIOLATION_KINDS",
-    "InvariantViolation",
-    "SanitizedArray",
-    "make_wrapper",
-    "sanitize",
-]
+__all__ = ["VIOLATION_KINDS", "InvariantViolation", "SanitizedArray"]
 
 # Scope slices of the registry, resolved once at import (the registry
 # is fully populated by the spec module's own import).
-def _bind(scope: str) -> Tuple[Tuple[Callable[..., Optional[str]], str, str], ...]:
-    """Pre-bound ``(check, kind, name)`` triples for one scope.
-
-    The walk checks run per candidate per miss; resolving three
-    dataclass attributes per invariant per candidate is a measurable
-    slice of the sanitized hot loop, so the driver binds them once at
-    import.
-    """
+def _bind(scope: str) -> Tuple[Tuple[Callable[..., Any], str, str], ...]:
+    """Pre-bound ``(check, kind, name)`` triples for one scope: the walk
+    checks run on every miss, so the sanitizer resolves them once."""
     return tuple(
         (inv.check, inv.kind, inv.name) for inv in invariants_for(scope)
     )
@@ -206,7 +194,7 @@ class SanitizedArray(ArrayProxy):
 
     def _run(
         self,
-        invariants: Tuple[Tuple[Callable[..., Optional[str]], str, str], ...],
+        invariants: Tuple[Tuple[Callable[..., Any], str, str], ...],
         ctx: object,
     ) -> None:
         """Evaluate registry invariants, raising on the first violation."""
@@ -232,36 +220,11 @@ class SanitizedArray(ArrayProxy):
 
     def commit_replacement(self, repl: Replacement, node: int) -> CommitResult:
         """Commit, then verify conservation and relocation-path state."""
-        self._note("commit", repl.incoming)
-        inner = self._inner
-        before = len(inner)
-        was_resident = repl.incoming in inner
-        stale = stale_path_detail(inner, repl, node)
-        try:
-            result = inner.commit_replacement(repl, node)
-        except RuntimeError as exc:
-            self._check_phase(repl, node, stale, exc, before, was_resident)
-            raise
-        self._check_commit(repl, node, result, before, was_resident)
-        self._check_phase(repl, node, stale, None, before, was_resident)
-        self._after_mutation()
-        return result
+        return self._commit("commit", repl, node)
 
     def commit_reinsertion(self, repl: Replacement, node: int) -> CommitResult:
         """Commit a reinsertion move, then run the phase/state checks."""
-        self._note("commit-reinsert", repl.incoming)
-        inner = self._inner
-        before = len(inner)
-        was_resident = repl.incoming in inner
-        stale = stale_path_detail(inner, repl, node)
-        try:
-            result = inner.commit_reinsertion(repl, node)
-        except RuntimeError as exc:
-            self._check_phase(repl, node, stale, exc, before, was_resident)
-            raise
-        self._check_phase(repl, node, stale, None, before, was_resident)
-        self._after_mutation()
-        return result
+        return self._commit("commit-reinsert", repl, node)
 
     def evict_address(self, address: int) -> None:
         """Forcibly evict, then verify the block is fully gone."""
@@ -279,69 +242,68 @@ class SanitizedArray(ArrayProxy):
     def check_walk(self, repl: Replacement) -> None:
         """Verify a walk record is well-formed against current state.
 
-        Public so tests can feed hand-corrupted records directly.
+        Reports the first broken node; at one node, the earliest
+        registered invariant. Public so tests can feed hand-corrupted
+        records directly.
         """
         self.checks_run += 1
-        inner = self._inner
-        # Hoist the per-walk constant out of the per-node loop: this
-        # runs for every node of every miss.
-        hashes = getattr(inner, "hashes", None)
-        fail = self._fail
-        for node in range(len(repl.addresses)):
-            ctx = WalkCheck(inner, repl, node, hashes)
-            # _run inlined: one call frame per candidate adds up here.
-            for check, kind, name in _WALK:
-                detail = check(ctx)
-                if detail is not None:
-                    fail(kind, detail, invariant=name)
+        ctx = WalkCheck(self._inner, repl)
+        failed = None
+        for check, kind, name in _WALK:
+            hit = check(ctx)
+            if hit is not None:
+                # Later invariants only win on an earlier node.
+                ctx.end = hit[0]
+                failed = kind, hit[1], name
+        if failed is not None:
+            self._fail(failed[0], failed[1], invariant=failed[2])
 
-    def _check_commit(
-        self,
-        repl: Replacement,
-        node: int,
-        result: CommitResult,
-        len_before: int,
-        was_resident: bool,
-    ) -> None:
-        self.checks_run += 1
-        self._run(
-            _COMMIT,
-            CommitCheck(
-                self._inner, repl, node, result, len_before, was_resident
-            ),
+    def _commit(self, op: str, repl: Replacement, node: int) -> CommitResult:
+        """One commit attempt under the two-phase staleness/atomicity
+        invariants; a successful replacement commit also gets the
+        commit-scope invariants.
+
+        A rejected commit (a ``RuntimeError``) additionally gets a full
+        state scan: stale-path rejections are rare (``stale_retries``
+        counts them), and the atomicity contract is precisely that a
+        rejection leaves a *consistent* array behind for the retry walk.
+        """
+        self._note(op, repl.incoming)
+        inner = self._inner
+        before = len(inner)
+        was_resident = repl.incoming in inner
+        stale = stale_path_detail(inner, repl, node)
+        commit = (
+            inner.commit_replacement if op == "commit"
+            else inner.commit_reinsertion
         )
-
-    def _check_phase(
-        self,
-        repl: Replacement,
-        node: int,
-        stale: Optional[str],
-        error: Optional[BaseException],
-        len_before: int,
-        incoming_before: bool,
-    ) -> None:
-        """Run the two-phase staleness/atomicity invariants for one attempt.
-
-        A rejected commit (``error`` set) additionally gets a full state
-        scan: stale-path rejections are rare (``stale_retries`` counts
-        them), and the atomicity contract is precisely that a rejection
-        leaves a *consistent* array behind for the retry walk.
-        """
-        inner = self._inner
-        ctx = PhaseCheck(
+        error: Optional[RuntimeError] = None
+        try:
+            result = commit(repl, node)
+        except RuntimeError as exc:
+            error = exc
+        if error is None and op == "commit":
+            self.checks_run += 1
+            self._run(
+                _COMMIT,
+                CommitCheck(inner, repl, node, result, before, was_resident),
+            )
+        self._run(_PHASE, PhaseCheck(
             inner,
             repl,
             node,
             stale_detail=stale,
             error=error,
-            len_before=len_before,
+            len_before=before,
             len_after=len(inner),
-            incoming_resident_before=incoming_before,
+            incoming_resident_before=was_resident,
             incoming_resident_after=repl.incoming in inner,
-        )
-        self._run(_PHASE, ctx)
+        ))
         if error is not None:
             self.deep_check()
+            raise error
+        self._after_mutation()
+        return result
 
     def deep_check(self) -> None:
         """Full O(cache) scan: map↔lines sync, tag uniqueness, hashing."""
@@ -352,26 +314,3 @@ class SanitizedArray(ArrayProxy):
         """Deep scan to run once at end of experiment (always O(cache))."""
         self.deep_check()
 
-
-def sanitize(
-    array: CacheArray, seed: Optional[int] = None, **kwargs: Any
-) -> SanitizedArray:
-    """Convenience wrapper: ``sanitize(arr, seed)`` == ``SanitizedArray``.
-
-    Usable directly as the ``wrap_array`` hook experiments expose::
-
-        fig2.run(wrap_array=lambda a: sanitize(a, seed=0))
-    """
-    return SanitizedArray(array, seed=seed, **kwargs)
-
-
-def make_wrapper(
-    seed: Optional[int] = None, **kwargs: Any
-) -> Callable[[CacheArray], SanitizedArray]:
-    """A ``wrap_array`` callable pre-bound to a seed and options."""
-
-    def wrap(array: CacheArray) -> SanitizedArray:
-        """Wrap one array with the captured sanitizer options."""
-        return SanitizedArray(array, seed=seed, **kwargs)
-
-    return wrap

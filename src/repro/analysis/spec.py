@@ -21,7 +21,9 @@ Invariants are grouped by *scope* — the operation whose aftermath they
 constrain:
 
 ``walk``
-    One node of a freshly built replacement/reinsertion walk record.
+    A freshly built replacement/reinsertion walk record. A walk
+    predicate loops over the nodes itself and returns ``(node,
+    detail)`` for the first broken one.
 ``commit``
     The state right after a successful ``commit_replacement``.
 ``evict``
@@ -41,9 +43,10 @@ constrain:
 
 Checks are pure observers: they never mutate the array, and they
 return a human-readable detail string on violation (``None`` when the
-invariant holds). The registry preserves definition order, which is
-the order the sanitizer historically applied its checks in — tests
-that plant a single corruption rely on that precedence.
+invariant holds). The registry preserves definition order. A walk
+violation is reported at the first broken node, and two invariants
+broken at the same node report the earlier-defined one; tests that
+plant a single corruption rely on that precedence.
 """
 
 from __future__ import annotations
@@ -84,6 +87,9 @@ SCOPE_STATE = "state"
 SCOPE_PHASE = "phase"
 SCOPE_THREAD = "thread"
 
+#: what a walk-scope predicate returns: ``(node, detail)`` or None
+WalkHit = Optional[Tuple[int, str]]
+
 #: valid values for :attr:`Invariant.scope`
 SCOPES = (
     SCOPE_WALK,
@@ -114,40 +120,27 @@ def path_nodes(repl: Replacement, node: int) -> Iterator[int]:
 # ---------------------------------------------------------------------------
 
 
-#: sentinel for "caller did not hoist this walk-level constant"
-_UNSET = object()
-
-
 class WalkCheck:
-    """Context for ``walk``-scope invariants: one node of one walk record.
+    """Context for ``walk``-scope invariants: one whole walk record.
 
-    The sanitizer builds one per node on the hot path, so the
-    constructor accepts the per-*walk* constant ``hashes`` pre-hoisted
-    and reads the node's fields out of the record once.
+    Built once per record. Each walk invariant loops over nodes
+    ``0 .. end - 1`` itself and reports the first one it finds broken;
+    the sanitizer lowers ``end`` to a failing node so that later
+    invariants only look for an earlier one.
     """
 
-    __slots__ = ("array", "repl", "node", "position", "address", "parent",
-                 "level", "hashes")
+    __slots__ = ("array", "repl", "hashes", "end")
 
-    def __init__(
-        self,
-        array: CacheArray,
-        repl: Replacement,
-        node: int,
-        hashes: Any = _UNSET,
-    ) -> None:
+    def __init__(self, array: CacheArray, repl: Replacement) -> None:
         self.array = array
         self.repl = repl
-        #: the node's index in the record
-        self.node = node
-        self.position = Position(repl.ways[node], repl.indices[node])
-        self.address = repl.addresses[node]
-        #: the parent's index, -1 for a root
-        self.parent = -1 if repl.parents is None else repl.parents[node]
-        self.level = repl.level(node)
-        self.hashes = (
-            getattr(array, "hashes", None) if hashes is _UNSET else hashes
-        )
+        self.hashes = getattr(array, "hashes", None)
+        #: nodes ``0 .. end - 1`` are the ones still to check
+        self.end = len(repl.addresses)
+
+    def position(self, node: int) -> Position:
+        """Where node ``node`` of the record sits."""
+        return Position(self.repl.ways[node], self.repl.indices[node])
 
 
 class CommitCheck:
@@ -310,14 +303,15 @@ class Invariant:
     description:
         One-line statement of the property, quotable in reports.
     check:
-        Predicate: context -> detail string on violation, else None.
+        Predicate: context -> detail string on violation (walk scope:
+        ``(node, detail)``), else None.
     """
 
     name: str
     kind: str
     scope: str
     description: str
-    check: Callable[..., Optional[str]]
+    check: Callable[..., Any]
 
 
 #: name -> invariant, in definition (= historical check) order
@@ -326,16 +320,14 @@ INVARIANT_REGISTRY: "dict[str, Invariant]" = {}
 
 def register_invariant(
     name: str, kind: str, scope: str, description: str
-) -> Callable[[Callable[..., Optional[str]]], Callable[..., Optional[str]]]:
+) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Decorator registering a check function as a named invariant."""
     if kind not in VIOLATION_KINDS:
         raise ValueError(f"unknown violation kind: {kind!r}")
     if scope not in SCOPES:
         raise ValueError(f"unknown invariant scope: {scope!r}")
 
-    def deco(
-        fn: Callable[..., Optional[str]]
-    ) -> Callable[..., Optional[str]]:
+    def deco(fn: Callable[..., Any]) -> Callable[..., Any]:
         if name in INVARIANT_REGISTRY:
             raise ValueError(f"duplicate invariant name: {name!r}")
         INVARIANT_REGISTRY[name] = Invariant(
@@ -362,7 +354,8 @@ def invariants_for(scope: str) -> Tuple[Invariant, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Walk-scope invariants (checked per candidate, definition order).
+# Walk-scope invariants: each returns ``(node, detail)`` for the first
+# broken node before ``ctx.end``, else None.
 # ---------------------------------------------------------------------------
 
 
@@ -370,13 +363,15 @@ def invariants_for(scope: str) -> Tuple[Invariant, ...]:
     "walk-in-bounds", "walk-bounds", SCOPE_WALK,
     "every candidate position lies inside the array geometry",
 )
-def _walk_in_bounds(ctx: WalkCheck) -> Optional[str]:
-    pos = ctx.position
-    if not (
-        0 <= pos.way < ctx.array.num_ways
-        and 0 <= pos.index < ctx.array.lines_per_way
-    ):
-        return f"candidate position {pos} out of bounds"
+def _walk_in_bounds(ctx: WalkCheck) -> WalkHit:
+    num_ways, lines = ctx.array.num_ways, ctx.array.lines_per_way
+    repl = ctx.repl
+    for node in range(ctx.end):
+        if not (
+            0 <= repl.ways[node] < num_ways
+            and 0 <= repl.indices[node] < lines
+        ):
+            return node, f"candidate position {ctx.position(node)} out of bounds"
     return None
 
 
@@ -385,13 +380,17 @@ def _walk_in_bounds(ctx: WalkCheck) -> Optional[str]:
     "every parent link points to an earlier node, so ancestor chains are "
     "acyclic and terminate at a root",
 )
-def _walk_acyclic(ctx: WalkCheck) -> Optional[str]:
-    if ctx.parent >= ctx.node:
-        return (
-            f"candidate {ctx.node} at {ctx.position} names node "
-            f"{ctx.parent} as its parent, which does not precede it "
-            "(the ancestor chain can cycle)"
-        )
+def _walk_acyclic(ctx: WalkCheck) -> WalkHit:
+    parents = ctx.repl.parents
+    if parents is None:
+        return None
+    for node in range(ctx.end):
+        if parents[node] >= node:
+            return node, (
+                f"candidate {node} at {ctx.position(node)} names node "
+                f"{parents[node]} as its parent, which does not precede it "
+                "(the ancestor chain can cycle)"
+            )
     return None
 
 
@@ -400,25 +399,30 @@ def _walk_acyclic(ctx: WalkCheck) -> Optional[str]:
     "roots sit at level 0, levels increase by exactly one per link, and "
     "a plan without parent links holds only roots",
 )
-def _walk_level_monotone(ctx: WalkCheck) -> Optional[str]:
-    if ctx.parent < 0:
-        if ctx.level != 0:
-            if ctx.repl.parents is None:
-                return (
+def _walk_level_monotone(ctx: WalkCheck) -> WalkHit:
+    repl = ctx.repl
+    parents, level = repl.parents, repl.level
+    for node in range(ctx.end):
+        lvl = level(node)
+        parent = -1 if parents is None else parents[node]
+        if parent < 0:
+            if lvl == 0:
+                continue
+            if parents is None:
+                return node, (
                     f"plan has no parent links (every node a root) but the "
-                    f"candidate at {ctx.position} sits at level {ctx.level}"
+                    f"candidate at {ctx.position(node)} sits at level {lvl}"
                 )
-            return (
-                f"root candidate at {ctx.position} has level "
-                f"{ctx.level}, expected 0"
+            return node, (
+                f"root candidate at {ctx.position(node)} has level "
+                f"{lvl}, expected 0"
             )
-        return None
-    parent_level = ctx.repl.level(ctx.parent)
-    if ctx.level != parent_level + 1:
-        return (
-            f"candidate at {ctx.position} has level {ctx.level} "
-            f"but its parent has level {parent_level}"
-        )
+        parent_level = level(parent)
+        if lvl != parent_level + 1:
+            return node, (
+                f"candidate at {ctx.position(node)} has level {lvl} "
+                f"but its parent has level {parent_level}"
+            )
     return None
 
 
@@ -426,13 +430,18 @@ def _walk_level_monotone(ctx: WalkCheck) -> Optional[str]:
     "walk-parent-occupied", "walk-parent", SCOPE_WALK,
     "only occupied slots are expanded into deeper candidates",
 )
-def _walk_parent_occupied(ctx: WalkCheck) -> Optional[str]:
+def _walk_parent_occupied(ctx: WalkCheck) -> WalkHit:
     repl = ctx.repl
-    if ctx.parent >= 0 and repl.addresses[ctx.parent] is None:
-        return (
-            f"candidate at {ctx.position} expands an empty slot at "
-            f"({repl.ways[ctx.parent]}, {repl.indices[ctx.parent]})"
-        )
+    parents, addresses = repl.parents, repl.addresses
+    if parents is None:
+        return None
+    for node in range(ctx.end):
+        parent = parents[node]
+        if parent >= 0 and addresses[parent] is None:
+            return node, (
+                f"candidate at {ctx.position(node)} expands an empty slot at "
+                f"({repl.ways[parent]}, {repl.indices[parent]})"
+            )
     return None
 
 
@@ -440,19 +449,25 @@ def _walk_parent_occupied(ctx: WalkCheck) -> Optional[str]:
     "walk-path-distinct", "walk-repeat", SCOPE_WALK,
     "a valid candidate's relocation path never revisits a position",
 )
-def _walk_path_distinct(ctx: WalkCheck) -> Optional[str]:
+def _walk_path_distinct(ctx: WalkCheck) -> WalkHit:
     repl = ctx.repl
-    if repl.invalid is None or ctx.node not in repl.invalid:
-        lines = [ctx.position]
-        parents = repl.parents or ()
-        node, parent = ctx.node, ctx.parent
+    parents = repl.parents
+    if parents is None:
+        return None
+    invalid = repl.invalid or ()
+    ways, indices = repl.ways, repl.indices
+    for node in range(ctx.end):
+        if node in invalid:
+            continue
+        lines = [(ways[node], indices[node])]
+        child, parent = node, parents[node]
         # Only links to earlier nodes: ends even where walk-acyclic fails.
-        while 0 <= parent < node:
-            lines.append(Position(repl.ways[parent], repl.indices[parent]))
-            node, parent = parent, parents[parent]
+        while 0 <= parent < child:
+            lines.append((ways[parent], indices[parent]))
+            child, parent = parent, parents[parent]
         if len(set(lines)) != len(lines):
-            return (
-                f"valid candidate at {ctx.position} has a relocation "
+            return node, (
+                f"valid candidate at {ctx.position(node)} has a relocation "
                 "path that revisits a position (must be flagged invalid)"
             )
     return None
@@ -462,14 +477,17 @@ def _walk_path_distinct(ctx: WalkCheck) -> Optional[str]:
     "walk-records-current", "walk-stale", SCOPE_WALK,
     "recorded candidate contents match the array (walks do not mutate)",
 )
-def _walk_records_current(ctx: WalkCheck) -> Optional[str]:
-    pos = ctx.position
-    actual = ctx.array._lines[pos.way][pos.index]
-    if actual != ctx.address:
-        return (
-            f"candidate records {ctx.address!r} at {pos} but the "
-            f"array holds {actual!r}"
-        )
+def _walk_records_current(ctx: WalkCheck) -> WalkHit:
+    repl = ctx.repl
+    lines = ctx.array._lines
+    ways, indices, addresses = repl.ways, repl.indices, repl.addresses
+    for node in range(ctx.end):
+        actual = lines[ways[node]][indices[node]]
+        if actual != addresses[node]:
+            return node, (
+                f"candidate records {addresses[node]!r} at "
+                f"{ctx.position(node)} but the array holds {actual!r}"
+            )
     return None
 
 
@@ -477,20 +495,23 @@ def _walk_records_current(ctx: WalkCheck) -> Optional[str]:
     "walk-hash-discipline", "walk-hash", SCOPE_WALK,
     "each candidate sits at its way's hash of the relocating address",
 )
-def _walk_hash_discipline(ctx: WalkCheck) -> Optional[str]:
-    if ctx.hashes is None:
+def _walk_hash_discipline(ctx: WalkCheck) -> WalkHit:
+    hashes = ctx.hashes
+    if hashes is None:
         return None
-    pos = ctx.position
-    source = (
-        ctx.repl.addresses[ctx.parent] if ctx.parent >= 0
-        else ctx.repl.incoming
-    )
-    if source is not None:
-        expected = ctx.hashes[pos.way](source)
-        if pos.index != expected:
-            return (
-                f"candidate at {pos} is not the way-{pos.way} hash of "
-                f"{source:#x} (expected index {expected})"
+    repl = ctx.repl
+    parents, addresses = repl.parents, repl.addresses
+    for node in range(ctx.end):
+        parent = -1 if parents is None else parents[node]
+        source = addresses[parent] if parent >= 0 else repl.incoming
+        if source is None:
+            continue
+        way = repl.ways[node]
+        expected = hashes[way](source)
+        if repl.indices[node] != expected:
+            return node, (
+                f"candidate at {ctx.position(node)} is not the way-{way} "
+                f"hash of {source:#x} (expected index {expected})"
             )
     return None
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.assoc import TrackedPolicy
 from repro.core import Cache, RandomCandidatesArray
@@ -39,17 +39,12 @@ def run(
     accesses: int = 60_000,
     footprint_mult: int = 8,
     seed: int = 0,
-    wrap_array: Optional[Callable] = None,
     obs: Optional[ObsContext] = None,
     engine: str = "reference",
 ) -> Fig2Result:
     """Generate Fig. 2's curves and validate them by simulation.
 
-    ``wrap_array`` optionally wraps each simulated array before it is
-    handed to the controller — the hook ``zcache-repro check
-    --sanitize`` uses to run this experiment under the runtime
-    invariant sanitizer without perturbing it. ``obs`` threads an
-    observability context through: each n's cache registers metrics
+    ``obs`` threads an observability context through: each n's cache registers metrics
     under an ``n<N>`` scope (``n4.misses``, ``n8.evictions``, ...).
     The eviction CDFs come from each cache's
     :class:`~repro.assoc.measurement.TrackedPolicy`. ``engine="turbo"``
@@ -71,11 +66,8 @@ def run(
             with spans.span(f"fig2.n{n}", candidates=n):
                 analytic[n] = xs**n
                 tracked = TrackedPolicy(LRU())
-                array = RandomCandidatesArray(cache_blocks, n, seed=seed + n)
-                if wrap_array is not None:
-                    array = wrap_array(array)
                 cache = Cache(
-                    array,
+                    RandomCandidatesArray(cache_blocks, n, seed=seed + n),
                     tracked,
                     name=f"n{n}",
                     obs=obs.scoped(f"n{n}") if obs is not None else None,

@@ -9,9 +9,10 @@ crash, and which silently change victims or miss rates. The verdict
 of every (design, fault kind) row is pinned by
 ``tests/faults/test_table.py``.
 
-- :mod:`repro.faults.inject` — fault events and the seeded injectors
-  riding the existing ``wrap_array`` hook and the controller's
-  eviction choke point (``faults=None`` stays bit-identical);
+- :mod:`repro.faults.inject` — fault events and the seeded injectors,
+  a proxy stacked under the sanitizer around the array and the
+  controller's eviction choke point (``faults=None`` stays
+  bit-identical);
 - :mod:`repro.faults.harness` — faulted-vs-golden replay and the
   five-way outcome classifier.
 """

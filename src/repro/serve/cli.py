@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from typing import Any, Optional
 
 from repro.serve.loadgen import LoadGenConfig, ServeBackend, run_loadgen
@@ -150,9 +151,9 @@ def run_loadgen_cli(argv: Optional[list[str]] = None) -> int:
     else:
         wrap = None
         if args.sanitize:
-            from repro.analysis.sanitizer import make_wrapper
+            from repro.analysis.sanitizer import SanitizedArray
 
-            wrap = make_wrapper(seed=args.seed)
+            wrap = partial(SanitizedArray, seed=args.seed)
         backend = ZServeCache(cfg, wrap_array=wrap)
 
     result = run_loadgen(

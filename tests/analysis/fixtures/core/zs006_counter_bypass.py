@@ -18,12 +18,13 @@ class BadBank:
 
     def run(self, bank: int, delay: int) -> None:
         """Exercise flagged and exempt increment shapes."""
-        self.stats.hits += 1  # ZS006: stats facade attribute
-        self.victim_stats.swaps += 1  # ZS006: *_stats facade attribute
         self.writeback_hits += 1  # ZS006: bare counting suffix on self
         self.bank_accesses[bank] += 1  # ZS006: counter list on self
-        # Exempt shapes: private accumulator, non-counter name, and the
-        # sanctioned registry increment.
+        # Exempt shapes: registry facades (their __setattr__ writes the
+        # registered Counter), private accumulator, non-counter name,
+        # and the sanctioned registry increment.
+        self.stats.hits += 1
+        self.victim_stats.swaps += 1
         self._epoch_misses += 1
         self.queueing_cycles += delay
         self.counter.value += 1

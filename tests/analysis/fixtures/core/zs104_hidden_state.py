@@ -4,4 +4,3 @@ _CACHE = {}  # flagged: mutable dict
 REGISTRY = []  # flagged: mutable list
 TUNING = dict(alpha=1, beta=2)  # flagged: dict() constructor
 SEEN = set()  # flagged: mutable set
-SUPPRESSED = []  # zsan: ignore[ZS104]

@@ -21,8 +21,6 @@ from repro.analysis.sanitizer import (
     VIOLATION_KINDS,
     InvariantViolation,
     SanitizedArray,
-    make_wrapper,
-    sanitize,
 )
 from repro.core import (
     Cache,
@@ -120,13 +118,6 @@ class TestCleanRuns:
         # AdaptiveZCache tuning path).
         array.candidate_limit = 8
         assert inner.candidate_limit == 8
-
-    def test_make_wrapper_and_sanitize_helpers(self):
-        wrap = make_wrapper(seed=9, deep_check_interval=0)
-        array = wrap(ZCacheArray(2, 8))
-        assert isinstance(array, SanitizedArray)
-        assert array.seed == 9
-        assert isinstance(sanitize(ZCacheArray(2, 8)), SanitizedArray)
 
 
 # -- sensitivity: every injected corruption must be caught -----------------

@@ -1,10 +1,14 @@
 """Self-lint: the library must stay clean under its own rules.
 
 This is the enforcement half of the ZSan deal — the rules only have
-teeth if the tree is kept at zero findings, so CI (and this test) pin
-``zcache-repro lint src/repro`` to a clean exit.
+teeth if the tree is kept at zero findings, so this test pins
+``zcache-repro lint src/repro`` to a clean exit. The structural
+properties checked at run time rather than by a rule live here too.
 """
 
+import dataclasses
+import importlib
+import pkgutil
 from pathlib import Path
 
 from repro.analysis.lint import LintEngine
@@ -28,7 +32,7 @@ def test_cli_lint_exits_zero_on_source_tree(capsys):
 def test_cli_lint_rules_listing(capsys):
     assert cli_main(["lint", "--rules"]) == 0
     codes = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-    assert codes == [f"ZS00{i}" for i in range(1, 7)] + ["ZS104", "ZS109"]
+    assert codes == ["ZS001", "ZS002", "ZS005", "ZS006", "ZS104", "ZS109"]
 
 
 def test_one_forwarding_base_and_no_fourth_proxy():
@@ -45,3 +49,15 @@ def test_one_forwarding_base_and_no_fourth_proxy():
         and any(getattr(item, "name", "") == "__getattr__" for item in cls.body)
     }
     assert forwarders == {"ArrayProxy", "RegistryStats"}
+
+
+def test_core_dataclasses_declare_slots():
+    # Hot-path records are allocated per access: slots=True keeps them
+    # small and turns a typo'd attribute write into an AttributeError.
+    import repro.core
+
+    for info in pkgutil.iter_modules(repro.core.__path__, "repro.core."):
+        module = importlib.import_module(info.name)
+        for cls in vars(module).values():
+            if dataclasses.is_dataclass(cls) and cls.__module__ == info.name:
+                assert "__slots__" in vars(cls), cls.__qualname__

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.analysis.sanitizer import sanitize
+from repro.analysis.sanitizer import SanitizedArray
 from repro.core import Cache, StaleWalkError, TwoPhaseZCache, ZCacheArray
 from repro.replacement import LRU
 
@@ -126,7 +126,7 @@ class TestInterleavedInvalidate:
     """
 
     def make_filled(self):
-        array = sanitize(ZCacheArray(4, 64, levels=2, hash_seed=7), seed=7)
+        array = SanitizedArray(ZCacheArray(4, 64, levels=2, hash_seed=7), seed=7)
         cache = TwoPhaseZCache(array, LRU())
         fill_cache(cache, n=15_000, footprint=1_500)
         return array, cache

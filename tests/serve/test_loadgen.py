@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.sanitizer import make_wrapper
+from repro.analysis.sanitizer import SanitizedArray
 from repro.serve.baseline import DictLRUServe
 from repro.serve.loadgen import LoadGenConfig, run_loadgen
 from repro.serve.service import ServeConfig, ZServeCache
@@ -115,7 +115,7 @@ class TestSanitizedSoak:
                 num_shards=2, num_ways=4, lines_per_way=64,
                 mode="twophase", fingerprint=True,
             ),
-            wrap_array=make_wrapper(seed=7),
+            wrap_array=lambda array: SanitizedArray(array, seed=7),
         )
         cfg = LoadGenConfig(
             workload="canneal",

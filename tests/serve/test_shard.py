@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from repro.analysis.sanitizer import make_wrapper
+from repro.analysis.sanitizer import SanitizedArray
 from repro.core.base import ArrayProxy
 from repro.faults.inject import record_evictions
 from repro.serve.shard import (
@@ -260,7 +260,7 @@ class TestConcurrentShard:
             num_ways=4,
             lines_per_way=32,
             hash_seed=3,
-            wrap_array=make_wrapper(seed=3),
+            wrap_array=lambda array: SanitizedArray(array, seed=3),
         )
         errors = []
 
