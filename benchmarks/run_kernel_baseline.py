@@ -23,8 +23,6 @@ import subprocess
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.experiments.fig2 import run as fig2_run
 
 OUT = Path(__file__).with_name("BENCH_kernels.json")
@@ -41,11 +39,7 @@ def timed_run(engine: str, accesses: int, cache_blocks: int):
 
 def identical(a, b) -> bool:
     """True when two Fig2Results carry bit-identical simulated curves."""
-    return all(
-        np.array_equal(a.simulated[n][0], b.simulated[n][0])
-        and a.simulated[n][1] == b.simulated[n][1]
-        for n in a.simulated
-    )
+    return a.simulated == b.simulated
 
 
 def git_head() -> str:

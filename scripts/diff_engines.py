@@ -52,9 +52,11 @@ def _strip_engine_gauges(snapshot: dict) -> dict:
 
 
 def diff_fig2(accesses: int, cache_blocks: int) -> list[str]:
-    """Mismatch descriptions for the Fig. 2 comparison (empty = identical)."""
-    import numpy as np
+    """Mismatch descriptions for the Fig. 2 comparison (empty = identical).
 
+    ``Fig2Result`` carries plain lists, so ``==`` compares the grids and
+    curves element by element.
+    """
     from repro.assoc import TrackedPolicy
     from repro.experiments import fig2
     from repro.obs import ObsContext
@@ -92,14 +94,14 @@ def diff_fig2(accesses: int, cache_blocks: int) -> list[str]:
 
     ref, turbo = runs["reference"], runs["turbo"]
     problems = []
-    if not np.array_equal(ref["xs"], turbo["xs"]):
+    if ref["xs"] != turbo["xs"]:
         problems.append("fig2: xs grids differ")
     for n in ref["analytic"]:
-        if not np.array_equal(ref["analytic"][n], turbo["analytic"][n]):
+        if ref["analytic"][n] != turbo["analytic"][n]:
             problems.append(f"fig2: analytic CDF differs for n={n}")
         r_cdf, r_ks = ref["simulated"][n]
         t_cdf, t_ks = turbo["simulated"][n]
-        if not np.array_equal(r_cdf, t_cdf):
+        if r_cdf != t_cdf:
             problems.append(f"fig2: simulated CDF differs for n={n}")
         if r_ks != t_ks:
             problems.append(f"fig2: KS differs for n={n}: {r_ks!r} != {t_ks!r}")

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Sequence, Tuple
 from repro.assoc.distribution import AssociativityDistribution
 from repro.assoc.measurement import TrackedPolicy
 from repro.core.controller import Cache
+from repro.util.statistics import unit_grid
 
 
 @dataclass
@@ -50,10 +51,10 @@ def dominates(
     Lower CDF everywhere = mass shifted towards e = 1.0 = strictly
     better eviction decisions.
     """
-    import numpy as np
-
-    xs = np.linspace(0.0, 1.0, 201)
-    return bool(np.all(a.cdf(xs) <= b.cdf(xs) + tolerance))
+    xs = unit_grid(201)
+    return all(
+        fa <= fb + tolerance for fa, fb in zip(a.cdf(xs), b.cdf(xs))
+    )
 
 
 @dataclass

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from bisect import bisect_left
+from typing import Callable, Iterable, Sequence
 
 from repro.util.statistics import empirical_cdf, ks_distance
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def uniformity_cdf(num_candidates: int) -> Callable[[float], float]:
@@ -65,38 +63,40 @@ class AssociativityDistribution:
     """
 
     def __init__(self, samples: Iterable[float]) -> None:
-        import numpy as np
-
-        arr = np.asarray(list(samples), dtype=float)
-        if arr.size == 0:
+        ordered = sorted(map(float, samples))
+        if not ordered:
             raise ValueError("no eviction-priority samples")
-        if np.any((arr < 0.0) | (arr > 1.0)):
+        # ``not 0 <= e <= 1`` rather than ``e < 0 or e > 1``: NaN fails too
+        if not all(0.0 <= e <= 1.0 for e in ordered):
             raise ValueError("eviction priorities must lie in [0, 1]")
-        self.samples = np.sort(arr)
+        #: the samples in ascending order
+        self.samples = ordered
 
     def __len__(self) -> int:
-        return int(self.samples.size)
+        return len(self.samples)
 
-    def cdf(self, xs: Sequence[float]) -> np.ndarray:
+    def cdf(self, xs: Sequence[float]) -> list[float]:
         """Empirical CDF evaluated at ``xs``."""
         return empirical_cdf(self.samples, xs)
 
     def mean(self) -> float:
         """Mean eviction priority (n/(n+1) under uniformity)."""
-        return float(self.samples.mean())
+        import numpy as np  # fig3's goldens pin numpy's pairwise sum
+
+        return float(np.mean(self.samples))
 
     def quantile(self, q: float) -> float:
         """Inverse CDF."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0,1], got {q}")
-        import numpy as np
+        import numpy as np  # numpy's linear interpolation, as pinned
 
         return float(np.quantile(self.samples, q))
 
     def fraction_below(self, threshold: float) -> float:
         """P(evicted block priority < threshold) — the paper's headline
         per-curve statistic (e.g. 10^-6 below 0.4 for n=16)."""
-        return float(self.samples.searchsorted(threshold, side="left")) / len(self)
+        return bisect_left(self.samples, threshold) / len(self)
 
     def ks_to_uniformity(self, num_candidates: int) -> float:
         """KS distance to the analytic ``x^n`` curve."""
@@ -106,15 +106,21 @@ class AssociativityDistribution:
         """KS distance to :func:`uniformity_cdf_exact` on the rank lattice
         r/(B-1), where both CDFs step. Every sample must be a rank among
         B residents (an eviction from a full cache)."""
-        import numpy as np
-
+        if num_blocks < 2:
+            raise ValueError(f"num_blocks must be >= 2, got {num_blocks}")
         top = num_blocks - 1
-        ranks = np.rint(self.samples * top).astype(np.int64)
-        if not np.allclose(ranks / top, self.samples, rtol=0.0, atol=1e-12):
-            raise ValueError(f"samples are not ranks among {num_blocks} blocks")
-        exact = (np.arange(1, num_blocks + 1) / num_blocks) ** num_candidates
-        measured = np.cumsum(np.bincount(ranks, minlength=num_blocks)) / len(self)
-        return float(np.abs(measured - exact).max())
+        counts = [0] * num_blocks
+        for e in self.samples:
+            rank = round(e * top)  # half to even, as numpy's rint
+            if abs(rank / top - e) > 1e-12:
+                raise ValueError(f"samples are not ranks among {num_blocks} blocks")
+            counts[rank] += 1
+        distance, seen = 0.0, 0
+        for rank, count in enumerate(counts):
+            seen += count
+            exact = ((rank + 1) / num_blocks) ** num_candidates
+            distance = max(distance, abs(seen / len(self) - exact))
+        return distance
 
     def effective_candidates(self) -> float:
         """Invert the mean: the n for which n/(n+1) equals the sample

@@ -13,6 +13,8 @@ assumption made flesh. The repo uses it to validate the framework
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 
 from repro.core.base import CacheArray, Candidate, CommitResult, Replacement
 from repro.util.freeslots import FreeSlots
@@ -31,6 +33,12 @@ class RandomCandidatesArray(CacheArray):
     keeps ``word >> (32 - num_blocks.bit_length())`` when it is below
     ``num_blocks``. So nothing else may draw from ``_rng``, which runs
     ahead of the pooled slots, and ``num_blocks < 2**32``.
+
+    The pool is a plain list: a refill shifts the whole block right by
+    ``32 - k`` and masks each word's low k bits, reads the bytes as an
+    ``array("I")`` of those tops (byte-swapped on a big-endian host) and
+    keeps each top below ``num_blocks``. A draw's repeated slots are
+    marked when the draw is handed out.
     """
 
     #: Mersenne-Twister words drawn per refill of the slot pool
@@ -45,37 +53,27 @@ class RandomCandidatesArray(CacheArray):
         self.num_candidates = num_candidates
         self._rng = random.Random(seed)
         self._free = FreeSlots(num_blocks)
-        #: drawn slots, ``_pool[_taken:]`` not handed out yet; the pool
-        #: offset of an n-slot draw -> its repeated draws' nodes
+        #: drawn slots, ``_pool[_taken:]`` not handed out yet
         self._pool: list[int] = []
         self._taken = 0
-        self._repeats: dict[int, set[int]] = {}
 
     def _refill(self) -> list[int]:
-        """Top the pool up to at least one n-slot draw, marking repeats."""
-        import numpy as np  # not at import: repro.core loads no numpy
-
-        n = self.num_candidates
+        """Replace the pool by its unused slots plus at least one n-slot draw."""
         bound = self.lines_per_way
-        shift = 32 - bound.bit_length()
-        pool = np.array(self._pool[self._taken:], dtype=np.uint32)
-        while len(pool) < n:
-            block = self._rng.getrandbits(32 * self.POOL_WORDS).to_bytes(
-                4 * self.POOL_WORDS, "little"
-            )
-            words = np.frombuffer(block, dtype="<u4") >> shift
-            pool = np.concatenate([pool, words[words < bound]])
-        # A draw is an n-slot run. Keyed (draw, slot), a stable sort lists
-        # each slot's occurrences in a draw in order; all but the first repeat.
-        draws = len(pool) // n
-        keys = pool[: draws * n] + np.arange(draws * n) // n * bound
-        order = keys.argsort(kind="stable")
-        ranked = keys[order]
-        repeats: dict[int, set[int]] = {}
-        for at in order[1:][ranked[1:] == ranked[:-1]].tolist():
-            repeats.setdefault(at - at % n, set()).add(at % n)
-        self._pool, self._taken, self._repeats = pool.tolist(), 0, repeats
-        return self._pool
+        k = bound.bit_length()
+        words = self.POOL_WORDS
+        # Each word's top k bits, moved to its bottom by one shift and one
+        # mask of the whole block rather than one shift per word.
+        low_k = int.from_bytes(((1 << k) - 1).to_bytes(4, "little") * words, "little")
+        pool = self._pool[self._taken:]
+        while len(pool) < self.num_candidates:
+            block = (self._rng.getrandbits(32 * words) >> (32 - k)) & low_k
+            tops = array("I", block.to_bytes(4 * words, "little"))
+            if sys.byteorder == "big":
+                tops.byteswap()
+            pool += [top for top in tops if top < bound]
+        self._pool, self._taken = pool, 0
+        return pool
 
     def build_replacement(self, address: int) -> Replacement:
         if address in self._pos:
@@ -92,9 +90,17 @@ class RandomCandidatesArray(CacheArray):
         row = self._lines[0]
         # Sampling is with repetition (paper): a repeat stays in the
         # record, marked invalid.
+        invalid: set[int] | None = None
+        if len(set(slots)) < n:
+            seen: set[int] = set()
+            invalid = set()
+            for node, slot in enumerate(slots):
+                if slot in seen:
+                    invalid.add(node)
+                seen.add(slot)
         return Replacement(
             address, [0] * n, slots, [row[slot] for slot in slots],
-            invalid=self._repeats.pop(start, None), tag_reads=n,
+            invalid=invalid, tag_reads=n,
         )
 
     def commit_replacement(

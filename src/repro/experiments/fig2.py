@@ -11,23 +11,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.assoc import TrackedPolicy
 from repro.core import Cache, RandomCandidatesArray
 from repro.obs import NULL_SPANS, ObsContext
 from repro.replacement import LRU
+from repro.util.statistics import unit_grid
 from repro.workloads.patterns import uniform_random
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CANDIDATE_COUNTS = (4, 8, 16, 64)
 
 
 @dataclass
 class Fig2Result:
-    xs: np.ndarray
+    #: the 101-point grid 0.00, 0.01, ..., 1.00
+    xs: list
     #: n -> analytic CDF values on xs
     analytic: dict
     #: n -> (empirical CDF values on xs, KS distance to analytic)
@@ -52,9 +51,7 @@ def run(
     whole access stream in bulk; results are bit-identical to the
     reference engine.
     """
-    import numpy as np
-
-    xs = np.linspace(0.0, 1.0, 101)
+    xs = unit_grid(101)
     analytic = {}
     simulated = {}
     spans = obs.spans if obs is not None else NULL_SPANS
@@ -64,7 +61,7 @@ def run(
             # path pre-draws its access stream in bulk, and that setup
             # cost belongs to the n it serves.
             with spans.span(f"fig2.n{n}", candidates=n):
-                analytic[n] = xs**n
+                analytic[n] = [x**n for x in xs]
                 tracked = TrackedPolicy(LRU())
                 cache = Cache(
                     RandomCandidatesArray(cache_blocks, n, seed=seed + n),

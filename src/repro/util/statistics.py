@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from bisect import bisect_right
+from typing import Iterable, Sequence
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -25,19 +23,23 @@ def geometric_mean(values: Iterable[float]) -> float:
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
 
-def empirical_cdf(samples: Sequence[float], xs: Sequence[float]) -> np.ndarray:
+def unit_grid(num: int) -> list[float]:
+    """``num`` evenly spaced points from 0 to 1, bit for bit
+    ``numpy.linspace(0.0, 1.0, num)``: ``i * step``, then exactly 1.0."""
+    step = 1.0 / (num - 1)
+    return [i * step for i in range(num - 1)] + [1.0]
+
+
+def empirical_cdf(samples: Sequence[float], xs: Sequence[float]) -> list[float]:
     """Evaluate the empirical CDF of ``samples`` at the points ``xs``.
 
     Returns ``P(sample <= x)`` for each ``x`` in ``xs``.
     """
-    import numpy as np
-
     if len(samples) == 0:
         raise ValueError("empirical_cdf of empty sample set")
-    sorted_samples = np.sort(np.asarray(samples, dtype=float))
-    xs_arr = np.asarray(xs, dtype=float)
-    counts = np.searchsorted(sorted_samples, xs_arr, side="right")
-    return counts / len(sorted_samples)
+    ordered = sorted(samples)
+    n = len(ordered)
+    return [bisect_right(ordered, x) / n for x in xs]
 
 
 def ks_distance(samples: Sequence[float], cdf) -> float:
@@ -46,13 +48,12 @@ def ks_distance(samples: Sequence[float], cdf) -> float:
     ``cdf`` is a callable mapping x -> P(X <= x). Used to quantify how
     closely a cache design matches the uniformity assumption.
     """
-    import numpy as np
-
-    sorted_samples = np.sort(np.asarray(samples, dtype=float))
-    n = len(sorted_samples)
-    if n == 0:
+    if len(samples) == 0:
         raise ValueError("ks_distance of empty sample set")
-    theo = np.asarray([cdf(x) for x in sorted_samples])
-    ecdf_hi = np.arange(1, n + 1) / n
-    ecdf_lo = np.arange(0, n) / n
-    return float(max(np.max(np.abs(ecdf_hi - theo)), np.max(np.abs(theo - ecdf_lo))))
+    ordered = sorted(samples)
+    n = len(ordered)
+    distance = 0.0
+    for i, x in enumerate(ordered):
+        theo = cdf(x)
+        distance = max(distance, abs((i + 1) / n - theo), abs(theo - i / n))
+    return distance

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from repro.assoc import uniformity_cdf
+from repro.util.statistics import unit_grid
 from repro.viz.svg import BarChart, LineChart, Series
 
 
@@ -32,25 +31,21 @@ def fig2_svg(out_dir, result=None) -> list[Path]:
             y_min=1e-8 if log_y else 0.0,
             y_max=1.0,
         )
+        floor = 1e-8 if log_y else -1.0
         for n in sorted(result.analytic):
-            ys = result.analytic[n]
-            if log_y:
-                keep = ys > 1e-8
+            for label, ys, dashed in (
+                (f"x^{n} analytic", result.analytic[n], False),
+                (f"n={n} simulated", result.simulated[n][0], True),
+            ):
+                kept = [(x, y) for x, y in zip(result.xs, ys) if y > floor]
                 chart.add(
-                    Series(f"x^{n} analytic", result.xs[keep], ys[keep])
+                    Series(
+                        label,
+                        [x for x, _ in kept],
+                        [y for _, y in kept],
+                        dashed=dashed,
+                    )
                 )
-            else:
-                chart.add(Series(f"x^{n} analytic", result.xs, ys))
-            sim_ys = result.simulated[n][0]
-            keep = sim_ys > (1e-8 if log_y else -1)
-            chart.add(
-                Series(
-                    f"n={n} simulated",
-                    np.asarray(result.xs)[keep],
-                    np.asarray(sim_ys)[keep],
-                    dashed=True,
-                )
-            )
         path = out_dir / ("fig2_semilog.svg" if log_y else "fig2_linear.svg")
         chart.save(path)
         paths.append(path)
@@ -64,7 +59,7 @@ def fig3_svg(out_dir, cells) -> list[Path]:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    xs = np.linspace(0.0, 1.0, 101)
+    xs = unit_grid(101)
     panels: dict[str, list] = {}
     for cell in cells:
         panels.setdefault(cell.panel, []).append(cell)

@@ -97,6 +97,8 @@ class TestDistribution:
             AssociativityDistribution([])
         with pytest.raises(ValueError):
             AssociativityDistribution([0.5, 1.5])
+        with pytest.raises(ValueError):  # NaN is not in [0, 1] either
+            AssociativityDistribution([0.5, math.nan, 0.9])
 
     def test_cdf_and_quantiles(self):
         d = AssociativityDistribution([0.2, 0.4, 0.6, 0.8])

@@ -70,6 +70,10 @@ def test_pooled_slots_are_the_randrange_sequence_across_refills(blocks, n):
             repl = array.build_replacement(address)
             refills += array._pool is not pool
             assert repl.indices == [oracle.randrange(blocks) for _ in range(n)]
+            assert repl.invalid == (
+                {i for i, s in enumerate(repl.indices) if s in repl.indices[:i]}
+                or None
+            )
         array.commit_replacement(repl, 0)
         address += 1
     array.check_invariants()

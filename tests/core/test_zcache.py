@@ -303,6 +303,16 @@ class TestExtensions:
             dfs.stats.mean_relocations_per_walk
             > bfs.stats.mean_relocations_per_walk
         )
+        # The chain choices come from the array's own seeded RNG, so the
+        # run is exactly reproducible.
+        stats = dfs.stats
+        assert (stats.walks, stats.candidates, stats.relocations) == (
+            10544, 505004, 66233,
+        )
+        assert stats.level_hist == [
+            2595, 632, 496, 515, 476, 498, 511, 474, 451,
+            493, 491, 490, 505, 466, 450, 493, 508,
+        ]
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):

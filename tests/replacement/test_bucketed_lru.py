@@ -35,13 +35,15 @@ class TestOrdering:
         p.on_access(1)
         assert p.select_victim([1, 2, 3]) == 2
 
-    def test_bucketing_creates_ties_resolved_arbitrarily(self):
+    def test_bucketing_ties_go_to_the_first_candidate(self):
         # With bump_every=10, blocks inserted close together share a
-        # bucket; the victim is any of the shared-bucket blocks.
+        # bucket; among equal wrapped ages the first candidate wins,
+        # whichever order the candidates come in.
         p = BucketedLRU(timestamp_bits=8, bump_every=10)
         for a in range(5):
             p.on_insert(a)
-        assert p.select_victim(list(range(5))) in range(5)
+        assert p.select_victim([0, 1, 2, 3, 4]) == 0
+        assert p.select_victim([4, 3, 2, 1, 0]) == 4
 
     def test_wrapped_age_arithmetic(self):
         p = BucketedLRU(timestamp_bits=4, bump_every=1)

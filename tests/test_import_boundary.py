@@ -1,11 +1,14 @@
-"""numpy loads only where arrays are computed.
+"""numpy loads only where arrays are the point.
 
-No sweep, service or server path calls numpy, so importing any of them
-must not load it (it costs ~14 MB and ~70 ms per process). Only
-``repro.kernels`` and ``repro.viz`` import numpy at module level; the
-associativity CDFs import it inside the functions that compute them.
-Checked in a fresh interpreter, since the test process has numpy
-loaded already.
+No sweep, service or server path calls numpy, and neither does Fig. 2
+or the associativity probes: importing any of them, running Fig. 2 and
+measuring a design's associativity (its CDF, its KS distances, a
+dominance test) must not load it (it costs ~14 MB and ~70 ms per
+process). ``repro.kernels`` imports numpy at module level;
+``AssociativityDistribution.mean`` and ``quantile`` import it inside
+the function, because their pinned values are numpy's pairwise sum and
+interpolation. Checked in a fresh interpreter, since the test process
+has numpy loaded already.
 """
 
 import subprocess
@@ -15,12 +18,23 @@ from pathlib import Path
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 _SCRIPT = """
-import sys
+import random, sys
 import repro, repro.cli, repro.sim, repro.serve.server, repro.serve.cli
 import repro.experiments.runner, repro.experiments.fig2, repro.assoc
 assert "numpy" not in sys.modules, "numpy loaded at import"
+from repro.assoc import dominates, measure_associativity
+from repro.core import RandomCandidatesArray
+from repro.replacement import LRU
 repro.experiments.fig2.run(cache_blocks=64, accesses=500)
-assert "numpy" in sys.modules, "fig2 computed its CDFs without numpy"
+rng = random.Random(0)
+trace = [(rng.randrange(1024), False) for _ in range(2000)]
+array = lambda: RandomCandidatesArray(128, 16, seed=1)  # evicts only when full
+dist, _ = measure_associativity(array, LRU, trace)
+dist.cdf([0.25, 0.5, 0.75])
+dist.ks_to_uniformity(16)
+dist.ks_on_lattice(16, 128)
+assert dominates(dist, dist)
+assert "numpy" not in sys.modules, "the associativity path loaded numpy"
 """
 
 

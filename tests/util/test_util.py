@@ -1,14 +1,16 @@
 """Tests for the shared substrates: Bloom filter, free slots, stats."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util import BloomFilter, empirical_cdf, geometric_mean
 from repro.util.freeslots import FreeSlots
-from repro.util.statistics import ks_distance
+from repro.util.statistics import ks_distance, unit_grid
 
 
 class TestBloomFilter:
@@ -111,6 +113,25 @@ class TestStatistics:
     def test_ks_distance_detects_mismatch(self):
         xs = [0.9] * 100
         assert ks_distance(xs, lambda x: x) > 0.8
+
+    def test_unit_grid_is_numpy_linspace(self):
+        for num in (2, 11, 101, 201):
+            assert unit_grid(num) == np.linspace(0.0, 1.0, num).tolist()
+
+    def test_cdf_and_ks_are_the_numpy_formulas_bit_for_bit(self):
+        rng = random.Random(3)
+        samples = [rng.randrange(50) / 49 for _ in range(500)]  # with ties
+        xs = unit_grid(101)
+        ordered = np.sort(samples)
+        n = len(ordered)
+        counts = np.searchsorted(ordered, xs, side="right")
+        assert empirical_cdf(samples, xs) == (counts / n).tolist()
+        theo = np.asarray([x**4 for x in ordered])
+        expected = max(
+            np.max(np.abs(np.arange(1, n + 1) / n - theo)),
+            np.max(np.abs(theo - np.arange(0, n) / n)),
+        )
+        assert ks_distance(samples, lambda x: x**4) == float(expected)
 
 
 class TestBloomBitRounding:
