@@ -28,6 +28,7 @@ three ways to join them:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import chain, starmap
 from typing import Callable, Optional
 
 from repro.energy.cachecost import CacheCostModel
@@ -157,10 +158,10 @@ class CapturedTrace:
 class _FrontEnd:
     """Cores -> L1s -> directory: everything above the L2, written once.
 
-    Pulls the cores' access streams round-robin, filters each access
-    through its core's L1 and the directory, and hands every L2-level
-    event — ``(kind, core, address, is_write, work)``, ``work`` being
-    the core's compute cycles since its previous event — to ``emit``
+    Reads the cores round-robin, each a block at a time, filters each
+    access through its core's L1 and the directory, and hands every
+    L2-level event — ``(kind, core, address, is_write, work)``, ``work``
+    being the core's compute cycles since its previous event — to ``emit``
     (by default: appended to :attr:`events`). Nothing here depends on
     the L2 design; the L2 reaches back only through
     :meth:`l1_invalidate`, for inclusion victims.
@@ -223,30 +224,31 @@ class _FrontEnd:
         l1, l1_accesses, l1_misses = self.l1, self.l1_accesses, self.l1_misses
         ways = cfg.l1_ways
         set_mask = cfg.l1_blocks // ways - 1
-        next_access = [
-            workload.core_stream(
-                c, cfg.l2_blocks, seed=seed, num_cores=cfg.num_cores
-            ).__next__
+        # Plain (gap, address, is_write) tuples zipped from each core's
+        # blocks; the CoreAccess view (core_stream) costs what blocks save.
+        blocks = [
+            workload.core_blocks(c, cfg.l2_blocks, seed=seed, num_cores=cfg.num_cores)
             for c in range(cfg.num_cores)
         ]
+        next_access = [chain.from_iterable(starmap(zip, b)).__next__ for b in blocks]
         instructions = [0] * cfg.num_cores
-        pending_work = [0] * cfg.num_cores  # cycles since last event
+        last_event = [0] * cfg.num_cores  # instructions at the core's last event
         active = list(range(cfg.num_cores))
+        rounds = 0  # every active core makes one access per round
         while active:
             retired = False
+            rounds += 1
             for core in active:
                 gap, address, is_write = next_access[core]()
-                instructions[core] += gap + 1
-                pending_work[core] += gap + 1
-                l1_accesses[core] += 1
+                now = instructions[core] = instructions[core] + gap + 1
                 lines = l1[core][address & set_mask]
                 if address in lines:
                     if is_write and directory.is_shared(address):
                         # Write hit to a shared line: upgrade via the L2 bank.
                         for victim_core in directory.upgrade(address, core):
                             l1_invalidate(victim_core, address)
-                        emit((UPGRADE, core, address, True, pending_work[core]))
-                        pending_work[core] = 0
+                        emit((UPGRADE, core, address, True, now - last_event[core]))
+                        last_event[core] = now
                     lines[address] = lines.pop(address) or is_write
                 else:
                     l1_misses[core] += 1
@@ -259,13 +261,16 @@ class _FrontEnd:
                         directory.l1_eviction(evicted, core)
                         if writeback:
                             emit((WRITEBACK, core, evicted, True, 0))
-                    emit((MISS, core, address, is_write, pending_work[core]))
-                    pending_work[core] = 0
+                    emit((MISS, core, address, is_write, now - last_event[core]))
+                    last_event[core] = now
                     for victim_core in directory.fill(address, core, is_write):
                         l1_invalidate(victim_core, address)
-                if instructions[core] >= instructions_per_core:
+                if now >= instructions_per_core:
                     retired = True
             if retired:
+                for c in active:
+                    if instructions[c] >= instructions_per_core:
+                        l1_accesses[c] += rounds
                 active = [
                     c for c in active if instructions[c] < instructions_per_core
                 ]

@@ -1,16 +1,27 @@
 """Access-pattern primitives.
 
-Each primitive is an infinite iterator of block addresses within
-``[0, footprint)``. Workload specs compose them (with weights) and add
-address-space offsets, instruction gaps, and read/write labels.
+Each primitive is an infinite stream of block addresses within
+``[0, footprint)``, returned as a :class:`Pattern`. Workload specs
+compose them (with weights) and add address-space offsets, instruction
+gaps, and read/write labels.
 
 All randomness is seeded — the same spec always produces the same trace.
+
+**Blocks.** A pattern's one implementation is ``take(k)``: the next
+``k`` addresses, one loop per call, state carried between calls.
+Iterating is a view of it, ``BLOCK`` at a time. The CMP front end reads
+whole blocks (:meth:`~repro.workloads.spec.WorkloadSpec.core_blocks`):
+per-access generator resumes were most of what a capture cost.
 
 **Draw-order contract.** Recorded experiment outputs depend on every
 address of every stream, so each seeded generator below may be made
 faster but never made to draw differently: same ``Random``, same draws,
-same order — pinned by ``tests/goldens/stream_digests.json``. Where a
-loop spells ``rng.randrange(n)`` as ``getrandbits(n.bit_length())``
+same order — pinned by ``tests/goldens/stream_digests.json``. Every
+pattern owns its ``Random``, so *when* it draws is free: ``mixed`` draws
+a block's part choices first and reads each part through the part's
+own iterator, and a reader may leave up to a block per pattern drawn
+but unread.
+Where a loop spells ``rng.randrange(n)`` as ``getrandbits(n.bit_length())``
 redrawn while ``>= n``, that is ``Random._randbelow_with_getrandbits``
 written out, so it consumes exactly the bits ``randrange`` would.
 
@@ -25,7 +36,9 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from typing import Iterator, MutableSequence, Sequence
+from bisect import bisect_left
+from itertools import chain, repeat, starmap
+from typing import Callable, Generator, Iterator, MutableSequence, Sequence
 
 
 def _shuffle(x: MutableSequence[int], getrandbits) -> None:
@@ -46,22 +59,41 @@ def _shuffle(x: MutableSequence[int], getrandbits) -> None:
         hi = lo - 1
 
 
-def sequential_scan(footprint: int, start: int = 0) -> Iterator[int]:
+#: Addresses per read of a pattern's iterator view and accesses per
+#: core-stream block. Larger blocks over-generate more per run: 512
+#: measured slower than 128 on a sweep.
+BLOCK = 128
+
+
+class Pattern(chain):
+    """An infinite address stream with a block form.
+
+    ``take(k)`` returns the next ``k`` addresses. Iterating yields the
+    same sequence, read through ``take`` a ``BLOCK`` at a time (a
+    ``chain``, so per-address reads stay in C); a ``take`` after
+    iterating skips what the view already holds.
+    """
+
+    take: Callable[[int], list[int]]
+
+
+def _pattern(blocks: Generator[list[int], int, None]) -> Pattern:
+    """A :class:`Pattern` over a generator that answers ``n = yield block``."""
+    next(blocks)  # run up to the first ``n = yield``
+    pattern = Pattern.from_iterable(map(blocks.send, repeat(BLOCK)))
+    pattern.take = blocks.send
+    return pattern
+
+
+def sequential_scan(footprint: int, start: int = 0) -> Pattern:
     """Wrap-around sequential scan: 0, 1, 2, ..., footprint-1, 0, ...
 
     Models streaming workloads (lbm, libquantum, streamcluster).
     """
-    if footprint < 1:
-        raise ValueError(f"footprint must be >= 1, got {footprint}")
-    addr = start % footprint
-    while True:
-        yield addr
-        addr += 1
-        if addr >= footprint:
-            addr = 0
+    return strided(footprint, 1, start)
 
 
-def strided(footprint: int, stride: int, start: int = 0) -> Iterator[int]:
+def strided(footprint: int, stride: int, start: int = 0) -> Pattern:
     """Strided scan: start, start+stride, ... (mod footprint).
 
     Power-of-two strides are the classic set-conflict pathology
@@ -72,26 +104,40 @@ def strided(footprint: int, stride: int, start: int = 0) -> Iterator[int]:
         raise ValueError(f"footprint must be >= 1, got {footprint}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    addr = start % footprint
-    while True:
-        yield addr
-        addr = (addr + stride) % footprint
+
+    def blocks(addr):
+        n = yield
+        while True:
+            end = addr + n * stride
+            block = [a % footprint for a in range(addr, end, stride)]
+            addr = end % footprint
+            n = yield block
+
+    return _pattern(blocks(start % footprint))
 
 
-def uniform_random(footprint: int, seed: int = 0) -> Iterator[int]:
+def uniform_random(footprint: int, seed: int = 0) -> Pattern:
     """Uniform random addresses — the no-locality stress case."""
     if footprint < 1:
         raise ValueError(f"footprint must be >= 1, got {footprint}")
     getrandbits = random.Random(seed).getrandbits
     k = footprint.bit_length()
-    while True:
-        r = getrandbits(k)  # randrange(footprint): the draw-order contract
-        while r >= footprint:
-            r = getrandbits(k)
-        yield r
+
+    def blocks():
+        n = yield
+        while True:
+            block = []
+            for _ in range(n):
+                r = getrandbits(k)  # randrange(footprint): the draw-order contract
+                while r >= footprint:
+                    r = getrandbits(k)
+                block.append(r)
+            n = yield block
+
+    return _pattern(blocks())
 
 
-def zipf(footprint: int, skew: float = 1.1, seed: int = 0) -> Iterator[int]:
+def zipf(footprint: int, skew: float = 1.1, seed: int = 0) -> Pattern:
     """Zipf-like popularity over a shuffled footprint.
 
     ``skew`` > 1 concentrates traffic on few hot blocks (pointer-heavy
@@ -112,9 +158,17 @@ def zipf(footprint: int, skew: float = 1.1, seed: int = 0) -> Iterator[int]:
     exponent = 1.0 - skew
     span = footprint**exponent - 1.0
     inverse = 1.0 / exponent
-    rand = rng.random
-    while True:
-        yield perm[int((span * rand() + 1.0) ** inverse) % footprint]
+    rand, floor = rng.random, math.floor  # floor: int() of a positive float
+
+    def blocks():
+        n = yield
+        while True:
+            n = yield [
+                perm[floor((span * rand() + 1.0) ** inverse) % footprint]
+                for _ in range(n)
+            ]
+
+    return _pattern(blocks())
 
 
 def working_set_phases(
@@ -123,7 +177,7 @@ def working_set_phases(
     phase_length: int = 10_000,
     locality: float = 0.9,
     seed: int = 0,
-) -> Iterator[int]:
+) -> Pattern:
     """Phased working sets: dense reuse inside a window that jumps.
 
     Models loop-nest programs (most of SPECfp): during a phase, accesses
@@ -145,25 +199,39 @@ def working_set_phases(
     ws_size = max(1, int(footprint * ws_fraction))
     fp_bits = footprint.bit_length()
     ws_bits = ws_size.bit_length()
+
     # randrange(footprint) / randrange(ws_size): the draw-order contract
-    while True:
-        base = getrandbits(fp_bits)
-        while base >= footprint:
-            base = getrandbits(fp_bits)
-        for _ in range(phase_length):
-            if rand() < locality:
-                r = getrandbits(ws_bits)
-                while r >= ws_size:
-                    r = getrandbits(ws_bits)
-                yield (base + r) % footprint
-            else:
-                r = getrandbits(fp_bits)
-                while r >= footprint:
-                    r = getrandbits(fp_bits)
-                yield r
+    def blocks():
+        base = left = 0  # the window, and the accesses left in its phase
+        n = yield
+        while True:
+            block = []
+            append = block.append
+            while len(block) < n:
+                if not left:
+                    base = getrandbits(fp_bits)
+                    while base >= footprint:
+                        base = getrandbits(fp_bits)
+                    left = phase_length
+                run = min(left, n - len(block))
+                left -= run
+                for _ in range(run):
+                    if rand() < locality:
+                        r = getrandbits(ws_bits)
+                        while r >= ws_size:
+                            r = getrandbits(ws_bits)
+                        append((base + r) % footprint)
+                    else:
+                        r = getrandbits(fp_bits)
+                        while r >= footprint:
+                            r = getrandbits(fp_bits)
+                        append(r)
+            n = yield block
+
+    return _pattern(blocks())
 
 
-def pointer_chase(footprint: int, seed: int = 0, jump_every: int = 0) -> Iterator[int]:
+def pointer_chase(footprint: int, seed: int = 0, jump_every: int = 0) -> Pattern:
     """Chase through a random successor table.
 
     Models linked-data-structure codes (mcf, omnetpp, canneal): each
@@ -186,20 +254,28 @@ def pointer_chase(footprint: int, seed: int = 0, jump_every: int = 0) -> Iterato
     node = getrandbits(k)  # randrange(footprint), twice: the draw-order contract
     while node >= footprint:
         node = getrandbits(k)
-    count = 0
-    while True:
-        yield node
-        node = nxt[node]
-        count += 1
-        if jump_every and count % jump_every == 0:
-            node = getrandbits(k)
-            while node >= footprint:
-                node = getrandbits(k)
+
+    def blocks(node):
+        count = 0
+        n = yield
+        while True:
+            block = []
+            for _ in range(n):
+                block.append(node)
+                node = nxt[node]
+                count += 1
+                if jump_every and count % jump_every == 0:
+                    node = getrandbits(k)
+                    while node >= footprint:
+                        node = getrandbits(k)
+            n = yield block
+
+    return _pattern(blocks(node))
 
 
 def mixed(
     parts: Sequence[tuple[float, Iterator[int]]], seed: int = 0
-) -> Iterator[int]:
+) -> Pattern:
     """Probabilistic mix of pattern iterators.
 
     ``parts`` is a sequence of ``(weight, iterator)``; each access is
@@ -217,16 +293,27 @@ def mixed(
     for w in weights:
         acc += w / total
         cum.append(acc)
-    # A ``u`` above cum[-1] (rounding can leave it a hair under 1.0)
-    # matches no part, yields nothing and costs one more draw: that
-    # fall-through is part of the draw-order contract.
-    pairs = [(c, it.__next__) for c, (_, it) in zip(cum, parts)]
-    while True:
-        u = rand()
-        for c, part_next in pairs:
-            if u <= c:
-                yield part_next()
-                break
+    # Every part owns its Random, so reading a part's iterator view a
+    # block ahead of what the mix has used changes no draw.
+    nexts = [it.__next__ for _, it in parts]
+    first, c0, last = nexts[0], cum[0], cum[-1]
+
+    def blocks():
+        n = yield
+        while True:
+            u = list(starmap(rand, repeat((), n)))
+            # A ``u`` above cum[-1] (rounding can leave it a hair under
+            # 1.0) matches no part, yields nothing and costs one more
+            # draw: that fall-through is part of the draw-order contract.
+            while u and max(u) > last:
+                u.remove(max(u))
+                u.append(rand())
+            # the first part with u <= cum[i]; no bisect for the first
+            n = yield [
+                first() if x <= c0 else nexts[bisect_left(cum, x)]() for x in u
+            ]
+
+    return _pattern(blocks())
 
 
 def interleave(streams: Sequence[Iterator], round_robin: bool = True):

@@ -12,8 +12,9 @@ A :class:`WorkloadSpec` declares a workload's statistical shape:
 - ``sharing_frac`` — for multithreaded workloads, the fraction of
   accesses that fall in a region shared by all cores.
 
-:meth:`WorkloadSpec.core_stream` turns a spec into an infinite per-core
-iterator of :class:`CoreAccess` records for the CMP simulator.
+:meth:`WorkloadSpec.core_blocks` turns a spec into an infinite per-core
+stream of access blocks for the CMP simulator; :meth:`~WorkloadSpec.
+core_stream` reads the same stream one :class:`CoreAccess` at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import math
 import random
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, repeat, starmap
 from typing import Iterator, NamedTuple
 
 from repro.workloads import patterns as pat
@@ -46,7 +49,7 @@ class CoreAccess(NamedTuple):
     is_write: bool
 
 
-def _build_pattern(desc: dict, footprint: int, seed: int) -> Iterator[int]:
+def _build_pattern(desc: dict, footprint: int, seed: int) -> pat.Pattern:
     """Instantiate one pattern primitive from its descriptor."""
     kind = desc["kind"]
     if kind == "sequential":
@@ -125,7 +128,18 @@ class WorkloadSpec:
         seed: int = 0,
         num_cores: int = 32,
     ) -> Iterator[CoreAccess]:
-        """Infinite access stream for one core.
+        """Infinite access stream for one core: :meth:`core_blocks`
+        read one :class:`CoreAccess` at a time."""
+        blocks = self.core_blocks(core_id, l2_blocks, seed, num_cores)
+        # tuple.__new__ is CoreAccess._make minus its length check
+        new_access = partial(tuple.__new__, CoreAccess)
+        return map(new_access, chain.from_iterable(starmap(zip, blocks)))
+
+    def core_blocks(
+        self, core_id: int, l2_blocks: int, seed: int = 0, num_cores: int = 32
+    ) -> Iterator[tuple[list[int], list[int], list[bool]]]:
+        """One core's accesses, ``BLOCK`` at a time, as parallel lists
+        ``(gaps, addresses, writes)``.
 
         Multithreaded workloads share the region above
         ``SHARED_ADDRESS_BASE`` (``sharing_frac`` of accesses land
@@ -158,24 +172,33 @@ class WorkloadSpec:
         )
         # Geometric gaps: each instruction is a memory access with
         # probability mem_ratio, so E[gap] = 1/mem_ratio - 1 exactly.
-        log_q = math.log(1.0 - self.mem_ratio) if self.mem_ratio < 1.0 else None
+        has_gap = self.mem_ratio < 1.0
+        log_q = math.log(1.0 - self.mem_ratio) if has_gap else 1.0
         # Draw-order contract (repro.workloads.patterns): per access one
         # draw for the gap (none at mem_ratio 1), one for is_write, one
-        # for shared-vs-private iff there is a shared region. The locals
-        # strip attribute lookups; tuple.__new__ is CoreAccess._make
-        # minus its length check.
-        log, rand, new_access = math.log, rng.random, tuple.__new__
+        # for shared-vs-private iff there is a shared region. All are
+        # rng.random(), so a block's draws are one list dealt by stride.
+        # floor is int() on these non-negative floats, and cheaper.
+        draws = has_gap + 1 + (shared is not None)
+        log, floor, rand = math.log, math.floor, rng.random
         write_frac, sharing_frac = self.write_frac, self.sharing_frac
         next_private = private.__next__
         next_shared = shared.__next__ if shared is not None else None
+        no_gaps = [0] * pat.BLOCK
         while True:
-            gap = 0 if log_q is None else int(log(1.0 - rand()) / log_q)
-            is_write = rand() < write_frac
-            if next_shared is not None and rand() < sharing_frac:
-                address = SHARED_ADDRESS_BASE + next_shared()
+            u = list(starmap(rand, repeat((), draws * pat.BLOCK)))
+            gaps = [floor(log(1.0 - x) / log_q) for x in u[::draws]] if has_gap else no_gaps
+            writes = [x < write_frac for x in u[has_gap::draws]]
+            if next_shared is None:
+                addresses = [private_base + a for a in private.take(pat.BLOCK)]
             else:
-                address = private_base + next_private()
-            yield new_access(CoreAccess, (gap, address, is_write))
+                addresses = [
+                    SHARED_ADDRESS_BASE + next_shared()
+                    if x < sharing_frac
+                    else private_base + next_private()
+                    for x in u[draws - 1 :: draws]
+                ]
+            yield gaps, addresses, writes
 
     def describe(self) -> str:
         """One-line report string."""

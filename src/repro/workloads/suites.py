@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.workloads.spec import CoreAccess, WorkloadSpec
+from repro.workloads.spec import WorkloadSpec
 
 
 def _hot(weight: float, mult: float = 0.02) -> tuple:
@@ -256,12 +256,14 @@ class MixWorkloadSpec:
     def write_frac(self) -> float:
         return sum(m.write_frac for m in self.members) / len(self.members)
 
-    def core_stream(
+    def core_blocks(
         self, core_id: int, l2_blocks: int, seed: int = 0, num_cores: int = 32
-    ) -> Iterator[CoreAccess]:
+    ) -> Iterator[tuple[list[int], list[int], list[bool]]]:
         """Delegate to the member app assigned to this core."""
         member = self.members[core_id % len(self.members)]
-        return member.core_stream(core_id, l2_blocks, seed=seed, num_cores=num_cores)
+        return member.core_blocks(core_id, l2_blocks, seed=seed, num_cores=num_cores)
+
+    core_stream = WorkloadSpec.core_stream
 
     def describe(self) -> str:
         """One-line roster report for this mix."""

@@ -25,10 +25,10 @@ class OneAccess:
     """A workload whose core stream is one scripted access."""
 
     def __init__(self, address: int, is_write: bool) -> None:
-        self.access = (0, address, is_write)
+        self.block = ([0], [address], [is_write])
 
-    def core_stream(self, core_id, l2_blocks, seed=0, num_cores=1):
-        return iter([self.access])
+    def core_blocks(self, core_id, l2_blocks, seed=0, num_cores=1):
+        return iter([self.block])
 
 
 def flat_access(front: _FrontEnd, address: int, is_write: bool):

@@ -1,10 +1,12 @@
 """Tests for the access-pattern primitives."""
 
 import itertools
+import random
 import tracemalloc
 
 import pytest
 
+from repro.workloads import patterns
 from repro.workloads import (
     interleave,
     mixed,
@@ -15,6 +17,7 @@ from repro.workloads import (
     working_set_phases,
     zipf,
 )
+from repro.workloads.patterns import BLOCK
 
 
 def take(it, n):
@@ -161,6 +164,77 @@ class TestMixed:
             next(mixed([]))
         with pytest.raises(ValueError):
             next(mixed([(0.0, sequential_scan(4))]))
+
+
+class TestMixedFallThrough:
+    """A draw above ``cum[-1]`` yields nothing and costs one more draw.
+
+    Seven equal weights leave ``cum[-1] = 1 - 2**-52``, so the largest
+    ``random()``, ``1 - 2**-53``, matches no part. A real stream meets
+    that once in about 2**53 draws, so no stream digest reaches it; a
+    scripted ``Random`` puts it first, back to back, and on both sides
+    of a block edge. The parts are sequential scans starting at
+    ``100 * i``, so each address names its part.
+    """
+
+    PARTS = 7
+    HIGH = 1.0 - 2.0**-53
+    OVER = {0, 1, 2, 9, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5}
+
+    def script(self) -> list[float]:
+        source = random.Random(11)
+        return [
+            self.HIGH if i in self.OVER else source.random()
+            for i in range(4 * BLOCK)
+        ]
+
+    def per_access(self, script):
+        """The per-access form: (address, draws so far) per access."""
+        cum, acc = [], 0.0
+        for _ in range(self.PARTS):
+            acc += 1 / self.PARTS
+            cum.append(acc)
+        assert cum[-1] < self.HIGH
+        position = [100 * i for i in range(self.PARTS)]
+        for used, u in enumerate(script, start=1):
+            for i, c in enumerate(cum):
+                if u <= c:
+                    yield position[i], used
+                    position[i] += 1
+                    break
+
+    def scripted_mix(self, monkeypatch, script, used):
+        class Scripted:
+            def __init__(self, seed):
+                self.draws = iter(script)
+
+            def random(self):
+                used.append(1)
+                return next(self.draws)
+
+        monkeypatch.setattr(patterns.random, "Random", Scripted)
+        return mixed(
+            [(1.0, sequential_scan(1000, start=100 * i)) for i in range(self.PARTS)]
+        )
+
+    def test_iterator_form(self, monkeypatch):
+        script = self.script()
+        n = 2 * BLOCK + 50
+        expected = [a for a, _ in itertools.islice(self.per_access(script), n)]
+        got = take(self.scripted_mix(monkeypatch, script, []), n)
+        assert got == expected
+
+    def test_take_form_draws_exactly_what_it_uses(self, monkeypatch):
+        script = self.script()
+        used: list[int] = []
+        mix = self.scripted_mix(monkeypatch, script, used)
+        reference = self.per_access(script)
+        for k in (3, 0, BLOCK - 4, 2, BLOCK + 3):
+            expected = list(itertools.islice(reference, k))
+            assert mix.take(k) == [a for a, _ in expected]
+            if expected:
+                assert len(used) == expected[-1][1]
+        assert len(used) > 2 * BLOCK + 5  # every scripted fall-through was read
 
 
 class TestInterleave:
