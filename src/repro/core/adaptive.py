@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
+from repro.core.base import Replacement
 from repro.core.controller import AccessResult, Cache
 from repro.core.zcache import ZCacheArray
 from repro.obs import ObsContext
@@ -122,7 +123,9 @@ class AdaptiveZCache(Cache):
     def current_limit(self) -> int:
         return self._limit
 
-    def _fill(self, address: int) -> AccessResult:
+    def _fill(
+        self, address: int, is_write: bool, repl: Optional[Replacement] = None
+    ) -> AccessResult:
         self._epoch_misses += 1
         self._ac["misses_observed"].value += 1
         if address in self._shadow:
@@ -130,7 +133,7 @@ class AdaptiveZCache(Cache):
             del self._shadow[address]
             self._epoch_premature += 1
             self._ac["premature_misses"].value += 1
-        result = super()._fill(address)
+        result = super()._fill(address, is_write, repl)
         if result.evicted is not None:
             self._shadow[result.evicted] = None
             if len(self._shadow) > self.shadow_entries:

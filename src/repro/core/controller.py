@@ -176,6 +176,10 @@ class Cache:
         self._c_tag_writes = counters["tag_writes"]
         if obs is not None:
             array.attach_obs(obs)
+        #: the array's address -> position map: the hot paths test
+        #: residency in it directly (``lookup`` is a read of it, and no
+        #: array proxy interposes on reads), as the turbo core does
+        self._resident = array._pos
         self._dirty: set[int] = set()
         self._pinned: set[int] = set()
         self.requested_engine = engine
@@ -249,8 +253,10 @@ class Cache:
         self._c_tag_reads.value += repl.tag_reads
 
     # -- the access protocol ---------------------------------------------------
-    # One routine per protocol step, shared with TwoPhaseZCache (the
-    # ordering each preserves is in docs/architecture.md, "Controllers").
+    # A hit is served here; every filling miss, from access and from
+    # TwoPhaseZCache.commit_prepared, runs the one miss routine _fill.
+    # Subclasses change a miss through _pick, _replace and _evict (the
+    # ordering each keeps is in docs/architecture.md, "Controllers").
 
     def access(self, address: int, is_write: bool = False) -> AccessResult:
         """Perform one read or write access to ``address``."""
@@ -258,12 +264,8 @@ class Cache:
             return self._turbo.access(address, is_write)
         if address < 0:
             raise ValueError(f"address must be non-negative, got {address}")
-        if self.array.lookup(address) is None:
-            self._count_miss(is_write)
-            result = self._fill(address)
-            if is_write and not result.bypassed:
-                self._dirty.add(address)
-            return result
+        if address not in self._resident:
+            return self._fill(address, is_write)
         self._c_accesses.value += 1
         self._c_hits.value += 1
         # Lookup: one tag read per way, one data access (the hit way).
@@ -276,7 +278,7 @@ class Cache:
             self._c_reads.value += 1
             self._c_data_reads.value += 1
         self.policy.on_access(address, is_write)
-        return AccessResult(address=address, hit=True)
+        return AccessResult(address, True)
 
     def probe(self, address: int, is_write: bool = False) -> bool:
         """Perform a lookup-only access: a hit behaves exactly like
@@ -315,19 +317,30 @@ class Cache:
             self._c_reads.value += 1
         self._c_misses.value += 1
 
-    def _fill(self, address: int) -> AccessResult:
-        return self._fill_with(address, self.array.build_replacement(address))
-
-    def _fill_with(self, address: int, repl: Replacement) -> AccessResult:
+    def _fill(
+        self, address: int, is_write: bool, repl: Optional[Replacement] = None
+    ) -> AccessResult:
+        """The miss routine: count the miss, walk (unless ``repl`` is a
+        walk prepared earlier), account the walk's tag reads, pick, and
+        land the block on a free slot or hand the victim to
+        :meth:`_replace`."""
+        self._count_miss(is_write)
+        if repl is None:
+            repl = self.array.build_replacement(address)
         self._account_walk(repl)
         node = self._pick(repl)
         if node < 0:
             return self._bypass(address)
         if repl.addresses[node] is None:
+            # Nothing to evict: the base routine lands the block, and an
+            # override of _replace (the two-phase walk) never sees it.
             self._c_fills_empty.value += 1
-            commit = self.array.commit_replacement(repl, node)
-            return self._install(address, commit, filled_empty=True)
-        return self._replace(repl, node)
+            result = Cache._replace(self, repl, node)
+        else:
+            result = self._replace(repl, node)
+        if is_write and not result.bypassed:
+            self._dirty.add(address)
+        return result
 
     def _pick(self, repl: Replacement, skip: Optional[int] = None) -> int:
         """Where a fill lands: one pass over the walk record.
@@ -404,16 +417,21 @@ class Cache:
         return 0
 
     def _replace(self, repl: Replacement, node: int) -> AccessResult:
-        """Evict the victim at ``node`` and land the block through its path.
+        """Evict the block at ``node`` (none on a free slot) and land the
+        incoming block through its path.
 
         Order is part of the contract: evict-accounting, then the
-        commit, then ``on_insert`` (inside :meth:`_install`).
+        commit, then ``on_insert``.
         """
+        incoming = repl.incoming
         victim = repl.addresses[node]
-        assert victim is not None
-        writeback = self._evict(victim)
+        writeback = victim is not None and self._evict(victim)
         commit = self.array.commit_replacement(repl, node)
-        return self._install(repl.incoming, commit, victim, writeback)
+        relocations = self._account_commit(commit)
+        self.policy.on_insert(incoming)
+        return AccessResult(
+            incoming, False, victim, writeback, relocations, victim is None
+        )
 
     def _evict(self, victim: int) -> bool:
         """The eviction choke point: every replacement victim, on every
@@ -444,21 +462,6 @@ class Cache:
         self._c_data_writes.value += relocations + 1
         return relocations
 
-    def _install(
-        self,
-        address: int,
-        commit: CommitResult,
-        evicted: Optional[int] = None,
-        writeback: bool = False,
-        filled_empty: bool = False,
-    ) -> AccessResult:
-        """Land the incoming block: account its commit, tell the policy."""
-        relocations = self._account_commit(commit)
-        self.policy.on_insert(address)
-        return AccessResult(
-            address, False, evicted, writeback, relocations, filled_empty
-        )
-
     def _bypass(self, address: int) -> AccessResult:
         """Every candidate is pinned: the block bypasses the cache (the
         TM-style overflow event)."""
@@ -478,7 +481,7 @@ class Cache:
         into ``cache._dirty`` and the stats dict from the outside; the
         data-write counter is the cached hot-path reference.
         """
-        if self.array.lookup(address) is None:
+        if address not in self._resident:
             return False
         self._c_data_writes.value += 1
         self._dirty.add(address)

@@ -70,7 +70,7 @@ class SetAssociativeArray(CacheArray):
     def build_replacement(self, address: int) -> Replacement:
         if address in self._pos:
             raise RuntimeError(f"build_replacement for resident block {address:#x}")
-        index = self.set_index(address)
+        index = self.index_hash(address)
         ways = self.num_ways
         # One set read resolves all W tags in a set-associative lookup.
         return Replacement(

@@ -152,11 +152,7 @@ class TwoPhaseZCache(Cache):
             raise StaleWalkError(
                 f"prepared walk for {address:#x} went stale; re-prepare"
             )
-        self._count_miss(is_write)
-        result = self._fill_with(address, repl)
-        if is_write and not result.bypassed:
-            self._dirty.add(address)
-        return result
+        return self._fill(address, is_write, repl)
 
     # -- the two-phase replacement ---------------------------------------------
     def _replace(self, repl: Replacement, node: int) -> AccessResult:
@@ -234,4 +230,6 @@ class TwoPhaseZCache(Cache):
                 # ``AccessResult.evicted`` does not report).
                 self._evict(extra)
             commit = self.array.commit_replacement(fresh, target)
-        return self._install(address, commit, evicted, writeback)
+        relocations = self._account_commit(commit)
+        self.policy.on_insert(address)
+        return AccessResult(address, False, evicted, writeback, relocations)

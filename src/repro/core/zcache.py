@@ -293,16 +293,6 @@ class ZCacheArray(CacheArray):
             r = min(r, self.candidate_limit)
         return r
 
-    def _new_repeat_tracker(self, incoming: int):
-        if self.repeat_filter == "exact":
-            seen: set[int] = {incoming}
-            return seen
-        if self.repeat_filter == "bloom":
-            bloom = BloomFilter(num_bits=1024, num_hashes=2)
-            bloom.add(incoming)
-            return bloom
-        return None
-
     # -- walk ----------------------------------------------------------------
     def build_replacement(self, address: int) -> Replacement:
         if address in self._pos:
@@ -351,18 +341,29 @@ class ZCacheArray(CacheArray):
         round, stopping at a free slot or at the breadth-first walk's
         candidate count. Reinsertions always walk breadth-first.
 
-        A round is two passes over the record: a tight one appending
-        every frontier block's children (way, index, tag read, parent),
-        then one deciding which children the next round expands. Home
-        indices come from the resident table; a tag that is not in it
-        (rewritten behind the array's back) is hashed. The loop only
-        reads — array, table and all — so it may run off-lock.
+        A round appends every frontier block's children (way, index,
+        tag read, parent). The plain breadth-first walk expands a level
+        straight from the record, skipping empty and invalid nodes; a
+        repeat filter or the depth-first walk first decides which nodes
+        the next round expands. Home indices come from the resident
+        table; a tag that is not in it (rewritten behind the array's
+        back) is hashed. The loop only reads — array, table and all — so
+        it may run off-lock.
         """
         lines = self._lines
         table = self._homes
         hash_homes = self.hashes.indices
         other_ways = self._other_ways
-        tracker = self._new_repeat_tracker(incoming)
+        # A repeat filter's blocks, and the lines read so far (without a
+        # filter, repeats are counted once the walk is done).
+        tracker: set[int] | BloomFilter | None = None
+        if self.repeat_filter == "exact":
+            tracker = {incoming}
+        elif self.repeat_filter == "bloom":
+            tracker = BloomFilter(num_bits=1024, num_hashes=2)
+            tracker.add(incoming)
+        if tracker is not None:
+            seen: set[tuple[int, int]] = set() if own is None else {own}
         limit = self.candidate_limit
         if limit is None:
             limit = sys.maxsize
@@ -375,9 +376,6 @@ class ZCacheArray(CacheArray):
         parents: list[int] = []
         level_starts: list[int] = []
         invalid: set[int] = set()
-        # Lines read so far; kept per node only under a repeat filter,
-        # and otherwise counted once the walk is done.
-        seen: set[tuple[int, int]] = set() if own is None else {own}
         truncated = False
         repeats = 0
         for way in other_ways[-1 if own is None else own[0]]:
@@ -387,6 +385,7 @@ class ZCacheArray(CacheArray):
             addresses.append(lines[way][index])
             parents.append(-1)
         start = level = 0
+        grown: list[int] | range  # the nodes this round expands
         while True:
             end = len(ways)
             # Never true at level 0: the limit is at least W.
@@ -400,8 +399,8 @@ class ZCacheArray(CacheArray):
                 level_starts.append(start)
             level += 1
             last = not dfs and (capped or level == self.levels)
-            free = False
             if tracker is not None:
+                free = False
                 grown = []
                 for i in range(start, end):
                     line = (ways[i], indices[i])
@@ -424,15 +423,20 @@ class ZCacheArray(CacheArray):
                             grown.append(i)
             elif last:
                 break
-            else:
+            elif dfs:
                 grown = [
                     i for i in range(start, end)
                     if addresses[i] is not None and i not in invalid
                 ]
-                free = dfs and any(
+                free = any(
                     addresses[i] is None and i not in invalid
                     for i in range(start, end)
                 )
+            else:
+                # Plain BFS: the expansion below skips empty and invalid
+                # nodes itself; a level with none to expand adds no nodes,
+                # so the next round ends the walk.
+                grown = range(start, end)
             if dfs:
                 # Level 0 only seeds the chain; below it a free slot ends
                 # the walk (the chain can terminate there).
@@ -446,9 +450,11 @@ class ZCacheArray(CacheArray):
             start = end
             for parent in grown:
                 block = addresses[parent]
-                expand = table.get(block)  # type: ignore[arg-type]
+                if block is None or parent in invalid:
+                    continue
+                expand = table.get(block)
                 if expand is None:
-                    expand = hash_homes(block)  # type: ignore[arg-type]
+                    expand = hash_homes(block)
                 skip = ways[parent]
                 first = len(ways)
                 for way in other_ways[skip]:

@@ -15,19 +15,6 @@ from typing import Sequence
 from repro.replacement.base import ReplacementPolicy
 
 
-def _oldest(stamp: dict[int, int], candidates: Sequence[int]) -> int:
-    """The candidate with the smallest timestamp.
-
-    What the base-class :meth:`~ReplacementPolicy.score` scan returns
-    for a negated-timestamp score — ``min`` keeps the first of equal
-    stamps, as the scan's strict ``>`` does — without a Python-level
-    call per candidate.
-    """
-    if not candidates:
-        raise ValueError("select_victim called with no candidates")
-    return min(candidates, key=stamp.__getitem__)
-
-
 class LRU(ReplacementPolicy):
     """Least-recently-used via per-block global timestamps.
 
@@ -39,24 +26,23 @@ class LRU(ReplacementPolicy):
         self._counter = 0
         self._stamp: dict[int, int] = {}
 
-    def _touch(self, address: int) -> None:
-        self._counter += 1
-        # Re-inserting moves the key to the end: dict order == recency.
-        self._stamp.pop(address, None)
-        self._stamp[address] = self._counter
-
     def global_victim(self) -> int | None:
         return next(iter(self._stamp), None)
 
     def on_insert(self, address: int) -> None:
         if address in self._stamp:
             raise ValueError(f"block {address:#x} inserted twice")
-        self._touch(address)
+        self._counter += 1
+        self._stamp[address] = self._counter
 
     def on_access(self, address: int, is_write: bool = False) -> None:
-        if address not in self._stamp:
+        stamp = self._stamp
+        if address not in stamp:
             raise KeyError(f"access to non-resident block {address:#x}")
-        self._touch(address)
+        self._counter += 1
+        # Re-inserting moves the key to the end: dict order == recency.
+        del stamp[address]
+        stamp[address] = self._counter
 
     def on_evict(self, address: int) -> None:
         try:
@@ -70,41 +56,26 @@ class LRU(ReplacementPolicy):
         return -self._stamp[address]
 
     def select_victim(self, candidates: Sequence[int]) -> int:
-        return _oldest(self._stamp, candidates)
+        """The candidate with the smallest timestamp.
+
+        What the base-class :meth:`~ReplacementPolicy.score` scan returns
+        for a negated-timestamp score — ``min`` keeps the first of equal
+        stamps, as the scan's strict ``>`` does — without a Python-level
+        call per candidate.
+        """
+        if not candidates:
+            raise ValueError("select_victim called with no candidates")
+        return min(candidates, key=self._stamp.__getitem__)
 
 
-class FIFO(ReplacementPolicy):
-    """First-in first-out: timestamp at insertion only, never refreshed.
+class FIFO(LRU):
+    """First-in first-out: LRU whose timestamp is set at insertion only,
+    never refreshed by a hit.
 
     Insertion order of the dict is the eviction order, so the global
     victim is O(1).
     """
 
-    def __init__(self) -> None:
-        self._counter = 0
-        self._stamp: dict[int, int] = {}
-
-    def global_victim(self) -> int | None:
-        return next(iter(self._stamp), None)
-
-    def on_insert(self, address: int) -> None:
-        if address in self._stamp:
-            raise ValueError(f"block {address:#x} inserted twice")
-        self._counter += 1
-        self._stamp[address] = self._counter
-
     def on_access(self, address: int, is_write: bool = False) -> None:
         if address not in self._stamp:
             raise KeyError(f"access to non-resident block {address:#x}")
-
-    def on_evict(self, address: int) -> None:
-        try:
-            del self._stamp[address]
-        except KeyError:
-            raise KeyError(f"evicting non-resident block {address:#x}") from None
-
-    def score(self, address: int) -> int:
-        return -self._stamp[address]
-
-    def select_victim(self, candidates: Sequence[int]) -> int:
-        return _oldest(self._stamp, candidates)

@@ -22,7 +22,6 @@ from repro.workloads.analysis import (
     working_set_curve,
 )
 from repro.workloads.patterns import (
-    interleave,
     mixed,
     pointer_chase,
     sequential_scan,
@@ -51,7 +50,6 @@ __all__ = [
     "working_set_phases",
     "pointer_chase",
     "mixed",
-    "interleave",
     "CoreAccess",
     "WorkloadSpec",
     "WORKLOADS",

@@ -27,8 +27,10 @@ written out, so it consumes exactly the bits ``randrange`` would.
 
 **Memory.** ``zipf`` and ``pointer_chase`` hold their permutation as a
 4-byte ``array("I")``, shuffled in place: 4 bytes per block rather than
-the ~36 of a list of ints. A footprint above 2**32 does not fit the
-typecode and raises ``OverflowError``.
+the ~36 of a list of ints. Shuffling a list and converting it would be
+faster (a swap in an ``array`` boxes two ints), but the list's ~36
+bytes per block would be the construction's peak. A footprint above
+2**32 does not fit the typecode and raises ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -315,20 +317,3 @@ def mixed(
 
     return _pattern(blocks())
 
-
-def interleave(streams: Sequence[Iterator], round_robin: bool = True):
-    """Round-robin interleave of per-core streams into one sequence of
-    ``(core_id, item)`` pairs. Used by single-cache experiments; the CMP
-    simulator keeps streams separate."""
-    if not streams:
-        raise ValueError("interleave() needs at least one stream")
-    live = list(enumerate(streams))
-    while live:
-        dead = []
-        for slot, (core, it) in enumerate(live):
-            try:
-                yield core, next(it)
-            except StopIteration:
-                dead.append(slot)
-        for slot in reversed(dead):
-            live.pop(slot)

@@ -3,12 +3,12 @@
 import itertools
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
 from repro.workloads import patterns
 from repro.workloads import (
-    interleave,
     mixed,
     pointer_chase,
     sequential_scan,
@@ -136,6 +136,25 @@ class TestPointerChase:
         assert violations > 0
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 1 << 14, (1 << 14) + 1, 24_576])
+def test_shuffle_is_random_shuffle_whatever_the_table(size):
+    """``_shuffle`` permutes a list and a 4-byte array alike, as
+    ``Random.shuffle`` does, and leaves the ``Random`` where it leaves it."""
+    tables = [list(range(size)), array("I", range(size)), list(range(size))]
+    rngs = [random.Random(size), random.Random(size), random.Random(size)]
+    patterns._shuffle(tables[0], rngs[0].getrandbits)
+    patterns._shuffle(tables[1], rngs[1].getrandbits)
+    rngs[2].shuffle(tables[2])
+    assert tables[0] == list(tables[1]) == tables[2]
+    assert len({r.getrandbits(32) for r in rngs}) == 1
+
+
+@pytest.mark.parametrize("pattern, table", [(pointer_chase, "nxt"), (zipf, "perm")])
+def test_stored_table_is_four_byte_array(pattern, table):
+    stream = pattern(1000, seed=3)
+    assert stream.take.__self__.gi_frame.f_locals[table].typecode == "I"
+
+
 @pytest.mark.parametrize("pattern", [pointer_chase, zipf])
 def test_permutation_costs_four_bytes_per_block(pattern):
     # The permutation is a 4-byte array; a list of ints costs > 36 B/block.
@@ -236,12 +255,3 @@ class TestMixedFallThrough:
                 assert len(used) == expected[-1][1]
         assert len(used) > 2 * BLOCK + 5  # every scripted fall-through was read
 
-
-class TestInterleave:
-    def test_round_robin(self):
-        pairs = list(interleave([iter([1, 2]), iter([10, 20, 30])]))
-        assert pairs == [(0, 1), (1, 10), (0, 2), (1, 20), (1, 30)]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            next(interleave([]))
