@@ -57,10 +57,6 @@ from repro.analysis.sanitizer import InvariantViolation
 from repro.analysis.spec import SCOPE_THREAD, ThreadCheck, invariants_for
 from repro.core.base import ArrayProxy
 
-#: per-field access policies (the sanctioned lock-free idioms)
-POLICY_WRITE_LOCKED = "write-locked"
-POLICY_ATOMIC_APPEND = "atomic-append"
-
 #: zcache methods that mutate array/policy state
 _ZC_WRITES = frozenset({
     "access",

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import reduce
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from repro.util.statistics import empirical_cdf, ks_distance
@@ -54,6 +56,22 @@ def expected_priority(num_candidates: int) -> float:
     return num_candidates / (num_candidates + 1)
 
 
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """numpy's float64 add-reduce, bit for bit, in plain float adds
+    (``sum`` compensates on Python 3.12+): a loop under 8 values, eight
+    strided accumulators up to 128, else split at n/2 rounded down to 8s."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    if n < 8:
+        return reduce(add, values, 0.0)
+    end = n - n % 8
+    r = [reduce(add, values[j:end:8]) for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, values[end:], total)
+
+
 class AssociativityDistribution:
     """Empirical distribution of eviction priorities.
 
@@ -80,18 +98,20 @@ class AssociativityDistribution:
         return empirical_cdf(self.samples, xs)
 
     def mean(self) -> float:
-        """Mean eviction priority (n/(n+1) under uniformity)."""
-        import numpy as np  # fig3's goldens pin numpy's pairwise sum
-
-        return float(np.mean(self.samples))
+        """Mean eviction priority (n/(n+1) under uniformity): numpy's
+        pairwise sum over n, as fig3's goldens pin."""
+        return _pairwise_sum(self.samples) / len(self)
 
     def quantile(self, q: float) -> float:
-        """Inverse CDF."""
+        """Inverse CDF: numpy's default linear interpolation, as pinned."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0,1], got {q}")
-        import numpy as np  # numpy's linear interpolation, as pinned
-
-        return float(np.quantile(self.samples, q))
+        ordered, index = self.samples, (len(self) - 1) * q
+        below = math.floor(index)
+        if below >= len(self) - 1:
+            return ordered[-1]
+        a, b, gap = ordered[below], ordered[below + 1], index - below
+        return b - (b - a) * (1 - gap) if gap >= 0.5 else a + (b - a) * gap
 
     def fraction_below(self, threshold: float) -> float:
         """P(evicted block priority < threshold) — the paper's headline

@@ -46,13 +46,6 @@ class AdaptiveStats(RegistryStats):
         super().__init__(registry)
         self.history = []
 
-    @property
-    def mean_limit(self) -> float:
-        """Average candidate limit across adaptation epochs."""
-        if not self.history:
-            return 0.0
-        return sum(limit for _e, limit, _f in self.history) / len(self.history)
-
 
 class AdaptiveZCache(Cache):
     """A zcache whose walk depth follows measured utility.

@@ -58,9 +58,9 @@ class Candidate:
         ``c`` moves ``c.parent``'s block into ``c.position``, and so on
         up to the root, whose position receives the incoming block.
     valid:
-        False if the ancestor path revisits a position (a walk repeat
-        that would corrupt relocation); such candidates must not be
-        chosen.
+        False if the relocation path revisits a position (a zcache walk
+        repeat that would corrupt relocation); such candidates must not
+        be chosen.
     node:
         The node's index in the record the view was read from (-1 when
         built by hand); :meth:`CacheArray.commit_replacement` commits a
@@ -88,8 +88,8 @@ class Replacement:
     random-candidates: no relocation can follow). A parent always
     precedes its children, and nodes are appended in non-decreasing
     level order: ``level_starts[l]`` is the first node of level ``l``.
-    ``invalid`` holds the nodes whose relocation path revisits a line
-    (they must not be committed), or is None when there are none.
+    ``invalid`` holds the zcache nodes whose relocation path revisits a
+    line (they must not be committed), or is None when there are none.
 
     No object is built per node: the controller picks a node index and
     the array commits it. :meth:`node`, :attr:`candidates`,
@@ -356,14 +356,14 @@ class CacheArray(abc.ABC):
             if row[index] is not None:
                 del pos[row[index]]  # type: ignore[arg-type]
             row[index] = moving
-            pos[moving] = Position(way, index)  # type: ignore[index]
+            pos[moving] = tuple.__new__(Position, (way, index))  # type: ignore[index]
             child = parent
         way, index = ways[child], indices[child]
         row = lines[way]
         if row[index] is not None:
             del pos[row[index]]  # type: ignore[arg-type]
         row[index] = incoming
-        pos[incoming] = Position(way, index)
+        pos[incoming] = tuple.__new__(Position, (way, index))
         return CommitResult(evicted, depth)
 
     def check_invariants(self) -> None:

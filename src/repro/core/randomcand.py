@@ -37,8 +37,8 @@ class RandomCandidatesArray(CacheArray):
     The pool is a plain list: a refill shifts the whole block right by
     ``32 - k`` and masks each word's low k bits, reads the bytes as an
     ``array("I")`` of those tops (byte-swapped on a big-endian host) and
-    keeps each top below ``num_blocks``. A draw's repeated slots are
-    marked when the draw is handed out.
+    keeps each top below ``num_blocks``. A repeated slot stays in the
+    draw unmarked: it is the same line, holding the same block.
     """
 
     #: Mersenne-Twister words drawn per refill of the slot pool
@@ -88,19 +88,8 @@ class RandomCandidatesArray(CacheArray):
         self._taken = end
         slots = pool[start:end]  # the draw-order contract: see the class
         row = self._lines[0]
-        # Sampling is with repetition (paper): a repeat stays in the
-        # record, marked invalid.
-        invalid: set[int] | None = None
-        if len(set(slots)) < n:
-            seen: set[int] = set()
-            invalid = set()
-            for node, slot in enumerate(slots):
-                if slot in seen:
-                    invalid.add(node)
-                seen.add(slot)
         return Replacement(
-            address, [0] * n, slots, [row[slot] for slot in slots],
-            invalid=invalid, tag_reads=n,
+            address, [0] * n, slots, [row[slot] for slot in slots], tag_reads=n
         )
 
     def commit_replacement(

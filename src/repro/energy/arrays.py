@@ -144,11 +144,6 @@ class ArrayModel:
             data = e.data_read
         return tag + data
 
-    def fill_energy(self) -> float:
-        """Writing the incoming block's tag and data."""
-        e = self.energies()
-        return e.tag_write + e.data_write
-
     # -- latency ----------------------------------------------------------------
     def tag_latency(self) -> float:
         """Tag-path latency in cycles (grows with log2 of the ways)."""

@@ -13,6 +13,7 @@ bandwidth that the zcache walks consume safely.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 
 from repro.experiments.runner import ExperimentScale, run_design_sweep
@@ -63,13 +64,12 @@ def self_throttling_correlation(points: list[BandwidthPoint]) -> float:
     Negative (or near-zero) correlation across miss-intensive workloads
     is the self-throttling effect.
     """
-    import numpy as np
-
     if len(points) < 3:
         raise ValueError("need at least 3 points")
-    x = np.array([p.misses_per_cycle_per_bank for p in points])
-    y = np.array([p.demand_load_per_bank for p in points])
-    return float(np.corrcoef(x, y)[0, 1])
+    return statistics.correlation(
+        [p.misses_per_cycle_per_bank for p in points],
+        [p.demand_load_per_bank for p in points],
+    )
 
 
 def render(points: list[BandwidthPoint]) -> list[str]:

@@ -1,4 +1,5 @@
-"""The random-candidates array's draw-order contract, and free-slot fills.
+"""The random-candidates array's draw-order contract, free-slot fills,
+and the unmarked record's picks.
 
 An evicting fill must consume ``random.Random(seed)`` exactly as ``n``
 ``randrange(num_blocks)`` calls would — every Fig. 2 victim, priority
@@ -7,6 +8,7 @@ lowest-numbered free slot, drawing nothing. The oracles here are
 ``randrange`` itself and a dict-and-list model written in this file.
 """
 
+import copy
 import random
 
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from repro.analysis import SanitizedArray
 from repro.assoc import TrackedPolicy
 from repro.core import Cache, FullyAssociativeArray, RandomCandidatesArray
-from repro.replacement import LRU
+from repro.replacement import LRU, SRRIP, RandomPolicy
 
 EVICTING_FILLS = 200
 
@@ -38,10 +40,8 @@ def test_candidate_slots_are_the_randrange_sequence(seed, blocks, n):
         assert len(cands) == repl.tag_reads == n
         assert [c.address for c in cands] == [array._lines[0][s] for s in expected]
         assert all(c.level == 0 and c.parent is None for c in cands)
-        # valid is False exactly on second and later occurrences of a slot
-        assert [c.valid for c in cands] == [
-            s not in expected[:i] for i, s in enumerate(expected)
-        ]
+        # A plain record: a repeated slot is not marked
+        assert repl.invalid is None and all(c.valid for c in cands)
         array.commit_replacement(repl, 0)
     array.check_invariants()
 
@@ -70,13 +70,45 @@ def test_pooled_slots_are_the_randrange_sequence_across_refills(blocks, n):
             repl = array.build_replacement(address)
             refills += array._pool is not pool
             assert repl.indices == [oracle.randrange(blocks) for _ in range(n)]
-            assert repl.invalid == (
-                {i for i, s in enumerate(repl.indices) if s in repl.indices[:i]}
-                or None
-            )
+            assert repl.invalid is None
         array.commit_replacement(repl, 0)
         address += 1
     array.check_invariants()
+
+
+@given(
+    policy=st.sampled_from(["lru", "random", "srrip"]),
+    seed=st.integers(0, 2**16),
+    pins=st.integers(0, 16),
+    phase2=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_plain_draw_picks_the_node_its_repeat_marks_left_valid(
+    policy, seed, pins, phase2
+):
+    """A draw is handed out unmarked. ``Cache._pick`` on it must land on
+    the node it lands on when every later copy of a slot is marked
+    invalid, as draws once were: a repeated slot is the same line and
+    holds the same block, and the pick keeps a block's first node."""
+    rng = random.Random(seed)
+    make = {"lru": LRU, "random": lambda: RandomPolicy(seed=seed), "srrip": SRRIP}
+    cache = Cache(RandomCandidatesArray(24, 8, seed=seed), make[policy]())
+    for address in [*range(24), *(rng.randrange(64) for _ in range(40))]:
+        cache.access(address)
+    for block in rng.sample(sorted(cache.resident()), pins):
+        cache.pin(block)
+    repl = cache.array.build_replacement(1000)
+    while len(set(repl.indices)) == len(repl.indices):  # 72% of draws repeat
+        repl = cache.array.build_replacement(1000)
+    marked = copy.deepcopy(repl)
+    marked.invalid = {
+        i for i, slot in enumerate(repl.indices) if slot in repl.indices[:i]
+    }
+    skip = rng.choice(repl.addresses) if phase2 else None
+    before = copy.deepcopy(cache.policy)
+    landed = Cache._pick(cache, repl, skip)
+    cache.policy = before  # the marked pick sees the policy state (SRRIP ages)
+    assert landed == Cache._pick(cache, marked, skip)
 
 
 def test_blocks_must_fit_one_word():

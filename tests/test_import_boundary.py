@@ -1,14 +1,15 @@
 """numpy loads only where arrays are the point.
 
-No sweep, service or server path calls numpy, and neither does Fig. 2
-or the associativity probes: importing any of them, running Fig. 2 and
-measuring a design's associativity (its CDF, its KS distances, a
-dominance test) must not load it (it costs ~14 MB and ~70 ms per
-process). ``repro.kernels`` imports numpy at module level;
-``AssociativityDistribution.mean`` and ``quantile`` import it inside
-the function, because their pinned values are numpy's pairwise sum and
-interpolation. Checked in a fresh interpreter, since the test process
-has numpy loaded already.
+No sweep, service or server path calls numpy, and neither do Fig. 2,
+Fig. 3 or the associativity probes: importing any of them, running
+Fig. 2 or Fig. 3 and measuring a design's associativity (its CDF, its
+KS distances, its mean, quantiles and summary, a dominance test) must
+not load it (it costs ~14 MB and ~70 ms per process). Only
+``repro.kernels`` imports numpy. ``AssociativityDistribution.mean``
+and ``quantile`` reproduce numpy's pairwise sum and linear
+interpolation in the standard library (``tests/util/test_util.py``
+holds them to numpy bit for bit). Checked in a fresh interpreter,
+since the test process has numpy loaded already.
 """
 
 import subprocess
@@ -21,6 +22,7 @@ _SCRIPT = """
 import random, sys
 import repro, repro.cli, repro.sim, repro.serve.server, repro.serve.cli
 import repro.experiments.runner, repro.experiments.fig2, repro.assoc
+import repro.experiments.fig3
 assert "numpy" not in sys.modules, "numpy loaded at import"
 from repro.assoc import dominates, measure_associativity
 from repro.core import RandomCandidatesArray
@@ -34,6 +36,11 @@ dist.cdf([0.25, 0.5, 0.75])
 dist.ks_to_uniformity(16)
 dist.ks_on_lattice(16, 128)
 assert dominates(dist, dist)
+dist.mean(), dist.summary(), dist.effective_candidates()
+from repro.experiments import fig3
+from repro.experiments.runner import ExperimentScale
+cells = fig3.run(ExperimentScale(instructions_per_core=1000), workloads=["canneal"])
+fig3.render(cells), fig3.payload(cells)
 assert "numpy" not in sys.modules, "the associativity path loaded numpy"
 """
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.assoc import AssociativityDistribution
 from repro.util import BloomFilter, empirical_cdf, geometric_mean
 from repro.util.freeslots import FreeSlots
 from repro.util.statistics import ks_distance, unit_grid
@@ -132,6 +133,27 @@ class TestStatistics:
             np.max(np.abs(theo - np.arange(0, n) / n)),
         )
         assert ks_distance(samples, lambda x: x**4) == float(expected)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [range(1, 300), [511, 512, 513, 1023, 1024, 1025], [4095, 4096, 4097, 20000]],
+        ids=["1-299", "511-1025", "4095-20000"],
+    )
+    def test_mean_and_quantile_are_numpy_bit_for_bit(self, sizes):
+        """``AssociativityDistribution.mean``/``quantile`` pin numpy's
+        pairwise add-reduce and linear interpolation (fig3's goldens)."""
+        rng = random.Random(len(sizes))
+        quantiles = (0.0, 0.1, 0.25, 1 / 3, 0.5, 0.6, 0.75, 0.9, 0.99, 1.0)
+        for n in sizes:
+            lattice = n % 2 == 0  # ranks among 2048 blocks: ties and gaps
+            ordered = sorted(
+                rng.randrange(2048) / 2047 if lattice else rng.random()
+                for _ in range(n)
+            )
+            dist = AssociativityDistribution(ordered)
+            assert dist.mean() == float(np.mean(ordered)), n
+            for q in quantiles:
+                assert dist.quantile(q) == float(np.quantile(ordered, q)), (n, q)
 
 
 class TestBloomBitRounding:
